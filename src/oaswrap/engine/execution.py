@@ -1,8 +1,9 @@
 """Query execution: depth-first field collection, argument/variable coercion,
 resolve-plan invocation over HTTP, and spec-shaped response assembly.
 
-Sibling fields of query selections may resolve concurrently (bounded); a link
-field's resolution starts only after its parent's response is available by
+Sibling fields of query selections may resolve concurrently (bounded), while
+a mutation's fields resolve one at a time at every depth; a link field's
+resolution starts only after its parent's response is available by
 construction of the recursion.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError
@@ -235,15 +236,13 @@ class Executor:
         result = ExecutionResult()
         if operation.kind == "mutation":
             root = TypeIR(OBJECT, name="Mutation", fields=self.schema.mutation_fields)
-            serial = True
+            ctx = replace(ctx, mutation=True)
         else:
             root = TypeIR(OBJECT, name="Query", fields=self.schema.query_fields)
-            serial = False
         source = Source(data={}, raw={}, response_root=None, request_record={}, ctx=ctx)
         try:
             result.data = self._execute_selection_set(
                 operation.selection_set, root, source, doc, coerced, [], result.errors,
-                serial=serial,
             )
         except _NonNullViolation:
             result.data = None
@@ -263,7 +262,7 @@ class Executor:
 
     def _execute_selection_set(self, selections: list, parent_type: TypeIR, source: Source,
                                doc: QueryDocument, variables: dict, path: list,
-                               errors: list, serial: bool = False) -> dict:
+                               errors: list) -> dict:
         grouped = self._collect_fields(selections, parent_type, doc)
         out: dict[str, Any] = {}
 
@@ -277,7 +276,7 @@ class Executor:
             return value, local_errors
 
         entries = list(grouped.items())
-        parallel = (not serial and self.max_parallel > 1 and len(entries) > 1
+        parallel = (not source.ctx.mutation and self.max_parallel > 1 and len(entries) > 1
                     and sum(1 for _, nodes in entries
                             if self._has_operation_binding(parent_type, nodes[0])) > 1)
         if parallel:

@@ -231,8 +231,8 @@ def load_document(data: bytes | str, format_hint: str | None = None,
         raise ParseError(f"{source_path}: document is empty")
 
     attempts = {"json": [("json", json.loads)],
-                "yaml": [("yaml", yaml.safe_load)],
-                None: [("json", json.loads), ("yaml", yaml.safe_load)]}[format_hint]
+                "yaml": [("yaml", _load_yaml)],
+                None: [("json", json.loads), ("yaml", _load_yaml)]}[format_hint]
     last_error: Exception | None = None
     for fmt, loader in attempts:
         try:
@@ -244,6 +244,12 @@ def load_document(data: bytes | str, format_hint: str | None = None,
             raise ParseError(f"{source_path}: document root must be a mapping")
         return RawDocument(source_path=source_path, format=fmt, root=root)
     raise ParseError(f"{source_path}: cannot parse as JSON or YAML: {last_error}")
+
+
+def _load_yaml(text: str) -> Any:
+    """Safe YAML load; libyaml's loader, where PyYAML was built with it,
+    parses the same safe subset several times faster."""
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def detect_version(doc: RawDocument) -> str:

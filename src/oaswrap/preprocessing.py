@@ -34,6 +34,9 @@ OUTPUT = "output"
 
 SCALAR_NAMES = {"string": "String", "number": "Float", "integer": "Int", "boolean": "Boolean"}
 
+# Levels below a node that its de-duplication key summarises.
+KEY_DEPTH = 4
+
 CAMEL = "camel"
 PRESERVE = "preserve"
 
@@ -229,14 +232,36 @@ def deep_equal(a: SchemaObject, b: SchemaObject, doc: OasDocument | None = None)
     return eq(a, b)
 
 
-def structure_bucket(schema: SchemaObject, doc: OasDocument) -> tuple:
-    """Shallow fingerprint; deep-equal schemas always share a bucket."""
+def structure_key(schema: SchemaObject, doc: OasDocument, memo: dict[tuple[int, int], int],
+                  depth: int = KEY_DEPTH) -> int:
+    """Merkle-style hash of a schema unfolded ``depth`` levels: its label
+    (type, property keys, required and enum as sets, items presence, allOf
+    arity) with the keys of its properties, items and allOf members.
+
+    Bisimilar schemas have equal finite unfoldings, so ``deep_equal(a, b)``
+    implies equal keys, cycles included. A collision or a difference below
+    ``depth`` costs one more ``deep_equal``, never a wrong merge. ``memo`` is
+    keyed on node identity, so it must not outlive the document.
+    """
     s = doc.deref(schema)
-    enum_key = None
-    if s.enum is not None:
-        enum_key = tuple(sorted(json.dumps(v, sort_keys=True) for v in s.enum))
-    return (s.type, tuple(sorted(s.properties)), tuple(sorted(set(s.required))),
-            s.items is not None, enum_key)
+    slot = (id(s), depth)
+    key = memo.get(slot)
+    if key is None:
+        if depth == 0:
+            enum = None
+            if s.enum is not None:
+                enum = tuple(sorted({json.dumps(v, sort_keys=True) for v in s.enum}))
+            key = hash((s.type, tuple(sorted(s.properties)), tuple(sorted(set(s.required))),
+                        enum, s.items is not None, None if s.all_of is None else len(s.all_of)))
+        else:
+            children = [s.properties[k] for k in sorted(s.properties)]
+            if s.items is not None:
+                children.append(s.items)
+            children.extend(s.all_of or ())
+            key = hash((structure_key(s, doc, memo, 0),
+                        *(structure_key(c, doc, memo, depth - 1) for c in children)))
+        memo[slot] = key
+    return key
 
 
 # -- types dictionary --------------------------------------------------------------
@@ -276,8 +301,9 @@ class TypesDictionary:
 
     def __init__(self):
         self.entries: dict[str, DictionaryEntry] = {}
-        self.by_structure: dict[tuple, list[str]] = {}  # (direction, bucket) -> names
+        self.by_structure: dict[tuple[str, int], list[str]] = {}  # (direction, key) -> names
         self.taken_names: set[str] = set()
+        self._next_suffix: dict[str, int] = {}  # base -> first counter not yet tried
         self.decisions: dict[tuple[int, str], TypeDecision] = {}
 
     def entries_for(self, direction: str) -> list[DictionaryEntry]:
@@ -290,9 +316,11 @@ class TypesDictionary:
         return candidate
 
     def take_suffixed(self, base: str) -> str:
-        counter = 2
+        # Names are never released, so counters tried once stay taken.
+        counter = self._next_suffix.get(base, 2)
         while f"{base}{counter}" in self.taken_names:
             counter += 1
+        self._next_suffix[base] = counter + 1
         name = f"{base}{counter}"
         self.taken_names.add(name)
         return name
@@ -372,6 +400,7 @@ class Preprocessor:
         self.casing = casing
         self.dictionary = TypesDictionary()
         self.sanmap = SanitationMap()
+        self._keys: dict[tuple[int, int], int] = {}
 
     def run(self) -> PreprocessResult:
         bindings: dict[str, OperationBinding] = {}
@@ -559,10 +588,13 @@ class Preprocessor:
             return existing
         return self._new_entry(resolved, direction, ref_name, op, property_key)
 
+    def _bucket(self, resolved: SchemaObject, direction: str) -> tuple[str, int]:
+        return direction, structure_key(resolved, self.doc, self._keys)
+
     def _find_equal(self, resolved: SchemaObject, direction: str) -> str | None:
-        """Deep comparison against every same-direction entry (bucketed)."""
-        bucket = (direction, structure_bucket(resolved, self.doc))
-        for name in self.dictionary.by_structure.get(bucket, []):
+        """The same-direction entry deep_equal to this schema, among those
+        sharing its structure key."""
+        for name in self.dictionary.by_structure.get(self._bucket(resolved, direction), []):
             if deep_equal(self.dictionary.entries[name].schema, resolved, self.doc):
                 return name
         return None
@@ -588,8 +620,7 @@ class Preprocessor:
             origin=origin, pointer=resolved.pointer,
         )
         self.dictionary.entries[name] = entry
-        bucket = (direction, structure_bucket(resolved, self.doc))
-        self.dictionary.by_structure.setdefault(bucket, []).append(name)
+        self.dictionary.by_structure.setdefault(self._bucket(resolved, direction), []).append(name)
         return name
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 from urllib.parse import quote, urlencode
 
@@ -91,18 +91,19 @@ class ExecutionContext:
     token_store: Any = None
     used_params: Mapping[str, Any] = field(default_factory=dict)
     extra_headers: Mapping[str, str] = field(default_factory=dict)
+    mutation: bool = False  # fields resolve one at a time, in query order, at every depth
 
     def with_credentials(self, creds: Mapping[str, Mapping[str, str]]) -> "ExecutionContext":
         merged = dict(self.credentials)
         merged.update(creds)
-        return ExecutionContext(merged, self.token_store, self.used_params, self.extra_headers)
+        return replace(self, credentials=merged)
 
     def with_used_params(self, params: Mapping[str, Any]) -> "ExecutionContext":
         if not params:
             return self
         merged = dict(self.used_params)
         merged.update(params)
-        return ExecutionContext(self.credentials, self.token_store, merged, self.extra_headers)
+        return replace(self, used_params=merged)
 
 
 @dataclass

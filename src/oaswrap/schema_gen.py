@@ -197,7 +197,8 @@ def translate_schema(entry: DictionaryEntry, dictionary: TypesDictionary,
         for value in schema.enum:
             sanitized = sanitize_enum_value(value, casing)
             final = register_mapping(sanmap, scope, str(value), sanitized)
-            values.append(final)
+            if final not in values:  # a repeated raw value maps to the same name
+                values.append(final)
         return TypeIR(ENUM, name=entry.name, enum_values=values,
                       description=schema.description)
 

@@ -537,6 +537,52 @@ def test_execute_mutation_root_fields_serial_in_order(upstream):
     assert upstream.paths_seen == ["/jobs", "/jobs"]
 
 
+def test_execute_mutation_viewer_fields_serial_in_order():
+    import time
+
+    aliases = ["one", "two", "three"]
+
+    class SlowFirstPost(HttpClient):
+        """Answers every POST itself; the first alias's POST arrives late."""
+
+        def __init__(self):
+            super().__init__(timeout=5)
+            self.tags: list[str] = []
+
+        def send(self, spec):
+            tag = spec.query_values["tag"]
+            if tag == aliases[0]:
+                time.sleep(0.2)
+            self.tags.append(tag)
+            return 201, {}, json.dumps({"id": tag}).encode()
+
+    root = {
+        "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://api.example.com"}],
+        "paths": {"/jobs": {"post": {
+            "operationId": "createJob",
+            "security": [{"basicAuth": []}],
+            "parameters": [{"name": "tag", "in": "query", "required": True,
+                            "schema": {"type": "string"}}],
+            "responses": {"201": {"description": "ok", "content": {"application/json": {
+                "schema": {"type": "object", "properties": {"id": {"type": "string"}}}}}}},
+        }}},
+        "components": {"securitySchemes": {"basicAuth": {"type": "http", "scheme": "basic"}}},
+    }
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok, wrapper.report.error_message
+    creates = " ".join('%s: postJobs(tag: "%s") { id }' % (a, a) for a in aliases)
+    doc = parse_query('mutation { mutationViewerBasicAuth(username: "u", password: "p") '
+                      '{ %s } }' % creates)
+    assert validate_query(doc, wrapper.schema) == []
+    client = SlowFirstPost()
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, client)
+    result = executor.execute(doc, None, None, ExecutionContext())
+    assert result.errors == []
+    assert client.tags == aliases
+    assert list(result.data["mutationViewerBasicAuth"]) == aliases
+
+
 def test_response_shape_matches_query_shape(upstream):
     upstream.static("GET", "/user/{id}",
                     {"id": "x", "name": "N", "employerId": "e", "extra": "ignored"})

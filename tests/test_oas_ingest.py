@@ -2,8 +2,10 @@
 resolution, and allOf merging."""
 
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
 from oaswrap.errors import InvalidOasError, MissingRefError, ParseError, UpconvertError
 from oaswrap.oas_ingest import (
@@ -69,6 +71,13 @@ def test_yaml_anchors_are_expanded():
     text = b"openapi: 3.0.0\nx-shared: &s {a: 1}\nother: *s\n"
     raw = load_document(text, format_hint="yaml")
     assert raw.root["other"] == {"a": 1}
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent / "fixtures" / "corpus").glob("*.yaml")), ids=lambda p: p.name)
+def test_yaml_loader_matches_pure_python_safe_loader(path):
+    text = path.read_text(encoding="utf-8")
+    assert load_document(text, format_hint="yaml").root == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 # -- detect_version ------------------------------------------------------------

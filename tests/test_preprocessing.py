@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oaswrap import preprocessing
 from oaswrap.errors import SanitationError
+from oaswrap.generator import generate
 from oaswrap.oas_ingest import load_document, normalize, parse_schema
 from oaswrap.preprocessing import (
     INPUT,
@@ -23,6 +25,7 @@ from oaswrap.preprocessing import (
     sanitize,
     sanitize_enum_value,
     sanitize_tree,
+    structure_key,
 )
 from oaswrap.report import Report
 
@@ -272,6 +275,154 @@ def test_deep_equal_cyclic_schemas():
     )
     node = doc.resolve_ref("#/components/schemas/Node")
     assert deep_equal(node, node, doc)
+
+
+# -- structure_key ----------------------------------------------------------------------
+
+SELF = "<self>"  # marks where a generated schema refers back to its own component
+
+_leaf_schemas = st.one_of(
+    st.sampled_from(["string", "integer", "number", "boolean"]).map(lambda t: {"type": t}),
+    st.lists(st.sampled_from(["red", "blue", "x-y", "7"]), min_size=1, max_size=4)
+    .map(lambda values: {"type": "string", "enum": values}),
+    st.just(SELF),
+)
+
+
+def _composite_schemas(children):
+    objects = st.dictionaries(st.sampled_from("abcde"), children, min_size=1, max_size=4).flatmap(
+        lambda props: st.lists(st.sampled_from(sorted(props)), max_size=3).map(
+            lambda required: {"type": "object", "properties": props, "required": required}))
+    arrays = children.map(lambda item: {"type": "array", "items": item})
+    all_of = st.lists(objects, min_size=1, max_size=2).map(lambda members: {"allOf": members})
+    return st.one_of(objects, arrays, all_of)
+
+
+# Roots are objects, so a component never is just a reference to itself.
+_schema_trees = _composite_schemas(st.recursive(_leaf_schemas, _composite_schemas, max_leaves=8))
+
+
+def _fill(tree, self_schema):
+    """The tree with every SELF marker replaced by self_schema."""
+    if tree == SELF:
+        return self_schema
+    if isinstance(tree, list):
+        return [_fill(item, self_schema) for item in tree]
+    if isinstance(tree, dict):
+        return {key: _fill(value, self_schema) for key, value in tree.items()}
+    return tree
+
+
+def _vary(tree, rnd):
+    """A deep_equal variant: property order, required and enum order and
+    repeats, and titles all changed at random."""
+    if isinstance(tree, list):
+        return [_vary(item, rnd) for item in tree]
+    if not isinstance(tree, dict) or "$ref" in tree:
+        return tree
+    out = {}
+    for key, value in tree.items():
+        if key == "properties":
+            keys = list(value)
+            rnd.shuffle(keys)
+            out[key] = {k: _vary(value[k], rnd) for k in keys}
+        elif key in ("required", "enum"):
+            values = list(value) + rnd.sample(value, min(len(value), rnd.randint(0, 2)))
+            rnd.shuffle(values)
+            out[key] = values
+        else:
+            out[key] = _vary(value, rnd)
+    out["title"] = f"T{rnd.randint(0, 9)}"
+    return out
+
+
+def _ref(name):
+    return {"$ref": f"#/components/schemas/{name}"}
+
+
+@given(tree=_schema_trees, other=_schema_trees, rnd=st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_deep_equal_implies_equal_structure_keys(tree, other, rnd):
+    # A refers to itself; B and C refer to each other; D unrolls the cycle
+    # once inline: all four are bisimilar, so deep_equal holds between them.
+    components = {
+        "A": _vary(_fill(tree, _ref("A")), rnd),
+        "B": _vary(_fill(tree, _ref("C")), rnd),
+        "C": _vary(_fill(tree, _ref("B")), rnd),
+        "D": _vary(_fill(tree, _fill(tree, _ref("D"))), rnd),
+        "E": _fill(other, _ref("E")),
+    }
+    doc = make_doc({}, components={"schemas": components})
+    nodes = [doc.resolve_ref(f"#/components/schemas/{name}") for name in components]
+    memo: dict = {}
+    keys = [structure_key(node, doc, memo) for node in nodes]
+    for node, key in zip(nodes[1:4], keys[1:4]):
+        assert deep_equal(nodes[0], node, doc)
+        assert key == keys[0]
+    if deep_equal(nodes[0], nodes[4], doc):
+        assert keys[4] == keys[0]
+
+
+def test_structure_key_tells_apart_schemas_differing_below_the_top():
+    doc = make_doc({}, components={"schemas": {
+        name: {"type": "object", "properties": {"detail": {"type": "object", "properties": {
+            "kind": {"type": "string", "enum": values}}}}}
+        for name, values in (("A", ["x", "y"]), ("B", ["x", "z"]))}})
+    a, b = (doc.resolve_ref(f"#/components/schemas/{n}") for n in "AB")
+    assert structure_key(a, doc, {}) != structure_key(b, doc, {})
+
+
+def _same_top_level_keys_doc(n):
+    """n component schemas with equal top-level keys and one shared enum,
+    differing only in an enum two levels down."""
+    components, paths = {}, {}
+    for i in range(n):
+        components[f"S{i}"] = {"type": "object", "properties": {
+            "a_id": {"type": "integer"},
+            "b_name": {"type": "string"},
+            "state": {"type": "string", "enum": ["on", "off"]},
+            "detail": {"type": "object", "properties": {
+                "kind": {"type": "string", "enum": [f"k{i}a", f"k{i}b"]},
+                "level": {"type": "integer"}}},
+        }}
+        paths[f"/s{i}"] = get_op(_ref(f"S{i}"))
+    return make_doc(paths, {"schemas": components})
+
+
+def test_dedup_calls_deep_equal_less_than_once_per_schema(monkeypatch):
+    n = 400
+    calls = []
+    counted = preprocessing.deep_equal
+
+    def counting(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(preprocessing, "deep_equal", counting)
+    pre = preprocess(_same_top_level_keys_doc(n), Report(source="<test>"))
+    assert len(calls) < n
+    expected = []
+    for i in range(n):
+        suffix = str(i + 1) if i else ""
+        expected += [f"S{i}", f"Detail{suffix}", f"Kind{suffix}"] + (["State"] if i == 0 else [])
+    assert list(pre.dictionary.entries) == expected
+
+
+def test_repeated_enum_values_dedup_as_a_set():
+    from graphql import build_schema
+
+    root = {
+        "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://x.example.com"}],
+        "paths": {"/a": get_op({"type": "string", "enum": ["red", "red", "blue"]}),
+                  "/b": get_op({"type": "string", "enum": ["blue", "red"]})},
+    }
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok, wrapper.report.error_message
+    enums = [e.name for e in wrapper.pre.dictionary.entries_for(OUTPUT) if e.schema.enum]
+    assert enums == ["getA"]
+    assert wrapper.schema.types["getA"].enum_values == ["red", "blue"]
+    build_schema(wrapper.sdl)
 
 
 # -- canonical_name ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """GraphQL-over-HTTP service endpoints."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -96,6 +97,29 @@ def test_malformed_body_is_400(service_url):
     response = requests.post(f"{url}/graphql", data=b"not json",
                              headers={"Content-Type": "application/json"}, timeout=5)
     assert response.status_code == 400
+
+
+@pytest.mark.parametrize("length", ["ten", "-1"])
+def test_bad_content_length_is_400(service_url, length):
+    url, _, _ = service_url
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(f"POST /graphql HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n"
+                     f"Connection: close\r\n\r\n".encode())
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 400")
+    assert "Content-Length" in json.loads(body)["errors"][0]["message"]
+
+
+def test_server_listen_backlog(upstream):
+    server = make_server(GraphQLService(build_wrapper(upstream)))
+    try:
+        assert server.request_queue_size == 128
+    finally:
+        server.server_close()
 
 
 def test_missing_query_member_is_400(service_url):
