@@ -116,11 +116,9 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
 @click.option("--strict-also", is_flag=True, help="Additionally run every file in strict mode.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
               help="Write the stats JSON here.")
-@click.option("--workers", type=int, default=8, show_default=True)
-def eval_cmd(corpus_dir: Path, strict_also: bool, out_path: Path | None,
-             workers: int) -> None:
+def eval_cmd(corpus_dir: Path, strict_also: bool, out_path: Path | None) -> None:
     """Run generation over a corpus directory and summarize outcomes."""
-    stats = evaluate_corpus(corpus_dir, strict_also=strict_also, max_workers=workers)
+    stats = evaluate_corpus(corpus_dir, strict_also=strict_also)
     text = stats_json(stats)
     if out_path:
         out_path.write_text(text, encoding="utf-8")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError
-from ..preprocessing import SanitationMap
+from ..preprocessing import NameTables, SanitationMap
 from ..resolver_runtime import (
     ExecutionContext,
     HttpClient,
@@ -53,6 +53,9 @@ logger = logging.getLogger("oaswrap.engine")
 
 _ABSENT = object()
 
+# Python types of upstream JSON values that complete to themselves.
+_PASS_THROUGH = {"String": str, "ID": str, "Int": int, "Float": float, "Boolean": bool}
+
 
 @dataclass
 class ExecutionResult:
@@ -77,14 +80,44 @@ class _NonNullViolation(Exception):
 
 @dataclass
 class Source:
-    """Value container threading both the sanitized view (for selection) and
-    the raw upstream view (for link expressions) through execution."""
+    """A raw upstream value under completion, with the request that fetched
+    it (for ``$request.*`` link expressions) and the query's context."""
 
-    data: Any
-    raw: Any
-    response_root: Any
+    value: Any
     request_record: Mapping[str, Mapping[str, Any]]
     ctx: ExecutionContext
+
+
+@dataclass
+class _Field:
+    """One response key of a compiled selection set."""
+
+    key: str
+    nodes: list[FieldNode]
+    field_ir: FieldIR
+    selections: list  # the nodes' merged sub-selections
+    raw_key: str | None  # the upstream key a field without binding reads
+    leaf: bool  # completed inline, without a Source, arguments or _execute_field
+    plain: type | None = None  # a leaf scalar's values of this exact type pass unchanged
+    enum: dict[str, str] | None = None  # a leaf enum's raw -> sanitized table
+
+
+@dataclass
+class _Compiled:
+    fields: list[_Field]
+    parallel: bool
+
+
+@dataclass
+class _Query:
+    """Per-query state: the document, the coerced variables and the selection
+    sets compiled so far, keyed by (id of the selection list, parent type).
+    One per execute(), since one Executor serves concurrent requests."""
+
+    doc: QueryDocument
+    variables: dict
+    compiled: dict[tuple[int, str], _Compiled] = field(default_factory=dict)
+    dropped: dict[str, set[str]] | None = None  # type -> unexpected upstream keys, DEBUG only
 
 
 # -- variable coercion ------------------------------------------------------------
@@ -217,21 +250,28 @@ def _literal_value(node: ValueNode, variables: Mapping[str, Any],
 
 
 class Executor:
-    """Executes validated query documents against one immutable SchemaIR."""
+    """Executes validated query documents against one immutable SchemaIR.
+
+    Completion reads the raw upstream JSON through one name table per named
+    type, built here at serve start from the types' sanitation scopes.
+    """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
                  sanmap: SanitationMap, client: HttpClient | None = None,
                  max_parallel: int = 8):
         self.schema = schema
         self.plans = plans
-        self.sanmap = sanmap
+        self.tables = NameTables(schema.types, sanmap)
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
 
     def execute(self, doc: QueryDocument, operation_name: str | None,
                 variables: Mapping[str, Any] | None, ctx: ExecutionContext) -> ExecutionResult:
         operation = self._pick_operation(doc, operation_name)
-        coerced = coerce_variables(operation.variable_definitions, variables, self.schema)
+        query = _Query(doc, coerce_variables(operation.variable_definitions, variables,
+                                             self.schema))
+        if logger.isEnabledFor(logging.DEBUG):
+            query.dropped = {}
 
         result = ExecutionResult()
         if operation.kind == "mutation":
@@ -239,13 +279,16 @@ class Executor:
             ctx = replace(ctx, mutation=True)
         else:
             root = TypeIR(OBJECT, name="Query", fields=self.schema.query_fields)
-        source = Source(data={}, raw={}, response_root=None, request_record={}, ctx=ctx)
+        source = Source(value={}, request_record={}, ctx=ctx)
         try:
             result.data = self._execute_selection_set(
-                operation.selection_set, root, source, doc, coerced, [], result.errors,
+                operation.selection_set, root, source, query, [], result.errors,
             )
         except _NonNullViolation:
             result.data = None
+        for type_name, keys in sorted((query.dropped or {}).items()):
+            logger.debug("dropped %d unexpected upstream key(s) of type %s: %s",
+                         len(keys), type_name, sorted(keys)[:10])
         return result
 
     def _pick_operation(self, doc: QueryDocument, name: str | None) -> OperationNode:
@@ -261,44 +304,91 @@ class Executor:
     # -- selection sets ---------------------------------------------------
 
     def _execute_selection_set(self, selections: list, parent_type: TypeIR, source: Source,
-                               doc: QueryDocument, variables: dict, path: list,
-                               errors: list) -> dict:
-        grouped = self._collect_fields(selections, parent_type, doc)
+                               query: _Query, path: list, errors: list) -> dict:
+        compiled = query.compiled.get((id(selections), parent_type.name))
+        if compiled is None:
+            compiled = self._compile(selections, parent_type, source.ctx, query)
+        if query.dropped is not None and parent_type.name in self.tables.fields:
+            unexpected = source.value.keys() - self.tables.fields[parent_type.name].values()
+            query.dropped.setdefault(parent_type.name, set()).update(unexpected)
+
         out: dict[str, Any] = {}
-
-        def run(entry: tuple[str, list[FieldNode]]):
-            # Each sibling collects into its own error list so concurrent
-            # completion cannot reorder the merged result.
-            key, nodes = entry
-            local_errors: list = []
-            value = self._execute_field(parent_type, nodes, source, doc, variables,
-                                        path + [key], local_errors)
-            return value, local_errors
-
-        entries = list(grouped.items())
-        parallel = (not source.ctx.mutation and self.max_parallel > 1 and len(entries) > 1
-                    and sum(1 for _, nodes in entries
-                            if self._has_operation_binding(parent_type, nodes[0])) > 1)
-        if parallel:
-            with ThreadPoolExecutor(max_workers=min(self.max_parallel, len(entries))) as pool:
-                results = list(pool.map(run, entries))
-        else:
-            results = [run(entry) for entry in entries]
-
         bubbled: _NonNullViolation | None = None
-        for (key, nodes), (value, local_errors) in zip(entries, results):
-            errors.extend(local_errors)
-            if isinstance(value, _NonNullViolation):
-                bubbled = bubbled or value
-                continue
-            out[key] = value
+        if compiled.parallel:
+            def run(f: _Field):
+                # Each sibling collects into its own error list so concurrent
+                # completion cannot reorder the merged result.
+                local_errors: list = []
+                return self._field_value(f, source, query, path, local_errors), local_errors
+
+            with ThreadPoolExecutor(
+                    max_workers=min(self.max_parallel, len(compiled.fields))) as pool:
+                results = list(pool.map(run, compiled.fields))
+            for f, (value, local_errors) in zip(compiled.fields, results):
+                errors.extend(local_errors)
+                if isinstance(value, _NonNullViolation):
+                    bubbled = bubbled or value
+                else:
+                    out[f.key] = value
+        else:
+            raw = source.value
+            for f in compiled.fields:
+                # A leaf value that completes unchanged, or by one enum table
+                # lookup, is taken here; any other value, and every error,
+                # takes the general path.
+                value = raw.get(f.raw_key) if f.leaf else None
+                if type(value) is f.plain and (f.plain is not int
+                                               or INT_MIN <= value <= INT_MAX):
+                    out[f.key] = value
+                elif f.enum is not None and type(value) is str and value in f.enum:
+                    out[f.key] = f.enum[value]
+                else:
+                    value = self._field_value(f, source, query, path, errors)
+                    if isinstance(value, _NonNullViolation):
+                        bubbled = bubbled or value
+                    else:
+                        out[f.key] = value
         if bubbled is not None:
             raise bubbled
         return out
 
-    def _has_operation_binding(self, parent_type: TypeIR, node: FieldNode) -> bool:
-        field_ir = (parent_type.fields or {}).get(node.name)
-        return bool(field_ir and field_ir.binding and field_ir.binding.kind == "operation")
+    def _compile(self, selections: list, parent_type: TypeIR, ctx: ExecutionContext,
+                 query: _Query) -> _Compiled:
+        """Collect a selection set's fields once per query, deciding which are
+        leaves and whether siblings resolve in parallel."""
+        table = self.tables.fields.get(parent_type.name, {})
+        fields = []
+        for key, nodes in self._collect_fields(selections, parent_type, query.doc).items():
+            field_ir = (parent_type.fields or {}).get(nodes[0].name)
+            if field_ir is None:  # validation rejects this; defensive only
+                continue
+            merged = [s for n in nodes if n.selection_set for s in n.selection_set]
+            raw_key = None
+            if field_ir.binding is None:
+                raw_key = table.get(field_ir.name, field_ir.name)
+            f = _Field(key, nodes, field_ir, merged, raw_key, self._is_leaf(field_ir))
+            if f.leaf:  # a list leaf is neither plain nor enum
+                t = field_ir.type.of_type if field_ir.type.kind == NON_NULL else field_ir.type
+                named = resolve_type(t, self.schema.types)
+                if named.kind == SCALAR:
+                    f.plain = _PASS_THROUGH.get(named.name)
+                elif named.kind == ENUM:
+                    f.enum = self.tables.enums.get(named.name)
+            fields.append(f)
+        operations = sum(1 for f in fields
+                         if f.field_ir.binding and f.field_ir.binding.kind == "operation")
+        parallel = (not ctx.mutation and self.max_parallel > 1 and len(fields) > 1
+                    and operations > 1)
+        compiled = _Compiled(fields, parallel)
+        query.compiled[(id(selections), parent_type.name)] = compiled
+        return compiled
+
+    def _is_leaf(self, field_ir: FieldIR) -> bool:
+        """Whether a field completes inline: a scalar or enum, or a list of
+        them, with no binding and no arguments."""
+        return (field_ir.binding is None and not field_ir.args
+                and resolve_type(field_ir.type.unwrap(), self.schema.types).kind
+                in (SCALAR, ENUM))
 
     def _collect_fields(self, selections: list, parent_type: TypeIR,
                         doc: QueryDocument) -> dict[str, list[FieldNode]]:
@@ -321,25 +411,26 @@ class Executor:
 
     # -- fields ----------------------------------------------------------------
 
-    def _execute_field(self, parent_type: TypeIR, nodes: list[FieldNode], source: Source,
-                       doc: QueryDocument, variables: dict, path: list, errors: list):
-        node = nodes[0]
-        field_ir = (parent_type.fields or {}).get(node.name)
-        if field_ir is None:  # validation rejects this; defensive only
-            return None
+    def _field_value(self, f: _Field, source: Source, query: _Query, path: list,
+                     errors: list):
+        """The completed value of one field, or a _NonNullViolation to bubble."""
+        if not f.leaf:
+            return self._execute_field(f, source, query, path + [f.key], errors)
         try:
-            args = self._coerce_arguments(field_ir, node, variables)
-            child = self._resolve(parent_type, field_ir, args, source)
-            merged_selections = [s for n in nodes if n.selection_set
-                                 for s in n.selection_set]
-            return self._complete(field_ir.type, child, merged_selections, doc,
-                                  variables, path, errors, node)
-        except ResolveError as exc:
-            errors.append(_error_entry(str(exc), path, node))
-            if field_ir.type.kind == NON_NULL:
-                return _NonNullViolation(path)
-            return None
-        except CoercionError as exc:
+            return self._complete(f.field_ir.type, source.value.get(f.raw_key), source, f,
+                                  query, path + [f.key], errors)
+        except _NonNullViolation as bubble:
+            return bubble if f.field_ir.type.kind == NON_NULL else None
+
+    def _execute_field(self, f: _Field, source: Source, query: _Query, path: list,
+                       errors: list):
+        node = f.nodes[0]
+        field_ir = f.field_ir
+        try:
+            args = self._coerce_arguments(field_ir, node, query.variables)
+            child = self._resolve(f, args, source)
+            return self._complete(field_ir.type, child.value, child, f, query, path, errors)
+        except (ResolveError, CoercionError) as exc:
             errors.append(_error_entry(str(exc), path, node))
             if field_ir.type.kind == NON_NULL:
                 return _NonNullViolation(path)
@@ -363,13 +454,13 @@ class Executor:
             # design-time plan knowledge applied at bind time
         return args
 
-    def _resolve(self, parent_type: TypeIR, field_ir: FieldIR, args: dict,
-                 source: Source) -> Source:
+    def _resolve(self, f: _Field, args: dict, source: Source) -> Source:
+        field_ir = f.field_ir
         binding = field_ir.binding
         if binding is None:
-            return self._project(parent_type, field_ir, source)
+            return Source(source.value.get(f.raw_key), source.request_record, source.ctx)
         if binding.kind == "placeholder":
-            return Source(None, None, None, {}, source.ctx)
+            return Source(None, {}, source.ctx)
         if binding.kind == "viewer":
             creds: dict[str, dict[str, str]] = {}
             if binding.credential_args:
@@ -381,78 +472,73 @@ class Executor:
                 for scheme in binding.schemes:
                     creds[scheme] = {k: str(v) for k, v in args.items() if v is not None}
             ctx = source.ctx.with_credentials(creds)
-            return Source({}, {}, source.response_root, source.request_record, ctx)
+            return Source({}, source.request_record, ctx)
 
         plan = self.plans[binding.plan_key]
+        # Link expressions read the raw object holding the link field.
         spec = bind_runtime(
-            plan, args, source.response_root, source.request_record, source.ctx,
-            self.sanmap, link_params=binding.link_params,
+            plan, args, source.value, source.request_record, source.ctx,
+            self.tables, link_params=binding.link_params,
         )
         spec = inject_auth(spec, plan, source.ctx)
         status, _headers, body = self.client.send(spec)
         stringlike = _is_plain_string(field_ir.type)
         parsed = parse_upstream_body(status, body, expects_structured=not stringlike)
-        shaped = shape_response(parsed, not stringlike, self.sanmap, plan.response_scopes)
-        child_ctx = source.ctx.with_used_params(spec.sent_params)
         return Source(
-            data=shaped, raw=parsed, response_root=parsed,
+            value=shape_response(parsed, not stringlike),
             request_record={"path": spec.path_values, "query": spec.query_values},
-            ctx=child_ctx,
+            ctx=source.ctx.with_used_params(spec.sent_params),
         )
-
-    def _project(self, parent_type: TypeIR, field_ir: FieldIR, source: Source) -> Source:
-        scope = f"type:{parent_type.name}"
-        data = source.data.get(field_ir.name) if isinstance(source.data, dict) else None
-        raw_key = self.sanmap.to_raw([scope], field_ir.name) or field_ir.name
-        raw = source.raw.get(raw_key) if isinstance(source.raw, dict) else None
-        return Source(data, raw, source.response_root, source.request_record, source.ctx)
 
     # -- completion ---------------------------------------------------------------
 
-    def _complete(self, type_ir: TypeIR, source: Source, selections: list,
-                  doc: QueryDocument, variables: dict, path: list, errors: list,
-                  node: FieldNode):
+    def _complete(self, type_ir: TypeIR, value: Any, source: Source, f: _Field,
+                  query: _Query, path: list, errors: list):
+        """Complete a raw value of field f; objects inherit source's request
+        record and context."""
         if type_ir.kind == NON_NULL:
-            value = self._complete(type_ir.of_type, source, selections, doc,
-                                   variables, path, errors, node)
+            value = self._complete(type_ir.of_type, value, source, f, query, path, errors)
             if value is None:
                 errors.append(_error_entry(
-                    f"field {node.response_key!r} of non-null type resolved to null",
-                    path, node))
+                    f"field {f.key!r} of non-null type resolved to null", path, f.nodes[0]))
                 raise _NonNullViolation(path)
             return value
-
-        if source.data is None:
+        if value is None:
             return None
 
         if type_ir.kind == LIST:
-            if not isinstance(source.data, list):
+            if not isinstance(value, list):
                 errors.append(_error_entry(
-                    f"expected a list for field {node.response_key!r}, got "
-                    f"{type(source.data).__name__}", path, node))
+                    f"expected a list for field {f.key!r}, got {type(value).__name__}",
+                    path, f.nodes[0]))
                 return None
-            raw_list = source.raw if isinstance(source.raw, list) else [None] * len(source.data)
-            out = []
-            for index, item in enumerate(source.data):
-                item_source = Source(item, raw_list[index] if index < len(raw_list) else None,
-                                     source.response_root, source.request_record, source.ctx)
-                out.append(self._complete(type_ir.of_type, item_source, selections, doc,
-                                          variables, path + [index], errors, node))
-            return out
+            items = []
+            for index, item in enumerate(value):
+                try:
+                    items.append(self._complete(type_ir.of_type, item, source, f, query,
+                                                path + [index], errors))
+                except _NonNullViolation:
+                    # A nullable item is the nearest nullable parent.
+                    if type_ir.of_type.kind == NON_NULL:
+                        raise
+                    items.append(None)
+            return items
 
         named = resolve_type(type_ir, self.schema.types)
+        node = f.nodes[0]
         if named.kind == SCALAR:
-            return self._complete_scalar(named.name, source.data, path, errors, node)
+            return self._complete_scalar(named.name, value, path, errors, node)
         if named.kind == ENUM:
-            return self._complete_enum(named, source.data, path, errors, node)
+            return self._complete_enum(named, value, path, errors, node)
         if named.kind == OBJECT:
-            if not isinstance(source.data, dict):
+            if not isinstance(value, dict):
                 errors.append(_error_entry(
-                    f"expected an object for field {node.response_key!r}, got "
-                    f"{type(source.data).__name__}", path, node))
+                    f"expected an object for field {f.key!r}, got {type(value).__name__}",
+                    path, node))
                 return None
-            return self._execute_selection_set(selections, named, source, doc,
-                                               variables, path, errors)
+            return self._execute_selection_set(
+                f.selections, named, Source(value, source.request_record, source.ctx),
+                query, path, errors)
         errors.append(_error_entry(f"type {named.name!r} cannot appear in output", path, node))
         return None
 
@@ -493,8 +579,7 @@ class Executor:
 
     def _complete_enum(self, named: TypeIR, value: Any, path: list, errors: list,
                        node: FieldNode):
-        scope = f"type:{named.name}"
-        mapped = self.sanmap.to_sanitized([scope], str(value))
+        mapped = self.tables.enums.get(named.name, {}).get(str(value))
         if mapped is not None:
             return mapped
         if isinstance(value, str) and value in (named.enum_values or []):

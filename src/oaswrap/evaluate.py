@@ -75,11 +75,16 @@ def corpus_files(directory: str | Path) -> list[Path]:
     )
 
 
-def evaluate_corpus(directory: str | Path, strict_also: bool = False,
-                    max_workers: int = 8) -> CorpusStats:
+def evaluate_corpus(directory: str | Path, strict_also: bool = False) -> CorpusStats:
     """Generate every OAS in a directory (non-strict, optionally strict too)
     and aggregate the outcomes. Per-file failures are data, never command
-    failures."""
+    failures.
+
+    Files run one at a time on one worker thread: more threads only contend
+    for the interpreter lock. Unlike the caller's thread, the worker has no
+    enclosing trace span, so a tracer wrapping ``generate`` (bench/tracing.py)
+    sees each document as an operation of its own.
+    """
     files = corpus_files(directory)
     stats = CorpusStats(total=len(files))
     if strict_also:
@@ -109,7 +114,7 @@ def evaluate_corpus(directory: str | Path, strict_also: bool = False,
                 result.strict_outcome = "error"
         return result
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(run, files))
 
     for result in results:

@@ -112,65 +112,48 @@ class SanitationMap:
         scope.reverse[final] = raw
         return final
 
-    def to_sanitized(self, scope_ids: list[str], raw: str) -> str | None:
-        for scope_id in scope_ids:
-            scope = self.scopes.get(scope_id)
-            if scope and raw in scope.forward:
-                return scope.forward[raw]
-        return None
 
-    def to_raw(self, scope_ids: list[str], sanitized: str) -> str | None:
-        for scope_id in scope_ids:
-            scope = self.scopes.get(scope_id)
-            if scope and sanitized in scope.reverse:
-                return scope.reverse[sanitized]
-        return None
+class NameTables:
+    """One name table per named type, read from that type's own sanitation
+    scope (``type:<Name>``) only, so no type's key is ever renamed by
+    another type's mapping.
 
-
-def register_mapping(sanmap: SanitationMap, scope_id: str, raw: str, sanitized: str) -> str:
-    """Record raw<->sanitized within a scope, suffixing on collisions.
-
-    Returns the final sanitized name actually recorded (idempotent per raw).
+    ``fields`` maps each object or input type's field names to raw upstream
+    keys, ``enums`` each enum's raw values to sanitized values and
+    ``enum_raw`` back. ``types`` maps type names to objects with ``fields``
+    (name -> field with a ``type``) and ``enum_values``, as the schema IR's.
     """
-    return sanmap.register(scope_id, raw, sanitized)
 
-
-def sanitize_tree(value, sanmap: SanitationMap, scope_ids: list[str],
-                  dropped: list[str] | None = None):
-    """Rename raw object keys to their sanitized form, recursively.
-
-    Keys with no mapping in any of the given scopes are dropped (the generated
-    GraphQL type cannot expose them); drops are reported via ``dropped``.
-    """
-    if isinstance(value, dict):
-        out = {}
-        for key, child in value.items():
-            mapped = sanmap.to_sanitized(scope_ids, key)
-            if mapped is None:
-                if dropped is not None:
-                    dropped.append(key)
+    def __init__(self, types: dict, sanmap: SanitationMap):
+        self.types = types
+        self.fields: dict[str, dict[str, str]] = {}
+        self.enums: dict[str, dict[str, str]] = {}
+        self.enum_raw: dict[str, dict[str, str]] = {}
+        for name, type_ir in types.items():
+            scope = sanmap.scopes.get(f"type:{name}")
+            if scope is None:
                 continue
-            out[mapped] = sanitize_tree(child, sanmap, scope_ids, dropped)
-        return out
-    if isinstance(value, list):
-        return [sanitize_tree(item, sanmap, scope_ids, dropped) for item in value]
-    return value
+            if type_ir.enum_values is not None:
+                self.enums[name] = scope.forward
+                self.enum_raw[name] = scope.reverse
+            else:
+                self.fields[name] = scope.reverse
 
-
-def desanitize_tree(value, sanmap: SanitationMap, scope_ids: list[str]):
-    """Rename sanitized object keys back to their raw upstream form.
-
-    Unmapped keys pass through unchanged.
-    """
-    if isinstance(value, dict):
-        out = {}
-        for key, child in value.items():
-            raw = sanmap.to_raw(scope_ids, key)
-            out[raw if raw is not None else key] = desanitize_tree(child, sanmap, scope_ids)
-        return out
-    if isinstance(value, list):
-        return [desanitize_tree(item, sanmap, scope_ids) for item in value]
-    return value
+    def to_raw(self, type_name: str | None, value):
+        """De-sanitize an input value of the named type: object keys through
+        that type's table and each child through its own type's, enum values
+        through the enum's table. Unknown keys and values pass through."""
+        if isinstance(value, list):
+            return [self.to_raw(type_name, item) for item in value]
+        if isinstance(value, dict):
+            table = self.fields.get(type_name, {})
+            children = getattr(self.types.get(type_name), "fields", None) or {}
+            return {table.get(key, key): self.to_raw(
+                        children[key].type.unwrap().name if key in children else None, child)
+                    for key, child in value.items()}
+        if isinstance(value, str) and type_name in self.enum_raw:
+            return self.enum_raw[type_name].get(value, value)
+        return value
 
 
 # -- structural equality ---------------------------------------------------------
@@ -324,10 +307,6 @@ class TypesDictionary:
         name = f"{base}{counter}"
         self.taken_names.add(name)
         return name
-
-    def decision_for(self, schema: SchemaObject, direction: str,
-                     doc: OasDocument) -> TypeDecision | None:
-        return self.decisions.get((id(doc.canonical_schema(schema)), direction))
 
 
 @dataclass
@@ -565,7 +544,7 @@ class Preprocessor:
         self.dictionary.decisions[(id(resolved), direction)] = decision
         scope = f"type:{name}"
         for key in sorted(resolved.properties):
-            register_mapping(self.sanmap, scope, key, sanitize(key, self.casing))
+            self.sanmap.register(scope, key, sanitize(key, self.casing))
             self.add(resolved.properties[key], direction, property_key=key)
         return decision
 
@@ -626,12 +605,6 @@ class Preprocessor:
 
 def preprocess(doc: OasDocument, report: Report, casing: str = CAMEL) -> PreprocessResult:
     return Preprocessor(doc, report, casing).run()
-
-
-def build_types_dictionary(doc: OasDocument, report: Report,
-                           casing: str = CAMEL) -> TypesDictionary:
-    """Spec-facing wrapper returning just the dictionary."""
-    return preprocess(doc, report, casing).dictionary
 
 
 def _json_media(content_type: str | None) -> bool:

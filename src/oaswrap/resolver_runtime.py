@@ -1,6 +1,6 @@
 """Serve-time resolution: design-time resolve plans per operation, runtime
 argument binding with the documented precedence, link expression evaluation,
-credential injection, the HTTP round trip, and response key sanitation.
+credential injection, and the HTTP round trip with body decoding.
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ from .errors import (
 )
 from .oas_ingest import OasDocument, OasOperation, SecurityScheme
 from .preprocessing import (
+    NameTables,
     OperationBinding,
     PreprocessResult,
-    SanitationMap,
     TypeDecision,
-    desanitize_tree,
-    register_mapping,
     sanitize,
-    sanitize_tree,
 )
 
 logger = logging.getLogger("oaswrap.runtime")
@@ -53,13 +50,7 @@ class ParamBinding:
     default: Any = None
     decision: TypeDecision | None = None
     description: str | None = None
-    enum_scope: str | None = None  # set when the arg type is an enum
-
-
-@dataclass
-class LinkBinding:
-    target_key: str
-    expressions: dict[str, str]  # raw target param name -> runtime expression
+    enum_type: str | None = None  # set when the arg type is an enum
 
 
 @dataclass
@@ -75,11 +66,8 @@ class ResolvePlan:
     payload_arg: str | None = None
     payload_required: bool = False
     payload_content_type: str | None = None
-    payload_scopes: list[str] = field(default_factory=list)
+    payload_type: str | None = None  # named input type of the payload, for de-sanitizing
     security: list[SecurityScheme] = field(default_factory=list)
-    response_type: str | None = None
-    response_scopes: list[str] = field(default_factory=list)
-    link_bindings: dict[str, LinkBinding] = field(default_factory=dict)
     token_path: str | None = None
 
 
@@ -126,34 +114,31 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
                       pre: PreprocessResult, casing: str = "camel",
                       token_path: str | None = None) -> ResolvePlan:
     """Bind base URL, path, method, parameter mapping, defaults, security, and
-    sanitation scopes for one operation."""
+    the payload's input type for one operation."""
     sanmap = pre.sanmap
     scope = f"op:{op.key}"
     parameter_map: dict[str, ParamBinding] = {}
     for param in op.parameters:
-        arg_name = register_mapping(sanmap, scope, param.name, sanitize(param.name, casing))
+        arg_name = sanmap.register(scope, param.name, sanitize(param.name, casing))
         decision = binding.params.get(param.name)
-        enum_scope = None
+        enum_type = None
         if decision is not None and decision.kind == "entry" and decision.entry_kind == "enum":
-            enum_scope = f"type:{decision.name}"
+            enum_type = decision.name
         parameter_map[arg_name] = ParamBinding(
             arg_name=arg_name, raw_name=param.name, location=param.location,
             required=param.required, default=param.default, decision=decision,
-            description=param.description, enum_scope=enum_scope,
+            description=param.description, enum_type=enum_type,
         )
 
     payload_arg = None
     payload_required = False
     payload_content_type = None
-    payload_scopes: list[str] = []
+    payload_type = None
     if op.request_body is not None and binding.request is not None:
         payload_arg = _payload_arg_name(binding.request, pre, parameter_map)
         payload_required = op.request_body.required
         payload_content_type = binding.request_content_type or "application/json"
-        payload_scopes = reachable_scopes(binding.request, pre, doc)
-
-    response_scopes = reachable_scopes(binding.response, pre, doc) if binding.response else []
-    response_type = _decision_type_name(binding.response)
+        payload_type = _entry_name(binding.request)
 
     return ResolvePlan(
         operation_key=op.key,
@@ -164,11 +149,9 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
         payload_arg=payload_arg,
         payload_required=payload_required,
         payload_content_type=payload_content_type,
-        payload_scopes=payload_scopes,
+        payload_type=payload_type,
         security=[doc.security_schemes[name] for name in op.security
                   if name in doc.security_schemes],
-        response_type=response_type,
-        response_scopes=response_scopes,
         token_path=token_path,
     )
 
@@ -188,45 +171,11 @@ def _payload_arg_name(decision: TypeDecision, pre: PreprocessResult,
     return candidate
 
 
-def _decision_type_name(decision: TypeDecision | None) -> str | None:
-    if decision is None:
-        return None
-    if decision.kind == "entry":
-        return decision.name
-    if decision.kind == "scalar":
-        return decision.name
-    if decision.kind == "list":
-        inner = _decision_type_name(decision.item)
-        return f"[{inner}]" if inner else None
-    return "String"
-
-
-def reachable_scopes(decision: TypeDecision | None, pre: PreprocessResult,
-                     doc: OasDocument) -> list[str]:
-    """Sanitation scopes of every named type reachable from a decision; these
-    are the scopes consulted when (de-)sanitizing payload trees."""
-    scopes: list[str] = []
-    seen: set[str] = set()
-    stack = [decision]
-    while stack:
-        d = stack.pop()
-        if d is None:
-            continue
-        if d.kind == "list":
-            stack.append(d.item)
-            continue
-        if d.kind != "entry" or d.name in seen:
-            continue
-        seen.add(d.name)
-        scopes.append(f"type:{d.name}")
-        entry = pre.dictionary.entries[d.name]
-        for child in entry.schema.properties.values():
-            canonical = doc.canonical_schema(child)
-            stack.append(pre.dictionary.decisions.get((id(canonical), entry.direction)))
-        if entry.schema.items is not None:
-            canonical = doc.canonical_schema(entry.schema.items)
-            stack.append(pre.dictionary.decisions.get((id(canonical), entry.direction)))
-    return sorted(scopes)
+def _entry_name(decision: TypeDecision | None) -> str | None:
+    """The dictionary entry a decision names, through list wrappers."""
+    while decision is not None and decision.kind == "list":
+        decision = decision.item
+    return decision.name if decision is not None and decision.kind == "entry" else None
 
 
 # -- runtime binding ------------------------------------------------------------
@@ -234,13 +183,15 @@ def reachable_scopes(decision: TypeDecision | None, pre: PreprocessResult,
 
 def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: Any,
                  parent_request: Mapping[str, Mapping[str, Any]] | None,
-                 ctx: ExecutionContext, sanmap: SanitationMap,
+                 ctx: ExecutionContext, tables: NameTables,
                  link_params: Mapping[str, str] | None = None) -> HttpRequestSpec:
     """Assemble the upstream request for one field resolution.
 
     Per-parameter precedence: explicit argument, then link expression value,
     then a parameter propagated from an ancestor request, then the declared
-    default. Argument names and payload keys are de-sanitized before sending.
+    default. Link expressions read ``parent_response``, the raw object that
+    holds the link field. Argument names, enum values and payload keys are
+    de-sanitized through their types' name tables before sending.
     """
     link_params = link_params or {}
     path = plan.path
@@ -268,10 +219,8 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
                     f"has no value from any source"
                 )
             continue
-        if param.enum_scope is not None and isinstance(value, str):
-            raw_enum = sanmap.to_raw([param.enum_scope], value)
-            if raw_enum is not None:
-                value = raw_enum
+        if param.enum_type is not None:
+            value = tables.to_raw(param.enum_type, value)
         sent[param.raw_name] = value
         if param.location == "path":
             path = path.replace("{%s}" % param.raw_name, quote(_plain(value), safe=""))
@@ -296,7 +245,7 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
     if plan.payload_arg is not None:
         if plan.payload_arg in args:
             payload = args[plan.payload_arg]
-            body = desanitize_tree(payload, sanmap, plan.payload_scopes)
+            body = tables.to_raw(plan.payload_type, payload)
             content_type = plan.payload_content_type
         elif plan.payload_required:
             raise MissingRequiredParameter(
@@ -504,19 +453,9 @@ def parse_upstream_body(status: int, body: bytes, expects_structured: bool) -> A
         return text
 
 
-def shape_response(body: Any, structured: bool, sanmap: SanitationMap,
-                   scopes: list[str]) -> Any:
-    """Sanitize upstream keys so field selection sees GraphQL-legal names.
-
-    Unexpected keys are dropped and counted in the serve-time log only.
-    """
-    if not structured:
-        if isinstance(body, (dict, list)):
-            return json.dumps(body)
-        return body
-    dropped: list[str] = []
-    shaped = sanitize_tree(body, sanmap, scopes, dropped)
-    if dropped:
-        logger.debug("dropped %d unexpected upstream key(s): %s",
-                     len(dropped), sorted(set(dropped))[:10])
-    return shaped
+def shape_response(body: Any, structured: bool) -> Any:
+    """Stringify a structured body served as a String fallback. Structured
+    bodies stay as decoded: completion reads them by raw key."""
+    if not structured and isinstance(body, (dict, list)):
+        return json.dumps(body)
+    return body

@@ -22,12 +22,11 @@ from .preprocessing import (
     SanitationMap,
     TypeDecision,
     TypesDictionary,
-    register_mapping,
     sanitize,
     sanitize_enum_value,
 )
 from .report import UNSUPPORTED_FEATURE, Report, record_warning
-from .resolver_runtime import LinkBinding, ResolvePlan
+from .resolver_runtime import ResolvePlan
 
 SCALAR = "Scalar"
 ENUM = "Enum"
@@ -54,10 +53,6 @@ class TypeIR:
         while t.of_type is not None:
             t = t.of_type
         return t
-
-    def is_composite(self, types: dict[str, "TypeIR"]) -> bool:
-        inner = resolve_type(self.unwrap(), types)
-        return inner.kind in (OBJECT, INPUT_OBJECT)
 
 
 def scalar(name: str) -> TypeIR:
@@ -196,7 +191,7 @@ def translate_schema(entry: DictionaryEntry, dictionary: TypesDictionary,
         values = []
         for value in schema.enum:
             sanitized = sanitize_enum_value(value, casing)
-            final = register_mapping(sanmap, scope, str(value), sanitized)
+            final = sanmap.register(scope, str(value), sanitized)
             if final not in values:  # a repeated raw value maps to the same name
                 values.append(final)
         return TypeIR(ENUM, name=entry.name, enum_values=values,
@@ -204,12 +199,11 @@ def translate_schema(entry: DictionaryEntry, dictionary: TypesDictionary,
 
     if schema.type == "object" and schema.properties:
         scope = f"type:{entry.name}"
+        registered = sanmap.scope(scope).forward  # preprocessing names every property
         fields: dict[str, FieldIR] = {}
         for key in sorted(schema.properties):
             child = schema.properties[key]
-            field_name = sanmap.to_sanitized([scope], key)
-            if field_name is None:
-                field_name = register_mapping(sanmap, scope, key, sanitize(key, casing))
+            field_name = registered.get(key) or sanmap.register(scope, key, sanitize(key, casing))
             child_decision = decision_for_child(child, entry.direction, dictionary, doc)
             field_type = type_from_decision(child_decision)
             if key in schema.required:
@@ -236,15 +230,13 @@ def decision_for_child(schema, direction: str, dictionary: TypesDictionary,
 
 def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDefinition],
                  doc: OasDocument, plans: dict[str, ResolvePlan],
-                 bindings: dict[str, OperationBinding], sanmap: SanitationMap,
-                 report: Report, casing: str = "camel") -> int:
+                 bindings: dict[str, OperationBinding], report: Report, casing: str = "camel") -> int:
     """Add one extra field per usable link to the operation's response type.
 
     Returns the number of fields attached; unusable links are skipped with a
     warning rather than failing generation.
     """
     attached = 0
-    parent_plan = plans[op.key]
     for name, link in links.items():
         target = _find_link_target(doc, link)
         if target is None or target.key not in plans or bindings[target.key].skipped:
@@ -295,9 +287,6 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
             description=link.description,
             binding=FieldBinding("operation", plan_key=target.key,
                                  link_params=dict(link.parameters)),
-        )
-        parent_plan.link_bindings[field_name] = LinkBinding(
-            target_key=target.key, expressions=dict(link.parameters)
         )
         attached += 1
     return attached
@@ -383,7 +372,7 @@ class SchemaAssembler:
                                    "link declared on a non-object response; link skipped")
                 continue
             attached += attach_links(target_type, op, links, self.doc, self.plans,
-                                     self.pre.bindings, sanmap, self.report, self.casing)
+                                     self.pre.bindings, self.report, self.casing)
         self.report.stats.links_attached = attached
 
         self._place_operations(schema)

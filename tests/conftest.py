@@ -127,6 +127,16 @@ class MockUpstream:
             self._server.server_close()
 
 
+class CannedClient:
+    """Answers every upstream request with one JSON body, without a socket."""
+
+    def __init__(self, body):
+        self.body = json.dumps(body).encode()
+
+    def send(self, spec):
+        return 200, {}, self.body
+
+
 @pytest.fixture
 def upstream():
     server = MockUpstream().start()

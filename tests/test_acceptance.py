@@ -18,15 +18,13 @@ from oaswrap.evaluate import evaluate_corpus
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.preprocessing import (
     OUTPUT,
+    NameTables,
     SanitationMap,
     deep_equal,
-    desanitize_tree,
-    register_mapping,
     sanitize,
-    sanitize_tree,
 )
 from oaswrap.resolver_runtime import ExecutionContext, HttpClient
-from oaswrap.schema_gen import NON_NULL, print_sdl
+from oaswrap.schema_gen import INPUT_OBJECT, NON_NULL, FieldIR, TypeIR, print_sdl, reference
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
 
@@ -282,6 +280,14 @@ json_tree = st.recursive(
 )
 
 
+def _rename_keys(value, names):
+    if isinstance(value, dict):
+        return {names[k]: _rename_keys(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rename_keys(v, names) for v in value]
+    return value
+
+
 def _walk_keys(value, found):
     if isinstance(value, dict):
         for key, child in value.items():
@@ -296,14 +302,20 @@ def _walk_keys(value, found):
           suppress_health_check=[HealthCheck.too_slow])
 @given(json_tree)
 def test_criterion_5_sanitation_round_trip(tree):
+    # Every key of the tree is a field of one input type T whose fields are
+    # all of type T again, so the payload de-sanitizer walks the whole tree
+    # through T's name table.
     keys: set[str] = set()
     _walk_keys(tree, keys)
     sanmap = SanitationMap()
+    names = {}
     for key in sorted(keys):
-        final = register_mapping(sanmap, "s", key, sanitize(key))
-        assert NAME_RE.match(final)
-    sanitized = sanitize_tree(tree, sanmap, ["s"])
-    restored = desanitize_tree(sanitized, sanmap, ["s"])
+        names[key] = sanmap.register("type:T", key, sanitize(key))
+        assert NAME_RE.match(names[key])
+    fields = {name: FieldIR(name, reference("T")) for name in names.values()}
+    tables = NameTables({"T": TypeIR(INPUT_OBJECT, name="T", fields=fields)}, sanmap)
+    sanitized = _rename_keys(tree, names)
+    restored = tables.to_raw("T", sanitized)
     assert restored == tree
 
     emitted: set[str] = set()
@@ -375,9 +387,9 @@ def test_criterion_7_partition_and_nonnull():
             type_ir = schema.types.get(entry.name)
             if type_ir is None or type_ir.fields is None:
                 continue
-            scope = [f"type:{entry.name}"]
+            forward = wrapper.pre.sanmap.scopes[f"type:{entry.name}"].forward
             for raw_key, child in entry.schema.properties.items():
-                field_name = wrapper.pre.sanmap.to_sanitized(scope, raw_key)
+                field_name = forward[raw_key]
                 field = type_ir.fields[field_name]
                 should = raw_key in entry.schema.required
                 is_non_null = field.type.kind == NON_NULL

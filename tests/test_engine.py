@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import CannedClient
 from oaswrap.engine import (
     Executor,
     coerce_variables,
@@ -647,3 +648,153 @@ def test_execute_placeholder_resolves_null(upstream):
     result = run(wrapper, "{ placeholder }")
     assert result.data == {"placeholder": None}
     assert result.errors == []
+
+
+# -- completion from raw upstream JSON ---------------------------------------------------
+
+
+def test_list_item_links_resolve_against_each_item(upstream):
+    users = [{"id": "a", "employerId": "ibm"}, {"id": "b", "employerId": "sap"},
+             {"id": "c", "employerId": "ibm"}]
+    cities = {"ibm": "Armonk", "sap": "Walldorf"}
+    upstream.static("GET", "/users", users)
+    upstream.static("GET", "/user/{id}", users[1])
+    upstream.route("GET", "/company/{companyName}",
+                   lambda req, p: {"companyName": p["companyName"],
+                                   "city": cities[p["companyName"]]})
+    paths = dict(LINKED_PATHS, **{"/users": get_path(
+        {"type": "array", "items": {"$ref": "#/components/schemas/User"}})})
+    wrapper = build(paths, LINKED_COMPONENTS, servers=[{"url": upstream.base_url}])
+
+    result = run(wrapper, "{ getUsers { id employerCompany { city } } }")
+    assert result.errors == []
+    assert result.data == {"getUsers": [
+        {"id": "a", "employerCompany": {"city": "Armonk"}},
+        {"id": "b", "employerCompany": {"city": "Walldorf"}},
+        {"id": "c", "employerCompany": {"city": "Armonk"}},
+    ]}
+    assert upstream.paths_seen == ["/users", "/company/ibm", "/company/sap", "/company/ibm"]
+
+    result = run(wrapper, '{ user(id: "b") { employerCompany { city } } }')
+    assert result.errors == []
+    assert result.data == {"user": {"employerCompany": {"city": "Walldorf"}}}
+
+
+def colliding_wrapper(base_url):
+    """A{aB, a_b, child: B{a_b}}: A.a_b is aB2 while B.a_b is aB."""
+    def response(schema):
+        return {"200": {"description": "ok", "content": {"application/json": {
+            "schema": schema}}}}
+
+    a_ref = {"$ref": "#/components/schemas/A"}
+    return build(
+        {"/a": {
+            "get": {"responses": response(a_ref)},
+            "post": {"requestBody": {"required": True, "content": {
+                         "application/json": {"schema": a_ref}}},
+                     "responses": response({"type": "object", "properties": {
+                         "ok": {"type": "boolean"}}})},
+        }},
+        {"schemas": {
+            "A": {"type": "object", "properties": {
+                "aB": {"type": "string"}, "a_b": {"type": "string"},
+                "child": {"$ref": "#/components/schemas/B"}}},
+            "B": {"type": "object", "properties": {"a_b": {"type": "string"}}},
+        }},
+        servers=[{"url": base_url}],
+    )
+
+
+def test_nested_key_is_not_renamed_by_ancestor_mapping(upstream):
+    upstream.static("GET", "/a", {"aB": "TOP", "a_b": "UNDER", "child": {"a_b": "CHILD"}})
+    wrapper = colliding_wrapper(upstream.base_url)
+    result = run(wrapper, "{ a { aB aB2 child { aB } } }")
+    assert result.errors == []
+    assert result.data == {"a": {"aB": "TOP", "aB2": "UNDER", "child": {"aB": "CHILD"}}}
+
+
+def test_nested_payload_key_is_not_renamed_by_ancestor_mapping(upstream):
+    upstream.static("POST", "/a", {"ok": True})
+    wrapper = colliding_wrapper(upstream.base_url)
+    result = run(wrapper, 'mutation { postA(a: {aB: "TOP", aB2: "UNDER", '
+                          'child: {aB: "CHILD"}}) { ok } }')
+    assert result.errors == []
+    assert upstream.requests[0].json() == {"aB": "TOP", "a_b": "UNDER",
+                                           "child": {"a_b": "CHILD"}}
+
+
+ITEM_COMPONENTS = {"schemas": {
+    "Item": {"type": "object", "required": ["id"], "properties": {
+        "id": {"type": "string"}, "n": {"type": "integer"},
+        "sort": {"type": "string", "enum": ["up-down", "flat"]},
+        "tags": {"type": "array", "items": {"type": "string"}},
+        "box": {"type": "object", "properties": {"w-d": {"type": "integer"}}}}},
+}}
+
+ITEMS = [
+    {"id": "i0", "n": 7, "sort": "up-down", "tags": ["a"], "box": {"w-d": 1}},
+    {"n": 8, "sort": "flat"},  # required id absent: the item bubbles to null
+    {"id": "i2", "n": "12", "sort": "sideways", "tags": [3, None]},  # Int as string, bad enum
+    {"id": "i3", "n": 2**40, "box": {"w-d": "x"}},  # Int overflow, Int as string in a child
+]
+
+
+def execute_items(query, monkeypatch=None, general=False):
+    """Complete a query over ITEMS, optionally with every leaf forced
+    through the general path."""
+    wrapper = build({"/items": get_path(
+        {"type": "array", "items": {"$ref": "#/components/schemas/Item"}})}, ITEM_COMPONENTS)
+    if general:
+        monkeypatch.setattr(Executor, "_is_leaf", lambda self, field_ir: False)
+    doc = parse_query(query)
+    assert validate_query(doc, wrapper.schema) == []
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(ITEMS))
+    return executor.execute(doc, None, None, ExecutionContext()).to_payload()
+
+
+ITEMS_QUERY = """
+{ getItems { k: id n ...F sort tags box { wD } id } }
+fragment F on Item { n k: id }
+"""
+
+
+def test_leaf_path_matches_general_path_on_list_items(monkeypatch):
+    leaf = execute_items(ITEMS_QUERY)
+    general = execute_items(ITEMS_QUERY, monkeypatch, general=True)
+    assert leaf == general
+    assert leaf["data"] == {"getItems": [
+        {"k": "i0", "n": 7, "sort": "upDown", "tags": ["a"], "box": {"wD": 1}, "id": "i0"},
+        None,
+        {"k": "i2", "n": None, "sort": None, "tags": ["3", None], "box": None, "id": "i2"},
+        {"k": "i3", "n": float(2**40), "sort": None, "tags": None, "box": {"wD": None},
+         "id": "i3"},
+    ]}
+    assert [(e["message"], e["path"]) for e in leaf["errors"]] == [
+        ("field 'k' of non-null type resolved to null", ["getItems", 1, "k"]),
+        ("field 'id' of non-null type resolved to null", ["getItems", 1, "id"]),
+        ("upstream value '12' is not an Int", ["getItems", 2, "n"]),
+        ("upstream value 'sideways' is not a value of enum Sort", ["getItems", 2, "sort"]),
+        ("upstream value 'x' is not an Int", ["getItems", 3, "box", "wD"]),
+    ]
+    assert all(e["locations"] for e in leaf["errors"])
+
+
+def test_selection_sets_compile_once_per_query(monkeypatch):
+    calls = []
+    collect = Executor._collect_fields
+
+    def counting(self, selections, parent_type, doc):
+        calls.append(parent_type.name)
+        return collect(self, selections, parent_type, doc)
+
+    monkeypatch.setattr(Executor, "_collect_fields", counting)
+    items = [{"id": f"i{n}", "n": n, "box": {"w-d": n}} for n in range(200)]
+    wrapper = build({"/items": get_path(
+        {"type": "array", "items": {"$ref": "#/components/schemas/Item"}})}, ITEM_COMPONENTS)
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(items))
+    doc = parse_query("{ getItems { id n box { wD } } }")
+    for _ in range(2):
+        result = executor.execute(doc, None, None, ExecutionContext())
+        assert result.errors == [] and len(result.data["getItems"]) == 200
+    # The root, item and box selection sets: once each per query.
+    assert sorted(calls) == sorted(["Query", "Item", "Box"] * 2)

@@ -2,32 +2,35 @@
 dictionary (naming and de-duplication)."""
 
 import json
+import logging
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CannedClient
 from oaswrap import preprocessing
 from oaswrap.errors import SanitationError
+from oaswrap.engine import Executor, parse_query
 from oaswrap.generator import generate
 from oaswrap.oas_ingest import load_document, normalize, parse_schema
 from oaswrap.preprocessing import (
     INPUT,
     OUTPUT,
+    NameTables,
     SanitationMap,
     TypesDictionary,
     canonical_name,
     deep_equal,
-    desanitize_tree,
     preprocess,
-    register_mapping,
     sanitize,
     sanitize_enum_value,
-    sanitize_tree,
     structure_key,
 )
 from oaswrap.report import Report
+from oaswrap.resolver_runtime import ExecutionContext
+from oaswrap.schema_gen import INPUT_OBJECT, FieldIR, TypeIR, reference
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
 
@@ -107,72 +110,101 @@ def test_sanitize_enum_value_plain():
     assert sanitize_enum_value("en-US") == "enUS"
 
 
-# -- register_mapping ------------------------------------------------------------
+# -- SanitationMap.register -------------------------------------------------------
 
 
 def test_register_mapping_suffixes_on_collision():
     sanmap = SanitationMap()
-    assert register_mapping(sanmap, "s", "user-name", sanitize("user-name")) == "userName"
-    assert register_mapping(sanmap, "s", "user_name", sanitize("user_name")) == "userName2"
+    assert sanmap.register("s", "user-name", sanitize("user-name")) == "userName"
+    assert sanmap.register("s", "user_name", sanitize("user_name")) == "userName2"
 
 
 def test_register_mapping_idempotent():
     sanmap = SanitationMap()
-    first = register_mapping(sanmap, "s", "user-name", "userName")
-    again = register_mapping(sanmap, "s", "user-name", "userName")
+    first = sanmap.register("s", "user-name", "userName")
+    again = sanmap.register("s", "user-name", "userName")
     assert first == again == "userName"
     assert len(sanmap.scope("s").forward) == 1
 
 
 def test_register_mapping_fresh_scope_no_collision():
     sanmap = SanitationMap()
-    assert register_mapping(sanmap, "s", "id", "id") == "id"
+    assert sanmap.register("s", "id", "id") == "id"
 
 
 def test_register_mapping_injective_per_scope():
     sanmap = SanitationMap()
-    finals = [register_mapping(sanmap, "s", raw, sanitize(raw))
+    finals = [sanmap.register("s", raw, sanitize(raw))
               for raw in ("a-b", "a_b", "aB", "ab")]
     assert len(set(finals)) == len(finals)
 
 
-# -- sanitize_tree / desanitize_tree -------------------------------------------------
+# -- name tables: payloads de-sanitize, completion reads raw keys ------------------------
 
 
-def build_map(pairs, scope="s"):
+def recursive_input(raws):
+    """Name tables for one input type T whose fields, one per raw key, are
+    all of type T again; returns the tables and raw -> sanitized names."""
     sanmap = SanitationMap()
-    for raw in pairs:
-        register_mapping(sanmap, scope, raw, sanitize(raw))
-    return sanmap
+    names = {raw: sanmap.register("type:T", raw, sanitize(raw)) for raw in raws}
+    fields = {name: FieldIR(name, reference("T")) for name in names.values()}
+    tables = NameTables({"T": TypeIR(INPUT_OBJECT, name="T", fields=fields)}, sanmap)
+    return tables, names
+
+
+def rename_keys(value, names):
+    """Apply a raw -> sanitized key mapping to a whole tree."""
+    if isinstance(value, dict):
+        return {names[k]: rename_keys(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [rename_keys(v, names) for v in value]
+    return value
+
+
+def serve_raw(schema, body, query):
+    """Complete one query against a GET /t returning the schema, whose
+    upstream answers body."""
+    root = {"openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://x.example.com"}], "paths": {"/t": get_op(schema)}}
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok, wrapper.report.error_message
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(body))
+    return executor.execute(parse_query(query), None, None, ExecutionContext())
 
 
 def test_desanitize_tree_paper_example():
-    sanmap = build_map(["$id"])
-    assert desanitize_tree({"id": 1}, sanmap, ["s"]) == {"$id": 1}
+    tables, _ = recursive_input(["$id"])
+    assert tables.to_raw("T", {"id": 1}) == {"$id": 1}
 
 
 def test_sanitize_tree_recurses_into_arrays():
-    sanmap = build_map(["a", "x-y"])
-    assert sanitize_tree({"a": [{"x-y": 3}]}, sanmap, ["s"]) == {"a": [{"xY": 3}]}
+    schema = {"type": "object", "properties": {"a": {"type": "array", "items": {
+        "type": "object", "properties": {"x-y": {"type": "integer"}}}}}}
+    result = serve_raw(schema, {"a": [{"x-y": 3}, {"x-y": 4}]}, "{ getT { a { xY } } }")
+    assert result.errors == []
+    assert result.data == {"getT": {"a": [{"xY": 3}, {"xY": 4}]}}
+    tables, _ = recursive_input(["a", "x-y"])
+    assert tables.to_raw("T", {"a": [{"xY": 3}]}) == {"a": [{"x-y": 3}]}
 
 
 def test_sanitize_tree_scalar_passthrough():
-    sanmap = build_map(["a"])
-    assert sanitize_tree(42, sanmap, ["s"]) == 42
-    assert desanitize_tree("x", sanmap, ["s"]) == "x"
+    tables, _ = recursive_input(["a"])
+    assert tables.to_raw("T", 42) == 42
+    assert tables.to_raw("T", "x") == "x"
 
 
-def test_sanitize_tree_drops_unmapped_keys():
-    sanmap = build_map(["known"])
-    dropped = []
-    result = sanitize_tree({"known": 1, "mystery": 2}, sanmap, ["s"], dropped)
-    assert result == {"known": 1}
-    assert dropped == ["mystery"]
+def test_sanitize_tree_drops_unmapped_keys(caplog):
+    schema = {"type": "object", "properties": {"known": {"type": "integer"}}}
+    with caplog.at_level(logging.DEBUG, logger="oaswrap.engine"):
+        result = serve_raw(schema, {"known": 1, "mystery": 2}, "{ getT { known } }")
+    assert result.data == {"getT": {"known": 1}}
+    dropped = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+    assert dropped == ["dropped 1 unexpected upstream key(s) of type getT: ['mystery']"]
 
 
 def test_desanitize_tree_passes_unmapped_keys_through():
-    sanmap = build_map(["known"])
-    assert desanitize_tree({"other": 5}, sanmap, ["s"]) == {"other": 5}
+    tables, _ = recursive_input(["known"])
+    assert tables.to_raw("T", {"other": 5}) == {"other": 5}
 
 
 raw_keys = st.text(
@@ -183,13 +215,11 @@ raw_keys = st.text(
 @settings(max_examples=300)
 @given(st.lists(raw_keys, min_size=1, max_size=8, unique=True))
 def test_round_trip_property(keys):
-    sanmap = SanitationMap()
-    for raw in keys:
-        register_mapping(sanmap, "s", raw, sanitize(raw))
+    tables, names = recursive_input(keys)
     value = {raw: i for i, raw in enumerate(keys)}
-    sanitized = sanitize_tree(value, sanmap, ["s"])
+    sanitized = rename_keys(value, names)
     assert all(NAME_RE.match(k) for k in sanitized)
-    assert desanitize_tree(sanitized, sanmap, ["s"]) == value
+    assert tables.to_raw("T", sanitized) == value
 
 
 # -- deep_equal -----------------------------------------------------------------------

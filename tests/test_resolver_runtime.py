@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from conftest import CannedClient
+from oaswrap.engine import Executor, parse_query
 from oaswrap.errors import (
     ExpressionUnresolvable,
     MissingCredentials,
@@ -16,7 +18,7 @@ from oaswrap.errors import (
     UpstreamNotJson,
 )
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.preprocessing import SanitationMap, register_mapping
+from oaswrap.preprocessing import NameTables
 from oaswrap.resolver_runtime import (
     ExecutionContext,
     HttpRequestSpec,
@@ -56,6 +58,10 @@ def get_path(schema, parameters=None, security=None):
 
 
 EMPTY_CTX = ExecutionContext()
+
+
+def tables(wrapper):
+    return NameTables(wrapper.schema.types, wrapper.pre.sanmap)
 
 
 # -- make_resolve_plan -----------------------------------------------------------
@@ -133,22 +139,22 @@ def test_bind_path_substitution_and_escaping():
                      "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /user/{id}"]
-    spec = bind_runtime(plan, {"id": "erik"}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {"id": "erik"}, None, None, EMPTY_CTX, tables(wrapper))
     assert spec.url == "https://api.example.com/user/erik"
-    spec = bind_runtime(plan, {"id": "a/b c"}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {"id": "a/b c"}, None, None, EMPTY_CTX, tables(wrapper))
     assert spec.url.endswith("/user/a%2Fb%20c")
 
 
 def test_bind_applies_default_when_absent():
     wrapper, plan = make_plan_fixture(default="10")
-    spec = bind_runtime(plan, {}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {}, None, None, EMPTY_CTX, tables(wrapper))
     assert ("p", "10") in spec.query
 
 
 def test_bind_missing_required_parameter_raises():
     wrapper, plan = make_plan_fixture(required=True)
     with pytest.raises(MissingRequiredParameter):
-        bind_runtime(plan, {}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+        bind_runtime(plan, {}, None, None, EMPTY_CTX, tables(wrapper))
 
 
 def test_bind_desanitizes_argument_names():
@@ -157,7 +163,7 @@ def test_bind_desanitizes_argument_names():
         parameters=[{"name": "page-size", "in": "query", "schema": {"type": "integer"}}],
     )})
     plan = wrapper.plans["GET /q"]
-    spec = bind_runtime(plan, {"pageSize": 5}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {"pageSize": 5}, None, None, EMPTY_CTX, tables(wrapper))
     assert spec.query == [("page-size", "5")]
 
 
@@ -177,7 +183,7 @@ def test_bind_desanitizes_body_keys_recursively():
     plan = wrapper.plans["POST /things"]
     payload = {"id": 1, "nested": {"xY": "v"}}
     spec = bind_runtime(plan, {plan.payload_arg: payload}, None, None, EMPTY_CTX,
-                        wrapper.pre.sanmap)
+                        tables(wrapper))
     assert spec.body == {"$id": 1, "nested": {"x-y": "v"}}
 
 
@@ -192,7 +198,7 @@ def test_bind_precedence_total_order(has_arg, has_link, has_used, has_default):
     link_params = {"p": "$response.body#/v"} if has_link else {}
     parent = {"v": "from_link"}
     ctx = EMPTY_CTX.with_used_params({"p": "from_used"}) if has_used else EMPTY_CTX
-    spec = bind_runtime(plan, args, parent, None, ctx, wrapper.pre.sanmap,
+    spec = bind_runtime(plan, args, parent, None, ctx, tables(wrapper),
                         link_params=link_params)
     sent = dict(spec.query)
     if has_arg:
@@ -217,7 +223,7 @@ def test_bind_propagated_parameter_matches_on_raw_name():
     )})
     plan = wrapper.plans["GET /child"]
     ctx = EMPTY_CTX.with_used_params({"api-version": "7"})
-    spec = bind_runtime(plan, {}, None, None, ctx, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {}, None, None, ctx, tables(wrapper))
     assert spec.query == [("api-version", "7")]
 
 
@@ -227,13 +233,13 @@ def test_bind_header_parameters():
         parameters=[{"name": "X-Trace", "in": "header", "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /h"]
-    spec = bind_runtime(plan, {"XTrace": "t1"}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {"XTrace": "t1"}, None, None, EMPTY_CTX, tables(wrapper))
     assert spec.headers["X-Trace"] == "t1"
 
 
 def test_bind_records_sent_params_for_propagation():
     wrapper, plan = make_plan_fixture(default="d")
-    spec = bind_runtime(plan, {"p": "x"}, None, None, EMPTY_CTX, wrapper.pre.sanmap)
+    spec = bind_runtime(plan, {"p": "x"}, None, None, EMPTY_CTX, tables(wrapper))
     assert spec.sent_params == {"p": "x"}
 
 
@@ -376,23 +382,41 @@ def test_parse_upstream_not_json_string_fallback_passes_text():
     assert parse_upstream_body(200, b"plain text", False) == "plain text"
 
 
+def test_shape_response_keeps_structured_body():
+    # Completion reads structured bodies by raw key; nothing is copied.
+    for body in ({"$id": 1}, [{"x-y": 1}, {"x-y": 2}]):
+        assert shape_response(body, True) is body
+
+
+def serve_shaped(schema, body, query):
+    """Serve one query over GET /t returning schema, whose upstream answers
+    body; the body goes through shape_response and completion."""
+    wrapper = build({"/t": get_path(schema)})
+    assert shape_response(body, True) is body
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap,
+                        CannedClient(body))
+    return executor.execute(parse_query(query), None, None, EMPTY_CTX)
+
+
 def test_shape_response_sanitizes_keys():
-    sanmap = SanitationMap()
-    register_mapping(sanmap, "type:T", "$id", "id")
-    assert shape_response({"$id": 1}, True, sanmap, ["type:T"]) == {"id": 1}
-
-
-def test_shape_response_string_fallback_stringifies():
-    sanmap = SanitationMap()
-    shaped = shape_response({"a": 1}, False, sanmap, [])
-    assert shaped == '{"a": 1}'
+    # The raw key "$id" reaches the client as the sanitized field "id".
+    schema = {"type": "object", "properties": {"$id": {"type": "integer"}}}
+    result = serve_shaped(schema, {"$id": 1}, "{ getT { id } }")
+    assert result.errors == []
+    assert result.data == {"getT": {"id": 1}}
 
 
 def test_shape_response_arrays_elementwise():
-    sanmap = SanitationMap()
-    register_mapping(sanmap, "type:T", "x-y", "xY")
-    shaped = shape_response([{"x-y": 1}, {"x-y": 2}], True, sanmap, ["type:T"])
-    assert shaped == [{"xY": 1}, {"xY": 2}]
+    schema = {"type": "array", "items": {"type": "object", "title": "Item",
+                                         "properties": {"x-y": {"type": "integer"}}}}
+    result = serve_shaped(schema, [{"x-y": 1}, {"x-y": 2}], "{ getT { xY } }")
+    assert result.errors == []
+    assert result.data == {"getT": [{"xY": 1}, {"xY": 2}]}
+
+
+def test_shape_response_string_fallback_stringifies():
+    shaped = shape_response({"a": 1}, False)
+    assert shaped == '{"a": 1}'
 
 
 # -- execute_request against a live mock ----------------------------------------------
