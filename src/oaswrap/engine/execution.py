@@ -551,7 +551,8 @@ class Executor:
                 return "true" if value else "false"
             return str(value)
         if name == "Int":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or isinstance(value, float) and not value.is_integer()):
                 errors.append(_error_entry(f"upstream value {value!r} is not an Int",
                                            path, node))
                 return None

@@ -1,4 +1,4 @@
-"""Type-system (SDL) parser: reads the printer's output back into a SchemaIR.
+"""Type-system (SDL) parser: reads ``print_sdl`` output back into a SchemaIR.
 
 Parsed schemas carry no resolve bindings; they exist for round-trip checks and
 for tooling that consumes the exported SDL.

@@ -121,7 +121,7 @@ def evaluate_corpus(directory: str | Path, strict_also: bool = False) -> CorpusS
         stats.files.append(result)
         if result.outcome == "success":
             stats.successes += 1
-            stats.skipped_histogram[_bucket(result)] += 1
+            stats.skipped_histogram[_skip_range(result)] += 1
         else:
             kind = result.error_kind or "InternalError"
             stats.errors_by_kind[kind] = stats.errors_by_kind.get(kind, 0) + 1
@@ -133,7 +133,7 @@ def evaluate_corpus(directory: str | Path, strict_also: bool = False) -> CorpusS
     return stats
 
 
-def _bucket(result: FileResult) -> str:
+def _skip_range(result: FileResult) -> str:
     if result.operations_total == 0 or result.operations_skipped == 0:
         return "0%"
     ratio = result.operations_skipped / result.operations_total

@@ -121,9 +121,6 @@ class OasOperation:
     def key(self) -> str:
         return f"{self.method.upper()} {self.path}"
 
-    def path_param_names(self) -> list[str]:
-        return template_params(self.path)
-
     def links(self) -> dict[str, LinkDefinition]:
         """Links declared on any success response, first declaration wins."""
         merged: dict[str, LinkDefinition] = {}
@@ -688,27 +685,27 @@ def _select_content(content: Any, pointer: str) -> tuple[str | None, SchemaObjec
     if not isinstance(content, dict) or not content:
         return None, None
 
-    def media_key(name: str) -> str:
-        return name.split(";", 1)[0].strip().lower()
-
-    chosen = None
-    for name in content:
-        if media_key(name) == JSON_MEDIA:
-            chosen = name
-            break
+    chosen = next((name for name in content if _media_base(name) == JSON_MEDIA), None)
     if chosen is None:
-        for name in content:
-            base = media_key(name)
-            if base.startswith("application/") and "json" in base:
-                chosen = name
-                break
-    if chosen is None:
-        chosen = next(iter(content))
+        chosen = next((name for name in content if is_json_media(name)), next(iter(content)))
     node = content[chosen] if isinstance(content[chosen], dict) else {}
     schema = None
     if isinstance(node.get("schema"), dict):
         schema = parse_schema(node["schema"], f"{pointer}/{escape_pointer_token(chosen)}/schema")
-    return media_key(chosen), schema
+    return _media_base(chosen), schema
+
+
+def _media_base(content_type: str) -> str:
+    """The media type without parameters, lower-cased."""
+    return content_type.split(";", 1)[0].strip().lower()
+
+
+def is_json_media(content_type: str | None) -> bool:
+    """application/json or any other application/*json* media type."""
+    if content_type is None:
+        return False
+    base = _media_base(content_type)
+    return base.startswith("application/") and "json" in base
 
 
 # -- schema object parsing ------------------------------------------------------

@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import SanitationError
+from .errors import InvalidOasError, MissingRefError, SanitationError
 from .oas_ingest import (
+    FORM_MEDIA,
     OasDocument,
     OasOperation,
     OasResponse,
     SchemaObject,
+    is_json_media,
     is_success_status,
+    unescape_pointer_token,
 )
 from .report import (
     INVALID_SCHEMA_TYPE,
@@ -33,9 +36,6 @@ INPUT = "input"
 OUTPUT = "output"
 
 SCALAR_NAMES = {"string": "String", "number": "Float", "integer": "Int", "boolean": "Boolean"}
-
-# Levels below a node that its de-duplication key summarises.
-KEY_DEPTH = 4
 
 CAMEL = "camel"
 PRESERVE = "preserve"
@@ -159,92 +159,103 @@ class NameTables:
 # -- structural equality ---------------------------------------------------------
 
 
+def _label(s: SchemaObject) -> tuple:
+    """What equality compares on one node: type, property keys, required and
+    enum as sets, items presence and allOf arity; titles never count."""
+    enum = None
+    if s.enum is not None:
+        enum = frozenset(json.dumps(v, sort_keys=True, default=str) for v in s.enum)
+    return (s.type, frozenset(s.properties), frozenset(s.required), enum,
+            s.items is not None, None if s.all_of is None else len(s.all_of))
+
+
+def _children(s: SchemaObject) -> list[SchemaObject]:
+    """Properties by key, then items, then allOf members (compared member-wise)."""
+    out = [s.properties[key] for key in sorted(s.properties)]
+    if s.items is not None:
+        out.append(s.items)
+    return out + list(s.all_of or ())
+
+
 def deep_equal(a: SchemaObject, b: SchemaObject, doc: OasDocument | None = None) -> bool:
-    """Structural schema equality: properties compared key-wise, required and
-    enum as sets, title/description ignored, arrays by item schema.
+    """Structural schema equality over ``_label`` and ``_children``.
 
     Reference cycles are handled coinductively (a revisited pair is equal).
     """
-    visited: set[tuple[int, int]] = set()
-
-    def resolved(s: SchemaObject) -> SchemaObject:
-        return doc.deref(s) if doc is not None else s
-
-    def enum_key(values) -> frozenset | None:
-        if values is None:
-            return None
-        return frozenset(json.dumps(v, sort_keys=True) for v in values)
+    assumed: set[tuple[int, int]] = set()
 
     def eq(x: SchemaObject, y: SchemaObject) -> bool:
-        if doc is None and (x.ref or y.ref):
-            return x.ref == y.ref
-        x, y = resolved(x), resolved(y)
-        if x is y:
+        if doc is None:
+            if x.ref or y.ref:
+                return x.ref == y.ref
+        else:
+            x, y = doc.deref(x), doc.deref(y)
+        if x is y or (id(x), id(y)) in assumed:
             return True
-        pair = (id(x), id(y))
-        if pair in visited:
-            return True
-        visited.add(pair)
-        if x.type != y.type:
-            return False
-        if enum_key(x.enum) != enum_key(y.enum):
-            return False
-        if set(x.required) != set(y.required):
-            return False
-        if set(x.properties) != set(y.properties):
-            return False
-        for key in x.properties:
-            if not eq(x.properties[key], y.properties[key]):
-                return False
-        if (x.items is None) != (y.items is None):
-            return False
-        if x.items is not None and not eq(x.items, y.items):
-            return False
-        # nested allOf nodes are compared member-wise (top-level entries are
-        # always pre-merged, so this only guards properties)
-        if (x.all_of is None) != (y.all_of is None):
-            return False
-        if x.all_of is not None:
-            if len(x.all_of) != len(y.all_of):
-                return False
-            for xm, ym in zip(x.all_of, y.all_of):
-                if not eq(xm, ym):
-                    return False
-        return True
+        assumed.add((id(x), id(y)))
+        return _label(x) == _label(y) and all(map(eq, _children(x), _children(y)))
 
     return eq(a, b)
 
 
-def structure_key(schema: SchemaObject, doc: OasDocument, memo: dict[tuple[int, int], int],
-                  depth: int = KEY_DEPTH) -> int:
-    """Merkle-style hash of a schema unfolded ``depth`` levels: its label
-    (type, property keys, required and enum as sets, items presence, allOf
-    arity) with the keys of its properties, items and allOf members.
+class StructuralClasses:
+    """Exact structural classes: two schemas share a class iff ``deep_equal``
+    holds between them.
 
-    Bisimilar schemas have equal finite unfoldings, so ``deep_equal(a, b)``
-    implies equal keys, cycles included. A collision or a difference below
-    ``depth`` costs one more ``deep_equal``, never a wrong merge. ``memo`` is
-    keyed on node identity, so it must not outlive the document.
+    Moore-style partition refinement (Paige & Tarjan, "Three Partition
+    Refinement Algorithms", 1987) over every node reachable from ``roots``:
+    each round re-interns (label, child classes) until the class count stops
+    growing. Classes are numbered by their first node, so the last round's
+    table is the signature table of the stable partition; nodes built later
+    (merged allOf schemas) are classed through it. A ``$ref`` that cannot be
+    resolved is a leaf with a label of its own; reporting it is left to the
+    walk that needs it.
     """
-    s = doc.deref(schema)
-    slot = (id(s), depth)
-    key = memo.get(slot)
-    if key is None:
-        if depth == 0:
-            enum = None
-            if s.enum is not None:
-                enum = tuple(sorted({json.dumps(v, sort_keys=True) for v in s.enum}))
-            key = hash((s.type, tuple(sorted(s.properties)), tuple(sorted(set(s.required))),
-                        enum, s.items is not None, None if s.all_of is None else len(s.all_of)))
-        else:
-            children = [s.properties[k] for k in sorted(s.properties)]
-            if s.items is not None:
-                children.append(s.items)
-            children.extend(s.all_of or ())
-            key = hash((structure_key(s, doc, memo, 0),
-                        *(structure_key(c, doc, memo, depth - 1) for c in children)))
-        memo[slot] = key
-    return key
+
+    def __init__(self, doc: OasDocument, roots: list[SchemaObject]):
+        self._labels: dict[tuple, int] = {}
+        position: dict[int, int] = {}  # id of a node, or of a $ref to it -> index
+        labels: list[int] = []
+        children: list[list[SchemaObject]] = []
+        stack = list(roots)
+        while stack:
+            s = stack.pop()
+            if id(s) in position:
+                continue
+            try:
+                r = doc.deref(s)
+            except (MissingRefError, InvalidOasError):
+                r, label, kids = s, ("$ref", s.ref), []
+            else:
+                label, kids = _label(r), _children(r)
+            if id(r) not in position:
+                position[id(r)] = len(labels)
+                labels.append(self._label_id(label))
+                children.append(kids)
+                stack.extend(kids)
+            position[id(s)] = position[id(r)]
+        edges = [[position[id(c)] for c in kids] for kids in children]
+
+        classes, table = [0] * len(labels), {}
+        while True:
+            count, table = len(table), {}
+            classes = [table.setdefault((label, tuple(map(classes.__getitem__, kids))), len(table))
+                       for label, kids in zip(labels, edges)]
+            if len(table) == count:
+                break
+        self._table = table
+        self._classes = {key: classes[index] for key, index in position.items()}
+
+    def _label_id(self, label: tuple) -> int:
+        return self._labels.setdefault(label, len(self._labels))
+
+    def of(self, schema: SchemaObject) -> int:
+        """The class of a walked node, or of a node built from walked ones."""
+        cls = self._classes.get(id(schema))
+        if cls is None:
+            signature = (self._label_id(_label(schema)), tuple(map(self.of, _children(schema))))
+            cls = self._classes[id(schema)] = self._table.setdefault(signature, len(self._table))
+        return cls
 
 
 # -- types dictionary --------------------------------------------------------------
@@ -284,13 +295,9 @@ class TypesDictionary:
 
     def __init__(self):
         self.entries: dict[str, DictionaryEntry] = {}
-        self.by_structure: dict[tuple[str, int], list[str]] = {}  # (direction, key) -> names
         self.taken_names: set[str] = set()
         self._next_suffix: dict[str, int] = {}  # base -> first counter not yet tried
         self.decisions: dict[tuple[int, str], TypeDecision] = {}
-
-    def entries_for(self, direction: str) -> list[DictionaryEntry]:
-        return [e for e in self.entries.values() if e.direction == direction]
 
     def take_name(self, candidate: str) -> str | None:
         if candidate in self.taken_names:
@@ -358,18 +365,6 @@ def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation
     return sanitized
 
 
-def canonical_name(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,
-                   property_key: str | None, dictionary: TypesDictionary,
-                   casing: str = CAMEL) -> tuple[str, Provenance]:
-    """Pick a unique name; exhausted candidates get a numeric suffix."""
-    sanitized = name_candidates(schema, ref_name, op, property_key, casing)
-    for kind, detail, name in sanitized:
-        if dictionary.take_name(name):
-            return name, Provenance(kind, detail)
-    kind, detail, last = sanitized[-1]
-    return dictionary.take_suffixed(last), Provenance(kind, detail, suffixed=True)
-
-
 class Preprocessor:
     """Builds the types dictionary, sanitation map, and operation bindings."""
 
@@ -379,9 +374,13 @@ class Preprocessor:
         self.casing = casing
         self.dictionary = TypesDictionary()
         self.sanmap = SanitationMap()
-        self._keys: dict[tuple[int, int], int] = {}
+        self._first: dict[tuple[str, int], str] = {}  # (direction, class) -> entry name
 
     def run(self) -> PreprocessResult:
+        roots = [part.schema for op in self.doc.operations
+                 for part in (*op.responses.values(), op.request_body, *op.parameters)
+                 if part is not None and part.schema is not None]
+        self.classes = StructuralClasses(self.doc, roots)
         bindings: dict[str, OperationBinding] = {}
         for op in self.doc.operations:
             bindings[op.key] = self._bind_operation(op)
@@ -410,7 +409,7 @@ class Preprocessor:
             binding.skipped = True
             return binding
 
-        if not _json_media(response.content_type):
+        if not is_json_media(response.content_type):
             record_warning(
                 self.report, INVALID_SCHEMA_TYPE, response.pointer,
                 f"response content type {response.content_type!r} is not JSON; "
@@ -422,7 +421,7 @@ class Preprocessor:
 
         if op.request_body is not None:
             body = op.request_body
-            if _json_media(body.content_type) or body.content_type == "application/x-www-form-urlencoded":
+            if is_json_media(body.content_type) or body.content_type == FORM_MEDIA:
                 binding.request = self.add(body.schema, INPUT, op=op, top_level=True)
                 binding.request_content_type = body.content_type
             else:
@@ -474,7 +473,7 @@ class Preprocessor:
         new, unique, and nameable. Warnings fire here, once per node."""
         ref_name = None
         if schema.ref is not None:
-            ref_name = unescape_last_token(schema.ref)
+            ref_name = unescape_pointer_token(schema.ref.rsplit("/", 1)[-1])
         resolved = self.doc.deref(schema)
         if resolved.all_of:
             resolved = self.doc.merge_all_of(resolved, self.report)
@@ -567,16 +566,9 @@ class Preprocessor:
             return existing
         return self._new_entry(resolved, direction, ref_name, op, property_key)
 
-    def _bucket(self, resolved: SchemaObject, direction: str) -> tuple[str, int]:
-        return direction, structure_key(resolved, self.doc, self._keys)
-
     def _find_equal(self, resolved: SchemaObject, direction: str) -> str | None:
-        """The same-direction entry deep_equal to this schema, among those
-        sharing its structure key."""
-        for name in self.dictionary.by_structure.get(self._bucket(resolved, direction), []):
-            if deep_equal(self.dictionary.entries[name].schema, resolved, self.doc):
-                return name
-        return None
+        """The first same-direction entry structurally equal to this schema."""
+        return self._first.get((direction, self.classes.of(resolved)))
 
     def _new_entry(self, resolved: SchemaObject, direction: str, ref_name: str | None,
                    op: OasOperation | None, property_key: str | None) -> str:
@@ -599,23 +591,9 @@ class Preprocessor:
             origin=origin, pointer=resolved.pointer,
         )
         self.dictionary.entries[name] = entry
-        self.dictionary.by_structure.setdefault(self._bucket(resolved, direction), []).append(name)
+        self._first[direction, self.classes.of(resolved)] = name
         return name
 
 
 def preprocess(doc: OasDocument, report: Report, casing: str = CAMEL) -> PreprocessResult:
     return Preprocessor(doc, report, casing).run()
-
-
-def _json_media(content_type: str | None) -> bool:
-    if content_type is None:
-        return False
-    base = content_type.split(";", 1)[0].strip().lower()
-    if base == "application/json":
-        return True
-    return base.startswith("application/") and "json" in base
-
-
-def unescape_last_token(pointer: str) -> str:
-    token = pointer.rsplit("/", 1)[-1]
-    return token.replace("~1", "/").replace("~0", "~")

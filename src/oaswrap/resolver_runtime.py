@@ -23,7 +23,7 @@ from .errors import (
     UpstreamError,
     UpstreamNotJson,
 )
-from .oas_ingest import OasDocument, OasOperation, SecurityScheme
+from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
 from .preprocessing import (
     NameTables,
     OperationBinding,
@@ -36,7 +36,6 @@ logger = logging.getLogger("oaswrap.runtime")
 
 DEFAULT_TIMEOUT = 30.0
 BODY_EXCERPT_LIMIT = 1024
-FORM_MEDIA = "application/x-www-form-urlencoded"
 
 _UNSET = object()
 

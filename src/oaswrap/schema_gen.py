@@ -122,45 +122,6 @@ class SchemaIR:
     mutation_fields: dict[str, FieldIR] = field(default_factory=dict)
     viewers: list[ViewerSpec] = field(default_factory=list)
 
-    def debug_dump(self) -> str:
-        """JSON summary of names, kinds, and the field graph, for assertions."""
-
-        def type_str(t: TypeIR) -> str:
-            if t.kind == NON_NULL:
-                return type_str(t.of_type) + "!"
-            if t.kind == LIST:
-                return "[" + type_str(t.of_type) + "]"
-            return t.name or "?"
-
-        def fields_of(fields: dict[str, FieldIR]) -> dict:
-            return {
-                name: {
-                    "type": type_str(f.type),
-                    "args": {a: type_str(arg.type) for a, arg in f.args.items()},
-                    "binding": f.binding.kind if f.binding else None,
-                }
-                for name, f in fields.items()
-            }
-
-        payload = {
-            "query": fields_of(self.query_fields),
-            "mutation": fields_of(self.mutation_fields),
-            "types": {
-                name: {
-                    "kind": t.kind,
-                    "fields": fields_of(t.fields) if t.fields else None,
-                    "enum_values": t.enum_values,
-                }
-                for name, t in sorted(self.types.items())
-            },
-            "viewers": [
-                {"kind": v.kind, "scheme": v.scheme_name, "side": v.root_side,
-                 "field": v.field_name, "wraps": v.wrapped_fields}
-                for v in self.viewers
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
 
 # -- entry translation ---------------------------------------------------------
 
@@ -344,6 +305,7 @@ class SchemaAssembler:
         self.plans = plans
         self.report = report
         self.casing = casing
+        self._credential_types: dict[str, str] = {}  # scheme name -> input type name
 
     def assemble(self) -> SchemaIR:
         schema = SchemaIR()
@@ -508,6 +470,7 @@ class SchemaAssembler:
         type_name = self._take_type_name(upper_first(field_name))
 
         args: dict[str, ArgIR] = {}
+        arg_names: dict[str, int] = {}
         credential_args: dict[str, str] = {}
         schemes: list[str] = []
         for scheme_name, scheme in self.doc.security_schemes.items():
@@ -515,9 +478,7 @@ class SchemaAssembler:
                 continue
             schemes.append(scheme_name)
             cred_type = self._credential_type(schema, scheme_name, scheme)
-            arg_name = lower_first(sanitize(scheme_name, self.casing))
-            while arg_name in args:
-                arg_name = f"{arg_name}2"
+            arg_name = _unique(arg_names, lower_first(sanitize(scheme_name, self.casing)))
             args[arg_name] = ArgIR(arg_name, reference(cred_type),
                                    f"Credentials for scheme {scheme_name!r}.")
             credential_args[arg_name] = scheme_name
@@ -549,11 +510,11 @@ class SchemaAssembler:
         return fields
 
     def _credential_type(self, schema: SchemaIR, scheme_name: str, scheme) -> str:
+        """One credential input type per scheme, shared by both viewer sides."""
+        if scheme_name in self._credential_types:
+            return self._credential_types[scheme_name]
         pretty = upper_first(sanitize(scheme_name, self.casing))
-        wanted = f"{pretty}Credentials"
-        if wanted in schema.types:
-            return wanted
-        name = self._take_type_name(wanted)
+        name = self._credential_types[scheme_name] = self._take_type_name(f"{pretty}Credentials")
         if scheme.type == "apiKey":
             fields = {"apiKey": FieldIR("apiKey", non_null(scalar("String")))}
         else:

@@ -338,13 +338,14 @@ def test_criterion_6_dedup_oracle():
             continue
         doc = wrapper.document
         for direction in ("input", "output"):
-            entries = wrapper.pre.dictionary.entries_for(direction)
+            entries = [e for e in wrapper.pre.dictionary.entries.values()
+                       if e.direction == direction]
             for i, a in enumerate(entries):
                 for b in entries[i + 1:]:
                     assert not deep_equal(a.schema, b.schema, doc), \
                         f"{name}: duplicate entries {a.name} / {b.name}"
     collapsed = generate(CORPUS_DIR / "clean_dedup_inline.json")
-    outputs = collapsed.pre.dictionary.entries_for(OUTPUT)
+    outputs = [e for e in collapsed.pre.dictionary.entries.values() if e.direction == OUTPUT]
     assert len(outputs) == 1
     assert len(collapsed.plans) == 3  # three operations share the single type
     passed(6, "pairwise deep-equality found no duplicates; 3-way inline "

@@ -1,5 +1,6 @@
-"""GraphQL engine: parsing, printing, validation, coercion, and execution."""
+"""GraphQL engine: parsing, validation, coercion, and execution."""
 
+import base64
 import json
 
 import pytest
@@ -9,9 +10,9 @@ from oaswrap.engine import (
     Executor,
     coerce_variables,
     parse_query,
-    print_query,
     validate_query,
 )
+from oaswrap.engine.ast import FragmentSpreadNode, InlineFragmentNode
 from oaswrap.engine.execution import RequestFailed
 from oaswrap.errors import CoercionError, GraphQLSyntaxError
 from oaswrap.generator import generate
@@ -147,18 +148,109 @@ def test_parse_values():
     assert args["o"].fields["k"].value == 1
 
 
-def test_parse_print_round_trip_fixed_point():
+def _our_tree(doc):
+    """parse_query's document as plain data, for comparison with graphql-core."""
+
+    def value(v):
+        if v.kind == "list":
+            return ["list", [value(item) for item in v.values]]
+        if v.kind == "object":
+            return ["object", {key: value(child) for key, child in v.fields.items()}]
+        return [v.kind, v.value]
+
+    def selections(nodes):
+        out = []
+        for node in nodes or []:
+            if isinstance(node, FragmentSpreadNode):
+                out.append(["spread", node.name])
+            elif isinstance(node, InlineFragmentNode):
+                out.append(["inline", node.type_condition, selections(node.selection_set)])
+            else:
+                out.append(["field", node.alias, node.name,
+                            {key: value(arg) for key, arg in node.arguments.items()},
+                            selections(node.selection_set)])
+        return out
+
+    operations = [[op.kind, op.name,
+                   [[d.name, str(d.type), d.default and value(d.default)]
+                    for d in op.variable_definitions],
+                   selections(op.selection_set)] for op in doc.operations]
+    fragments = {name: [f.type_condition, selections(f.selection_set)]
+                 for name, f in doc.fragments.items()}
+    return operations, fragments
+
+
+def _graphql_core_tree(doc):
+    """graphql-core's document in the shape of _our_tree."""
+    from graphql.language import ast as g
+
+    def value(v):
+        if isinstance(v, g.VariableNode):
+            return ["variable", v.name.value]
+        if isinstance(v, g.IntValueNode):
+            return ["int", int(v.value)]
+        if isinstance(v, g.FloatValueNode):
+            return ["float", float(v.value)]
+        if isinstance(v, g.StringValueNode):
+            return ["string", v.value]
+        if isinstance(v, g.BooleanValueNode):
+            return ["boolean", v.value]
+        if isinstance(v, g.NullValueNode):
+            return ["null", None]
+        if isinstance(v, g.EnumValueNode):
+            return ["enum", v.value]
+        if isinstance(v, g.ListValueNode):
+            return ["list", [value(item) for item in v.values]]
+        return ["object", {f.name.value: value(f.value) for f in v.fields}]
+
+    def type_of(t):
+        if isinstance(t, g.NonNullTypeNode):
+            return f"{type_of(t.type)}!"
+        if isinstance(t, g.ListTypeNode):
+            return f"[{type_of(t.type)}]"
+        return t.name.value
+
+    def selections(selection_set):
+        out = []
+        for node in selection_set.selections if selection_set else []:
+            if isinstance(node, g.FragmentSpreadNode):
+                out.append(["spread", node.name.value])
+            elif isinstance(node, g.InlineFragmentNode):
+                out.append(["inline", node.type_condition and node.type_condition.name.value,
+                            selections(node.selection_set)])
+            else:
+                out.append(["field", node.alias and node.alias.value, node.name.value,
+                            {a.name.value: value(a.value) for a in node.arguments},
+                            selections(node.selection_set) if node.selection_set else []])
+        return out
+
+    operations, fragments = [], {}
+    for d in doc.definitions:
+        if isinstance(d, g.FragmentDefinitionNode):
+            fragments[d.name.value] = [d.type_condition.name.value, selections(d.selection_set)]
+        else:
+            operations.append([
+                d.operation.value, d.name and d.name.value,
+                [[v.variable.name.value, type_of(v.type),
+                  v.default_value and value(v.default_value)] for v in d.variable_definitions],
+                selections(d.selection_set)])
+    return operations, fragments
+
+
+def test_parse_agrees_with_graphql_core():
+    from graphql import parse
+
     corpus = [
         FIG2_QUERY,
         '{ u: user(id: "x") { id } }',
         'query Q($id: String!) { user(id: $id) { id name } }',
         'mutation M { createUser(user: {id: "a", tags: [1, 2]}) { id } }',
         'query { a { ...f } }\nfragment f on A { x y }',
+        'query V($n: Int = 3, $s: [String!]!) { a(x: 1.5, e: RED, z: null, b: false, n: $n) '
+        '{ ... on A { x } ... { y } } }',
     ]
     for text in corpus:
-        once = print_query(parse_query(text))
-        twice = print_query(parse_query(once))
-        assert once == twice
+        assert _our_tree(parse_query(text)) == _graphql_core_tree(parse(text)), text
 
 
 def test_syntax_error_carries_position():
@@ -524,6 +616,46 @@ def test_execute_any_auth_viewer_credential_groups(upstream):
     assert result.data == {"viewerAnyAuth": {"a": {"v": "a"}, "b": {"v": "b"}}}
 
 
+def test_any_auth_schemes_that_sanitize_alike_keep_their_own_credentials(upstream):
+    from graphql import build_schema
+
+    seen = []
+    upstream.route("GET", "/b", lambda request, params: (
+        seen.append(request.headers.get("Authorization")) or {"v": "b"}))
+    ok = {"200": {"description": "ok", "content": {"application/json": {
+        "schema": {"$ref": "#/components/schemas/Thing"}}}}}
+    root = {
+        "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": upstream.base_url}],
+        "paths": {f"/{path}": {"get": {"security": [{scheme: []}], "responses": ok}}
+                  for path, scheme in (("a", "api_key"), ("b", "api-key"), ("c", "apiKey"))},
+        "components": {
+            "schemas": {"Thing": {"type": "object", "properties": {"v": {"type": "string"}}}},
+            "securitySchemes": {
+                "api_key": {"type": "apiKey", "name": "X-Api-Key", "in": "header"},
+                "api-key": {"type": "http", "scheme": "basic"},
+                "apiKey": {"type": "apiKey", "name": "key", "in": "query"},
+            },
+        },
+    }
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok, wrapper.report.error_message
+    schema = build_schema(wrapper.sdl)
+    any_auth = schema.query_type.fields["viewerAnyAuth"]
+    arg_types = {name: str(arg.type) for name, arg in any_auth.args.items()}
+    assert arg_types == {"apiKey": "ApiKeyCredentials", "apiKey2": "ApiKeyCredentials2",
+                         "apiKey3": "ApiKeyCredentials3"}
+    assert set(schema.type_map["ApiKeyCredentials"].fields) == {"apiKey"}
+    assert set(schema.type_map["ApiKeyCredentials2"].fields) == {"username", "password"}
+    assert set(schema.type_map["ApiKeyCredentials3"].fields) == {"apiKey"}
+
+    result = run(wrapper, '{ viewerAnyAuth(apiKey2: {username: "u", password: "p"}) '
+                          '{ thing2 { v } } }')
+    assert result.errors == []
+    assert result.data == {"viewerAnyAuth": {"thing2": {"v": "b"}}}
+    assert seen == ["Basic " + base64.b64encode(b"u:p").decode()]
+
+
 def test_execute_mutation_root_fields_serial_in_order(upstream):
     upstream.static("POST", "/jobs", {"id": "j"})
     wrapper = build({"/jobs": {"post": {
@@ -631,13 +763,6 @@ def test_non_null_field_error_bubbles_to_parent(upstream):
     assert result.data == {"getMust": None}
     assert any("non-null" in e["message"] for e in result.errors)
     assert result.errors[0]["path"] == ["getMust", "id"]
-
-
-def test_schema_debug_dump_is_json(upstream):
-    wrapper = linked_wrapper(upstream)
-    payload = json.loads(wrapper.schema.debug_dump())
-    assert "query" in payload and "types" in payload
-    assert payload["query"]["user"]["type"] == "User"
 
 
 def test_execute_placeholder_resolves_null(upstream):
@@ -798,3 +923,18 @@ def test_selection_sets_compile_once_per_query(monkeypatch):
         assert result.errors == [] and len(result.data["getItems"]) == 200
     # The root, item and box selection sets: once each per query.
     assert sorted(calls) == sorted(["Query", "Item", "Box"] * 2)
+
+
+def test_non_integral_upstream_number_for_int_is_a_field_error():
+    wrapper = build({"/x": get_path({"type": "object", "properties": {
+        "n": {"type": "integer"}, "m": {"type": "integer"}, "ns": {
+            "type": "array", "items": {"type": "integer"}}}})})
+    body = {"n": 3.7, "m": 3.0, "ns": [1, 2.5, 4.0]}
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(body))
+    result = executor.execute(parse_query("{ getX { n m ns } }"), None, None, ExecutionContext())
+    assert result.data == {"getX": {"n": None, "m": 3, "ns": [1, None, 4]}}
+    assert [(e["path"], e["message"]) for e in result.errors] == [
+        (["getX", "n"], "upstream value 3.7 is not an Int"),
+        (["getX", "ns", 1], "upstream value 2.5 is not an Int"),
+    ]
+    assert type(result.data["getX"]["m"]) is int

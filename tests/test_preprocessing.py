@@ -4,6 +4,7 @@ dictionary (naming and de-duplication)."""
 import json
 import logging
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,11 @@ from oaswrap.preprocessing import (
     OUTPUT,
     NameTables,
     SanitationMap,
-    TypesDictionary,
-    canonical_name,
+    StructuralClasses,
     deep_equal,
     preprocess,
     sanitize,
     sanitize_enum_value,
-    structure_key,
 )
 from oaswrap.report import Report
 from oaswrap.resolver_runtime import ExecutionContext
@@ -307,7 +306,7 @@ def test_deep_equal_cyclic_schemas():
     assert deep_equal(node, node, doc)
 
 
-# -- structure_key ----------------------------------------------------------------------
+# -- structural classes -------------------------------------------------------------------
 
 SELF = "<self>"  # marks where a generated schema refers back to its own component
 
@@ -370,9 +369,22 @@ def _ref(name):
     return {"$ref": f"#/components/schemas/{name}"}
 
 
+def _reachable(doc, roots):
+    """Every node reachable from roots, dereferenced."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = doc.deref(stack.pop())
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.properties.values())
+            stack.extend([node.items] if node.items is not None else [])
+            stack.extend(node.all_of or [])
+    return list(seen.values())
+
+
 @given(tree=_schema_trees, other=_schema_trees, rnd=st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_deep_equal_implies_equal_structure_keys(tree, other, rnd):
+def test_structural_classes_equal_iff_deep_equal(tree, other, rnd):
     # A refers to itself; B and C refer to each other; D unrolls the cycle
     # once inline: all four are bisimilar, so deep_equal holds between them.
     components = {
@@ -383,23 +395,27 @@ def test_deep_equal_implies_equal_structure_keys(tree, other, rnd):
         "E": _fill(other, _ref("E")),
     }
     doc = make_doc({}, components={"schemas": components})
-    nodes = [doc.resolve_ref(f"#/components/schemas/{name}") for name in components]
-    memo: dict = {}
-    keys = [structure_key(node, doc, memo) for node in nodes]
-    for node, key in zip(nodes[1:4], keys[1:4]):
-        assert deep_equal(nodes[0], node, doc)
-        assert key == keys[0]
-    if deep_equal(nodes[0], nodes[4], doc):
-        assert keys[4] == keys[0]
+    roots = [doc.resolve_ref(f"#/components/schemas/{name}") for name in components]
+    classes = StructuralClasses(doc, roots)
+    for node in roots[1:4]:
+        assert deep_equal(roots[0], node, doc)
+    nodes = _reachable(doc, roots)
+    # Merged allOf nodes are built after the walk and classed on demand.
+    merged = [doc.merge_all_of(node, Report(source="<test>")) for node in nodes if node.all_of]
+    for a in roots + merged:
+        for b in nodes + merged:
+            assert (classes.of(a) == classes.of(b)) == deep_equal(a, b, doc)
 
 
-def test_structure_key_tells_apart_schemas_differing_below_the_top():
+def test_structural_classes_tell_apart_schemas_differing_below_the_top():
     doc = make_doc({}, components={"schemas": {
         name: {"type": "object", "properties": {"detail": {"type": "object", "properties": {
             "kind": {"type": "string", "enum": values}}}}}
-        for name, values in (("A", ["x", "y"]), ("B", ["x", "z"]))}})
-    a, b = (doc.resolve_ref(f"#/components/schemas/{n}") for n in "AB")
-    assert structure_key(a, doc, {}) != structure_key(b, doc, {})
+        for name, values in (("A", ["x", "y"]), ("B", ["x", "z"]), ("C", ["y", "x"]))}})
+    a, b, c = (doc.resolve_ref(f"#/components/schemas/{n}") for n in "ABC")
+    classes = StructuralClasses(doc, [a, b, c])
+    assert classes.of(a) != classes.of(b)
+    assert classes.of(a) == classes.of(c)
 
 
 def _same_top_level_keys_doc(n):
@@ -420,6 +436,7 @@ def _same_top_level_keys_doc(n):
 
 
 def test_dedup_calls_deep_equal_less_than_once_per_schema(monkeypatch):
+    # Classes decide every match; deep_equal is only the reference.
     n = 400
     calls = []
     counted = preprocessing.deep_equal
@@ -430,12 +447,61 @@ def test_dedup_calls_deep_equal_less_than_once_per_schema(monkeypatch):
 
     monkeypatch.setattr(preprocessing, "deep_equal", counting)
     pre = preprocess(_same_top_level_keys_doc(n), Report(source="<test>"))
-    assert len(calls) < n
+    assert calls == []
     expected = []
     for i in range(n):
         suffix = str(i + 1) if i else ""
         expected += [f"S{i}", f"Detail{suffix}", f"Kind{suffix}"] + (["State"] if i == 0 else [])
     assert list(pre.dictionary.entries) == expected
+
+
+def _deep_difference_doc(n):
+    """n component schemas differing only in an enum six levels down."""
+    components, paths = {}, {}
+    for i in range(n):
+        node = {"type": "string", "enum": [f"k{i}a", f"k{i}b"]}
+        for key in "edcba":
+            node = {"type": "object", "properties": {key: node, "n": {"type": "integer"}}}
+        components[f"S{i}"] = {"type": "object", "properties": {
+            "top": node, "id": {"type": "string"}}}
+        paths[f"/s{i}"] = get_op(_ref(f"S{i}"))
+    return make_doc(paths, {"schemas": components})
+
+
+def test_dedup_of_schemas_differing_deep_down_is_near_linear():
+    n = 1600
+    doc = _deep_difference_doc(n)
+    started = time.perf_counter()
+    pre = preprocess(doc, Report(source="<test>"))
+    elapsed = time.perf_counter() - started
+    assert len(pre.dictionary.entries) == n * 7
+    assert elapsed < 10, f"{elapsed:.1f} s"
+
+
+def test_dangling_ref_in_unselected_response_still_generates():
+    def document(not_found_schema):
+        return json.dumps({
+            "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://x.example.com"}],
+            "paths": {"/a": {"get": {"responses": {
+                "200": {"description": "ok", "content": {"application/json": {
+                    "schema": {"type": "object", "properties": {"id": {"type": "string"}}}}}},
+                "404": {"description": "missing", "content": {"application/json": {
+                    "schema": not_found_schema}}},
+            }}}},
+        }).encode()
+
+    dangling = {"$ref": "#/components/schemas/Nowhere"}
+    for schema in (dangling, {"type": "object", "properties": {"error": dangling}}):
+        wrapper = generate(document(schema))
+        assert wrapper.ok, wrapper.report.error_message
+        assert list(wrapper.pre.dictionary.entries) == ["getA"]
+    # Where add() reaches the reference, it still reports it.
+    broken = json.loads(document(dangling))
+    responses = broken["paths"]["/a"]["get"]["responses"]
+    responses["200"]["content"]["application/json"]["schema"]["properties"]["id"] = dangling
+    wrapper = generate(json.dumps(broken).encode())
+    assert wrapper.report.error_kind == "MissingRef"
 
 
 def test_repeated_enum_values_dedup_as_a_set():
@@ -449,63 +515,66 @@ def test_repeated_enum_values_dedup_as_a_set():
     }
     wrapper = generate(json.dumps(root).encode())
     assert wrapper.ok, wrapper.report.error_message
-    enums = [e.name for e in wrapper.pre.dictionary.entries_for(OUTPUT) if e.schema.enum]
+    enums = [e.name for e in wrapper.pre.dictionary.entries.values()
+             if e.direction == OUTPUT and e.schema.enum]
     assert enums == ["getA"]
     assert wrapper.schema.types["getA"].enum_values == ["red", "blue"]
     build_schema(wrapper.sdl)
 
 
-# -- canonical_name ---------------------------------------------------------------
+# -- canonical names -------------------------------------------------------------
+
+
+def entry_origins(paths, components=None):
+    """Entry name -> (origin kind, origin detail, suffixed), in creation order."""
+    pre = preprocess(make_doc(paths, components), Report(source="<test>"))
+    return {name: (e.origin.kind, e.origin.detail, e.origin.suffixed)
+            for name, e in pre.dictionary.entries.items()}
+
+
+def obj(**props):
+    return {"type": "object", "properties": {k: {"type": t} for k, t in props.items()}}
 
 
 def test_canonical_name_from_component_ref():
-    dictionary = TypesDictionary()
-    schema = schema_of({"type": "object", "properties": {"id": {"type": "string"}}})
-    name, origin = canonical_name(schema, "User", None, None, dictionary)
-    assert name == "User"
-    assert origin.kind == "component_ref"
+    origins = entry_origins({"/u": get_op(_ref("User"))},
+                            {"schemas": {"User": obj(id="string")}})
+    assert origins == {"User": ("component_ref", "User", False)}
 
 
 def test_canonical_name_operation_fallback():
-    dictionary = TypesDictionary()
-    doc = make_doc({"/users/{id}": {"get": {
-        "parameters": [{"name": "id", "in": "path", "required": True,
-                        "schema": {"type": "string"}}],
-        "responses": {"200": {"description": "ok", "content": {"application/json": {
-            "schema": {"type": "object", "properties": {"n": {"type": "string"}}}}}}},
-    }}})
-    op = doc.operations[0]
-    schema = op.responses["200"].schema
-    name, origin = canonical_name(schema, None, op, None, dictionary)
+    origins = entry_origins({"/users/{id}": get_op(obj(n="string"), parameters=[
+        {"name": "id", "in": "path", "required": True, "schema": {"type": "string"}}])})
     # Rule 3 plus camel sanitation over "get/users/{id}".
-    assert name == "getUsersId"
-    assert origin.kind == "operation"
+    assert origins == {"getUsersId": ("operation", "GET /users/{id}", False)}
 
 
 def test_canonical_name_property_key_fallback():
-    dictionary = TypesDictionary()
-    schema = schema_of({"type": "object", "properties": {"city": {"type": "string"}}})
-    name, origin = canonical_name(schema, None, None, "address", dictionary)
-    assert name == "Address"
-    assert origin.kind == "property_key"
+    origins = entry_origins({"/u": get_op({"type": "object", "properties": {
+        "address": obj(city="string")}})})
+    assert origins == {"getU": ("operation", "GET /u", False),
+                       "Address": ("property_key", "address", False)}
 
 
 def test_canonical_name_title_collision_falls_through():
-    dictionary = TypesDictionary()
-    dictionary.take_name("Widget")
-    schema = schema_of({"type": "object", "title": "Widget",
-                        "properties": {"a": {"type": "string"}}})
-    name, origin = canonical_name(schema, None, None, "fallbackKey", dictionary)
-    assert name == "FallbackKey"
+    widget = dict(obj(a="string"), title="Widget")
+    other_widget = dict(obj(b="integer"), title="Widget")
+    origins = entry_origins({
+        "/a": get_op(widget),
+        "/b": get_op({"type": "object", "properties": {"fallbackKey": other_widget}}),
+    })
+    assert origins == {"Widget": ("title", "Widget", False),
+                       "getB": ("operation", "GET /b", False),
+                       "FallbackKey": ("property_key", "fallbackKey", False)}
 
 
 def test_canonical_name_suffix_past_last_rule():
-    dictionary = TypesDictionary()
-    dictionary.take_name("Address")
-    schema = schema_of({"type": "object", "properties": {"a": {"type": "string"}}})
-    name, origin = canonical_name(schema, None, None, "address", dictionary)
-    assert name == "Address2"
-    assert origin.suffixed
+    origins = entry_origins({
+        "/a": get_op({"type": "object", "properties": {"address": obj(city="string")}}),
+        "/b": get_op({"type": "object", "properties": {"address": obj(zip="integer")}}),
+    })
+    assert origins["Address"] == ("property_key", "address", False)
+    assert origins["Address2"] == ("property_key", "address", True)
 
 
 # -- build_types_dictionary ----------------------------------------------------------
@@ -521,7 +590,7 @@ def test_shared_ref_yields_single_output_entry():
             "id": {"type": "string"}}}}},
     )
     pre = preprocess(doc, Report(source="<test>"))
-    outputs = pre.dictionary.entries_for(OUTPUT)
+    outputs = [e for e in pre.dictionary.entries.values() if e.direction == OUTPUT]
     assert [e.name for e in outputs] == ["User"]
 
 
@@ -538,7 +607,7 @@ def test_structurally_identical_inline_schemas_deduplicate():
         "/p2": get_op(json.loads(json.dumps(inline))),
     })
     pre = preprocess(doc, Report(source="<test>"))
-    outputs = pre.dictionary.entries_for(OUTPUT)
+    outputs = [e for e in pre.dictionary.entries.values() if e.direction == OUTPUT]
     assert len(outputs) == 1
     # Brute-force pairwise oracle over the finished dictionary.
     for i, a in enumerate(outputs):
@@ -553,7 +622,7 @@ def test_nested_objects_are_flattened_into_entries():
             "city": {"type": "string"}}}},
     })})
     pre = preprocess(doc, Report(source="<test>"))
-    names = {e.name for e in pre.dictionary.entries_for(OUTPUT)}
+    names = {e.name for e in pre.dictionary.entries.values() if e.direction == OUTPUT}
     assert "Address" in names
 
 
@@ -571,8 +640,8 @@ def test_input_and_output_entries_are_separate():
             "id": {"type": "string"}}}}},
     )
     pre = preprocess(doc, Report(source="<test>"))
-    assert {e.name for e in pre.dictionary.entries_for(OUTPUT)} == {"User"}
-    assert {e.name for e in pre.dictionary.entries_for(INPUT)} == {"UserInput"}
+    entries = {(e.direction, e.name) for e in pre.dictionary.entries.values()}
+    assert entries == {(OUTPUT, "User"), (INPUT, "UserInput")}
 
 
 def test_all_dictionary_names_match_grammar():
