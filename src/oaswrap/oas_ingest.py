@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from datetime import date
 from typing import Any
 
 import yaml
@@ -25,6 +26,80 @@ HTTP_METHODS = ("get", "put", "post", "delete", "options", "head", "patch", "tra
 
 JSON_MEDIA = "application/json"
 FORM_MEDIA = "application/x-www-form-urlencoded"
+
+# The JSON types a member may have. The first is the member's own type; a
+# value of one of the others is another spelling that reads as absent, except
+# for TEXT, whose other spellings read as their str().
+MAPPING, LIST, STRING, BOOLEAN, ANY = (dict,), (list,), (str,), (bool,), (object,)
+SCHEMA = (dict, bool)  # JSON Schema's `true`/`false` (OAS 3.1) constrain nothing we use
+TYPE = (str, list)  # OAS 3.1's `type: [string, "null"]` is read as no type
+_SCALARS = (int, float, bool, date)  # YAML reads `version: 1.0` as a float
+TEXT = (str, *_SCALARS)
+TITLE = (str, *_SCALARS)  # other scalars read as absent: a schema title names a type
+
+# The shape of every OAS member this module reads, as (types, element types).
+# With no element types the member is one value: absent or null, it reads as
+# None. Otherwise it is a collection: absent or null, it reads as empty, and
+# each element must have the element types. Where the object kind decides the
+# shape, the key is qualified by it.
+SHAPES: dict[str, tuple[tuple[type, ...], tuple[type, ...] | None]] = {
+    # document roots, 3.x and 2.0
+    "openapi": (STRING, None), "info": (MAPPING, ANY), "info.title": (TEXT, None),
+    "version": (TEXT, None), "description": (TEXT, None), "servers": (LIST, MAPPING),
+    "url": (STRING, None), "components": (MAPPING, ANY), "schemas": (MAPPING, MAPPING),
+    "securitySchemes": (MAPPING, MAPPING), "security": (LIST, MAPPING),
+    "paths": (MAPPING, MAPPING), "schemes": (LIST, STRING), "host": (STRING, None),
+    "basePath": (STRING, None), "consumes": (LIST, STRING), "produces": (LIST, STRING),
+    "securityDefinitions": (MAPPING, MAPPING), "v2.parameters": (MAPPING, MAPPING),
+    # path items, operations, parameters, bodies, responses and links
+    **dict.fromkeys(HTTP_METHODS, (MAPPING, None)), "parameters": (LIST, MAPPING),
+    "operationId": (STRING, None), "summary": (TEXT, None), "requestBody": (MAPPING, None),
+    "responses": (MAPPING, MAPPING), "content": (MAPPING, MAPPING), "schema": (SCHEMA, None),
+    "param.required": (BOOLEAN, None),  # a parameter's or a request body's
+    "name": (STRING, None), "in": (STRING, None), "links": (MAPPING, MAPPING),
+    "operationRef": (STRING, None), "link.parameters": (MAPPING, ANY),
+    # security schemes and schemas
+    "type": (TYPE, None), "scheme": (STRING, None), "flow": (STRING, None),
+    "title": (TITLE, None), "$ref": (STRING, None), "properties": (MAPPING, SCHEMA),
+    "items": (SCHEMA, None), "allOf": (LIST, SCHEMA), "required": (LIST, STRING),
+    "enum": (LIST, None),
+}
+# Each key's member name, its types and its element types, in one lookup.
+_READ = {key: (key.rpartition(".")[2], *shape) for key, shape in SHAPES.items()}
+_JSON_TYPES = {dict: "a mapping", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+_SHAPE_NAMES = {**{(t,): name for t, name in _JSON_TYPES.items()},
+                SCHEMA: "a schema", TYPE: "a string or a list", TEXT: "a scalar"}  # TITLE == TEXT
+
+
+def member(node: dict, key: str, pointer: str) -> Any:
+    """Member ``key`` of the object at ``pointer``, read through SHAPES. Any
+    other JSON type makes the document InvalidOas, naming the member's pointer."""
+    name, shape, element = _READ[key]
+    value = node.get(name)
+    if not isinstance(value, shape[0]):
+        if value is None:
+            return None if element is None else shape[0]()
+        if not isinstance(value, shape):
+            _wrong_type(f"{pointer}/{name}", shape, value)
+        return str(value) if shape is TEXT else None
+    if element is None or element is ANY:
+        return value
+    other = False
+    for index, item in value.items() if shape is MAPPING else enumerate(value):
+        if not isinstance(item, element[0]):
+            if not isinstance(item, element):
+                _wrong_type(f"{pointer}/{name}/{escape_pointer_token(str(index))}", element, item)
+            other = True
+    if other:  # elements spelled another way read as absent
+        value = ({k: v if isinstance(v, element[0]) else None for k, v in value.items()}
+                 if shape is MAPPING else [v if isinstance(v, element[0]) else None for v in value])
+    return value
+
+
+def _wrong_type(pointer: str, expected: tuple[type, ...], value: Any) -> None:
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    raise InvalidOasError(f"{pointer} must be {_SHAPE_NAMES[expected]}, not {got}")
 
 
 @dataclass
@@ -166,15 +241,7 @@ class OasDocument:
         """
         if pointer in self._ref_cache:
             return self._ref_cache[pointer]
-        if not isinstance(pointer, str) or not pointer.startswith("#/"):
-            raise MissingRefError(
-                str(pointer),
-                f"reference {pointer!r} targets a relative or external document",
-            )
-        node = navigate_pointer(self.raw_root, pointer)
-        if not isinstance(node, dict):
-            raise MissingRefError(pointer, f"reference {pointer!r} does not target a schema object")
-        schema = parse_schema(node, pointer)
+        schema = parse_schema(_ref_target(self.raw_root, pointer), pointer)
         self._ref_cache[pointer] = schema
         return schema
 
@@ -250,11 +317,11 @@ def _load_yaml(text: str) -> Any:
 
 
 def detect_version(doc: RawDocument) -> str:
-    """Classify a raw document as "v2", "v3", or "unknown"."""
+    """Classify a raw document as "v2", "v3" or "unknown" (a non-string openapi is InvalidOas)."""
     if doc.root.get("swagger") == "2.0":
         return "v2"
-    openapi = doc.root.get("openapi")
-    if isinstance(openapi, str) and openapi.startswith("3."):
+    openapi = member(doc.root, "openapi", "#")
+    if openapi is not None and openapi.startswith("3."):
         return "v3"
     return "unknown"
 
@@ -286,10 +353,10 @@ def convert_v2_dict(root: dict) -> dict:
     """Structural 2.0 -> 3.0 mapping for the supported v2 feature subset."""
     out: dict = {"openapi": "3.0.0", "info": root.get("info", {})}
 
-    schemes = root.get("schemes") or []
+    schemes = member(root, "schemes", "#")
     scheme = schemes[0] if schemes else "https"
-    host = root.get("host")
-    base_path = root.get("basePath", "")
+    host = member(root, "host", "#")
+    base_path = member(root, "basePath", "#") or ""
     if host:
         out["servers"] = [{"url": f"{scheme}://{host}{base_path}"}]
     elif base_path:
@@ -301,33 +368,27 @@ def convert_v2_dict(root: dict) -> dict:
     if "securityDefinitions" in root:
         components["securitySchemes"] = {
             name: _convert_v2_security(name, node)
-            for name, node in root["securityDefinitions"].items()
+            for name, node in member(root, "securityDefinitions", "#").items()
         }
     out["components"] = components
 
-    global_consumes = root.get("consumes") or []
-    global_produces = root.get("produces") or []
+    global_consumes = member(root, "consumes", "#")
+    global_produces = member(root, "produces", "#")
 
     paths_out: dict = {}
-    for path, path_item in (root.get("paths") or {}).items():
-        if not isinstance(path_item, dict):
-            raise UpconvertError(f"path item for {path!r} is not a mapping")
+    for path, path_item in member(root, "paths", "#").items():
+        path_ptr = f"#/paths/{escape_pointer_token(path)}"
         item_out: dict = {}
-        shared_params = [
-            _resolve_v2_param(root, p) for p in path_item.get("parameters", [])
-        ]
-        for method, op in path_item.items():
-            if method not in HTTP_METHODS:
+        shared_params = _resolve_v2_params(root, path_item, path_ptr)
+        for method in HTTP_METHODS:
+            if path_item.get(method) is None:
                 continue
-            if not isinstance(op, dict):
-                raise UpconvertError(f"operation {method.upper()} {path} is not a mapping")
-            op_params = shared_params + [
-                _resolve_v2_param(root, p) for p in op.get("parameters", [])
-            ]
+            op_ptr = f"{path_ptr}/{method}"
+            op = member(path_item, method, path_ptr)
             item_out[method] = _convert_v2_operation(
-                op, op_params,
-                consumes=op.get("consumes") or global_consumes,
-                produces=op.get("produces") or global_produces,
+                op, shared_params + _resolve_v2_params(root, op, op_ptr), op_ptr,
+                consumes=member(op, "consumes", op_ptr) or global_consumes,
+                produces=member(op, "produces", op_ptr) or global_produces,
             )
         paths_out[path] = item_out
     out["paths"] = paths_out
@@ -339,22 +400,27 @@ def convert_v2_dict(root: dict) -> dict:
     return out
 
 
-def _resolve_v2_param(root: dict, param: Any) -> dict:
-    if isinstance(param, dict) and "$ref" in param:
-        ref = param["$ref"]
-        if not isinstance(ref, str) or not ref.startswith("#/parameters/"):
-            raise UpconvertError(f"unsupported parameter reference {ref!r}")
-        name = ref[len("#/parameters/"):]
-        target = (root.get("parameters") or {}).get(name)
-        if target is None:
-            raise UpconvertError(f"parameter reference {ref!r} has no target")
-        return target
-    if not isinstance(param, dict) or "name" not in param or "in" not in param:
-        raise UpconvertError(f"malformed v2 parameter: {param!r}")
-    return param
+def _resolve_v2_params(root: dict, node: dict, pointer: str) -> list[dict]:
+    """``node``'s parameters with '#/parameters/...' references followed."""
+    params = []
+    for index, param in enumerate(member(node, "parameters", pointer)):
+        where = f"{pointer}/parameters/{index}"
+        ref = member(param, "$ref", where)
+        if ref is not None:
+            if not ref.startswith("#/parameters/"):
+                raise UpconvertError(f"unsupported parameter reference {ref!r}")
+            param = member(root, "v2.parameters", "#").get(ref[len("#/parameters/"):])
+            if param is None:
+                raise UpconvertError(f"parameter reference {ref!r} has no target")
+            where = ref
+        if None in (member(param, "name", where), member(param, "in", where)):
+            raise UpconvertError(f"malformed v2 parameter: {param!r}")
+        member(param, "param.required", where)  # read raw below, once checked here
+        params.append(param)
+    return params
 
 
-def _convert_v2_operation(op: dict, params: list[dict],
+def _convert_v2_operation(op: dict, params: list[dict], pointer: str,
                           consumes: list[str], produces: list[str]) -> dict:
     out = {
         key: op[key]
@@ -362,9 +428,9 @@ def _convert_v2_operation(op: dict, params: list[dict],
         if key in op
     }
 
-    body_params = [p for p in params if p.get("in") == "body"]
-    form_params = [p for p in params if p.get("in") == "formData"]
-    plain_params = [p for p in params if p.get("in") not in ("body", "formData")]
+    body_params = [p for p in params if p["in"] == "body"]
+    form_params = [p for p in params if p["in"] == "formData"]
+    plain_params = [p for p in params if p["in"] not in ("body", "formData")]
 
     if body_params and form_params:
         raise UpconvertError("operation declares both body and formData parameters")
@@ -376,7 +442,7 @@ def _convert_v2_operation(op: dict, params: list[dict],
         media = consumes[0] if consumes else JSON_MEDIA
         out["requestBody"] = {
             "content": {media: {"schema": body.get("schema", {})}},
-            "required": bool(body.get("required", False)),
+            "required": bool(body.get("required")),
         }
         if body.get("description"):
             out["requestBody"]["description"] = body["description"]
@@ -410,9 +476,7 @@ def _convert_v2_operation(op: dict, params: list[dict],
         out["parameters"] = converted_params
 
     responses_out = {}
-    for status, resp in (op.get("responses") or {}).items():
-        if not isinstance(resp, dict):
-            raise UpconvertError(f"response {status!r} is not a mapping")
+    for status, resp in member(op, "responses", pointer).items():
         r_out = {"description": resp.get("description", "")}
         if "schema" in resp:
             media_types = produces or [JSON_MEDIA]
@@ -423,7 +487,8 @@ def _convert_v2_operation(op: dict, params: list[dict],
 
 
 def _convert_v2_security(name: str, node: dict) -> dict:
-    kind = node.get("type")
+    pointer = f"#/securityDefinitions/{escape_pointer_token(name)}"
+    kind = member(node, "type", pointer)
     if kind == "basic":
         return {"type": "http", "scheme": "basic",
                 **({"description": node["description"]} if "description" in node else {})}
@@ -432,13 +497,8 @@ def _convert_v2_security(name: str, node: dict) -> dict:
     if kind == "oauth2":
         flow_names = {"implicit": "implicit", "password": "password",
                       "application": "clientCredentials", "accessCode": "authorizationCode"}
-        flow = flow_names.get(node.get("flow", ""), "implicit")
-        detail = {
-            key_out: node[key_in]
-            for key_in, key_out in (("authorizationUrl", "authorizationUrl"),
-                                    ("tokenUrl", "tokenUrl"))
-            if key_in in node
-        }
+        flow = flow_names.get(member(node, "flow", pointer), "implicit")
+        detail = {key: node[key] for key in ("authorizationUrl", "tokenUrl") if key in node}
         detail["scopes"] = node.get("scopes", {})
         return {"type": "oauth2", "flows": {flow: detail}}
     raise UpconvertError(f"security definition {name!r} has unsupported type {kind!r}")
@@ -466,97 +526,76 @@ def normalize(root: dict, source: str, report: Report) -> OasDocument:
     Grossly malformed structure raises InvalidOas; semantic problems are left
     for :func:`validate` so they can all be reported together.
     """
-    info = root.get("info") if isinstance(root.get("info"), dict) else {}
+    info = member(root, "info", "#")
     servers = []
-    for server in root.get("servers") or []:
-        if isinstance(server, dict) and isinstance(server.get("url"), str):
-            servers.append(server["url"])
+    for index, server in enumerate(member(root, "servers", "#")):
+        url = member(server, "url", f"#/servers/{index}")
+        if url is not None:
+            servers.append(url)
 
-    components = root.get("components") if isinstance(root.get("components"), dict) else {}
+    components = member(root, "components", "#")
     schemas = {
         name: f"#/components/schemas/{escape_pointer_token(name)}"
-        for name in (components.get("schemas") or {})
+        for name in member(components, "schemas", "#/components")
     }
-    security_schemes = _parse_security_schemes(components.get("securitySchemes") or {}, report)
+    security_schemes = _parse_security_schemes(
+        member(components, "securitySchemes", "#/components"), report)
 
-    global_security = _security_names(root.get("security"))
+    global_security = _security_names(member(root, "security", "#"))
     operations: list[OasOperation] = []
-    paths = root.get("paths")
-    if paths is not None and not isinstance(paths, dict):
-        raise InvalidOasError(f"{source}: 'paths' must be a mapping")
-    for path, path_item in (paths or {}).items():
-        if not isinstance(path_item, dict):
-            raise InvalidOasError(f"{source}: path item {path!r} must be a mapping")
+    for path, path_item in member(root, "paths", "#").items():
         path_ptr = f"#/paths/{escape_pointer_token(path)}"
-        shared_params = path_item.get("parameters") or []
+        shared_params = member(path_item, "parameters", path_ptr)
         for method in HTTP_METHODS:
-            if method not in path_item:
+            if path_item.get(method) is None:
                 continue
-            op_node = path_item[method]
-            if not isinstance(op_node, dict):
-                raise InvalidOasError(f"{source}: operation {method.upper()} {path} must be a mapping")
-            operations.append(
-                _parse_operation(
-                    root, method, path, op_node, shared_params,
-                    f"{path_ptr}/{method}", global_security, security_schemes, report,
-                )
-            )
+            operations.append(_parse_operation(
+                root, method, path, member(path_item, method, path_ptr), shared_params,
+                f"{path_ptr}/{method}", global_security, security_schemes, report,
+            ))
 
     return OasDocument(
         version=str(root.get("openapi", "")),
-        title=info.get("title"),
-        api_version=info.get("version"),
-        description=info.get("description"),
-        servers=servers,
-        operations=operations,
-        schemas=schemas,
-        security_schemes=security_schemes,
-        raw_root=root,
-        source=source,
+        title=member(info, "info.title", "#/info"),
+        api_version=member(info, "version", "#/info"),
+        description=member(info, "description", "#/info"),
+        servers=servers, operations=operations, schemas=schemas,
+        security_schemes=security_schemes, raw_root=root, source=source,
     )
 
 
 def _parse_security_schemes(nodes: dict, report: Report) -> dict[str, SecurityScheme]:
     schemes: dict[str, SecurityScheme] = {}
     for name, node in nodes.items():
-        if not isinstance(node, dict):
-            continue
         pointer = f"#/components/securitySchemes/{escape_pointer_token(name)}"
-        kind = node.get("type")
+        kind = member(node, "type", pointer)
+        description = member(node, "description", pointer)
         if kind == "apiKey":
-            location = node.get("in", "header")
+            location = member(node, "in", pointer) or "header"
             if location not in ("header", "query"):
                 record_warning(report, UNSUPPORTED_FEATURE, pointer,
                                f"apiKey location {location!r} unsupported; scheme ignored")
                 continue
             schemes[name] = SecurityScheme(
                 name=name, type="apiKey", location=location,
-                param_name=node.get("name", name),
-                description=node.get("description"), pointer=pointer,
+                param_name=member(node, "name", pointer) or name,
+                description=description, pointer=pointer,
             )
         elif kind == "http":
-            schemes[name] = SecurityScheme(
-                name=name, type="http", http_scheme=str(node.get("scheme", "")).lower(),
-                description=node.get("description"), pointer=pointer,
-            )
+            scheme = (member(node, "scheme", pointer) or "").lower()
+            schemes[name] = SecurityScheme(name=name, type="http", http_scheme=scheme,
+                                           description=description, pointer=pointer)
         elif kind in ("oauth2", "openIdConnect"):
-            schemes[name] = SecurityScheme(
-                name=name, type=kind, description=node.get("description"), pointer=pointer,
-            )
+            schemes[name] = SecurityScheme(name=name, type=kind, description=description,
+                                           pointer=pointer)
         else:
             record_warning(report, UNSUPPORTED_FEATURE, pointer,
                            f"security scheme type {kind!r} unsupported; scheme ignored")
     return schemes
 
 
-def _security_names(requirements: Any) -> list[str]:
-    names: list[str] = []
-    for requirement in requirements or []:
-        if isinstance(requirement, dict):
-            for name in requirement:
-                if name not in names:
-                    names.append(name)
-    return names
+def _security_names(requirements: list[dict]) -> list[str]:
+    return list(dict.fromkeys(name for requirement in requirements for name in requirement))
 
 
 def _parse_operation(root: dict, method: str, path: str, node: dict, shared_params: list,
@@ -564,61 +603,54 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
                      known_schemes: dict[str, SecurityScheme], report: Report) -> OasOperation:
     params: list[OasParameter] = []
     seen: set[tuple[str, str]] = set()
-    own_params = node.get("parameters") or []
-    for index, param_node in enumerate(list(own_params) + list(shared_params)):
-        origin = pointer if index < len(own_params) else pointer.rsplit("/", 1)[0]
-        param = _parse_parameter(root, param_node, f"{origin}/parameters", report)
-        if param is None:
-            continue
-        if (param.name, param.location) in seen:
-            continue
-        seen.add((param.name, param.location))
-        params.append(param)
+    for origin, nodes in ((pointer, member(node, "parameters", pointer)),
+                          (pointer.rsplit("/", 1)[0], shared_params)):
+        for index, param_node in enumerate(nodes):
+            param = _parse_parameter(root, param_node, f"{origin}/parameters", index, report)
+            if param is None or (param.name, param.location) in seen:
+                continue
+            seen.add((param.name, param.location))
+            params.append(param)
 
     request_body = None
-    body_node = node.get("requestBody")
-    if isinstance(body_node, dict):
-        body_node = _deref_raw(root, body_node)
-        content_type, schema = _select_content(body_node.get("content"), f"{pointer}/requestBody/content")
+    body_node = member(node, "requestBody", pointer)
+    if body_node is not None:
+        body_ptr = f"{pointer}/requestBody"
+        body_node = _deref_raw(root, body_node, body_ptr)
+        content_type, schema = _select_content(body_node, body_ptr)
         request_body = RequestBody(
-            content_type=content_type,
-            schema=schema,
-            required=bool(body_node.get("required", False)),
-            description=body_node.get("description"),
-            pointer=f"{pointer}/requestBody",
+            content_type=content_type, schema=schema,
+            required=bool(member(body_node, "param.required", body_ptr)),
+            description=member(body_node, "description", body_ptr), pointer=body_ptr,
         )
 
     responses: dict[str, OasResponse] = {}
-    for status, resp_node in (node.get("responses") or {}).items():
+    for status, resp_node in member(node, "responses", pointer).items():
         status = str(status)
         resp_ptr = f"{pointer}/responses/{status}"
-        if not isinstance(resp_node, dict):
-            continue
-        resp_node = _deref_raw(root, resp_node)
-        content_type, schema = _select_content(resp_node.get("content"), f"{resp_ptr}/content")
+        resp_node = _deref_raw(root, resp_node, resp_ptr)
+        content_type, schema = _select_content(resp_node, resp_ptr)
         links = {}
-        for link_name, link_node in (resp_node.get("links") or {}).items():
-            if isinstance(link_node, dict):
-                link_node = _deref_raw(root, link_node)
-                links[link_name] = LinkDefinition(
-                    name=link_name,
-                    operation_id=link_node.get("operationId"),
-                    operation_ref=link_node.get("operationRef"),
-                    parameters={
-                        str(k): str(v) for k, v in (link_node.get("parameters") or {}).items()
-                    },
-                    request_body=link_node.get("requestBody"),
-                    description=link_node.get("description"),
-                    pointer=f"{resp_ptr}/links/{escape_pointer_token(link_name)}",
-                )
+        for link_name, link_node in member(resp_node, "links", resp_ptr).items():
+            link_ptr = f"{resp_ptr}/links/{escape_pointer_token(link_name)}"
+            link_node = _deref_raw(root, link_node, link_ptr)
+            parameters = member(link_node, "link.parameters", link_ptr)
+            links[link_name] = LinkDefinition(
+                name=link_name,
+                operation_id=member(link_node, "operationId", link_ptr),
+                operation_ref=member(link_node, "operationRef", link_ptr),
+                parameters={str(k): str(v) for k, v in parameters.items()},
+                request_body=link_node.get("requestBody"),
+                description=member(link_node, "description", link_ptr), pointer=link_ptr,
+            )
         responses[status] = OasResponse(
             status=status, content_type=content_type, schema=schema, links=links,
-            description=resp_node.get("description"), pointer=resp_ptr,
+            description=member(resp_node, "description", resp_ptr), pointer=resp_ptr,
         )
 
     security = global_security
     if "security" in node:
-        security = _security_names(node.get("security"))
+        security = _security_names(member(node, "security", pointer))
     # Drop schemes the components section does not define or we do not support.
     kept = []
     for name in security:
@@ -629,69 +661,64 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
                            f"security scheme {name!r} is not defined or unsupported; "
                            f"requirement dropped")
     return OasOperation(
-        method=method, path=path, operation_id=node.get("operationId"),
-        description=node.get("description") or node.get("summary"),
+        method=method, path=path, operation_id=member(node, "operationId", pointer),
+        description=member(node, "description", pointer) or member(node, "summary", pointer),
         parameters=params, request_body=request_body, responses=responses,
         security=kept, pointer=pointer,
     )
 
 
-def _parse_parameter(root: dict, node: Any, pointer: str, report: Report) -> OasParameter | None:
-    if not isinstance(node, dict):
-        return None
-    node = _deref_raw(root, node)
-    name = node.get("name")
-    location = node.get("in")
-    if not isinstance(name, str) or not isinstance(location, str):
-        raise InvalidOasError(f"parameter at {pointer} lacks 'name' or 'in'")
+def _parse_parameter(root: dict, node: dict, pointer: str, index: int,
+                     report: Report) -> OasParameter | None:
+    where = f"{pointer}/{index}"
+    node = _deref_raw(root, node, where)
+    name, location = member(node, "name", where), member(node, "in", where)
+    if name is None or location is None:
+        raise InvalidOasError(f"parameter at {where} lacks 'name' or 'in'")
     param_ptr = f"{pointer}/{escape_pointer_token(name)}"
     if location not in ("path", "query", "header"):
         record_warning(report, UNSUPPORTED_FEATURE, param_ptr,
                        f"parameter location {location!r} unsupported; parameter ignored")
         return None
-    schema = None
-    if isinstance(node.get("schema"), dict):
-        schema = parse_schema(node["schema"], f"{param_ptr}/schema")
-    elif isinstance(node.get("content"), dict):
-        _, schema = _select_content(node["content"], f"{param_ptr}/content")
-    default = schema.default if schema is not None else None
-    required = bool(node.get("required", False)) or location == "path"
+    schema = member(node, "schema", param_ptr)
+    if schema is not None:
+        schema = parse_schema(schema, f"{param_ptr}/schema")
+    else:
+        _, schema = _select_content(node, param_ptr)
     return OasParameter(
-        name=name, location=location, schema=schema, required=required,
-        default=default, description=node.get("description"), pointer=param_ptr,
+        name=name, location=location, schema=schema,
+        required=bool(member(node, "param.required", param_ptr)) or location == "path",
+        default=schema.default if schema is not None else None,
+        description=member(node, "description", param_ptr), pointer=param_ptr,
     )
 
 
-def _deref_raw(root: dict, node: dict) -> dict:
-    """Follow a raw-tree $ref (components.parameters/responses/requestBodies/links)."""
+def _deref_raw(root: dict, node: dict, pointer: str) -> dict:
+    """Follow a raw-tree $ref (components.parameters/responses/requestBodies/links)
+    from the object at ``pointer``."""
     seen: set[str] = set()
-    while isinstance(node, dict) and isinstance(node.get("$ref"), str):
-        ref = node["$ref"]
+    while (ref := member(node, "$ref", pointer)) is not None:
         if ref in seen:
             raise InvalidOasError(f"circular non-schema reference chain at {ref!r}")
         seen.add(ref)
-        if not ref.startswith("#/"):
-            raise MissingRefError(ref, f"reference {ref!r} targets a relative or external document")
-        target = navigate_pointer(root, ref)
-        if not isinstance(target, dict):
-            raise MissingRefError(ref)
-        node = target
+        node, pointer = _ref_target(root, ref), ref
     return node
 
 
-def _select_content(content: Any, pointer: str) -> tuple[str | None, SchemaObject | None]:
-    """Pick one media type: application/json, then any application/*json*,
-    then the first declared."""
-    if not isinstance(content, dict) or not content:
+def _select_content(node: dict, pointer: str) -> tuple[str | None, SchemaObject | None]:
+    """Pick one media type of the content of the object at ``pointer``:
+    application/json, then any application/*json*, then the first declared."""
+    content = member(node, "content", pointer)
+    if not content:
         return None, None
 
     chosen = next((name for name in content if _media_base(name) == JSON_MEDIA), None)
     if chosen is None:
         chosen = next((name for name in content if is_json_media(name)), next(iter(content)))
-    node = content[chosen] if isinstance(content[chosen], dict) else {}
-    schema = None
-    if isinstance(node.get("schema"), dict):
-        schema = parse_schema(node["schema"], f"{pointer}/{escape_pointer_token(chosen)}/schema")
+    media_ptr = f"{pointer}/content/{escape_pointer_token(chosen)}"
+    schema = member(content[chosen], "schema", media_ptr)
+    if schema is not None:
+        schema = parse_schema(schema, f"{media_ptr}/schema")
     return _media_base(chosen), schema
 
 
@@ -711,48 +738,38 @@ def is_json_media(content_type: str | None) -> bool:
 # -- schema object parsing ------------------------------------------------------
 
 
+_SCHEMA_MEMBERS = {"properties", "items", "allOf", "type", "required", "enum", "title",
+                   "description"}
+
+
 def parse_schema(node: dict, pointer: str) -> SchemaObject:
-    """Parse one schema mapping; $ref children stay unresolved."""
-    ref = node.get("$ref")
-    if ref is not None:
-        if not isinstance(ref, str):
-            raise InvalidOasError(f"$ref at {pointer} must be a string")
-        return SchemaObject(ref=ref, pointer=pointer)
-
-    composed = next((key for key in ("oneOf", "anyOf", "not") if key in node), None)
-
-    properties = {}
-    if isinstance(node.get("properties"), dict):
-        for key, child in node["properties"].items():
-            if isinstance(child, dict):
-                properties[key] = parse_schema(
-                    child, f"{pointer}/properties/{escape_pointer_token(key)}"
-                )
-    items = None
-    if isinstance(node.get("items"), dict):
-        items = parse_schema(node["items"], f"{pointer}/items")
-    all_of = None
-    if isinstance(node.get("allOf"), list):
-        all_of = [
-            parse_schema(member, f"{pointer}/allOf/{i}")
-            for i, member in enumerate(node["allOf"])
-            if isinstance(member, dict)
-        ]
-
-    schema_type = node.get("type")
-    return SchemaObject(
-        type=schema_type if isinstance(schema_type, str) else None,
-        properties=properties,
-        items=items,
-        required=[name for name in node.get("required", []) if isinstance(name, str)],
-        enum=list(node["enum"]) if isinstance(node.get("enum"), list) else None,
-        title=node.get("title") if isinstance(node.get("title"), str) else None,
-        description=node.get("description") if isinstance(node.get("description"), str) else None,
-        all_of=all_of,
-        composed_with=composed,
-        default=node.get("default"),
-        pointer=pointer,
+    """Parse one schema mapping; $ref children stay unresolved. Only the
+    members present on the node are read."""
+    if node.get("$ref") is not None:
+        return SchemaObject(ref=member(node, "$ref", pointer), pointer=pointer)
+    schema = SchemaObject(
+        composed_with=next((key for key in ("oneOf", "anyOf", "not") if key in node), None),
+        default=node.get("default"), pointer=pointer,
     )
+    for name, value in node.items():
+        if value is None or name not in _SCHEMA_MEMBERS:
+            continue
+        value = member(node, name, pointer)
+        if value is None:
+            continue
+        if name == "properties":
+            schema.properties = {
+                key: parse_schema(child, f"{pointer}/properties/{escape_pointer_token(key)}")
+                for key, child in value.items() if child is not None
+            }
+        elif name == "items":
+            schema.items = parse_schema(value, f"{pointer}/items")
+        elif name == "allOf":
+            schema.all_of = [parse_schema(child, f"{pointer}/allOf/{i}")
+                             for i, child in enumerate(value) if child is not None]
+        else:
+            setattr(schema, name, value)
+    return schema
 
 
 # -- allOf merging ----------------------------------------------------------------
@@ -760,17 +777,19 @@ def parse_schema(node: dict, pointer: str) -> SchemaObject:
 
 def _merge_all_of(doc: OasDocument, schema: SchemaObject, report: Report) -> SchemaObject:
     members: list[SchemaObject] = []
+    inside: set[int] = set()  # a schema reached again inside itself adds no constraint
 
     def collect(s: SchemaObject) -> None:
         s = doc.deref(s)
-        if s.all_of:
-            for member in s.all_of:
-                collect(member)
-        else:
+        if not s.all_of:
             members.append(s)
+        elif id(s) not in inside:
+            inside.add(id(s))
+            for part in s.all_of:
+                collect(part)
+            inside.discard(id(s))
 
-    for member in schema.all_of or []:
-        collect(member)
+    collect(schema)
     if not members:
         return SchemaObject(pointer=schema.pointer, title=schema.title,
                             description=schema.description)
@@ -928,6 +947,16 @@ def navigate_pointer(root: Any, pointer: str) -> Any:
         else:
             raise MissingRefError(pointer)
     return node
+
+
+def _ref_target(root: dict, ref: str) -> dict:
+    """The object an internal reference targets; MissingRef for any other."""
+    if not ref.startswith("#/"):
+        raise MissingRefError(ref, f"reference {ref!r} targets a relative or external document")
+    target = navigate_pointer(root, ref)
+    if not isinstance(target, dict):
+        raise MissingRefError(ref, f"reference {ref!r} does not target an object")
+    return target
 
 
 def template_params(path: str) -> list[str]:

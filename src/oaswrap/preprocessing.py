@@ -340,7 +340,7 @@ class PreprocessResult:
 def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,
                     property_key: str | None, casing: str = CAMEL) -> list[tuple[str, str, str]]:
     """Sanitized naming candidates in priority order: ref name, then title,
-    then method+path, then the parent property key."""
+    then method+path, then the parent property key; empty when none is legal."""
     candidates: list[tuple[str, str, str]] = []
     if ref_name:
         candidates.append(("component_ref", ref_name, ref_name))
@@ -358,10 +358,6 @@ def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation
             sanitized.append((kind, detail, sanitize(raw, casing)))
         except SanitationError:
             continue
-    if not sanitized:
-        raise SanitationError(
-            f"no legal GraphQL name can be derived for schema at {schema.pointer!r}"
-        )
     return sanitized
 
 
@@ -375,6 +371,7 @@ class Preprocessor:
         self.dictionary = TypesDictionary()
         self.sanmap = SanitationMap()
         self._first: dict[tuple[str, int], str] = {}  # (direction, class) -> entry name
+        self._open_arrays: set[int] = set()  # arrays being classified since the last object
 
     def run(self) -> PreprocessResult:
         roots = [part.schema for op in self.doc.operations
@@ -489,6 +486,9 @@ class Preprocessor:
     def _classify(self, resolved: SchemaObject, direction: str, ref_name: str | None,
                   op: OasOperation | None, property_key: str | None,
                   top_level: bool) -> TypeDecision:
+        if (op is not None and not top_level
+                and name_candidates(resolved, ref_name, None, property_key, self.casing)):
+            op = None  # items are named from their operation only when nothing else names them
         if resolved.composed_with is not None:
             record_warning(
                 self.report, UNSUPPORTED_FEATURE, resolved.pointer,
@@ -512,10 +512,19 @@ class Preprocessor:
                                "array schema lacks items; falling back to string")
                 return self._fallback_entry(resolved, direction, ref_name, op,
                                             property_key, top_level)
+            if id(resolved) in self._open_arrays:
+                record_warning(self.report, INVALID_SCHEMA_TYPE, resolved.pointer,
+                               "array schema contains itself with no object in between; "
+                               "falling back to string")
+                return TypeDecision("string_fallback")
             if top_level:
                 self._ensure_entry(resolved, direction, ref_name, op, property_key)
-            item = self.add(resolved.items, direction, property_key=property_key)
-            return TypeDecision("list", item=item)
+            self._open_arrays.add(id(resolved))
+            item = self.add(resolved.items, direction, op=op, property_key=property_key)
+            self._open_arrays.discard(id(resolved))
+            # Decided already only if the items reached this array again.
+            return (self.dictionary.decisions.get((id(resolved), direction))
+                    or TypeDecision("list", item=item))
 
         if stype == "string" and resolved.enum:
             return self._enum_entry(resolved, direction, ref_name, op, property_key)
@@ -542,9 +551,11 @@ class Preprocessor:
         # Reserve before recursing so reference cycles terminate.
         self.dictionary.decisions[(id(resolved), direction)] = decision
         scope = f"type:{name}"
+        open_arrays, self._open_arrays = self._open_arrays, set()
         for key in sorted(resolved.properties):
             self.sanmap.register(scope, key, sanitize(key, self.casing))
             self.add(resolved.properties[key], direction, property_key=key)
+        self._open_arrays = open_arrays
         return decision
 
     def _enum_entry(self, resolved, direction, ref_name, op, property_key) -> TypeDecision:
@@ -575,6 +586,9 @@ class Preprocessor:
         # Type names share one global namespace; input variants carry an
         # Input suffix so an input/output pair never collides in the SDL.
         candidates = name_candidates(resolved, ref_name, op, property_key, self.casing)
+        if not candidates:
+            raise SanitationError(
+                f"no legal GraphQL name can be derived for schema at {resolved.pointer!r}")
         decorate = (lambda b: f"{b}Input") if direction == INPUT else (lambda b: b)
         name = base = origin = None
         for kind, detail, candidate_base in candidates:

@@ -95,8 +95,7 @@ class Report:
         return counts
 
 
-def record_warning(report: Report, kind: str, location: str, mitigation: str,
-                   mode: str | None = None) -> None:
+def record_warning(report: Report, kind: str, location: str, mitigation: str) -> None:
     """Record a mitigation, or abort if generating in strict mode.
 
     The abort carries the warning's kind so strict-mode reports name the same
@@ -104,7 +103,7 @@ def record_warning(report: Report, kind: str, location: str, mitigation: str,
     """
     if kind not in WARNING_KINDS:
         raise ValueError(f"unknown warning kind {kind!r}")
-    if (mode or report.mode) == STRICT:
+    if report.mode == STRICT:
         raise StrictModeAbort(kind, location, f"{kind} at {location}: {mitigation}")
     report.warnings.append(WarningRecord(kind, location, mitigation))
 

@@ -399,40 +399,35 @@ def read_token(store: Any, token_path: str | None) -> Any:
 class HttpClient:
     """Thin transport wrapper; one round trip, no retries."""
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT, session: requests.Session | None = None):
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT):
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = requests.Session()
 
     def send(self, spec: HttpRequestSpec) -> tuple[int, Mapping[str, str], bytes]:
-        return execute_request(spec, self.timeout, self.session)
-
-
-def execute_request(spec: HttpRequestSpec, timeout: float = DEFAULT_TIMEOUT,
-                    session: requests.Session | None = None) -> tuple[int, Mapping[str, str], bytes]:
-    """One HTTP round trip; network failures map to execution errors."""
-    sender = session or requests
-    headers = dict(spec.headers)
-    kwargs: dict[str, Any] = {}
-    if spec.body is not None:
-        content_type = spec.content_type or "application/json"
-        if content_type == FORM_MEDIA and isinstance(spec.body, dict):
-            kwargs["data"] = urlencode({k: _plain(v) for k, v in spec.body.items()})
-        elif isinstance(spec.body, str):
-            kwargs["data"] = spec.body.encode("utf-8")
-        else:
-            kwargs["data"] = json.dumps(spec.body).encode("utf-8")
-        headers.setdefault("Content-Type", content_type)
-    try:
-        response = sender.request(
-            spec.method, spec.url, params=spec.query or None, headers=headers,
-            timeout=timeout, **kwargs,
-        )
-    except requests.Timeout as exc:
-        raise RequestTimeout(f"request to {spec.url} timed out") from exc
-    except requests.RequestException as exc:
-        raise NetworkError(f"request to {spec.url} failed: {exc}") from exc
-    logger.debug("upstream %s %s -> %s", spec.method, spec.url.split("?")[0], response.status_code)
-    return response.status_code, response.headers, response.content
+        """One HTTP round trip; network failures map to execution errors."""
+        headers = dict(spec.headers)
+        kwargs: dict[str, Any] = {}
+        if spec.body is not None:
+            content_type = spec.content_type or "application/json"
+            if content_type == FORM_MEDIA and isinstance(spec.body, dict):
+                kwargs["data"] = urlencode({k: _plain(v) for k, v in spec.body.items()})
+            elif isinstance(spec.body, str):
+                kwargs["data"] = spec.body.encode("utf-8")
+            else:
+                kwargs["data"] = json.dumps(spec.body).encode("utf-8")
+            headers.setdefault("Content-Type", content_type)
+        try:
+            response = self.session.request(
+                spec.method, spec.url, params=spec.query or None, headers=headers,
+                timeout=self.timeout, **kwargs,
+            )
+        except requests.Timeout as exc:
+            raise RequestTimeout(f"request to {spec.url} timed out") from exc
+        except requests.RequestException as exc:
+            raise NetworkError(f"request to {spec.url} failed: {exc}") from exc
+        logger.debug("upstream %s %s -> %s", spec.method, spec.url.split("?")[0],
+                     response.status_code)
+        return response.status_code, response.headers, response.content
 
 
 def parse_upstream_body(status: int, body: bytes, expects_structured: bool) -> Any:

@@ -199,6 +199,13 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
     """
     attached = 0
     for name, link in links.items():
+        # A list response's links go on the item type, where an index never resolves.
+        indexed = [e for e in link.parameters.values() if _indexes_body(e)]
+        if indexed and bindings[op.key].response.kind == "list":
+            record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
+                           f"link {name!r} on a list response indexes the list "
+                           f"with {indexed[0]!r}; link skipped")
+            continue
         target = _find_link_target(doc, link)
         if target is None or target.key not in plans or bindings[target.key].skipped:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
@@ -274,6 +281,12 @@ def supported_expression(expr: str) -> bool:
     if expr.startswith("$request.path.") or expr.startswith("$request.query."):
         return len(expr.split(".", 2)[2]) > 0
     return False
+
+
+def _indexes_body(expr: str) -> bool:
+    """A ``$response.body#/`` expression whose pointer starts with an index."""
+    return (expr.startswith("$response.body#/")
+            and expr[len("$response.body#/"):].split("/", 1)[0].isdigit())
 
 
 def lower_first(name: str) -> str:

@@ -1,12 +1,16 @@
 """Loading, version detection, 2.0 upconversion, validation, reference
 resolution, and allOf merging."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CORPUS_DIR
 from oaswrap.errors import InvalidOasError, MissingRefError, ParseError, UpconvertError
 from oaswrap.oas_ingest import (
     OasDocument,
@@ -20,7 +24,8 @@ from oaswrap.oas_ingest import (
     upconvert,
     validate,
 )
-from oaswrap.report import Report, STRICT
+from oaswrap.generator import GenerationOptions, generate
+from oaswrap.report import ERROR_KINDS, Report, STRICT
 from oaswrap.errors import StrictModeAbort
 
 
@@ -362,6 +367,35 @@ def test_merge_all_of_conflict_strict_aborts():
         doc.merge_all_of(schema, Report(source="<test>", mode=STRICT))
 
 
+@pytest.mark.parametrize("schemas, pointer", [
+    ({"L": {"allOf": [{"$ref": "#/components/schemas/L"}]}}, "#/components/schemas/L"),
+    ({"A": {"allOf": [{"$ref": "#/components/schemas/B"}]},
+      "B": {"allOf": [{"$ref": "#/components/schemas/A"}]}}, "#/components/schemas/A"),
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_circular_all_of_falls_back_to_string(schemas, pointer, strict):
+    root = json.loads(json.dumps(_MINIMAL_V3))
+    root["components"] = {"schemas": schemas}
+    _replace(root, _SCHEMA + ("properties", "id"), {"$ref": pointer})
+    report = generate(json.dumps(root).encode(), GenerationOptions(strict=strict)).report
+    if strict:
+        assert report.error_kind == "InvalidSchemaType"
+        assert pointer in report.error_message
+    else:
+        assert report.outcome == "success"
+        assert [(w.kind, w.location, w.mitigation) for w in report.warnings] == [
+            ("InvalidSchemaType", pointer, "schema lacks a type; falling back to string")]
+
+
+def test_circular_all_of_keeps_the_other_members():
+    doc = make_doc(components={"schemas": {"L": {"allOf": [
+        {"$ref": "#/components/schemas/L"},
+        {"type": "object", "properties": {"a": {"type": "string"}}},
+    ]}}})
+    merged = doc.merge_all_of(doc.resolve_ref("#/components/schemas/L"), Report(source="<test>"))
+    assert merged.type == "object" and set(merged.properties) == {"a"}
+
+
 # -- normalization details ------------------------------------------------------
 
 
@@ -423,3 +457,194 @@ def test_unique_path_method_pairs():
 def test_template_params():
     assert template_params("/user/{id}/pets/{petId}") == ["id", "petId"]
     assert template_params("/plain") == []
+
+
+# -- malformed members ------------------------------------------------------------
+
+_MINIMAL_V3 = {
+    "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+    "servers": [{"url": "https://api.example.com"}],
+    "paths": {"/pets/{id}": {"get": {
+        "operationId": "getPet",
+        "parameters": [{"name": "id", "in": "path", "required": True,
+                        "schema": {"type": "string"}}],
+        "responses": {"200": {"description": "ok", "content": {"application/json": {
+            "schema": {"type": "object", "required": ["id"],
+                       "properties": {"id": {"type": "string"}}}}}}},
+    }}},
+}
+_MINIMAL_V2 = {
+    "swagger": "2.0", "info": {"title": "T", "version": "1"}, "host": "api.example.com",
+    "paths": {"/pets": {"get": {"responses": {"200": {
+        "description": "ok", "schema": {"type": "string"}}}}}},
+}
+
+
+def _replace(doc: dict, path: tuple, value) -> None:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+
+
+def _with(doc: dict, path: tuple, value) -> bytes:
+    doc = copy.deepcopy(doc)
+    _replace(doc, path, value)
+    return json.dumps(doc).encode()
+
+
+_OP = ("paths", "/pets/{id}", "get")
+_SCHEMA = _OP + ("responses", "200", "content", "application/json", "schema")
+
+
+@pytest.mark.parametrize("doc, path, value, pointer", [
+    (_MINIMAL_V3, _OP + ("responses",), [], "#/paths/~1pets~1{id}/get/responses"),
+    (_MINIMAL_V3, _OP + ("parameters",), True, "#/paths/~1pets~1{id}/get/parameters"),
+    (_MINIMAL_V3, _OP + ("parameters", 0), 3, "#/paths/~1pets~1{id}/get/parameters/0"),
+    (_MINIMAL_V3, _OP + ("parameters", 0, "required"), "yes",
+     "#/paths/~1pets~1{id}/get/parameters/id/required"),
+    (_MINIMAL_V3, _OP + ("responses", "200"), "OK", "#/paths/~1pets~1{id}/get/responses/200"),
+    (_MINIMAL_V3, _SCHEMA + ("properties", "id"), 7,
+     "#/paths/~1pets~1{id}/get/responses/200/content/application~1json/schema/properties/id"),
+    (_MINIMAL_V3, _SCHEMA + ("required",), [1],
+     "#/paths/~1pets~1{id}/get/responses/200/content/application~1json/schema/required/0"),
+    (_MINIMAL_V3, _SCHEMA + ("title",), {}, "/schema/title"),
+    (_MINIMAL_V3, _SCHEMA + ("$ref",), 3, "/schema/$ref"),
+    (_MINIMAL_V3, ("servers",), {}, "#/servers"),
+    (_MINIMAL_V3, ("info", "version"), ["1"], "#/info/version"),
+    (_MINIMAL_V3, ("openapi",), 3.0, "#/openapi"),
+    (_MINIMAL_V2, ("schemes",), {}, "#/schemes"),
+    (_MINIMAL_V2, ("paths", "/pets", "get", "responses"), [], "#/paths/~1pets/get/responses"),
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_wrong_member_type_is_invalid_oas_with_pointer(doc, path, value, pointer, strict):
+    report = generate(_with(doc, path, value), GenerationOptions(strict=strict)).report
+    assert report.error_kind == "InvalidOas"
+    assert pointer in report.error_message
+
+
+@pytest.mark.parametrize("doc, path", [
+    (_MINIMAL_V3, ("paths", "/pets/{id}", "parameters")), (_MINIMAL_V3, _SCHEMA + ("title",)),
+    (_MINIMAL_V3, _SCHEMA + ("allOf",)), (_MINIMAL_V3, ("servers",)),
+    (_MINIMAL_V2, ("schemes",)),
+])
+def test_null_member_reads_as_absent(doc, path):
+    assert generate(_with(doc, path, None)).ok
+
+
+_OAS31 = b"""
+openapi: 3.1.0
+info: {title: Pets, version: 1}
+paths:
+  /pets/{id}:
+    get:
+      parameters:
+        - {name: id, in: path, required: true, schema: {type: string}}
+        - {name: q, in: query, schema: true}
+      responses:
+        '200':
+          description: ok
+          content:
+            application/json:
+              schema:
+                type: object
+                properties:
+                  id: {type: string}
+                  nickname: {type: [string, "null"]}
+                  extra: true
+                  tags: {type: array, items: true}
+                  meta: {allOf: [true, {type: object, properties: {a: {type: integer}}}]}
+        '404': {description: missing, content: {application/json: {schema: false}}}
+"""
+
+
+def test_oas31_type_lists_and_boolean_schemas_read_as_absent():
+    # A list `type` reads as no type and a boolean schema as no schema, so
+    # this document generates with the fallbacks it always had.
+    wrapper = generate(_OAS31)
+    schema = "#/paths/~1pets~1{id}/get/responses/200/content/application~1json/schema"
+    assert [(w.kind, w.location, w.mitigation) for w in wrapper.report.warnings] == [
+        ("InvalidSchemaType", f"{schema}/properties/nickname",
+         "schema lacks a type; falling back to string"),
+        ("InvalidSchemaType", f"{schema}/properties/tags",
+         "array schema lacks items; falling back to string"),
+        ("InvalidSchemaType", "#/paths/~1pets~1{id}/get/parameters/q",
+         "parameter 'q' lacks a schema; assuming string"),
+    ]
+    assert wrapper.sdl.rstrip().split("\n\n") == [
+        "type Query {\n  getPetsId(id: String!, q: String): getPetsId\n}",
+        "type Meta {\n  a: Int\n}",
+        "type getPetsId {\n  id: String\n  meta: Meta\n  nickname: String\n  tags: String\n}",
+    ]
+    assert generate(_OAS31, GenerationOptions(strict=True)).report.error_kind == \
+        "InvalidSchemaType"
+
+
+@pytest.mark.parametrize("info", ["{title: Pets, version: 1.0}",
+                                  "{title: Pets, version: 2021-06-01}",
+                                  "{title: 2021, version: 3, description: 7}"])
+def test_scalar_metadata_reads_as_text(info):
+    data = f"""
+openapi: 3.0.3
+info: {info}
+paths:
+  /pets:
+    get:
+      summary: 12
+      responses:
+        '200':
+          description: 200
+          content:
+            application/json:
+              schema: {{type: object, title: 42, description: 2021-06-01,
+                        properties: {{id: {{type: integer}}}}}}
+""".encode()
+    wrapper = generate(data, GenerationOptions(strict=True))
+    assert wrapper.ok and wrapper.report.warnings == []
+    # Descriptions read as text; a title that is not a string names no type.
+    assert wrapper.sdl == ('type Query {\n  "12"\n  getPets: getPets\n}\n\n'
+                           '"2021-06-01"\ntype getPets {\n  id: Int\n}\n')
+
+
+_JUNK = [None, 0, 7, -1.5, True, False, "", "x", [], {}, {"$ref": 3},
+         {"$ref": "#/nope/x"}, {"$ref": "#/components/schemas/Nope"}, {"$ref": "other.json#/a"}]
+
+
+def _parseable_json_fixtures() -> list[dict]:
+    fixtures = []
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        try:
+            fixtures.append(json.loads(path.read_text(encoding="utf-8")))
+        except ValueError:
+            continue
+    return fixtures
+
+
+def _subtree_paths(node, prefix=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _subtree_paths(child, prefix + (key,))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(fixture=st.sampled_from(_parseable_json_fixtures()),
+       mutations=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_JUNK)),
+                          min_size=1, max_size=3))
+def test_mutated_fixtures_end_in_the_error_taxonomy(fixture, mutations):
+    # Replaces 1-3 subtrees (never the root) with junk, then generates in
+    # both modes: every outcome must be in the closed error taxonomy.
+    doc = copy.deepcopy(fixture)
+    for choice, junk in mutations:
+        paths = list(_subtree_paths(doc))
+        _replace(doc, paths[choice % len(paths)], junk)
+    data = json.dumps(doc).encode()
+    for strict in (False, True):
+        report = generate(data, GenerationOptions(strict=strict)).report
+        assert report.error_kind is None or report.error_kind in ERROR_KINDS
+        assert report.error_kind != "InternalError", report.error_message

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CannedClient
 from oaswrap import preprocessing
-from oaswrap.errors import SanitationError
+from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
 from oaswrap.generator import generate
 from oaswrap.oas_ingest import load_document, normalize, parse_schema
@@ -577,6 +577,22 @@ def test_canonical_name_suffix_past_last_rule():
     assert origins["Address2"] == ("property_key", "address", True)
 
 
+def test_unnamed_items_of_top_level_array_are_named_from_operation():
+    # Neither ref, title nor property key names these items.
+    origins = entry_origins({"/pets": get_op({"type": "array", "items": obj(id="integer")})})
+    assert origins == {"getPets": ("operation", "GET /pets", False),
+                       "getPets2": ("operation", "GET /pets", True)}
+
+
+def test_titled_items_of_top_level_array_keep_their_suffixed_title():
+    origins = entry_origins({
+        "/a": get_op(dict(obj(a="string"), title="Pet")),
+        "/pets": get_op({"type": "array", "items": dict(obj(b="integer"), title="Pet")}),
+    })
+    assert origins["Pet2"] == ("title", "Pet", True)
+    assert not [name for name in origins if name.startswith("getPets") and name != "getPets"]
+
+
 # -- build_types_dictionary ----------------------------------------------------------
 
 
@@ -677,3 +693,37 @@ def test_rebuild_is_deterministic():
         pre = preprocess(doc, Report(source="<test>"))
         names.append(list(pre.dictionary.entries))
     assert names[0] == names[1]
+
+
+# -- self-containing arrays ------------------------------------------------------
+
+
+SELF_ARRAY = {"schemas": {"L": {"type": "array", "items": _ref("L")}}}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_array_containing_itself_falls_back_to_string(strict):
+    report = Report(source="<test>", mode="strict" if strict else "non_strict")
+    doc = make_doc({"/x": get_op({"type": "object", "properties": {"l": _ref("L")}})},
+                   SELF_ARRAY)
+    if strict:
+        with pytest.raises(StrictModeAbort) as caught:
+            preprocess(doc, report)
+        assert (caught.value.kind, caught.value.location) == (
+            "InvalidSchemaType", "#/components/schemas/L")
+        return
+    pre = preprocess(doc, report)
+    assert [(w.kind, w.location) for w in report.warnings] == [
+        ("InvalidSchemaType", "#/components/schemas/L")]
+    item = doc.resolve_ref("#/components/schemas/L")
+    assert pre.dictionary.decisions[(id(item), OUTPUT)].kind == "string_fallback"
+
+
+def test_array_reaching_itself_through_an_object_stays_a_list():
+    components = {"schemas": {"L": {"type": "array", "items": _ref("O")},
+                              "O": {"type": "object", "properties": {"l": _ref("L")}}}}
+    wrapper = generate(json.dumps({
+        "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+        "paths": {"/x": get_op(_ref("L"))}, "components": components}).encode())
+    assert wrapper.ok and wrapper.report.warnings == []
+    assert "l: [O]" in wrapper.sdl

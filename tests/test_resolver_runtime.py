@@ -21,10 +21,10 @@ from oaswrap.generator import GenerationOptions, generate
 from oaswrap.preprocessing import NameTables
 from oaswrap.resolver_runtime import (
     ExecutionContext,
+    HttpClient,
     HttpRequestSpec,
     bind_runtime,
     eval_link_expression,
-    execute_request,
     inject_auth,
     parse_upstream_body,
     read_token,
@@ -419,13 +419,13 @@ def test_shape_response_string_fallback_stringifies():
     assert shaped == '{"a": 1}'
 
 
-# -- execute_request against a live mock ----------------------------------------------
+# -- HttpClient.send against a live mock ----------------------------------------------
 
 
 def test_execute_request_round_trip(upstream):
     upstream.static("GET", "/ping", {"pong": True})
     spec = HttpRequestSpec(method="GET", url=f"{upstream.base_url}/ping")
-    status, headers, body = execute_request(spec, timeout=5)
+    status, headers, body = HttpClient(timeout=5).send(spec)
     assert status == 200
     assert json.loads(body) == {"pong": True}
 
@@ -444,7 +444,7 @@ def test_execute_request_sends_query_headers_body(upstream):
         headers={"X-H": "v"}, query=[("a", "1")], body={"k": "v"},
         content_type="application/json",
     )
-    execute_request(spec, timeout=5)
+    HttpClient(timeout=5).send(spec)
     assert seen == {"query": {"a": "1"}, "header": "v", "body": {"k": "v"}}
 
 
@@ -462,7 +462,7 @@ def test_execute_request_form_encoding(upstream):
         body={"field-one": "x", "count": 2},
         content_type="application/x-www-form-urlencoded",
     )
-    execute_request(spec, timeout=5)
+    HttpClient(timeout=5).send(spec)
     assert seen["ct"].startswith("application/x-www-form-urlencoded")
     assert seen["body"] == "field-one=x&count=2"
 
@@ -470,4 +470,4 @@ def test_execute_request_form_encoding(upstream):
 def test_execute_request_unreachable_host_is_network_error():
     spec = HttpRequestSpec(method="GET", url="http://127.0.0.1:1/nope")
     with pytest.raises(NetworkError):
-        execute_request(spec, timeout=2)
+        HttpClient(timeout=2).send(spec)

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from oaswrap.engine.sdl import parse_sdl
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.schema_gen import (
@@ -375,6 +377,34 @@ def test_link_on_array_response_attaches_to_item_type():
     }
     wrapper = build(paths, components=LINKED_COMPONENTS)
     assert "employerCompany" in wrapper.schema.types["User"].fields
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_link_indexing_a_list_response_is_skipped(strict):
+    links = {"First": {"operationId": "getCompanyById",
+                       "parameters": {"companyName": "$response.body#/0/employerId"}},
+             "EmployerCompany": {"operationId": "getCompanyById",
+                                 "parameters": {"companyName": "$response.body#/employerId"}}}
+    paths = {
+        "/users": get_path({"type": "array", "items": {"$ref": "#/components/schemas/User"}},
+                           links=links, operation_id="listUsers"),
+        "/company/{companyName}": get_path(
+            {"$ref": "#/components/schemas/Company"},
+            parameters=[{"name": "companyName", "in": "path", "required": True,
+                         "schema": {"type": "string"}}],
+            operation_id="getCompanyById",
+        ),
+    }
+    wrapper = build(paths, components=LINKED_COMPONENTS, strict=strict)
+    pointer = "#/paths/~1users/get/responses/200/links/First"
+    if strict:
+        assert wrapper.report.error_kind == "UnsupportedFeature"
+        assert pointer in wrapper.report.error_message
+        return
+    assert [(w.kind, w.location) for w in wrapper.report.warnings] == [
+        ("UnsupportedFeature", pointer)]
+    fields = wrapper.schema.types["User"].fields
+    assert "first" not in fields and "employerCompany" in fields
 
 
 def test_link_name_collision_with_data_field_is_suffixed():
