@@ -26,17 +26,22 @@ from ..resolver_runtime import (
     parse_upstream_body,
     shape_response,
 )
-from ..schema_gen import (
+from ..ir import (
     ENUM,
     INPUT_OBJECT,
     LIST,
     NON_NULL,
     OBJECT,
     SCALAR,
+    SCALAR_TYPE_NAMES,
     FieldIR,
     SchemaIR,
     TypeIR,
+    list_of,
+    non_null,
+    reference,
     resolve_type,
+    scalar,
 )
 from .ast import (
     FieldNode,
@@ -143,9 +148,6 @@ def coerce_variables(definitions, provided: Mapping[str, Any] | None,
 
 
 def _type_from_node(node: TypeNode, schema: SchemaIR) -> TypeIR:
-    from ..schema_gen import list_of, non_null, reference, scalar
-    from ..schema_gen import SCALAR_TYPE_NAMES
-
     if node.kind == "non_null":
         return non_null(_type_from_node(node.of_type, schema))
     if node.kind == "list":

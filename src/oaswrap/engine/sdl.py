@@ -7,7 +7,7 @@ for tooling that consumes the exported SDL.
 from __future__ import annotations
 
 from ..errors import GraphQLSyntaxError
-from ..schema_gen import (
+from ..ir import (
     ENUM,
     INPUT_OBJECT,
     OBJECT,
@@ -37,7 +37,7 @@ def parse_sdl(text: str) -> SchemaIR:
         elif keyword.value == "input":
             name, type_ir = _object_type(stream, INPUT_OBJECT, description)
         elif keyword.value == "enum":
-            name, type_ir = _enum_type(stream, description)
+            name, type_ir = _enum_definition(stream, description)
         else:
             raise GraphQLSyntaxError(
                 f"unsupported type system definition {keyword.value!r}",
@@ -77,7 +77,7 @@ def _object_type(stream: TokenStream, kind: str, description) -> tuple[str, Type
     return name, TypeIR(kind, name=name, fields=fields, description=description)
 
 
-def _enum_type(stream: TokenStream, description) -> tuple[str, TypeIR]:
+def _enum_definition(stream: TokenStream, description) -> tuple[str, TypeIR]:
     name = stream.expect("NAME").value
     stream.expect("PUNCT", "{")
     values: list[str] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..schema_gen import (
+from ..ir import (
     ENUM,
     INPUT_OBJECT,
     LIST,

@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidOasError, OaswrapError, StrictModeAbort
+from .ir import SchemaIR
 from .oas_ingest import OasDocument, ingest, load_document, validate
 from .preprocessing import CAMEL, PreprocessResult, preprocess
 from .report import NON_STRICT, Report
 from .resolver_runtime import ResolvePlan, make_resolve_plan
-from .schema_gen import SchemaIR, assemble_schema, print_sdl
+from .schema_gen import assemble_schema, print_sdl
 
 
 @dataclass

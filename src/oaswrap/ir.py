@@ -1,0 +1,90 @@
+"""The GraphQL type IR: named and wrapped types, fields, arguments, resolve
+bindings and the whole schema. Preprocessing builds the named types, schema
+assembly adds the roots, and the engine validates and executes against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+SCALAR = "Scalar"
+ENUM = "Enum"
+OBJECT = "Object"
+INPUT_OBJECT = "InputObject"
+LIST = "List"
+NON_NULL = "NonNull"
+REFERENCE = "Reference"
+
+SCALAR_TYPE_NAMES = ("Int", "Float", "String", "Boolean", "ID")
+
+
+@dataclass
+class TypeIR:
+    kind: str
+    name: str | None = None
+    of_type: "TypeIR | None" = None
+    fields: "dict[str, FieldIR] | None" = None
+    enum_values: list[str] | None = None
+    description: str | None = None
+
+    def unwrap(self) -> "TypeIR":
+        t = self
+        while t.of_type is not None:
+            t = t.of_type
+        return t
+
+
+def scalar(name: str) -> TypeIR:
+    return TypeIR(SCALAR, name=name)
+
+
+def reference(name: str) -> TypeIR:
+    return TypeIR(REFERENCE, name=name)
+
+
+def list_of(inner: TypeIR) -> TypeIR:
+    return TypeIR(LIST, of_type=inner)
+
+
+def non_null(inner: TypeIR) -> TypeIR:
+    if inner.kind == NON_NULL:
+        return inner
+    return TypeIR(NON_NULL, of_type=inner)
+
+
+def resolve_type(t: TypeIR, types: dict[str, TypeIR]) -> TypeIR:
+    if t.kind == REFERENCE:
+        return types[t.name]
+    return t
+
+
+@dataclass
+class ArgIR:
+    name: str
+    type: TypeIR
+    description: str | None = None
+
+
+@dataclass
+class FieldBinding:
+    kind: str  # "operation" | "viewer" | "placeholder"
+    plan_key: str | None = None
+    link_params: dict[str, str] = field(default_factory=dict)  # raw param -> expression
+    schemes: list[str] = field(default_factory=list)  # viewer credential schemes
+    credential_args: dict[str, str] = field(default_factory=dict)  # anyAuth: arg -> scheme
+
+
+@dataclass
+class FieldIR:
+    name: str
+    type: TypeIR
+    args: dict[str, ArgIR] = field(default_factory=dict)
+    description: str | None = None
+    binding: FieldBinding | None = None
+
+
+@dataclass
+class SchemaIR:
+    types: dict[str, TypeIR] = field(default_factory=dict)
+    query_fields: dict[str, FieldIR] = field(default_factory=dict)
+    mutation_fields: dict[str, FieldIR] = field(default_factory=dict)

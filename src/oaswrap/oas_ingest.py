@@ -74,7 +74,9 @@ _SHAPE_NAMES = {**{(t,): name for t, name in _JSON_TYPES.items()},
 
 def member(node: dict, key: str, pointer: str) -> Any:
     """Member ``key`` of the object at ``pointer``, read through SHAPES. Any
-    other JSON type makes the document InvalidOas, naming the member's pointer."""
+    other JSON type makes the document InvalidOas, naming the member's pointer;
+    so does a key that is not a string in a mapping whose elements are read,
+    except the status codes of ``responses``, which YAML reads as numbers."""
     name, shape, element = _READ[key]
     value = node.get(name)
     if not isinstance(value, shape[0]):
@@ -86,7 +88,10 @@ def member(node: dict, key: str, pointer: str) -> Any:
     if element is None or element is ANY:
         return value
     other = False
+    string_keys = shape is MAPPING and key != "responses"
     for index, item in value.items() if shape is MAPPING else enumerate(value):
+        if string_keys and not isinstance(index, str):
+            raise InvalidOasError(f"{pointer}/{name} has key {index!r}, not a string")
         if not isinstance(item, element[0]):
             if not isinstance(item, element):
                 _wrong_type(f"{pointer}/{name}/{escape_pointer_token(str(index))}", element, item)
@@ -259,14 +264,6 @@ class OasDocument:
         if id(schema) not in self._allof_cache:
             self._allof_cache[id(schema)] = _merge_all_of(self, schema, report)
         return self._allof_cache[id(schema)]
-
-    def canonical_schema(self, schema: SchemaObject) -> SchemaObject:
-        """Deref plus memoized allOf merge: the node identity every index
-        (dictionary decisions, bindings) is keyed on."""
-        s = self.deref(schema)
-        if s.all_of and id(s) in self._allof_cache:
-            s = self._allof_cache[id(s)]
-        return s
 
     def find_operation(self, operation_id: str | None = None,
                        method: str | None = None, path: str | None = None) -> OasOperation | None:
@@ -870,7 +867,7 @@ def validate(doc: OasDocument) -> list[ValidationIssue]:
     if "paths" not in doc.raw_root:
         issues.append(ValidationIssue("fatal", "#/paths", "paths object is required"))
 
-    for key in doc.raw_root:
+    for key in map(str, doc.raw_root):
         if key not in KNOWN_TOP_LEVEL and not key.startswith("x-"):
             issues.append(ValidationIssue("note", f"#/{key}", f"unrecognized top-level field {key!r}"))
 

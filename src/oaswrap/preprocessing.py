@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvalidOasError, MissingRefError, SanitationError
+from .ir import ENUM, INPUT_OBJECT, OBJECT, FieldIR, TypeIR, list_of, non_null, reference, scalar
 from .oas_ingest import (
     FORM_MEDIA,
     OasDocument,
@@ -84,6 +85,21 @@ def sanitize_enum_value(value: object, casing: str = CAMEL) -> str:
     return result
 
 
+def first_free(base: str, taken, counters: dict[str, int] | None = None) -> str:
+    """The first of base, base2, base3, ... not in ``taken``. ``counters``,
+    kept across calls on one namespace whose names are never released,
+    remembers where each base's search stopped, so suffixing one base is
+    amortised O(1); the caller takes the name."""
+    if base not in taken:
+        return base
+    counter = 2 if counters is None else counters.get(base, 2)
+    while f"{base}{counter}" in taken:
+        counter += 1
+    if counters is not None:
+        counters[base] = counter + 1
+    return f"{base}{counter}"
+
+
 @dataclass
 class _Scope:
     forward: dict[str, str] = field(default_factory=dict)  # raw -> sanitized
@@ -103,11 +119,7 @@ class SanitationMap:
         scope = self.scope(scope_id)
         if raw in scope.forward:
             return scope.forward[raw]
-        final = sanitized
-        counter = 2
-        while final in scope.reverse:
-            final = f"{sanitized}{counter}"
-            counter += 1
+        final = first_free(sanitized, scope.reverse)
         scope.forward[raw] = final
         scope.reverse[final] = raw
         return final
@@ -277,27 +289,17 @@ class DictionaryEntry:
     schema: SchemaObject
     direction: str  # input | output
     origin: Provenance
-    pointer: str
-
-
-@dataclass
-class TypeDecision:
-    """How one schema node maps into the GraphQL type system."""
-
-    kind: str  # "entry" | "scalar" | "list" | "string_fallback"
-    name: str | None = None  # entry name, or scalar name for kind=scalar
-    item: "TypeDecision | None" = None  # kind=list
-    entry_kind: str | None = None  # for kind=entry: "object" | "enum" | "scalar" | "fallback"
 
 
 class TypesDictionary:
-    """Registry of de-duplicated schema objects with canonical unique names."""
+    """Registry of de-duplicated schema objects with canonical unique names,
+    and the named GraphQL type each object or enum entry translates to."""
 
     def __init__(self):
         self.entries: dict[str, DictionaryEntry] = {}
+        self.types: dict[str, TypeIR] = {}
         self.taken_names: set[str] = set()
         self._next_suffix: dict[str, int] = {}  # base -> first counter not yet tried
-        self.decisions: dict[tuple[int, str], TypeDecision] = {}
 
     def take_name(self, candidate: str) -> str | None:
         if candidate in self.taken_names:
@@ -305,13 +307,9 @@ class TypesDictionary:
         self.taken_names.add(candidate)
         return candidate
 
-    def take_suffixed(self, base: str) -> str:
-        # Names are never released, so counters tried once stay taken.
-        counter = self._next_suffix.get(base, 2)
-        while f"{base}{counter}" in self.taken_names:
-            counter += 1
-        self._next_suffix[base] = counter + 1
-        name = f"{base}{counter}"
+    def take(self, base: str) -> str:
+        """The first free of base, base2, base3, ... in the type namespace."""
+        name = first_free(base, self.taken_names, self._next_suffix)
         self.taken_names.add(name)
         return name
 
@@ -322,12 +320,10 @@ class OperationBinding:
 
     op: OasOperation
     skipped: bool = False
-    selected_status: str | None = None
-    response_content_type: str | None = None
-    response: TypeDecision | None = None
-    request: TypeDecision | None = None
+    response: TypeIR | None = None
+    request: TypeIR | None = None
     request_content_type: str | None = None
-    params: dict[str, TypeDecision] = field(default_factory=dict)  # raw param name -> decision
+    params: dict[str, TypeIR] = field(default_factory=dict)  # raw param name -> type
 
 
 @dataclass
@@ -371,6 +367,7 @@ class Preprocessor:
         self.dictionary = TypesDictionary()
         self.sanmap = SanitationMap()
         self._first: dict[tuple[str, int], str] = {}  # (direction, class) -> entry name
+        self._decided: dict[tuple[int, str], TypeIR] = {}  # (id of node, direction) -> type
         self._open_arrays: set[int] = set()  # arrays being classified since the last object
 
     def run(self) -> PreprocessResult:
@@ -390,15 +387,12 @@ class Preprocessor:
     def _bind_operation(self, op: OasOperation) -> OperationBinding:
         binding = OperationBinding(op=op)
 
-        selected = self._select_response(op)
-        if selected is None:
+        response = self._select_response(op)
+        if response is None:
             record_warning(self.report, MISSING_RESPONSE_SCHEMA, op.pointer,
                            "operation has no success response schema; operation skipped")
             binding.skipped = True
             return binding
-        status, response = selected
-        binding.selected_status = status
-        binding.response_content_type = response.content_type
 
         if op.request_body is not None and op.request_body.schema is None:
             record_warning(self.report, MISSING_RESPONSE_SCHEMA, op.request_body.pointer,
@@ -412,7 +406,7 @@ class Preprocessor:
                 f"response content type {response.content_type!r} is not JSON; "
                 f"exposing the body as String",
             )
-            binding.response = TypeDecision("string_fallback")
+            binding.response = scalar("String")
         else:
             binding.response = self.add(response.schema, OUTPUT, op=op, top_level=True)
 
@@ -427,21 +421,21 @@ class Preprocessor:
                     f"request content type {body.content_type!r} is not JSON; "
                     f"accepting the payload as String",
                 )
-                binding.request = TypeDecision("string_fallback")
+                binding.request = scalar("String")
                 binding.request_content_type = body.content_type
 
         for param in op.parameters:
             if param.schema is None:
                 record_warning(self.report, INVALID_SCHEMA_TYPE, param.pointer,
                                f"parameter {param.name!r} lacks a schema; assuming string")
-                binding.params[param.name] = TypeDecision("string_fallback")
+                binding.params[param.name] = scalar("String")
             else:
                 binding.params[param.name] = self.add(
                     param.schema, INPUT, property_key=param.name, top_level=False
                 )
         return binding
 
-    def _select_response(self, op: OasOperation) -> tuple[str, OasResponse] | None:
+    def _select_response(self, op: OasOperation) -> OasResponse | None:
         """Lowest concrete success code first, then 2XX wildcards; responses
         without a schema are skip causes, and 'default' never counts."""
         concrete = sorted(
@@ -457,15 +451,13 @@ class Preprocessor:
                 f"operation defines {len(candidates)} success responses; "
                 f"selected lowest status {candidates[0]}",
             )
-        chosen = candidates[0]
-        if op.responses[chosen].schema is None:
-            return None
-        return chosen, op.responses[chosen]
+        chosen = op.responses[candidates[0]]
+        return chosen if chosen.schema is not None else None
 
     # -- schema walk --------------------------------------------------------
 
     def add(self, schema: SchemaObject, direction: str, op: OasOperation | None = None,
-            property_key: str | None = None, top_level: bool = False) -> TypeDecision:
+            property_key: str | None = None, top_level: bool = False) -> TypeIR:
         """Classify one schema node, creating a dictionary entry when it is
         new, unique, and nameable. Warnings fire here, once per node."""
         ref_name = None
@@ -475,17 +467,17 @@ class Preprocessor:
         if resolved.all_of:
             resolved = self.doc.merge_all_of(resolved, self.report)
 
-        known = self.dictionary.decisions.get((id(resolved), direction))
+        known = self._decided.get((id(resolved), direction))
         if known is not None:
             return known
 
-        decision = self._classify(resolved, direction, ref_name, op, property_key, top_level)
-        self.dictionary.decisions[(id(resolved), direction)] = decision
-        return decision
+        type_ir = self._classify(resolved, direction, ref_name, op, property_key, top_level)
+        self._decided[(id(resolved), direction)] = type_ir
+        return type_ir
 
     def _classify(self, resolved: SchemaObject, direction: str, ref_name: str | None,
                   op: OasOperation | None, property_key: str | None,
-                  top_level: bool) -> TypeDecision:
+                  top_level: bool) -> TypeIR:
         if (op is not None and not top_level
                 and name_candidates(resolved, ref_name, None, property_key, self.casing)):
             op = None  # items are named from their operation only when nothing else names them
@@ -516,15 +508,14 @@ class Preprocessor:
                 record_warning(self.report, INVALID_SCHEMA_TYPE, resolved.pointer,
                                "array schema contains itself with no object in between; "
                                "falling back to string")
-                return TypeDecision("string_fallback")
+                return scalar("String")
             if top_level:
                 self._ensure_entry(resolved, direction, ref_name, op, property_key)
             self._open_arrays.add(id(resolved))
             item = self.add(resolved.items, direction, op=op, property_key=property_key)
             self._open_arrays.discard(id(resolved))
             # Decided already only if the items reached this array again.
-            return (self.dictionary.decisions.get((id(resolved), direction))
-                    or TypeDecision("list", item=item))
+            return self._decided.get((id(resolved), direction)) or list_of(item)
 
         if stype == "string" and resolved.enum:
             return self._enum_entry(resolved, direction, ref_name, op, property_key)
@@ -532,7 +523,7 @@ class Preprocessor:
         if stype in SCALAR_NAMES:
             if top_level:
                 self._ensure_entry(resolved, direction, ref_name, op, property_key)
-            return TypeDecision("scalar", name=SCALAR_NAMES[stype])
+            return scalar(SCALAR_NAMES[stype])
 
         if stype is None:
             record_warning(self.report, INVALID_SCHEMA_TYPE, resolved.pointer,
@@ -542,34 +533,50 @@ class Preprocessor:
                            f"schema type {stype!r} is unknown; falling back to string")
         return self._fallback_entry(resolved, direction, ref_name, op, property_key, top_level)
 
-    def _object_entry(self, resolved, direction, ref_name, op, property_key) -> TypeDecision:
+    def _object_entry(self, resolved, direction, ref_name, op, property_key) -> TypeIR:
         existing = self._find_equal(resolved, direction)
-        if existing is not None:
-            return TypeDecision("entry", name=existing, entry_kind="object")
+        if existing in self.dictionary.types:
+            return reference(existing)
         name = self._new_entry(resolved, direction, ref_name, op, property_key)
-        decision = TypeDecision("entry", name=name, entry_kind="object")
         # Reserve before recursing so reference cycles terminate.
-        self.dictionary.decisions[(id(resolved), direction)] = decision
+        type_ir = self._decided[(id(resolved), direction)] = reference(name)
+        fields: dict[str, FieldIR] = {}
+        self.dictionary.types[name] = TypeIR(
+            OBJECT if direction == OUTPUT else INPUT_OBJECT, name=name, fields=fields,
+            description=resolved.description)
         scope = f"type:{name}"
         open_arrays, self._open_arrays = self._open_arrays, set()
         for key in sorted(resolved.properties):
-            self.sanmap.register(scope, key, sanitize(key, self.casing))
-            self.add(resolved.properties[key], direction, property_key=key)
+            child = resolved.properties[key]
+            field_name = self.sanmap.register(scope, key, sanitize(key, self.casing))
+            field_type = self.add(child, direction, property_key=key)
+            if key in resolved.required:
+                field_type = non_null(field_type)
+            fields[field_name] = FieldIR(field_name, field_type,
+                                         description=self.doc.deref(child).description)
         self._open_arrays = open_arrays
-        return decision
+        return type_ir
 
-    def _enum_entry(self, resolved, direction, ref_name, op, property_key) -> TypeDecision:
+    def _enum_entry(self, resolved, direction, ref_name, op, property_key) -> TypeIR:
         existing = self._find_equal(resolved, direction)
-        if existing is not None:
-            return TypeDecision("entry", name=existing, entry_kind="enum")
+        if existing in self.dictionary.types:
+            return reference(existing)
         name = self._new_entry(resolved, direction, ref_name, op, property_key)
-        return TypeDecision("entry", name=name, entry_kind="enum")
+        scope = f"type:{name}"
+        values: list[str] = []
+        for value in resolved.enum:
+            final = self.sanmap.register(scope, str(value), sanitize_enum_value(value, self.casing))
+            if final not in values:  # a repeated raw value maps to the same name
+                values.append(final)
+        self.dictionary.types[name] = TypeIR(ENUM, name=name, enum_values=values,
+                                             description=resolved.description)
+        return reference(name)
 
     def _fallback_entry(self, resolved, direction, ref_name, op, property_key,
-                        top_level) -> TypeDecision:
+                        top_level) -> TypeIR:
         if top_level:
             self._ensure_entry(resolved, direction, ref_name, op, property_key)
-        return TypeDecision("string_fallback")
+        return scalar("String")
 
     def _ensure_entry(self, resolved, direction, ref_name, op, property_key) -> str:
         existing = self._find_equal(resolved, direction)
@@ -578,7 +585,9 @@ class Preprocessor:
         return self._new_entry(resolved, direction, ref_name, op, property_key)
 
     def _find_equal(self, resolved: SchemaObject, direction: str) -> str | None:
-        """The first same-direction entry structurally equal to this schema."""
+        """The first same-direction entry structurally equal to this schema.
+        Equality ignores oneOf/anyOf/not, so an object or enum reuses the
+        entry only if it has a type: a composed schema's entry has none."""
         return self._first.get((direction, self.classes.of(resolved)))
 
     def _new_entry(self, resolved: SchemaObject, direction: str, ref_name: str | None,
@@ -598,11 +607,11 @@ class Preprocessor:
                 break
         if name is None:
             kind, detail, candidate_base = candidates[-1]
-            name = self.dictionary.take_suffixed(decorate(candidate_base))
+            name = self.dictionary.take(decorate(candidate_base))
             base, origin = candidate_base, Provenance(kind, detail, suffixed=True)
         entry = DictionaryEntry(
             name=name, base_name=base, schema=resolved, direction=direction,
-            origin=origin, pointer=resolved.pointer,
+            origin=origin,
         )
         self.dictionary.entries[name] = entry
         self._first[direction, self.classes.of(resolved)] = name

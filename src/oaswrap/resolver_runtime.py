@@ -23,12 +23,13 @@ from .errors import (
     UpstreamError,
     UpstreamNotJson,
 )
+from .ir import REFERENCE, TypeIR
 from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
 from .preprocessing import (
     NameTables,
     OperationBinding,
     PreprocessResult,
-    TypeDecision,
+    first_free,
     sanitize,
 )
 
@@ -46,10 +47,9 @@ class ParamBinding:
     raw_name: str
     location: str  # path | query | header
     required: bool
+    type: TypeIR  # the argument's type, before a required one is made non-null
     default: Any = None
-    decision: TypeDecision | None = None
     description: str | None = None
-    enum_type: str | None = None  # set when the arg type is an enum
 
 
 @dataclass
@@ -119,14 +119,10 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
     parameter_map: dict[str, ParamBinding] = {}
     for param in op.parameters:
         arg_name = sanmap.register(scope, param.name, sanitize(param.name, casing))
-        decision = binding.params.get(param.name)
-        enum_type = None
-        if decision is not None and decision.kind == "entry" and decision.entry_kind == "enum":
-            enum_type = decision.name
         parameter_map[arg_name] = ParamBinding(
             arg_name=arg_name, raw_name=param.name, location=param.location,
-            required=param.required, default=param.default, decision=decision,
-            description=param.description, enum_type=enum_type,
+            required=param.required, type=binding.params[param.name],
+            default=param.default, description=param.description,
         )
 
     payload_arg = None
@@ -137,7 +133,8 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
         payload_arg = _payload_arg_name(binding.request, pre, parameter_map)
         payload_required = op.request_body.required
         payload_content_type = binding.request_content_type or "application/json"
-        payload_type = _entry_name(binding.request)
+        named = binding.request.unwrap()
+        payload_type = named.name if named.kind == REFERENCE else None
 
     return ResolvePlan(
         operation_key=op.key,
@@ -155,26 +152,14 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
     )
 
 
-def _payload_arg_name(decision: TypeDecision, pre: PreprocessResult,
+def _payload_arg_name(request: TypeIR, pre: PreprocessResult,
                       parameter_map: dict[str, ParamBinding]) -> str:
-    if decision.kind == "entry":
-        base = pre.dictionary.entries[decision.name].base_name
+    if request.kind == REFERENCE:
+        base = pre.dictionary.entries[request.name].base_name
         name = base[:1].lower() + base[1:]
     else:
         name = "payload"
-    candidate = name
-    counter = 2
-    while candidate in parameter_map:
-        candidate = f"{name}{counter}"
-        counter += 1
-    return candidate
-
-
-def _entry_name(decision: TypeDecision | None) -> str | None:
-    """The dictionary entry a decision names, through list wrappers."""
-    while decision is not None and decision.kind == "list":
-        decision = decision.item
-    return decision.name if decision is not None and decision.kind == "entry" else None
+    return first_free(name, parameter_map)
 
 
 # -- runtime binding ------------------------------------------------------------
@@ -189,8 +174,8 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
     Per-parameter precedence: explicit argument, then link expression value,
     then a parameter propagated from an ancestor request, then the declared
     default. Link expressions read ``parent_response``, the raw object that
-    holds the link field. Argument names, enum values and payload keys are
-    de-sanitized through their types' name tables before sending.
+    holds the link field. Every argument value, lists included, and the
+    payload are de-sanitized through their named types' tables before sending.
     """
     link_params = link_params or {}
     path = plan.path
@@ -218,8 +203,7 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
                     f"has no value from any source"
                 )
             continue
-        if param.enum_type is not None:
-            value = tables.to_raw(param.enum_type, value)
+        value = tables.to_raw(param.type.unwrap().name, value)
         sent[param.raw_name] = value
         if param.location == "path":
             path = path.replace("{%s}" % param.raw_name, quote(_plain(value), safe=""))

@@ -1,189 +1,37 @@
-"""GraphQL schema generation: dictionary entries become typed IR, links become
-nested fields, security schemes become credential viewers, and everything is
-assembled into root query/mutation fields with resolve-plan bindings.
+"""GraphQL schema assembly: the named types preprocessing built, links as
+nested fields, security schemes as credential viewers, and root query and
+mutation fields with resolve-plan bindings; then SDL printing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from .ir import (
+    ENUM,
+    INPUT_OBJECT,
+    LIST,
+    NON_NULL,
+    OBJECT,
+    REFERENCE,
+    ArgIR,
+    FieldBinding,
+    FieldIR,
+    SchemaIR,
+    TypeIR,
+    non_null,
+    reference,
+    scalar,
+)
 from .oas_ingest import (
     LinkDefinition,
     OasDocument,
     OasOperation,
     unescape_pointer_token,
 )
-from .preprocessing import (
-    OUTPUT,
-    DictionaryEntry,
-    OperationBinding,
-    PreprocessResult,
-    SanitationMap,
-    TypeDecision,
-    TypesDictionary,
-    sanitize,
-    sanitize_enum_value,
-)
+from .preprocessing import OperationBinding, PreprocessResult, first_free, sanitize
 from .report import UNSUPPORTED_FEATURE, Report, record_warning
 from .resolver_runtime import ResolvePlan
-
-SCALAR = "Scalar"
-ENUM = "Enum"
-OBJECT = "Object"
-INPUT_OBJECT = "InputObject"
-LIST = "List"
-NON_NULL = "NonNull"
-REFERENCE = "Reference"
-
-SCALAR_TYPE_NAMES = ("Int", "Float", "String", "Boolean", "ID")
-
-
-@dataclass
-class TypeIR:
-    kind: str
-    name: str | None = None
-    of_type: "TypeIR | None" = None
-    fields: "dict[str, FieldIR] | None" = None
-    enum_values: list[str] | None = None
-    description: str | None = None
-
-    def unwrap(self) -> "TypeIR":
-        t = self
-        while t.of_type is not None:
-            t = t.of_type
-        return t
-
-
-def scalar(name: str) -> TypeIR:
-    return TypeIR(SCALAR, name=name)
-
-
-def reference(name: str) -> TypeIR:
-    return TypeIR(REFERENCE, name=name)
-
-
-def list_of(inner: TypeIR) -> TypeIR:
-    return TypeIR(LIST, of_type=inner)
-
-
-def non_null(inner: TypeIR) -> TypeIR:
-    if inner.kind == NON_NULL:
-        return inner
-    return TypeIR(NON_NULL, of_type=inner)
-
-
-def resolve_type(t: TypeIR, types: dict[str, TypeIR]) -> TypeIR:
-    if t.kind == REFERENCE:
-        return types[t.name]
-    return t
-
-
-@dataclass
-class ArgIR:
-    name: str
-    type: TypeIR
-    description: str | None = None
-
-
-@dataclass
-class FieldBinding:
-    kind: str  # "operation" | "viewer" | "placeholder"
-    plan_key: str | None = None
-    link_params: dict[str, str] = field(default_factory=dict)  # raw param -> expression
-    schemes: list[str] = field(default_factory=list)  # viewer credential schemes
-    credential_args: dict[str, str] = field(default_factory=dict)  # anyAuth: arg -> scheme
-
-
-@dataclass
-class FieldIR:
-    name: str
-    type: TypeIR
-    args: dict[str, ArgIR] = field(default_factory=dict)
-    description: str | None = None
-    binding: FieldBinding | None = None
-
-
-@dataclass
-class ViewerSpec:
-    kind: str  # apiKey | basicAuth | anyAuth
-    scheme_name: str  # "" for anyAuth
-    root_side: str  # query | mutation
-    field_name: str
-    type_name: str
-    args: dict[str, ArgIR] = field(default_factory=dict)
-    wrapped_fields: list[str] = field(default_factory=list)
-
-
-@dataclass
-class SchemaIR:
-    types: dict[str, TypeIR] = field(default_factory=dict)
-    query_fields: dict[str, FieldIR] = field(default_factory=dict)
-    mutation_fields: dict[str, FieldIR] = field(default_factory=dict)
-    viewers: list[ViewerSpec] = field(default_factory=list)
-
-
-# -- entry translation ---------------------------------------------------------
-
-
-def type_from_decision(decision: TypeDecision | None) -> TypeIR:
-    if decision is None:
-        return scalar("String")
-    if decision.kind == "entry":
-        return reference(decision.name)
-    if decision.kind == "scalar":
-        return scalar(decision.name)
-    if decision.kind == "list":
-        return list_of(type_from_decision(decision.item))
-    return scalar("String")  # string_fallback
-
-
-def translate_schema(entry: DictionaryEntry, dictionary: TypesDictionary,
-                     sanmap: SanitationMap, report: Report, doc: OasDocument,
-                     casing: str = "camel") -> TypeIR | None:
-    """Translate one dictionary entry to a named GraphQL type.
-
-    Entries holding plain scalars or fallback shapes produce no named type
-    (their uses are typed inline); returns None for those.
-    """
-    schema = entry.schema
-    if schema.type == "string" and schema.enum:
-        scope = f"type:{entry.name}"
-        values = []
-        for value in schema.enum:
-            sanitized = sanitize_enum_value(value, casing)
-            final = sanmap.register(scope, str(value), sanitized)
-            if final not in values:  # a repeated raw value maps to the same name
-                values.append(final)
-        return TypeIR(ENUM, name=entry.name, enum_values=values,
-                      description=schema.description)
-
-    if schema.type == "object" and schema.properties:
-        scope = f"type:{entry.name}"
-        registered = sanmap.scope(scope).forward  # preprocessing names every property
-        fields: dict[str, FieldIR] = {}
-        for key in sorted(schema.properties):
-            child = schema.properties[key]
-            field_name = registered.get(key) or sanmap.register(scope, key, sanitize(key, casing))
-            child_decision = decision_for_child(child, entry.direction, dictionary, doc)
-            field_type = type_from_decision(child_decision)
-            if key in schema.required:
-                field_type = non_null(field_type)
-            child_resolved = doc.deref(child)
-            fields[field_name] = FieldIR(
-                name=field_name, type=field_type,
-                description=child_resolved.description,
-            )
-        kind = OBJECT if entry.direction == OUTPUT else INPUT_OBJECT
-        return TypeIR(kind, name=entry.name, fields=fields, description=schema.description)
-
-    return None
-
-
-def decision_for_child(schema, direction: str, dictionary: TypesDictionary,
-                       doc: OasDocument) -> TypeDecision | None:
-    resolved = doc.canonical_schema(schema)
-    return dictionary.decisions.get((id(resolved), direction))
 
 
 # -- link attachment -------------------------------------------------------------
@@ -201,7 +49,7 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
     for name, link in links.items():
         # A list response's links go on the item type, where an index never resolves.
         indexed = [e for e in link.parameters.values() if _indexes_body(e)]
-        if indexed and bindings[op.key].response.kind == "list":
+        if indexed and bindings[op.key].response.kind == LIST:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} on a list response indexes the list "
                            f"with {indexed[0]!r}; link skipped")
@@ -223,19 +71,14 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
             continue
 
         target_plan = plans[target.key]
-        field_name = lower_first(sanitize(name, casing))
-        base = field_name
-        counter = 2
-        while field_name in object_type.fields:
-            field_name = f"{base}{counter}"
-            counter += 1
+        field_name = first_free(lower_first(sanitize(name, casing)), object_type.fields)
 
         parent_params = {p.name for p in op.parameters}
         args: dict[str, ArgIR] = {}
         for arg_name, param in target_plan.parameter_map.items():
             if param.raw_name in link.parameters:
                 continue  # satisfied by the link expression
-            arg_type = type_from_decision(param.decision)
+            arg_type = param.type
             # A required parameter stays required on the link field unless the
             # parent operation declares the same raw name, in which case the
             # propagated value covers it and the argument relaxes to optional.
@@ -243,14 +86,14 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
                 arg_type = non_null(arg_type)
             args[arg_name] = ArgIR(arg_name, arg_type, param.description)
         if target_plan.payload_arg is not None:
-            payload_type = type_from_decision(bindings[target.key].request)
+            payload_type = bindings[target.key].request
             if target_plan.payload_required:
                 payload_type = non_null(payload_type)
             args[target_plan.payload_arg] = ArgIR(target_plan.payload_arg, payload_type)
 
         object_type.fields[field_name] = FieldIR(
             name=field_name,
-            type=type_from_decision(bindings[target.key].response),
+            type=bindings[target.key].response,
             args=args,
             description=link.description,
             binding=FieldBinding("operation", plan_key=target.key,
@@ -321,15 +164,7 @@ class SchemaAssembler:
         self._credential_types: dict[str, str] = {}  # scheme name -> input type name
 
     def assemble(self) -> SchemaIR:
-        schema = SchemaIR()
-        dictionary = self.pre.dictionary
-        sanmap = self.pre.sanmap
-
-        for entry in list(dictionary.entries.values()):
-            type_ir = translate_schema(entry, dictionary, sanmap, self.report,
-                                       self.doc, self.casing)
-            if type_ir is not None:
-                schema.types[entry.name] = type_ir
+        schema = SchemaIR(types=dict(self.pre.dictionary.types))
         self.report.stats.types_created = len(schema.types)
 
         attached = 0
@@ -357,27 +192,25 @@ class SchemaAssembler:
                 description=PLACEHOLDER_DESCRIPTION,
                 binding=FieldBinding("placeholder"),
             )
-        self.report.stats.viewers_created = len(schema.viewers)
+        self.report.stats.viewers_created = sum(
+            1 for root in (schema.query_fields, schema.mutation_fields)
+            for field_ir in root.values() if field_ir.binding.kind == "viewer")
         return schema
 
     def _response_object_type(self, binding: OperationBinding,
                               schema: SchemaIR) -> TypeIR | None:
-        decision = binding.response
-        if decision is None:
+        response = binding.response
+        if response.kind == LIST:
+            response = response.of_type
+        if response.kind != REFERENCE:
             return None
-        if decision.kind == "list":
-            decision = decision.item
-        if decision is None or decision.kind != "entry":
-            return None
-        type_ir = schema.types.get(decision.name)
-        if type_ir is not None and type_ir.kind == OBJECT:
-            return type_ir
-        return None
+        type_ir = schema.types[response.name]
+        return type_ir if type_ir.kind == OBJECT else None
 
     # -- root field placement -------------------------------------------------
 
     def _place_operations(self, schema: SchemaIR) -> None:
-        root_names: dict[str, dict[str, int]] = {"query": {}, "mutation": {}}
+        root_names: dict[str, set[str]] = {"query": set(), "mutation": set()}
         # (side, scheme) -> list of (field_name, FieldIR)
         viewer_groups: dict[tuple[str, str], list[tuple[str, FieldIR]]] = {}
         any_auth_fields: dict[str, list[tuple[str, FieldIR]]] = {"query": [], "mutation": []}
@@ -397,7 +230,7 @@ class SchemaAssembler:
                         (field_ir.name, field_ir))
                 any_auth_fields[side].append((field_ir.name, field_ir))
             else:
-                name = _unique(root_names[side], field_ir.name)
+                name = _take(root_names[side], field_ir.name)
                 target = schema.query_fields if side == "query" else schema.mutation_fields
                 target[name] = _renamed(field_ir, name)
 
@@ -409,42 +242,39 @@ class SchemaAssembler:
 
     def _operation_field(self, op: OasOperation, binding: OperationBinding) -> FieldIR:
         plan = self.plans[op.key]
-        field_type = type_from_decision(binding.response)
         args: dict[str, ArgIR] = {}
         for arg_name, param in plan.parameter_map.items():
-            arg_type = type_from_decision(param.decision)
+            arg_type = param.type
             if param.required:
                 arg_type = non_null(arg_type)
             args[arg_name] = ArgIR(arg_name, arg_type, param.description)
         if plan.payload_arg is not None:
-            payload_type = type_from_decision(binding.request)
+            payload_type = binding.request
             if plan.payload_required:
                 payload_type = non_null(payload_type)
             args[plan.payload_arg] = ArgIR(plan.payload_arg, payload_type,
                                            op.request_body.description if op.request_body else None)
         return FieldIR(
-            name=self._field_base(op, binding), type=field_type, args=args,
+            name=self._field_base(op, binding), type=binding.response, args=args,
             description=op.description,
             binding=FieldBinding("operation", plan_key=op.key),
         )
 
     def _field_base(self, op: OasOperation, binding: OperationBinding) -> str:
-        decision = binding.response
-        if (decision is not None and decision.kind == "entry"
-                and decision.entry_kind in ("object", "enum")):
-            return lower_first(self.pre.dictionary.entries[decision.name].base_name)
+        if binding.response.kind == REFERENCE:
+            return lower_first(self.pre.dictionary.entries[binding.response.name].base_name)
         return lower_first(sanitize(f"{op.method.lower()}{op.path}", self.casing))
 
     # -- viewers -----------------------------------------------------------------
 
     def _add_scheme_viewer(self, schema: SchemaIR, side: str, scheme_name: str,
                            members: list[tuple[str, FieldIR]],
-                           root_names: dict[str, int]) -> None:
+                           root_names: set[str]) -> None:
         scheme = self.doc.security_schemes[scheme_name]
         pretty = upper_first(sanitize(scheme_name, self.casing))
         prefix = "viewer" if side == "query" else "mutationViewer"
-        field_name = _unique(root_names, f"{prefix}{pretty}")
-        type_name = self._take_type_name(upper_first(field_name))
+        field_name = _take(root_names, f"{prefix}{pretty}")
+        type_name = self.pre.dictionary.take(upper_first(field_name))
 
         if scheme.type == "apiKey":
             kind = "apiKey"
@@ -469,21 +299,16 @@ class SchemaAssembler:
             description=f"Supplies {kind} credentials for {scheme_name!r}.",
             binding=FieldBinding("viewer", schemes=[scheme_name]),
         )
-        schema.viewers.append(ViewerSpec(
-            kind=kind, scheme_name=scheme_name, root_side=side,
-            field_name=field_name, type_name=type_name, args=args,
-            wrapped_fields=sorted(fields),
-        ))
 
     def _add_any_auth_viewer(self, schema: SchemaIR, side: str,
                              members: list[tuple[str, FieldIR]],
-                             root_names: dict[str, int]) -> None:
+                             root_names: set[str]) -> None:
         prefix = "viewer" if side == "query" else "mutationViewer"
-        field_name = _unique(root_names, f"{prefix}AnyAuth")
-        type_name = self._take_type_name(upper_first(field_name))
+        field_name = _take(root_names, f"{prefix}AnyAuth")
+        type_name = self.pre.dictionary.take(upper_first(field_name))
 
         args: dict[str, ArgIR] = {}
-        arg_names: dict[str, int] = {}
+        arg_names: set[str] = set()
         credential_args: dict[str, str] = {}
         schemes: list[str] = []
         for scheme_name, scheme in self.doc.security_schemes.items():
@@ -491,7 +316,7 @@ class SchemaAssembler:
                 continue
             schemes.append(scheme_name)
             cred_type = self._credential_type(schema, scheme_name, scheme)
-            arg_name = _unique(arg_names, lower_first(sanitize(scheme_name, self.casing)))
+            arg_name = _take(arg_names, lower_first(sanitize(scheme_name, self.casing)))
             args[arg_name] = ArgIR(arg_name, reference(cred_type),
                                    f"Credentials for scheme {scheme_name!r}.")
             credential_args[arg_name] = scheme_name
@@ -508,17 +333,12 @@ class SchemaAssembler:
             description="Combined-credential viewer.",
             binding=FieldBinding("viewer", schemes=schemes, credential_args=credential_args),
         )
-        schema.viewers.append(ViewerSpec(
-            kind="anyAuth", scheme_name="", root_side=side,
-            field_name=field_name, type_name=type_name, args=args,
-            wrapped_fields=sorted(fields),
-        ))
 
     def _viewer_member_fields(self, members: list[tuple[str, FieldIR]]) -> dict[str, FieldIR]:
-        names: dict[str, int] = {}
+        names: set[str] = set()
         fields: dict[str, FieldIR] = {}
         for base_name, field_ir in members:
-            name = _unique(names, base_name)
+            name = _take(names, base_name)
             fields[name] = _renamed(field_ir, name)
         return fields
 
@@ -527,7 +347,7 @@ class SchemaAssembler:
         if scheme_name in self._credential_types:
             return self._credential_types[scheme_name]
         pretty = upper_first(sanitize(scheme_name, self.casing))
-        name = self._credential_types[scheme_name] = self._take_type_name(f"{pretty}Credentials")
+        name = self._credential_types[scheme_name] = self.pre.dictionary.take(f"{pretty}Credentials")
         if scheme.type == "apiKey":
             fields = {"apiKey": FieldIR("apiKey", non_null(scalar("String")))}
         else:
@@ -539,22 +359,11 @@ class SchemaAssembler:
                                     description=f"Credential group for {scheme_name!r}.")
         return name
 
-    def _take_type_name(self, wanted: str) -> str:
-        dictionary = self.pre.dictionary
-        return dictionary.take_name(wanted) or dictionary.take_suffixed(wanted)
 
-
-def _unique(registry: dict[str, int], base: str) -> str:
-    if base not in registry:
-        registry[base] = 1
-        return base
-    registry[base] += 1
-    candidate = f"{base}{registry[base]}"
-    while candidate in registry:
-        registry[base] += 1
-        candidate = f"{base}{registry[base]}"
-    registry[candidate] = 1
-    return candidate
+def _take(names: set[str], base: str) -> str:
+    name = first_free(base, names)
+    names.add(name)
+    return name
 
 
 def _renamed(field_ir: FieldIR, name: str) -> FieldIR:

@@ -16,6 +16,7 @@ from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.engine.sdl import parse_sdl
 from oaswrap.evaluate import evaluate_corpus
 from oaswrap.generator import GenerationOptions, generate
+from oaswrap.ir import INPUT_OBJECT, NON_NULL, FieldIR, TypeIR, reference
 from oaswrap.preprocessing import (
     OUTPUT,
     NameTables,
@@ -24,7 +25,7 @@ from oaswrap.preprocessing import (
     sanitize,
 )
 from oaswrap.resolver_runtime import ExecutionContext, HttpClient
-from oaswrap.schema_gen import INPUT_OBJECT, NON_NULL, FieldIR, TypeIR, print_sdl, reference
+from oaswrap.schema_gen import print_sdl
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
 

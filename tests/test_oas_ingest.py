@@ -480,21 +480,48 @@ _MINIMAL_V2 = {
 }
 
 
+class _Key:
+    """A replacement of the key, not the value, at a path: the member moves
+    to this key (a member of a list stays)."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __repr__(self):
+        return f"_Key({self.key!r})"
+
+
 def _replace(doc: dict, path: tuple, value) -> None:
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = copy.deepcopy(value)
+    if not isinstance(value, _Key):
+        node[path[-1]] = copy.deepcopy(value)
+    elif isinstance(node, dict):
+        node[value.key] = node.pop(path[-1])
+
+
+def _dump(doc: dict, keyed: bool) -> bytes:
+    """JSON, or YAML when a key was replaced: JSON would turn a number or
+    boolean key back into a string."""
+    if keyed:
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        return yaml.dump(doc, Dumper=dumper, sort_keys=False).encode()
+    return json.dumps(doc).encode()
 
 
 def _with(doc: dict, path: tuple, value) -> bytes:
     doc = copy.deepcopy(doc)
     _replace(doc, path, value)
-    return json.dumps(doc).encode()
+    return _dump(doc, isinstance(value, _Key))
 
 
 _OP = ("paths", "/pets/{id}", "get")
 _SCHEMA = _OP + ("responses", "200", "content", "application/json", "schema")
+_NAMED_V3 = copy.deepcopy(_MINIMAL_V3)  # with a component schema, a scheme and a link
+_NAMED_V3["components"] = {"schemas": {"Pet": {"type": "string"}},
+                           "securitySchemes": {"basic": {"type": "http", "scheme": "basic"}}}
+_replace(_NAMED_V3, _OP + ("responses", "200", "links"), {"Self": {"operationId": "getPet"}})
 
 
 @pytest.mark.parametrize("doc, path, value, pointer", [
@@ -515,6 +542,18 @@ _SCHEMA = _OP + ("responses", "200", "content", "application/json", "schema")
     (_MINIMAL_V3, ("openapi",), 3.0, "#/openapi"),
     (_MINIMAL_V2, ("schemes",), {}, "#/schemes"),
     (_MINIMAL_V2, ("paths", "/pets", "get", "responses"), [], "#/paths/~1pets/get/responses"),
+    # YAML reads unquoted numbers and booleans as such, keys included
+    (_MINIMAL_V3, _SCHEMA + ("properties", "id"), _Key(200),
+     "#/paths/~1pets~1{id}/get/responses/200/content/application~1json/schema/properties "
+     "has key 200"),
+    (_MINIMAL_V3, _SCHEMA[:-1], _Key(True),
+     "#/paths/~1pets~1{id}/get/responses/200/content has key True"),
+    (_NAMED_V3, ("components", "schemas", "Pet"), _Key(404), "#/components/schemas has key 404"),
+    (_MINIMAL_V3, _OP[:-1], _Key(200), "#/paths has key 200"),
+    (_NAMED_V3, _OP + ("responses", "200", "links", "Self"), _Key(7),
+     "#/paths/~1pets~1{id}/get/responses/200/links has key 7"),
+    (_NAMED_V3, ("components", "securitySchemes", "basic"), _Key(1),
+     "#/components/securitySchemes has key 1"),
 ])
 @pytest.mark.parametrize("strict", [False, True])
 def test_wrong_member_type_is_invalid_oas_with_pointer(doc, path, value, pointer, strict):
@@ -607,7 +646,8 @@ paths:
 
 
 _JUNK = [None, 0, 7, -1.5, True, False, "", "x", [], {}, {"$ref": 3},
-         {"$ref": "#/nope/x"}, {"$ref": "#/components/schemas/Nope"}, {"$ref": "other.json#/a"}]
+         {"$ref": "#/nope/x"}, {"$ref": "#/components/schemas/Nope"}, {"$ref": "other.json#/a"},
+         _Key(200), _Key(True)]
 
 
 def _parseable_json_fixtures() -> list[dict]:
@@ -637,13 +677,14 @@ def _subtree_paths(node, prefix=()):
        mutations=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_JUNK)),
                           min_size=1, max_size=3))
 def test_mutated_fixtures_end_in_the_error_taxonomy(fixture, mutations):
-    # Replaces 1-3 subtrees (never the root) with junk, then generates in
-    # both modes: every outcome must be in the closed error taxonomy.
+    # Replaces 1-3 subtrees (never the root) with junk, or moves them to a
+    # number or boolean key, then generates in both modes: every outcome
+    # must be in the closed error taxonomy.
     doc = copy.deepcopy(fixture)
     for choice, junk in mutations:
         paths = list(_subtree_paths(doc))
         _replace(doc, paths[choice % len(paths)], junk)
-    data = json.dumps(doc).encode()
+    data = _dump(doc, any(isinstance(junk, _Key) for _, junk in mutations))
     for strict in (False, True):
         report = generate(data, GenerationOptions(strict=strict)).report
         assert report.error_kind is None or report.error_kind in ERROR_KINDS

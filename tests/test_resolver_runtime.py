@@ -187,6 +187,33 @@ def test_bind_desanitizes_body_keys_recursively():
     assert spec.body == {"$id": 1, "nested": {"x-y": "v"}}
 
 
+class RecordingClient(CannedClient):
+    def __init__(self, body):
+        super().__init__(body)
+        self.sent = []
+
+    def send(self, spec):
+        self.sent.append(spec)
+        return super().send(spec)
+
+
+def test_bind_desanitizes_enum_values_in_lists_too():
+    status = {"type": "string", "enum": ["in-stock", "sold-out"]}
+    wrapper = build({"/items": get_path(
+        {"type": "object", "properties": {"n": {"type": "integer"}}},
+        parameters=[{"name": "status", "in": "query",
+                     "schema": {"type": "array", "items": status}},
+                    {"name": "one", "in": "query", "schema": status}],
+    )})
+    client = RecordingClient({"n": 1})
+    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, client)
+    query = "{ getItems(status: [inStock, soldOut], one: inStock) { n } }"
+    result = executor.execute(parse_query(query), None, None, EMPTY_CTX)
+    assert result.errors == [] and result.data == {"getItems": {"n": 1}}
+    assert [spec.query for spec in client.sent] == [
+        [("status", "in-stock"), ("status", "sold-out"), ("one", "in-stock")]]
+
+
 @pytest.mark.parametrize(
     "has_arg,has_link,has_used,has_default",
     list(itertools.product([True, False], repeat=4)),

@@ -2,21 +2,14 @@
 
 import json
 import re
+from collections import namedtuple
 
 import pytest
 
 from oaswrap.engine.sdl import parse_sdl
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.schema_gen import (
-    ENUM,
-    INPUT_OBJECT,
-    LIST,
-    NON_NULL,
-    OBJECT,
-    REFERENCE,
-    print_sdl,
-    resolve_type,
-)
+from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, NON_NULL, OBJECT, REFERENCE, resolve_type
+from oaswrap.schema_gen import print_sdl
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
 
@@ -57,7 +50,7 @@ def type_str(t):
     return t.name
 
 
-# -- translate_schema ---------------------------------------------------------
+# -- named types ---------------------------------------------------------------
 
 
 def test_enum_translation():
@@ -112,6 +105,21 @@ def test_untyped_schema_strict_errors_non_strict_strings():
     strict = build(paths, strict=True)
     assert not strict.ok
     assert strict.report.error_kind == "InvalidSchemaType"
+
+
+def test_composed_response_lends_no_type_to_an_equal_object():
+    # Structural equality ignores oneOf, but the oneOf response falls back to
+    # String, so the equal plain object below gets a type of its own.
+    shape = {"type": "object", "properties": {"a": {"type": "integer"}}}
+    wrapper = build({
+        "/c": get_path({**shape, "oneOf": [{"type": "object"}]}),
+        "/p": get_path({"type": "object", "properties": {"x": shape}}),
+    })
+    assert [w.kind for w in wrapper.report.warnings] == ["UnsupportedFeature"]
+    assert type_str(wrapper.schema.query_fields["getC"].type) == "String"
+    assert type_str(wrapper.schema.types["getP"].fields["x"].type) == "X"
+    assert type_str(wrapper.schema.types["X"].fields["a"].type) == "Int"
+    assert "getC" not in wrapper.schema.types
 
 
 def test_boolean_enum_is_sanitation_error_in_both_modes():
@@ -349,7 +357,7 @@ def test_multi_scheme_operation_under_every_matching_viewer():
     paths = {"/both": get_path({"$ref": "#/components/schemas/Thing"},
                                security=[{"key1": []}, {"basicAuth": []}])}
     wrapper = build(paths, components=SECURED_COMPONENTS)
-    by_kind = {v.kind: v for v in wrapper.schema.viewers}
+    by_kind = {v.kind: v for v in viewers(wrapper)}
     assert set(by_kind) == {"apiKey", "basicAuth", "anyAuth"}
     for viewer in by_kind.values():
         viewer_type = wrapper.schema.types[viewer.type_name]
@@ -427,6 +435,26 @@ def test_link_name_collision_with_data_field_is_suffixed():
 # -- viewers ---------------------------------------------------------------------
 
 
+Viewer = namedtuple("Viewer", "kind root_side field_name type_name wrapped_fields")
+
+
+def viewers(wrapper):
+    """Every viewer root field: its kind and root side from the field and its
+    binding, the fields it wraps from its object type."""
+    found = []
+    for side, root in (("query", wrapper.schema.query_fields),
+                       ("mutation", wrapper.schema.mutation_fields)):
+        for field in root.values():
+            if field.binding.kind != "viewer":
+                continue
+            kind = ("anyAuth" if field.binding.credential_args
+                    else "apiKey" if "apiKey" in field.args else "basicAuth")
+            type_name = field.type.unwrap().name
+            found.append(Viewer(kind, side, field.name, type_name,
+                                sorted(wrapper.schema.types[type_name].fields)))
+    return found
+
+
 SECURED_COMPONENTS = {
     "schemas": {"Thing": {"type": "object", "properties": {"v": {"type": "string"}}}},
     "securitySchemes": {
@@ -443,9 +471,7 @@ def test_api_key_viewer_wraps_secured_fields():
         for name in ("a", "b", "c")
     }
     wrapper = build(paths, components=SECURED_COMPONENTS)
-    viewers = [v for v in wrapper.schema.viewers if v.kind == "apiKey"]
-    assert len(viewers) == 1
-    viewer = viewers[0]
+    [viewer] = [v for v in viewers(wrapper) if v.kind == "apiKey"]
     assert viewer.root_side == "query"
     assert viewer.field_name == "viewerKey1"
     assert len(viewer.wrapped_fields) == 3
@@ -461,7 +487,7 @@ def test_api_key_viewer_wraps_secured_fields():
 
 def test_no_security_schemes_no_viewers():
     wrapper = build({"/x": get_path({"type": "string"})})
-    assert wrapper.schema.viewers == []
+    assert viewers(wrapper) == []
 
 
 def test_two_schemes_produce_scheme_viewers_plus_any_auth():
@@ -470,9 +496,10 @@ def test_two_schemes_produce_scheme_viewers_plus_any_auth():
         "/b": get_path({"$ref": "#/components/schemas/Thing"}, security=[{"basicAuth": []}]),
     }
     wrapper = build(paths, components=SECURED_COMPONENTS)
-    kinds = sorted(v.kind for v in wrapper.schema.viewers)
+    kinds = sorted(v.kind for v in viewers(wrapper))
     assert kinds == ["anyAuth", "apiKey", "basicAuth"]
-    any_auth = next(v for v in wrapper.schema.viewers if v.kind == "anyAuth")
+    assert wrapper.report.stats.viewers_created == 3
+    any_auth = next(v for v in viewers(wrapper) if v.kind == "anyAuth")
     assert any_auth.field_name == "viewerAnyAuth"
     assert len(any_auth.wrapped_fields) == 2
     field = wrapper.schema.query_fields["viewerAnyAuth"]
@@ -492,7 +519,7 @@ def test_oauth_scheme_produces_no_viewer_and_root_placement():
     wrapper = build({"/a": get_path({"$ref": "#/components/schemas/Thing"},
                                     security=[{"oauth": []}])},
                     components=components)
-    assert wrapper.schema.viewers == []
+    assert viewers(wrapper) == []
     assert "thing" in wrapper.schema.query_fields
 
 
