@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError
-from ..preprocessing import NameTables, SanitationMap
 from ..resolver_runtime import (
     ExecutionContext,
     HttpClient,
@@ -176,7 +175,7 @@ def _coerce_input(value: Any, expected: TypeIR, schema: SchemaIR, where: str) ->
         return _coerce_scalar(value, named.name, where)
     if named.kind == ENUM:
         if not isinstance(value, str) or value not in (named.enum_values or []):
-            raise CoercionError(f"{where} expects one of {named.enum_values}, got {value!r}")
+            raise CoercionError(f"{where} expects one of {list(named.enum_values)}, got {value!r}")
         return value
     if named.kind == INPUT_OBJECT:
         if not isinstance(value, dict):
@@ -254,16 +253,16 @@ def _literal_value(node: ValueNode, variables: Mapping[str, Any],
 class Executor:
     """Executes validated query documents against one immutable SchemaIR.
 
-    Completion reads the raw upstream JSON through one name table per named
-    type, built here at serve start from the types' sanitation scopes.
+    Completion reads the raw upstream JSON by each field's raw key, and maps
+    raw enum values through one raw -> sanitized table per enum, built here.
     """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
-                 sanmap: SanitationMap, client: HttpClient | None = None,
-                 max_parallel: int = 8):
+                 client: HttpClient | None = None, max_parallel: int = 8):
         self.schema = schema
         self.plans = plans
-        self.tables = NameTables(schema.types, sanmap)
+        self.enums = {name: {raw: value for value, raw in t.enum_values.items()}
+                      for name, t in schema.types.items() if t.kind == ENUM}
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
 
@@ -310,9 +309,10 @@ class Executor:
         compiled = query.compiled.get((id(selections), parent_type.name))
         if compiled is None:
             compiled = self._compile(selections, parent_type, source.ctx, query)
-        if query.dropped is not None and parent_type.name in self.tables.fields:
-            unexpected = source.value.keys() - self.tables.fields[parent_type.name].values()
-            query.dropped.setdefault(parent_type.name, set()).update(unexpected)
+        if query.dropped is not None:
+            unexpected = source.value.keys() - {f.raw for f in parent_type.fields.values()}
+            if unexpected:
+                query.dropped.setdefault(parent_type.name, set()).update(unexpected)
 
         out: dict[str, Any] = {}
         bubbled: _NonNullViolation | None = None
@@ -358,16 +358,13 @@ class Executor:
                  query: _Query) -> _Compiled:
         """Collect a selection set's fields once per query, deciding which are
         leaves and whether siblings resolve in parallel."""
-        table = self.tables.fields.get(parent_type.name, {})
         fields = []
         for key, nodes in self._collect_fields(selections, parent_type, query.doc).items():
             field_ir = (parent_type.fields or {}).get(nodes[0].name)
             if field_ir is None:  # validation rejects this; defensive only
                 continue
             merged = [s for n in nodes if n.selection_set for s in n.selection_set]
-            raw_key = None
-            if field_ir.binding is None:
-                raw_key = table.get(field_ir.name, field_ir.name)
+            raw_key = field_ir.raw or field_ir.name if field_ir.binding is None else None
             f = _Field(key, nodes, field_ir, merged, raw_key, self._is_leaf(field_ir))
             if f.leaf:  # a list leaf is neither plain nor enum
                 t = field_ir.type.of_type if field_ir.type.kind == NON_NULL else field_ir.type
@@ -375,7 +372,7 @@ class Executor:
                 if named.kind == SCALAR:
                     f.plain = _PASS_THROUGH.get(named.name)
                 elif named.kind == ENUM:
-                    f.enum = self.tables.enums.get(named.name)
+                    f.enum = self.enums.get(named.name)
             fields.append(f)
         operations = sum(1 for f in fields
                          if f.field_ir.binding and f.field_ir.binding.kind == "operation")
@@ -480,7 +477,7 @@ class Executor:
         # Link expressions read the raw object holding the link field.
         spec = bind_runtime(
             plan, args, source.value, source.request_record, source.ctx,
-            self.tables, link_params=binding.link_params,
+            self.schema.types, link_params=binding.link_params,
         )
         spec = inject_auth(spec, plan, source.ctx)
         status, _headers, body = self.client.send(spec)
@@ -582,7 +579,7 @@ class Executor:
 
     def _complete_enum(self, named: TypeIR, value: Any, path: list, errors: list,
                        node: FieldNode):
-        mapped = self.tables.enums.get(named.name, {}).get(str(value))
+        mapped = self.enums.get(named.name, {}).get(str(value))
         if mapped is not None:
             return mapped
         if isinstance(value, str) and value in (named.enum_values or []):

@@ -80,11 +80,12 @@ def _object_type(stream: TokenStream, kind: str, description) -> tuple[str, Type
 def _enum_definition(stream: TokenStream, description) -> tuple[str, TypeIR]:
     name = stream.expect("NAME").value
     stream.expect("PUNCT", "{")
-    values: list[str] = []
+    values: dict[str, str] = {}  # SDL holds no raw values: each value is its own
     while not stream.accept("PUNCT", "}"):
         if stream.current.kind == "STRING":
             stream.advance()
-        values.append(stream.expect("NAME").value)
+        value = stream.expect("NAME").value
+        values[value] = value
     return name, TypeIR(ENUM, name=name, enum_values=values, description=description)
 
 

@@ -35,7 +35,7 @@ INT_MIN = -(2**31)
 
 
 @dataclass
-class _Scope:
+class _OperationState:
     """Per-operation validation state."""
 
     variables: dict[str, TypeNode] = field(default_factory=dict)
@@ -62,7 +62,7 @@ def validate_query(doc: QueryDocument, schema: SchemaIR) -> list[str]:
             errors.append(f"fragment {name!r} is defined but never used")
 
     for op in doc.operations:
-        scope = _Scope()
+        scope = _OperationState()
         for var_def in op.variable_definitions:
             if var_def.name in scope.variables:
                 errors.append(f"variable ${var_def.name} is declared more than once")
@@ -129,7 +129,7 @@ def _check_directives(directives, errors: list[str]) -> None:
 
 
 def _check_selection_set(selections: list, parent: TypeIR, schema: SchemaIR,
-                         doc: QueryDocument, scope: _Scope, errors: list[str],
+                         doc: QueryDocument, scope: _OperationState, errors: list[str],
                          seen_fragments: set[str]) -> None:
     for node in selections:
         if isinstance(node, FieldNode):
@@ -165,7 +165,7 @@ def _check_selection_set(selections: list, parent: TypeIR, schema: SchemaIR,
 
 
 def _check_field(node: FieldNode, parent: TypeIR, schema: SchemaIR, doc: QueryDocument,
-                 scope: _Scope, errors: list[str], seen_fragments: set[str]) -> None:
+                 scope: _OperationState, errors: list[str], seen_fragments: set[str]) -> None:
     _check_directives(node.directives, errors)
     if node.name in ("__schema", "__type", "__typename"):
         errors.append(
@@ -206,7 +206,7 @@ def _check_field(node: FieldNode, parent: TypeIR, schema: SchemaIR, doc: QueryDo
                           f"must not have a selection set (line {node.line})")
 
 
-def _check_value(value: ValueNode, expected: TypeIR, schema: SchemaIR, scope: _Scope,
+def _check_value(value: ValueNode, expected: TypeIR, schema: SchemaIR, scope: _OperationState,
                  errors: list[str], where: str) -> None:
     if value.kind == "variable":
         scope.used.add(value.value)
@@ -242,7 +242,7 @@ def _check_value(value: ValueNode, expected: TypeIR, schema: SchemaIR, scope: _S
     elif named.kind == ENUM:
         if value.kind != "enum" or value.value not in (named.enum_values or []):
             errors.append(f"{where} expects enum {named.name} "
-                          f"(one of {named.enum_values}), got {_describe(value)}")
+                          f"(one of {list(named.enum_values)}), got {_describe(value)}")
     elif named.kind == INPUT_OBJECT:
         if value.kind != "object":
             errors.append(f"{where} expects input object {named.name}, got {_describe(value)}")

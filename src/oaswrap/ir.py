@@ -24,7 +24,7 @@ class TypeIR:
     name: str | None = None
     of_type: "TypeIR | None" = None
     fields: "dict[str, FieldIR] | None" = None
-    enum_values: list[str] | None = None
+    enum_values: dict[str, str] | None = None  # sanitized value -> raw value
     description: str | None = None
 
     def unwrap(self) -> "TypeIR":
@@ -58,6 +58,30 @@ def resolve_type(t: TypeIR, types: dict[str, TypeIR]) -> TypeIR:
     return t
 
 
+def to_raw(types: dict[str, TypeIR], type_name: str | None, value):
+    """De-sanitize an input value of the named type: object keys to their
+    fields' raw keys, each child by its field's own type, and enum values to
+    their raw values. Unknown keys and values pass through."""
+    if isinstance(value, list):
+        return [to_raw(types, type_name, item) for item in value]
+    named = types.get(type_name)
+    if named is None:
+        return value
+    if isinstance(value, dict):
+        fields = named.fields or {}
+        out = {}
+        for key, child in value.items():
+            f = fields.get(key)
+            if f is None:
+                out[key] = child
+            else:
+                out[f.raw or key] = to_raw(types, f.type.unwrap().name, child)
+        return out
+    if isinstance(value, str) and named.enum_values is not None:
+        return named.enum_values.get(value, value)
+    return value
+
+
 @dataclass
 class ArgIR:
     name: str
@@ -81,6 +105,7 @@ class FieldIR:
     args: dict[str, ArgIR] = field(default_factory=dict)
     description: str | None = None
     binding: FieldBinding | None = None
+    raw: str | None = None  # the upstream key of an object or input field
 
 
 @dataclass

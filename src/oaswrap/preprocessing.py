@@ -1,5 +1,6 @@
 """Pre-generation phase: canonical unique names, schema de-duplication, and
-the bidirectional raw/sanitized name mapping used again at serve time.
+the named GraphQL types, each field and enum value carrying the raw name that
+serving maps back to.
 
 The types dictionary flattens every request/response schema (and, recursively,
 every nested object or enum) into uniquely named entries, adding an entry only
@@ -12,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvalidOasError, MissingRefError, SanitationError
-from .ir import ENUM, INPUT_OBJECT, OBJECT, FieldIR, TypeIR, list_of, non_null, reference, scalar
+from .ir import (ENUM, INPUT_OBJECT, OBJECT, SCALAR_TYPE_NAMES, FieldIR, TypeIR, list_of,
+                 non_null, reference, scalar)
 from .oas_ingest import (
     FORM_MEDIA,
     OasDocument,
@@ -52,7 +54,8 @@ def sanitize(raw: str, casing: str = CAMEL) -> str:
 
     In camel mode underscores count as separators too, and the letter after a
     removed separator is upper-cased; separators before the first kept
-    character never upcase (so "$id" stays "id").
+    character never upcase (so "$id" stays "id"). At most one leading
+    underscore is kept, since names starting with "__" are GraphQL's own.
     """
     out: list[str] = []
     pending_upper = False
@@ -70,7 +73,8 @@ def sanitize(raw: str, casing: str = CAMEL) -> str:
         raise SanitationError(f"name {raw!r} contains no characters legal in GraphQL names")
     if out[0].isdigit():
         out.insert(0, "_")
-    return "".join(out)
+    name = "".join(out)
+    return "_" + name.lstrip("_") if name.startswith("__") else name
 
 
 def sanitize_enum_value(value: object, casing: str = CAMEL) -> str:
@@ -98,74 +102,6 @@ def first_free(base: str, taken, counters: dict[str, int] | None = None) -> str:
     if counters is not None:
         counters[base] = counter + 1
     return f"{base}{counter}"
-
-
-@dataclass
-class _Scope:
-    forward: dict[str, str] = field(default_factory=dict)  # raw -> sanitized
-    reverse: dict[str, str] = field(default_factory=dict)  # sanitized -> raw
-
-
-class SanitationMap:
-    """Bidirectional raw/sanitized name mapping, scoped per type or operation."""
-
-    def __init__(self):
-        self.scopes: dict[str, _Scope] = {}
-
-    def scope(self, scope_id: str) -> _Scope:
-        return self.scopes.setdefault(scope_id, _Scope())
-
-    def register(self, scope_id: str, raw: str, sanitized: str) -> str:
-        scope = self.scope(scope_id)
-        if raw in scope.forward:
-            return scope.forward[raw]
-        final = first_free(sanitized, scope.reverse)
-        scope.forward[raw] = final
-        scope.reverse[final] = raw
-        return final
-
-
-class NameTables:
-    """One name table per named type, read from that type's own sanitation
-    scope (``type:<Name>``) only, so no type's key is ever renamed by
-    another type's mapping.
-
-    ``fields`` maps each object or input type's field names to raw upstream
-    keys, ``enums`` each enum's raw values to sanitized values and
-    ``enum_raw`` back. ``types`` maps type names to objects with ``fields``
-    (name -> field with a ``type``) and ``enum_values``, as the schema IR's.
-    """
-
-    def __init__(self, types: dict, sanmap: SanitationMap):
-        self.types = types
-        self.fields: dict[str, dict[str, str]] = {}
-        self.enums: dict[str, dict[str, str]] = {}
-        self.enum_raw: dict[str, dict[str, str]] = {}
-        for name, type_ir in types.items():
-            scope = sanmap.scopes.get(f"type:{name}")
-            if scope is None:
-                continue
-            if type_ir.enum_values is not None:
-                self.enums[name] = scope.forward
-                self.enum_raw[name] = scope.reverse
-            else:
-                self.fields[name] = scope.reverse
-
-    def to_raw(self, type_name: str | None, value):
-        """De-sanitize an input value of the named type: object keys through
-        that type's table and each child through its own type's, enum values
-        through the enum's table. Unknown keys and values pass through."""
-        if isinstance(value, list):
-            return [self.to_raw(type_name, item) for item in value]
-        if isinstance(value, dict):
-            table = self.fields.get(type_name, {})
-            children = getattr(self.types.get(type_name), "fields", None) or {}
-            return {table.get(key, key): self.to_raw(
-                        children[key].type.unwrap().name if key in children else None, child)
-                    for key, child in value.items()}
-        if isinstance(value, str) and type_name in self.enum_raw:
-            return self.enum_raw[type_name].get(value, value)
-        return value
 
 
 # -- structural equality ---------------------------------------------------------
@@ -298,7 +234,8 @@ class TypesDictionary:
     def __init__(self):
         self.entries: dict[str, DictionaryEntry] = {}
         self.types: dict[str, TypeIR] = {}
-        self.taken_names: set[str] = set()
+        # graphql-core's build_schema finds the roots by these conventional names.
+        self.taken_names: set[str] = {*SCALAR_TYPE_NAMES, "Query", "Mutation", "Subscription"}
         self._next_suffix: dict[str, int] = {}  # base -> first counter not yet tried
 
     def take_name(self, candidate: str) -> str | None:
@@ -323,13 +260,12 @@ class OperationBinding:
     response: TypeIR | None = None
     request: TypeIR | None = None
     request_content_type: str | None = None
-    params: dict[str, TypeIR] = field(default_factory=dict)  # raw param name -> type
+    params: list[TypeIR] = field(default_factory=list)  # one per op.parameters entry
 
 
 @dataclass
 class PreprocessResult:
     dictionary: TypesDictionary
-    sanmap: SanitationMap
     bindings: dict[str, OperationBinding]  # operation key -> binding
 
 
@@ -358,14 +294,13 @@ def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation
 
 
 class Preprocessor:
-    """Builds the types dictionary, sanitation map, and operation bindings."""
+    """Builds the types dictionary and the operation bindings."""
 
     def __init__(self, doc: OasDocument, report: Report, casing: str = CAMEL):
         self.doc = doc
         self.report = report
         self.casing = casing
         self.dictionary = TypesDictionary()
-        self.sanmap = SanitationMap()
         self._first: dict[tuple[str, int], str] = {}  # (direction, class) -> entry name
         self._decided: dict[tuple[int, str], TypeIR] = {}  # (id of node, direction) -> type
         self._open_arrays: set[int] = set()  # arrays being classified since the last object
@@ -380,7 +315,7 @@ class Preprocessor:
             bindings[op.key] = self._bind_operation(op)
         self.report.stats.operations_total = len(self.doc.operations)
         self.report.stats.operations_skipped = sum(1 for b in bindings.values() if b.skipped)
-        return PreprocessResult(self.dictionary, self.sanmap, bindings)
+        return PreprocessResult(self.dictionary, bindings)
 
     # -- per-operation ----------------------------------------------------
 
@@ -428,11 +363,10 @@ class Preprocessor:
             if param.schema is None:
                 record_warning(self.report, INVALID_SCHEMA_TYPE, param.pointer,
                                f"parameter {param.name!r} lacks a schema; assuming string")
-                binding.params[param.name] = scalar("String")
+                binding.params.append(scalar("String"))
             else:
-                binding.params[param.name] = self.add(
-                    param.schema, INPUT, property_key=param.name, top_level=False
-                )
+                binding.params.append(self.add(
+                    param.schema, INPUT, property_key=param.name, top_level=False))
         return binding
 
     def _select_response(self, op: OasOperation) -> OasResponse | None:
@@ -544,15 +478,14 @@ class Preprocessor:
         self.dictionary.types[name] = TypeIR(
             OBJECT if direction == OUTPUT else INPUT_OBJECT, name=name, fields=fields,
             description=resolved.description)
-        scope = f"type:{name}"
         open_arrays, self._open_arrays = self._open_arrays, set()
         for key in sorted(resolved.properties):
             child = resolved.properties[key]
-            field_name = self.sanmap.register(scope, key, sanitize(key, self.casing))
+            field_name = first_free(sanitize(key, self.casing), fields)
             field_type = self.add(child, direction, property_key=key)
             if key in resolved.required:
                 field_type = non_null(field_type)
-            fields[field_name] = FieldIR(field_name, field_type,
+            fields[field_name] = FieldIR(field_name, field_type, raw=key,
                                          description=self.doc.deref(child).description)
         self._open_arrays = open_arrays
         return type_ir
@@ -562,12 +495,13 @@ class Preprocessor:
         if existing in self.dictionary.types:
             return reference(existing)
         name = self._new_entry(resolved, direction, ref_name, op, property_key)
-        scope = f"type:{name}"
-        values: list[str] = []
+        values: dict[str, str] = {}  # sanitized -> raw
+        seen: set[str] = set()  # a repeated raw value maps to one name
         for value in resolved.enum:
-            final = self.sanmap.register(scope, str(value), sanitize_enum_value(value, self.casing))
-            if final not in values:  # a repeated raw value maps to the same name
-                values.append(final)
+            sanitized = sanitize_enum_value(value, self.casing)
+            if str(value) not in seen:
+                seen.add(str(value))
+                values[first_free(sanitized, values)] = str(value)
         self.dictionary.types[name] = TypeIR(ENUM, name=name, enum_values=values,
                                              description=resolved.description)
         return reference(name)

@@ -23,15 +23,9 @@ from .errors import (
     UpstreamError,
     UpstreamNotJson,
 )
-from .ir import REFERENCE, TypeIR
+from .ir import REFERENCE, TypeIR, to_raw
 from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
-from .preprocessing import (
-    NameTables,
-    OperationBinding,
-    PreprocessResult,
-    first_free,
-    sanitize,
-)
+from .preprocessing import OperationBinding, PreprocessResult, first_free, sanitize
 
 logger = logging.getLogger("oaswrap.runtime")
 
@@ -114,14 +108,12 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
                       token_path: str | None = None) -> ResolvePlan:
     """Bind base URL, path, method, parameter mapping, defaults, security, and
     the payload's input type for one operation."""
-    sanmap = pre.sanmap
-    scope = f"op:{op.key}"
     parameter_map: dict[str, ParamBinding] = {}
-    for param in op.parameters:
-        arg_name = sanmap.register(scope, param.name, sanitize(param.name, casing))
+    for param, param_type in zip(op.parameters, binding.params):
+        arg_name = first_free(sanitize(param.name, casing), parameter_map)
         parameter_map[arg_name] = ParamBinding(
             arg_name=arg_name, raw_name=param.name, location=param.location,
-            required=param.required, type=binding.params[param.name],
+            required=param.required, type=param_type,
             default=param.default, description=param.description,
         )
 
@@ -167,7 +159,7 @@ def _payload_arg_name(request: TypeIR, pre: PreprocessResult,
 
 def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: Any,
                  parent_request: Mapping[str, Mapping[str, Any]] | None,
-                 ctx: ExecutionContext, tables: NameTables,
+                 ctx: ExecutionContext, types: Mapping[str, TypeIR],
                  link_params: Mapping[str, str] | None = None) -> HttpRequestSpec:
     """Assemble the upstream request for one field resolution.
 
@@ -175,7 +167,8 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
     then a parameter propagated from an ancestor request, then the declared
     default. Link expressions read ``parent_response``, the raw object that
     holds the link field. Every argument value, lists included, and the
-    payload are de-sanitized through their named types' tables before sending.
+    payload are de-sanitized through their named types in ``types`` before
+    sending.
     """
     link_params = link_params or {}
     path = plan.path
@@ -203,7 +196,7 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
                     f"has no value from any source"
                 )
             continue
-        value = tables.to_raw(param.type.unwrap().name, value)
+        value = to_raw(types, param.type.unwrap().name, value)
         sent[param.raw_name] = value
         if param.location == "path":
             path = path.replace("{%s}" % param.raw_name, quote(_plain(value), safe=""))
@@ -228,7 +221,7 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
     if plan.payload_arg is not None:
         if plan.payload_arg in args:
             payload = args[plan.payload_arg]
-            body = tables.to_raw(plan.payload_type, payload)
+            body = to_raw(types, plan.payload_type, payload)
             content_type = plan.payload_content_type
         elif plan.payload_required:
             raise MissingRequiredParameter(

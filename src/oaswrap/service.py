@@ -32,8 +32,8 @@ class GraphQLService:
             raise ValueError("cannot serve a wrapper whose generation failed")
         self.wrapper = wrapper
         self.executor = Executor(
-            wrapper.schema, wrapper.plans, wrapper.pre.sanmap,
-            client or HttpClient(timeout=timeout), max_parallel=max_parallel,
+            wrapper.schema, wrapper.plans, client or HttpClient(timeout=timeout),
+            max_parallel=max_parallel,
         )
         self.base_context = ExecutionContext(
             credentials={}, token_store=token_store, used_params={},

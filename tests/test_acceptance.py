@@ -16,14 +16,10 @@ from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.engine.sdl import parse_sdl
 from oaswrap.evaluate import evaluate_corpus
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.ir import INPUT_OBJECT, NON_NULL, FieldIR, TypeIR, reference
-from oaswrap.preprocessing import (
-    OUTPUT,
-    NameTables,
-    SanitationMap,
-    deep_equal,
-    sanitize,
-)
+from oaswrap.ir import NON_NULL, to_raw
+from oaswrap.oas_ingest import normalize
+from oaswrap.preprocessing import OUTPUT, deep_equal, preprocess
+from oaswrap.report import Report
 from oaswrap.resolver_runtime import ExecutionContext, HttpClient
 from oaswrap.schema_gen import print_sdl
 
@@ -152,8 +148,7 @@ def test_criterion_3_link_composition_two_requests():
         query = '{ user(id: "erik") { name employerCompany { companyName } } }'
         doc = parse_query(query)
         assert validate_query(doc, wrapper.schema) == []
-        executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap,
-                            HttpClient(timeout=5))
+        executor = Executor(wrapper.schema, wrapper.plans, HttpClient(timeout=5))
         result = executor.execute(doc, None, None, ExecutionContext())
         assert result.errors == []
         assert result.data == {"user": {
@@ -246,8 +241,7 @@ def test_criterion_4_identify_translate_chain():
         doc = parse_query(query)
         assert validate_query(doc, wrapper.schema) == [], \
             validate_query(doc, wrapper.schema)
-        executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap,
-                            HttpClient(timeout=5))
+        executor = Executor(wrapper.schema, wrapper.plans, HttpClient(timeout=5))
         result = executor.execute(doc, None, None, ExecutionContext())
         assert result.errors == []
         viewer_data = result.data["mutationViewerBasicAuth"]
@@ -303,20 +297,28 @@ def _walk_keys(value, found):
           suppress_health_check=[HealthCheck.too_slow])
 @given(json_tree)
 def test_criterion_5_sanitation_round_trip(tree):
-    # Every key of the tree is a field of one input type T whose fields are
-    # all of type T again, so the payload de-sanitizer walks the whole tree
-    # through T's name table.
+    # Every key of the tree is a property of one input schema T whose
+    # properties all refer to T again, so preprocessing names every key as a
+    # field of TInput and the payload de-sanitizer walks the whole tree
+    # through TInput's fields. "q" lies outside the key alphabet: it keeps T
+    # an object when the tree has no keys, and names no tree key.
     keys: set[str] = set()
     _walk_keys(tree, keys)
-    sanmap = SanitationMap()
-    names = {}
-    for key in sorted(keys):
-        names[key] = sanmap.register("type:T", key, sanitize(key))
+    ref = {"$ref": "#/components/schemas/T"}
+    ok = {"200": {"description": "ok", "content": {"application/json": {
+        "schema": {"type": "string"}}}}}
+    root = {"openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "paths": {"/t": {"post": {"responses": ok, "requestBody": {
+                "content": {"application/json": {"schema": ref}}}}}},
+            "components": {"schemas": {"T": {"type": "object", "properties": {
+                key: ref for key in [*keys, "q"]}}}}}
+    types = preprocess(normalize(root, "<test>", Report(source="<test>")),
+                       Report(source="<test>")).dictionary.types
+    names = {f.raw: f.name for f in types["TInput"].fields.values()}
+    for key in keys:
         assert NAME_RE.match(names[key])
-    fields = {name: FieldIR(name, reference("T")) for name in names.values()}
-    tables = NameTables({"T": TypeIR(INPUT_OBJECT, name="T", fields=fields)}, sanmap)
     sanitized = _rename_keys(tree, names)
-    restored = tables.to_raw("T", sanitized)
+    restored = to_raw(types, "TInput", sanitized)
     assert restored == tree
 
     emitted: set[str] = set()
@@ -389,10 +391,9 @@ def test_criterion_7_partition_and_nonnull():
             type_ir = schema.types.get(entry.name)
             if type_ir is None or type_ir.fields is None:
                 continue
-            forward = wrapper.pre.sanmap.scopes[f"type:{entry.name}"].forward
+            by_raw = {f.raw: f for f in type_ir.fields.values()}
             for raw_key, child in entry.schema.properties.items():
-                field_name = forward[raw_key]
-                field = type_ir.fields[field_name]
+                field = by_raw[raw_key]
                 should = raw_key in entry.schema.required
                 is_non_null = field.type.kind == NON_NULL
                 assert is_non_null == should, (name, entry.name, raw_key)

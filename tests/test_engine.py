@@ -89,8 +89,8 @@ def linked_wrapper(upstream):
 
 
 def executor_for(wrapper, max_parallel=8):
-    return Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap,
-                    HttpClient(timeout=5), max_parallel=max_parallel)
+    return Executor(wrapper.schema, wrapper.plans, HttpClient(timeout=5),
+                    max_parallel=max_parallel)
 
 
 # -- parse_query -------------------------------------------------------------------
@@ -709,7 +709,7 @@ def test_execute_mutation_viewer_fields_serial_in_order():
                       '{ %s } }' % creates)
     assert validate_query(doc, wrapper.schema) == []
     client = SlowFirstPost()
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, client)
+    executor = Executor(wrapper.schema, wrapper.plans, client)
     result = executor.execute(doc, None, None, ExecutionContext())
     assert result.errors == []
     assert client.tags == aliases
@@ -873,7 +873,7 @@ def execute_items(query, monkeypatch=None, general=False):
         monkeypatch.setattr(Executor, "_is_leaf", lambda self, field_ir: False)
     doc = parse_query(query)
     assert validate_query(doc, wrapper.schema) == []
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(ITEMS))
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(ITEMS))
     return executor.execute(doc, None, None, ExecutionContext()).to_payload()
 
 
@@ -916,7 +916,7 @@ def test_selection_sets_compile_once_per_query(monkeypatch):
     items = [{"id": f"i{n}", "n": n, "box": {"w-d": n}} for n in range(200)]
     wrapper = build({"/items": get_path(
         {"type": "array", "items": {"$ref": "#/components/schemas/Item"}})}, ITEM_COMPONENTS)
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(items))
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(items))
     doc = parse_query("{ getItems { id n box { wD } } }")
     for _ in range(2):
         result = executor.execute(doc, None, None, ExecutionContext())
@@ -930,7 +930,7 @@ def test_non_integral_upstream_number_for_int_is_a_field_error():
         "n": {"type": "integer"}, "m": {"type": "integer"}, "ns": {
             "type": "array", "items": {"type": "integer"}}}})})
     body = {"n": 3.7, "m": 3.0, "ns": [1, 2.5, 4.0]}
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(body))
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
     result = executor.execute(parse_query("{ getX { n m ns } }"), None, None, ExecutionContext())
     assert result.data == {"getX": {"n": None, "m": 3, "ns": [1, None, 4]}}
     assert [(e["path"], e["message"]) for e in result.errors] == [

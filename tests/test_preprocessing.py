@@ -15,13 +15,11 @@ from oaswrap import preprocessing
 from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
 from oaswrap.generator import generate
-from oaswrap.ir import INPUT_OBJECT, FieldIR, TypeIR, reference, scalar
+from oaswrap.ir import scalar, to_raw
 from oaswrap.oas_ingest import load_document, normalize, parse_schema
 from oaswrap.preprocessing import (
     INPUT,
     OUTPUT,
-    NameTables,
-    SanitationMap,
     StructuralClasses,
     deep_equal,
     preprocess,
@@ -81,6 +79,14 @@ def test_sanitize_preserve_keeps_underscores():
     assert sanitize("user-name", casing="preserve") == "username"
 
 
+def test_sanitize_keeps_one_leading_underscore():
+    # Names starting with "__" are reserved for GraphQL's introspection.
+    assert sanitize("__v", casing="preserve") == "_v"
+    assert sanitize("-_-_x", casing="preserve") == "_x"
+    assert sanitize("___", casing="preserve") == "_"
+    assert sanitize("a__b", casing="preserve") == "a__b"
+
+
 def test_sanitize_digit_start_gets_underscore():
     assert sanitize("1st") == "_1st"
 
@@ -109,46 +115,57 @@ def test_sanitize_enum_value_plain():
     assert sanitize_enum_value("en-US") == "enUS"
 
 
-# -- SanitationMap.register -------------------------------------------------------
+# -- field and enum names: one namespace per type -----------------------------------
 
 
-def test_register_mapping_suffixes_on_collision():
-    sanmap = SanitationMap()
-    assert sanmap.register("s", "user-name", sanitize("user-name")) == "userName"
-    assert sanmap.register("s", "user_name", sanitize("user_name")) == "userName2"
-
-
-def test_register_mapping_idempotent():
-    sanmap = SanitationMap()
-    first = sanmap.register("s", "user-name", "userName")
-    again = sanmap.register("s", "user-name", "userName")
-    assert first == again == "userName"
-    assert len(sanmap.scope("s").forward) == 1
-
-
-def test_register_mapping_fresh_scope_no_collision():
-    sanmap = SanitationMap()
-    assert sanmap.register("s", "id", "id") == "id"
-
-
-def test_register_mapping_injective_per_scope():
-    sanmap = SanitationMap()
-    finals = [sanmap.register("s", raw, sanitize(raw))
-              for raw in ("a-b", "a_b", "aB", "ab")]
-    assert len(set(finals)) == len(finals)
-
-
-# -- name tables: payloads de-sanitize, completion reads raw keys ------------------------
+def output_types(schema):
+    """The named types preprocessing builds for a GET /t returning schema."""
+    return preprocess(make_doc({"/t": get_op(schema)}), Report(source="<test>")).dictionary.types
 
 
 def recursive_input(raws):
-    """Name tables for one input type T whose fields, one per raw key, are
-    all of type T again; returns the tables and raw -> sanitized names."""
-    sanmap = SanitationMap()
-    names = {raw: sanmap.register("type:T", raw, sanitize(raw)) for raw in raws}
-    fields = {name: FieldIR(name, reference("T")) for name in names.values()}
-    tables = NameTables({"T": TypeIR(INPUT_OBJECT, name="T", fields=fields)}, sanmap)
-    return tables, names
+    """The types of a document whose input type TInput has one field per raw
+    key, each of type TInput again; and the fields' raw keys -> names."""
+    ok = {"200": {"description": "ok", "content": {"application/json": {
+        "schema": {"type": "string"}}}}}
+    body = {"content": {"application/json": {"schema": _ref("T")}}}
+    doc = make_doc({"/t": {"post": {"requestBody": body, "responses": ok}}},
+                   {"schemas": {"T": {"type": "object",
+                                      "properties": {raw: _ref("T") for raw in raws}}}})
+    types = preprocess(doc, Report(source="<test>")).dictionary.types
+    return types, {f.raw: f.name for f in types["TInput"].fields.values()}
+
+
+def test_register_mapping_suffixes_on_collision():
+    _, names = recursive_input(["user-name", "user_name"])
+    assert names == {"user-name": "userName", "user_name": "userName2"}
+    [enum] = output_types({"type": "string", "enum": ["user-name", "user_name"]}).values()
+    assert enum.enum_values == {"userName": "user-name", "userName2": "user_name"}
+
+
+def test_register_mapping_idempotent():
+    # A repeated raw value maps to one name.
+    [enum] = output_types({"type": "string", "enum": ["user-name", "user-name"]}).values()
+    assert enum.enum_values == {"userName": "user-name"}
+
+
+def test_register_mapping_fresh_scope_no_collision():
+    # Each type names its fields on its own, so "id" is free in both.
+    types = output_types({"type": "object", "properties": {
+        "id": {"type": "string"},
+        "child": {"type": "object", "properties": {"id": {"type": "integer"}}}}})
+    assert [list(t.fields) for t in types.values()] == [["child", "id"], ["id"]]
+
+
+def test_register_mapping_injective_per_scope():
+    raws = ["a-b", "a_b", "aB", "ab"]
+    _, names = recursive_input(raws)
+    assert sorted(names) == sorted(raws) and len(set(names.values())) == len(raws)
+    [enum] = output_types({"type": "string", "enum": raws}).values()
+    assert sorted(enum.enum_values.values()) == sorted(raws)
+
+
+# -- to_raw: payloads de-sanitize, completion reads raw keys ---------------------------
 
 
 def rename_keys(value, names):
@@ -167,13 +184,13 @@ def serve_raw(schema, body, query):
             "servers": [{"url": "https://x.example.com"}], "paths": {"/t": get_op(schema)}}
     wrapper = generate(json.dumps(root).encode())
     assert wrapper.ok, wrapper.report.error_message
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, CannedClient(body))
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
     return executor.execute(parse_query(query), None, None, ExecutionContext())
 
 
 def test_desanitize_tree_paper_example():
-    tables, _ = recursive_input(["$id"])
-    assert tables.to_raw("T", {"id": 1}) == {"$id": 1}
+    types, _ = recursive_input(["$id"])
+    assert to_raw(types, "TInput", {"id": 1}) == {"$id": 1}
 
 
 def test_sanitize_tree_recurses_into_arrays():
@@ -182,14 +199,14 @@ def test_sanitize_tree_recurses_into_arrays():
     result = serve_raw(schema, {"a": [{"x-y": 3}, {"x-y": 4}]}, "{ getT { a { xY } } }")
     assert result.errors == []
     assert result.data == {"getT": {"a": [{"xY": 3}, {"xY": 4}]}}
-    tables, _ = recursive_input(["a", "x-y"])
-    assert tables.to_raw("T", {"a": [{"xY": 3}]}) == {"a": [{"x-y": 3}]}
+    types, _ = recursive_input(["a", "x-y"])
+    assert to_raw(types, "TInput", {"a": [{"xY": 3}]}) == {"a": [{"x-y": 3}]}
 
 
 def test_sanitize_tree_scalar_passthrough():
-    tables, _ = recursive_input(["a"])
-    assert tables.to_raw("T", 42) == 42
-    assert tables.to_raw("T", "x") == "x"
+    types, _ = recursive_input(["a"])
+    assert to_raw(types, "TInput", 42) == 42
+    assert to_raw(types, "TInput", "x") == "x"
 
 
 def test_sanitize_tree_drops_unmapped_keys(caplog):
@@ -202,8 +219,8 @@ def test_sanitize_tree_drops_unmapped_keys(caplog):
 
 
 def test_desanitize_tree_passes_unmapped_keys_through():
-    tables, _ = recursive_input(["known"])
-    assert tables.to_raw("T", {"other": 5}) == {"other": 5}
+    types, _ = recursive_input(["known"])
+    assert to_raw(types, "TInput", {"other": 5}) == {"other": 5}
 
 
 raw_keys = st.text(
@@ -214,11 +231,12 @@ raw_keys = st.text(
 @settings(max_examples=300)
 @given(st.lists(raw_keys, min_size=1, max_size=8, unique=True))
 def test_round_trip_property(keys):
-    tables, names = recursive_input(keys)
+    types, names = recursive_input(keys)
     value = {raw: i for i, raw in enumerate(keys)}
     sanitized = rename_keys(value, names)
     assert all(NAME_RE.match(k) for k in sanitized)
-    assert tables.to_raw("T", sanitized) == value
+    assert len(set(sanitized)) == len(keys)
+    assert to_raw(types, "TInput", sanitized) == value
 
 
 # -- deep_equal -----------------------------------------------------------------------
@@ -518,7 +536,7 @@ def test_repeated_enum_values_dedup_as_a_set():
     enums = [e.name for e in wrapper.pre.dictionary.entries.values()
              if e.direction == OUTPUT and e.schema.enum]
     assert enums == ["getA"]
-    assert wrapper.schema.types["getA"].enum_values == ["red", "blue"]
+    assert list(wrapper.schema.types["getA"].enum_values) == ["red", "blue"]
     build_schema(wrapper.sdl)
 
 
@@ -666,14 +684,15 @@ def test_all_dictionary_names_match_grammar():
         "properties": {
             "first-name": {"type": "string"},
             "nested$": {"type": "object", "properties": {"x": {"type": "string"}}},
+            "kind": {"type": "string", "enum": ["a-b", "$c", "9"]},
         },
     })})
     pre = preprocess(doc, Report(source="<test>"))
     for entry in pre.dictionary.entries.values():
         assert NAME_RE.match(entry.name)
-    for scope in pre.sanmap.scopes.values():
-        for sanitized in scope.reverse:
-            assert NAME_RE.match(sanitized)
+    for type_ir in pre.dictionary.types.values():
+        for name in [*(type_ir.fields or {}), *(type_ir.enum_values or {})]:
+            assert NAME_RE.match(name)
 
 
 def test_rebuild_is_deterministic():

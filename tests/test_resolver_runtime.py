@@ -18,7 +18,6 @@ from oaswrap.errors import (
     UpstreamNotJson,
 )
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.preprocessing import NameTables
 from oaswrap.resolver_runtime import (
     ExecutionContext,
     HttpClient,
@@ -58,10 +57,6 @@ def get_path(schema, parameters=None, security=None):
 
 
 EMPTY_CTX = ExecutionContext()
-
-
-def tables(wrapper):
-    return NameTables(wrapper.schema.types, wrapper.pre.sanmap)
 
 
 # -- make_resolve_plan -----------------------------------------------------------
@@ -139,22 +134,22 @@ def test_bind_path_substitution_and_escaping():
                      "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /user/{id}"]
-    spec = bind_runtime(plan, {"id": "erik"}, None, None, EMPTY_CTX, tables(wrapper))
+    spec = bind_runtime(plan, {"id": "erik"}, None, None, EMPTY_CTX, wrapper.schema.types)
     assert spec.url == "https://api.example.com/user/erik"
-    spec = bind_runtime(plan, {"id": "a/b c"}, None, None, EMPTY_CTX, tables(wrapper))
+    spec = bind_runtime(plan, {"id": "a/b c"}, None, None, EMPTY_CTX, wrapper.schema.types)
     assert spec.url.endswith("/user/a%2Fb%20c")
 
 
 def test_bind_applies_default_when_absent():
     wrapper, plan = make_plan_fixture(default="10")
-    spec = bind_runtime(plan, {}, None, None, EMPTY_CTX, tables(wrapper))
+    spec = bind_runtime(plan, {}, None, None, EMPTY_CTX, wrapper.schema.types)
     assert ("p", "10") in spec.query
 
 
 def test_bind_missing_required_parameter_raises():
     wrapper, plan = make_plan_fixture(required=True)
     with pytest.raises(MissingRequiredParameter):
-        bind_runtime(plan, {}, None, None, EMPTY_CTX, tables(wrapper))
+        bind_runtime(plan, {}, None, None, EMPTY_CTX, wrapper.schema.types)
 
 
 def test_bind_desanitizes_argument_names():
@@ -163,7 +158,7 @@ def test_bind_desanitizes_argument_names():
         parameters=[{"name": "page-size", "in": "query", "schema": {"type": "integer"}}],
     )})
     plan = wrapper.plans["GET /q"]
-    spec = bind_runtime(plan, {"pageSize": 5}, None, None, EMPTY_CTX, tables(wrapper))
+    spec = bind_runtime(plan, {"pageSize": 5}, None, None, EMPTY_CTX, wrapper.schema.types)
     assert spec.query == [("page-size", "5")]
 
 
@@ -183,7 +178,7 @@ def test_bind_desanitizes_body_keys_recursively():
     plan = wrapper.plans["POST /things"]
     payload = {"id": 1, "nested": {"xY": "v"}}
     spec = bind_runtime(plan, {plan.payload_arg: payload}, None, None, EMPTY_CTX,
-                        tables(wrapper))
+                        wrapper.schema.types)
     assert spec.body == {"$id": 1, "nested": {"x-y": "v"}}
 
 
@@ -206,13 +201,32 @@ def test_bind_desanitizes_enum_values_in_lists_too():
                     {"name": "one", "in": "query", "schema": status}],
     )})
     client = RecordingClient({"n": 1})
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap, client)
+    executor = Executor(wrapper.schema, wrapper.plans, client)
     query = "{ getItems(status: [inStock, soldOut], one: inStock) { n } }"
     result = executor.execute(parse_query(query), None, None, EMPTY_CTX)
     assert result.errors == [] and result.data == {"getItems": {"n": 1}}
     assert [spec.query for spec in client.sent] == [
         [("status", "in-stock"), ("status", "sold-out"), ("one", "in-stock")]]
 
+
+
+def test_same_named_parameters_in_two_locations_are_two_arguments():
+    # A path "id" and a query "id" each keep their own argument and type.
+    wrapper = build({"/s/{id}": get_path(
+        {"type": "object", "properties": {"n": {"type": "integer"}}},
+        parameters=[{"name": "id", "in": "path", "required": True,
+                     "schema": {"type": "integer"}},
+                    {"name": "id", "in": "query",
+                     "schema": {"type": "string", "enum": ["a-b", "c"]}}],
+    )})
+    assert "getSId(id: Int!, id2: IdInput)" in wrapper.sdl
+    client = RecordingClient({"n": 1})
+    executor = Executor(wrapper.schema, wrapper.plans, client)
+    query = "{ getSId(id: 7, id2: aB) { n } }"
+    result = executor.execute(parse_query(query), None, None, EMPTY_CTX)
+    assert result.errors == [] and result.data == {"getSId": {"n": 1}}
+    [spec] = client.sent
+    assert (spec.url, spec.query) == ("https://api.example.com/s/7", [("id", "a-b")])
 
 @pytest.mark.parametrize(
     "has_arg,has_link,has_used,has_default",
@@ -225,7 +239,7 @@ def test_bind_precedence_total_order(has_arg, has_link, has_used, has_default):
     link_params = {"p": "$response.body#/v"} if has_link else {}
     parent = {"v": "from_link"}
     ctx = EMPTY_CTX.with_used_params({"p": "from_used"}) if has_used else EMPTY_CTX
-    spec = bind_runtime(plan, args, parent, None, ctx, tables(wrapper),
+    spec = bind_runtime(plan, args, parent, None, ctx, wrapper.schema.types,
                         link_params=link_params)
     sent = dict(spec.query)
     if has_arg:
@@ -250,7 +264,7 @@ def test_bind_propagated_parameter_matches_on_raw_name():
     )})
     plan = wrapper.plans["GET /child"]
     ctx = EMPTY_CTX.with_used_params({"api-version": "7"})
-    spec = bind_runtime(plan, {}, None, None, ctx, tables(wrapper))
+    spec = bind_runtime(plan, {}, None, None, ctx, wrapper.schema.types)
     assert spec.query == [("api-version", "7")]
 
 
@@ -260,13 +274,13 @@ def test_bind_header_parameters():
         parameters=[{"name": "X-Trace", "in": "header", "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /h"]
-    spec = bind_runtime(plan, {"XTrace": "t1"}, None, None, EMPTY_CTX, tables(wrapper))
+    spec = bind_runtime(plan, {"XTrace": "t1"}, None, None, EMPTY_CTX, wrapper.schema.types)
     assert spec.headers["X-Trace"] == "t1"
 
 
 def test_bind_records_sent_params_for_propagation():
     wrapper, plan = make_plan_fixture(default="d")
-    spec = bind_runtime(plan, {"p": "x"}, None, None, EMPTY_CTX, tables(wrapper))
+    spec = bind_runtime(plan, {"p": "x"}, None, None, EMPTY_CTX, wrapper.schema.types)
     assert spec.sent_params == {"p": "x"}
 
 
@@ -420,8 +434,7 @@ def serve_shaped(schema, body, query):
     body; the body goes through shape_response and completion."""
     wrapper = build({"/t": get_path(schema)})
     assert shape_response(body, True) is body
-    executor = Executor(wrapper.schema, wrapper.plans, wrapper.pre.sanmap,
-                        CannedClient(body))
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
     return executor.execute(parse_query(query), None, None, EMPTY_CTX)
 
 

@@ -6,9 +6,12 @@ from collections import namedtuple
 
 import pytest
 
+from conftest import CORPUS_DIR, CannedClient, load_manifest
+from oaswrap.engine import Executor, parse_query
 from oaswrap.engine.sdl import parse_sdl
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, NON_NULL, OBJECT, REFERENCE, resolve_type
+from oaswrap.resolver_runtime import ExecutionContext
 from oaswrap.schema_gen import print_sdl
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
@@ -61,7 +64,7 @@ def test_enum_translation():
     assert wrapper.ok
     enums = [t for t in wrapper.schema.types.values() if t.kind == ENUM]
     assert len(enums) == 1
-    assert enums[0].enum_values == ["asc", "desc"]
+    assert list(enums[0].enum_values) == ["asc", "desc"]
 
 
 def test_paper_user_example_shape():
@@ -634,3 +637,68 @@ def test_all_emitted_names_match_grammar():
                 assert NAME_RE.match(arg.name)
     for field_name in list(schema.query_fields) + list(schema.mutation_fields):
         assert NAME_RE.match(field_name)
+
+
+# -- reserved names ------------------------------------------------------------------
+
+
+def graphql_core_errors(sdl):
+    """graphql-core's schema validation messages for an SDL document."""
+    from graphql import build_schema, validate_schema
+
+    return [error.message for error in validate_schema(build_schema(sdl))]
+
+
+def serve(wrapper, body, query):
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
+    result = executor.execute(parse_query(query), None, None, ExecutionContext())
+    return result.errors, result.data
+
+
+def reserved_name_document(name):
+    """GET /s returning the component schema called name, with a String field."""
+    return build({"/s": get_path({"$ref": f"#/components/schemas/{name}"})},
+                 {"schemas": {name: {"type": "object", "properties": {
+                     "a": {"type": "string"}}}}})
+
+
+def test_component_named_query_yields_one_query_root():
+    wrapper = reserved_name_document("Query")
+    assert wrapper.ok, wrapper.report.error_message
+    assert graphql_core_errors(wrapper.sdl) == []
+    assert wrapper.sdl.count("type Query ") == 1
+
+
+def test_component_named_string_leaves_the_scalar_alone():
+    wrapper = reserved_name_document("String")
+    assert wrapper.ok, wrapper.report.error_message
+    assert graphql_core_errors(wrapper.sdl) == []
+    assert "type String " not in wrapper.sdl and "a: String" in wrapper.sdl
+    [root] = wrapper.schema.query_fields
+    assert serve(wrapper, {"a": "x"}, f"{{ {root} {{ a }} }}") == ([], {root: {"a": "x"}})
+
+
+def test_double_underscore_property_keeps_one_underscore_in_preserve_casing():
+    # Mongoose's version key: names starting with "__" belong to introspection.
+    root = {"openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://x.example.com"}],
+            "paths": {"/s": get_path({"type": "object", "properties": {
+                "__v": {"type": "integer"}, "name": {"type": "string"}}})}}
+    wrapper = generate(json.dumps(root).encode(), GenerationOptions(casing="preserve"))
+    assert wrapper.ok, wrapper.report.error_message
+    assert graphql_core_errors(wrapper.sdl) == []
+    assert "  _v: Int" in wrapper.sdl
+    [root] = wrapper.schema.query_fields
+    assert serve(wrapper, {"__v": 3, "name": "n"}, f"{{ {root} {{ _v name }} }}") == (
+        [], {root: {"_v": 3, "name": "n"}})
+
+
+def test_every_generating_fixture_passes_graphql_core_schema_validation():
+    checked = 0
+    for name in sorted(load_manifest()["files"]):
+        for strict in (False, True):
+            wrapper = generate(CORPUS_DIR / name, GenerationOptions(strict=strict))
+            if wrapper.ok:
+                assert graphql_core_errors(wrapper.sdl) == [], (name, strict)
+                checked += 1
+    assert checked >= 31
