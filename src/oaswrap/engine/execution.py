@@ -485,8 +485,8 @@ class Executor:
         parsed = parse_upstream_body(status, body, expects_structured=not stringlike)
         return Source(
             value=shape_response(parsed, not stringlike),
-            request_record={"path": spec.path_values, "query": spec.query_values},
-            ctx=source.ctx.with_used_params(spec.sent_params),
+            request_record=spec.sent,
+            ctx=source.ctx.with_used_params(spec.sent),
         )
 
     # -- completion ---------------------------------------------------------------

@@ -87,10 +87,9 @@ def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
         binding = pre.bindings[op.key]
         if binding.skipped:
             continue
-        plans[op.key] = make_resolve_plan(op, doc, binding, pre, options.casing,
-                                          options.token_path)
+        plans[op.key] = make_resolve_plan(op, doc, binding, options.token_path)
     wrapper.plans = plans
 
-    schema = assemble_schema(doc, pre, plans, report, options.casing)
+    schema = assemble_schema(doc, pre, report, options.casing)
     wrapper.schema = schema
     wrapper.sdl = print_sdl(schema)

@@ -6,6 +6,7 @@ assembly adds the roots, and the engine validates and executes against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 SCALAR = "Scalar"
 ENUM = "Enum"
@@ -84,16 +85,22 @@ def to_raw(types: dict[str, TypeIR], type_name: str | None, value):
 
 @dataclass
 class ArgIR:
+    """A field argument. An operation argument also records where its value
+    goes upstream; a required one already has a non-null type."""
+
     name: str
     type: TypeIR
     description: str | None = None
+    raw: str | None = None  # the upstream parameter name; None for the body
+    location: str | None = None  # path | query | header | body
+    default: Any = None
 
 
 @dataclass
 class FieldBinding:
     kind: str  # "operation" | "viewer" | "placeholder"
     plan_key: str | None = None
-    link_params: dict[str, str] = field(default_factory=dict)  # raw param -> expression
+    link_params: dict[str, str] = field(default_factory=dict)  # argument name -> expression
     schemes: list[str] = field(default_factory=list)  # viewer credential schemes
     credential_args: dict[str, str] = field(default_factory=dict)  # anyAuth: arg -> scheme
 

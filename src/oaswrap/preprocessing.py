@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvalidOasError, MissingRefError, SanitationError
-from .ir import (ENUM, INPUT_OBJECT, OBJECT, SCALAR_TYPE_NAMES, FieldIR, TypeIR, list_of,
-                 non_null, reference, scalar)
+from .ir import (ENUM, INPUT_OBJECT, OBJECT, REFERENCE, SCALAR_TYPE_NAMES, ArgIR, FieldIR,
+                 TypeIR, list_of, non_null, reference, scalar)
 from .oas_ingest import (
     FORM_MEDIA,
     OasDocument,
@@ -258,9 +258,8 @@ class OperationBinding:
     op: OasOperation
     skipped: bool = False
     response: TypeIR | None = None
-    request: TypeIR | None = None
-    request_content_type: str | None = None
-    params: list[TypeIR] = field(default_factory=list)  # one per op.parameters entry
+    # The operation's arguments: its parameters in declaration order, then the body.
+    args: dict[str, ArgIR] = field(default_factory=dict)
 
 
 @dataclass
@@ -345,28 +344,41 @@ class Preprocessor:
         else:
             binding.response = self.add(response.schema, OUTPUT, op=op, top_level=True)
 
+        request = None
         if op.request_body is not None:
             body = op.request_body
             if is_json_media(body.content_type) or body.content_type == FORM_MEDIA:
-                binding.request = self.add(body.schema, INPUT, op=op, top_level=True)
-                binding.request_content_type = body.content_type
+                request = self.add(body.schema, INPUT, op=op, top_level=True)
             else:
                 record_warning(
                     self.report, INVALID_SCHEMA_TYPE, body.pointer,
                     f"request content type {body.content_type!r} is not JSON; "
                     f"accepting the payload as String",
                 )
-                binding.request = scalar("String")
-                binding.request_content_type = body.content_type
+                request = scalar("String")
 
+        args = binding.args
         for param in op.parameters:
             if param.schema is None:
                 record_warning(self.report, INVALID_SCHEMA_TYPE, param.pointer,
                                f"parameter {param.name!r} lacks a schema; assuming string")
-                binding.params.append(scalar("String"))
+                param_type = scalar("String")
             else:
-                binding.params.append(self.add(
-                    param.schema, INPUT, property_key=param.name, top_level=False))
+                param_type = self.add(param.schema, INPUT, property_key=param.name,
+                                      top_level=False)
+            name = first_free(sanitize(param.name, self.casing), args)
+            args[name] = ArgIR(name, non_null(param_type) if param.required else param_type,
+                               param.description, raw=param.name, location=param.location,
+                               default=param.default)
+        if request is not None:
+            # The payload is named after its input type, lower-cased.
+            base = "payload"
+            if request.kind == REFERENCE:
+                base = self.dictionary.entries[request.name].base_name
+                base = base[:1].lower() + base[1:]
+            name = first_free(base, args)
+            args[name] = ArgIR(name, non_null(request) if op.request_body.required else request,
+                               op.request_body.description, location="body")
         return binding
 
     def _select_response(self, op: OasOperation) -> OasResponse | None:

@@ -23,9 +23,9 @@ from .errors import (
     UpstreamError,
     UpstreamNotJson,
 )
-from .ir import REFERENCE, TypeIR, to_raw
+from .ir import NON_NULL, ArgIR, TypeIR, to_raw
 from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
-from .preprocessing import OperationBinding, PreprocessResult, first_free, sanitize
+from .preprocessing import OperationBinding
 
 logger = logging.getLogger("oaswrap.runtime")
 
@@ -33,17 +33,6 @@ DEFAULT_TIMEOUT = 30.0
 BODY_EXCERPT_LIMIT = 1024
 
 _UNSET = object()
-
-
-@dataclass
-class ParamBinding:
-    arg_name: str
-    raw_name: str
-    location: str  # path | query | header
-    required: bool
-    type: TypeIR  # the argument's type, before a required one is made non-null
-    default: Any = None
-    description: str | None = None
 
 
 @dataclass
@@ -55,11 +44,8 @@ class ResolvePlan:
     method: str
     path: str
     base_url: str
-    parameter_map: dict[str, ParamBinding] = field(default_factory=dict)  # by arg name
-    payload_arg: str | None = None
-    payload_required: bool = False
-    payload_content_type: str | None = None
-    payload_type: str | None = None  # named input type of the payload, for de-sanitizing
+    args: dict[str, ArgIR] = field(default_factory=dict)  # the operation's arguments
+    content_type: str | None = None  # of the body argument's payload
     security: list[SecurityScheme] = field(default_factory=list)
     token_path: str | None = None
 
@@ -79,12 +65,15 @@ class ExecutionContext:
         merged.update(creds)
         return replace(self, credentials=merged)
 
-    def with_used_params(self, params: Mapping[str, Any]) -> "ExecutionContext":
+    def with_used_params(self, sent: Mapping[str, Mapping[str, Any]]) -> "ExecutionContext":
+        """Add what a request sent, by raw name. Of one request's values that
+        share a raw name, the path value wins, then the query value."""
+        params: dict[str, Any] = {}
+        for location in ("header", "query", "path"):
+            params.update(sent.get(location, {}))
         if not params:
             return self
-        merged = dict(self.used_params)
-        merged.update(params)
-        return replace(self, used_params=merged)
+        return replace(self, used_params={**self.used_params, **params})
 
 
 @dataclass
@@ -95,63 +84,29 @@ class HttpRequestSpec:
     query: list[tuple[str, str]] = field(default_factory=list)
     body: Any = None  # de-sanitized JSON value (or raw text)
     content_type: str | None = None
-    sent_params: dict[str, Any] = field(default_factory=dict)  # raw name -> value
-    path_values: dict[str, Any] = field(default_factory=dict)
-    query_values: dict[str, Any] = field(default_factory=dict)
+    # location (path | query | header) -> raw name -> de-sanitized value
+    sent: dict[str, dict[str, Any]] = field(default_factory=dict)
 
 
 # -- plan construction -----------------------------------------------------------
 
 
 def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBinding,
-                      pre: PreprocessResult, casing: str = "camel",
                       token_path: str | None = None) -> ResolvePlan:
-    """Bind base URL, path, method, parameter mapping, defaults, security, and
-    the payload's input type for one operation."""
-    parameter_map: dict[str, ParamBinding] = {}
-    for param, param_type in zip(op.parameters, binding.params):
-        arg_name = first_free(sanitize(param.name, casing), parameter_map)
-        parameter_map[arg_name] = ParamBinding(
-            arg_name=arg_name, raw_name=param.name, location=param.location,
-            required=param.required, type=param_type,
-            default=param.default, description=param.description,
-        )
-
-    payload_arg = None
-    payload_required = False
-    payload_content_type = None
-    payload_type = None
-    if op.request_body is not None and binding.request is not None:
-        payload_arg = _payload_arg_name(binding.request, pre, parameter_map)
-        payload_required = op.request_body.required
-        payload_content_type = binding.request_content_type or "application/json"
-        named = binding.request.unwrap()
-        payload_type = named.name if named.kind == REFERENCE else None
-
+    """Bind base URL, path, method, arguments, security, and the payload's
+    content type for one operation."""
     return ResolvePlan(
         operation_key=op.key,
         method=op.method.upper(),
         path=op.path,
         base_url=doc.servers[0] if doc.servers else "",
-        parameter_map=parameter_map,
-        payload_arg=payload_arg,
-        payload_required=payload_required,
-        payload_content_type=payload_content_type,
-        payload_type=payload_type,
+        args=binding.args,
+        content_type=(op.request_body.content_type or "application/json"
+                      if op.request_body is not None else None),
         security=[doc.security_schemes[name] for name in op.security
                   if name in doc.security_schemes],
         token_path=token_path,
     )
-
-
-def _payload_arg_name(request: TypeIR, pre: PreprocessResult,
-                      parameter_map: dict[str, ParamBinding]) -> str:
-    if request.kind == REFERENCE:
-        base = pre.dictionary.entries[request.name].base_name
-        name = base[:1].lower() + base[1:]
-    else:
-        name = "payload"
-    return first_free(name, parameter_map)
 
 
 # -- runtime binding ------------------------------------------------------------
@@ -165,50 +120,49 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
 
     Per-parameter precedence: explicit argument, then link expression value,
     then a parameter propagated from an ancestor request, then the declared
-    default. Link expressions read ``parent_response``, the raw object that
-    holds the link field. Every argument value, lists included, and the
-    payload are de-sanitized through their named types in ``types`` before
-    sending.
+    default. ``link_params`` maps argument names to link expressions, which
+    read ``parent_response``, the raw object that holds the link field. Every
+    argument value, lists included, and the payload are de-sanitized through
+    their named types in ``types`` before sending.
     """
     link_params = link_params or {}
     path = plan.path
-    sent: dict[str, Any] = {}
-    path_values: dict[str, Any] = {}
-    query_values: dict[str, Any] = {}
+    sent: dict[str, dict[str, Any]] = {"path": {}, "query": {}, "header": {}}
     query_pairs: list[tuple[str, str]] = []
     headers: dict[str, str] = dict(ctx.extra_headers)
+    payload = None
 
-    for arg_name, param in plan.parameter_map.items():
+    for arg in plan.args.values():
+        if arg.location == "body":
+            payload = arg
+            continue
         value = _UNSET
-        if arg_name in args:
-            value = args[arg_name]
-        elif param.raw_name in link_params:
-            value = eval_link_expression(link_params[param.raw_name], parent_response,
-                                         parent_request)
-        elif param.raw_name in ctx.used_params:
-            value = ctx.used_params[param.raw_name]
-        elif param.default is not None:
-            value = param.default
+        if arg.name in args:
+            value = args[arg.name]
+        elif arg.name in link_params:
+            value = eval_link_expression(link_params[arg.name], parent_response, parent_request)
+        elif arg.raw in ctx.used_params:
+            value = ctx.used_params[arg.raw]
+        elif arg.default is not None:
+            value = arg.default
         if value is _UNSET:
-            if param.required:
+            if arg.type.kind == NON_NULL:
                 raise MissingRequiredParameter(
-                    f"required parameter {param.raw_name!r} of {plan.operation_key} "
+                    f"required parameter {arg.raw!r} of {plan.operation_key} "
                     f"has no value from any source"
                 )
             continue
-        value = to_raw(types, param.type.unwrap().name, value)
-        sent[param.raw_name] = value
-        if param.location == "path":
-            path = path.replace("{%s}" % param.raw_name, quote(_plain(value), safe=""))
-            path_values[param.raw_name] = value
-        elif param.location == "query":
-            query_values[param.raw_name] = value
+        value = to_raw(types, arg.type.unwrap().name, value)
+        sent[arg.location][arg.raw] = value
+        if arg.location == "path":
+            path = path.replace("{%s}" % arg.raw, quote(_plain(value), safe=""))
+        elif arg.location == "query":
             if isinstance(value, list):
-                query_pairs.extend((param.raw_name, _plain(v)) for v in value)
+                query_pairs.extend((arg.raw, _plain(v)) for v in value)
             else:
-                query_pairs.append((param.raw_name, _plain(value)))
+                query_pairs.append((arg.raw, _plain(value)))
         else:  # header
-            headers[param.raw_name] = _plain(value)
+            headers[arg.raw] = _plain(value)
 
     if "{" in path:
         missing = path[path.index("{") + 1: path.index("}")] if "}" in path else path
@@ -218,14 +172,13 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
 
     body = None
     content_type = None
-    if plan.payload_arg is not None:
-        if plan.payload_arg in args:
-            payload = args[plan.payload_arg]
-            body = to_raw(types, plan.payload_type, payload)
-            content_type = plan.payload_content_type
-        elif plan.payload_required:
+    if payload is not None:
+        if payload.name in args:
+            body = to_raw(types, payload.type.unwrap().name, args[payload.name])
+            content_type = plan.content_type
+        elif payload.type.kind == NON_NULL:
             raise MissingRequiredParameter(
-                f"required request body argument {plan.payload_arg!r} of "
+                f"required request body argument {payload.name!r} of "
                 f"{plan.operation_key} was not provided"
             )
 
@@ -236,9 +189,7 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
         query=query_pairs,
         body=body,
         content_type=content_type,
-        sent_params=sent,
-        path_values=path_values,
-        query_values=query_values,
+        sent=sent,
     )
 
 

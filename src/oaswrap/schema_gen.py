@@ -6,6 +6,7 @@ mutation fields with resolve-plan bindings; then SDL printing.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from .ir import (
     ENUM,
@@ -31,15 +32,14 @@ from .oas_ingest import (
 )
 from .preprocessing import OperationBinding, PreprocessResult, first_free, sanitize
 from .report import UNSUPPORTED_FEATURE, Report, record_warning
-from .resolver_runtime import ResolvePlan
 
 
 # -- link attachment -------------------------------------------------------------
 
 
 def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDefinition],
-                 doc: OasDocument, plans: dict[str, ResolvePlan],
-                 bindings: dict[str, OperationBinding], report: Report, casing: str = "camel") -> int:
+                 doc: OasDocument, bindings: dict[str, OperationBinding], report: Report,
+                 casing: str = "camel") -> int:
     """Add one extra field per usable link to the operation's response type.
 
     Returns the number of fields attached; unusable links are skipped with a
@@ -55,7 +55,7 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
                            f"with {indexed[0]!r}; link skipped")
             continue
         target = _find_link_target(doc, link)
-        if target is None or target.key not in plans or bindings[target.key].skipped:
+        if target is None or bindings[target.key].skipped:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} targets a missing or skipped operation; link skipped")
             continue
@@ -70,37 +70,41 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
                            f"{unsupported[0]!r}; link skipped")
             continue
 
-        target_plan = plans[target.key]
         field_name = first_free(lower_first(sanitize(name, casing)), object_type.fields)
-
+        target_args = bindings[target.key].args
+        link_params = {arg_name: expr for key, expr in link.parameters.items()
+                       if (arg_name := _link_argument(target_args, key)) is not None}
+        # A required argument stays required on the link field unless the
+        # parent operation declares the same raw name, in which case the
+        # propagated value covers it and the argument relaxes to optional.
         parent_params = {p.name for p in op.parameters}
-        args: dict[str, ArgIR] = {}
-        for arg_name, param in target_plan.parameter_map.items():
-            if param.raw_name in link.parameters:
-                continue  # satisfied by the link expression
-            arg_type = param.type
-            # A required parameter stays required on the link field unless the
-            # parent operation declares the same raw name, in which case the
-            # propagated value covers it and the argument relaxes to optional.
-            if param.required and param.raw_name not in parent_params:
-                arg_type = non_null(arg_type)
-            args[arg_name] = ArgIR(arg_name, arg_type, param.description)
-        if target_plan.payload_arg is not None:
-            payload_type = bindings[target.key].request
-            if target_plan.payload_required:
-                payload_type = non_null(payload_type)
-            args[target_plan.payload_arg] = ArgIR(target_plan.payload_arg, payload_type)
+        args = {arg_name: _relaxed(arg) if arg.raw in parent_params else arg
+                for arg_name, arg in target_args.items() if arg_name not in link_params}
 
         object_type.fields[field_name] = FieldIR(
             name=field_name,
             type=bindings[target.key].response,
             args=args,
             description=link.description,
-            binding=FieldBinding("operation", plan_key=target.key,
-                                 link_params=dict(link.parameters)),
+            binding=FieldBinding("operation", plan_key=target.key, link_params=link_params),
         )
         attached += 1
     return attached
+
+
+def _link_argument(args: dict[str, ArgIR], key: str) -> str | None:
+    """The target argument a link parameter key binds: a qualified key
+    (``path.id``, ``query.id``, ``header.X``) the parameter in that location,
+    any other key the first declared parameter of that raw name."""
+    location, _, raw = key.partition(".")
+    for arg in args.values():
+        if (arg.location, arg.raw) == (location, raw):
+            return arg.name
+    return next((arg.name for arg in args.values() if arg.raw == key), None)
+
+
+def _relaxed(arg: ArgIR) -> ArgIR:
+    return replace(arg, type=arg.type.of_type) if arg.type.kind == NON_NULL else arg
 
 
 def _find_link_target(doc: OasDocument, link: LinkDefinition) -> OasOperation | None:
@@ -154,11 +158,10 @@ def viewer_eligible(scheme) -> bool:
 class SchemaAssembler:
     """Builds the SchemaIR: named types, root fields, viewers, link fields."""
 
-    def __init__(self, doc: OasDocument, pre: PreprocessResult,
-                 plans: dict[str, ResolvePlan], report: Report, casing: str = "camel"):
+    def __init__(self, doc: OasDocument, pre: PreprocessResult, report: Report,
+                 casing: str = "camel"):
         self.doc = doc
         self.pre = pre
-        self.plans = plans
         self.report = report
         self.casing = casing
         self._credential_types: dict[str, str] = {}  # scheme name -> input type name
@@ -181,8 +184,8 @@ class SchemaAssembler:
                     record_warning(self.report, UNSUPPORTED_FEATURE, link.pointer,
                                    "link declared on a non-object response; link skipped")
                 continue
-            attached += attach_links(target_type, op, links, self.doc, self.plans,
-                                     self.pre.bindings, self.report, self.casing)
+            attached += attach_links(target_type, op, links, self.doc, self.pre.bindings,
+                                     self.report, self.casing)
         self.report.stats.links_attached = attached
 
         self._place_operations(schema)
@@ -241,21 +244,8 @@ class SchemaAssembler:
                 self._add_any_auth_viewer(schema, side, members, root_names[side])
 
     def _operation_field(self, op: OasOperation, binding: OperationBinding) -> FieldIR:
-        plan = self.plans[op.key]
-        args: dict[str, ArgIR] = {}
-        for arg_name, param in plan.parameter_map.items():
-            arg_type = param.type
-            if param.required:
-                arg_type = non_null(arg_type)
-            args[arg_name] = ArgIR(arg_name, arg_type, param.description)
-        if plan.payload_arg is not None:
-            payload_type = binding.request
-            if plan.payload_required:
-                payload_type = non_null(payload_type)
-            args[plan.payload_arg] = ArgIR(plan.payload_arg, payload_type,
-                                           op.request_body.description if op.request_body else None)
         return FieldIR(
-            name=self._field_base(op, binding), type=binding.response, args=args,
+            name=self._field_base(op, binding), type=binding.response, args=binding.args,
             description=op.description,
             binding=FieldBinding("operation", plan_key=op.key),
         )
@@ -373,10 +363,9 @@ def _renamed(field_ir: FieldIR, name: str) -> FieldIR:
                    description=field_ir.description, binding=field_ir.binding)
 
 
-def assemble_schema(doc: OasDocument, pre: PreprocessResult,
-                    plans: dict[str, ResolvePlan], report: Report,
+def assemble_schema(doc: OasDocument, pre: PreprocessResult, report: Report,
                     casing: str = "camel") -> SchemaIR:
-    return SchemaAssembler(doc, pre, plans, report, casing).assemble()
+    return SchemaAssembler(doc, pre, report, casing).assemble()
 
 
 # -- SDL printing -------------------------------------------------------------------

@@ -398,20 +398,19 @@ def test_criterion_7_partition_and_nonnull():
                 is_non_null = field.type.kind == NON_NULL
                 assert is_non_null == should, (name, entry.name, raw_key)
 
-        # NonNull <=> required over operation arguments
-        for key, plan in wrapper.plans.items():
-            for param in plan.parameter_map.values():
-                field = None
-                for side in ("query", "mutation"):
-                    for candidate in _operation_fields(schema, side):
-                        if candidate.binding.plan_key == key:
-                            field = candidate
-                            break
-                    if field:
-                        break
-                assert field is not None, (name, key)
-                arg = field.args[param.arg_name]
-                assert (arg.type.kind == NON_NULL) == param.required, (name, key)
+        # NonNull <=> required over operation arguments, as the document declares it
+        operations = {op.key: op for op in wrapper.document.operations}
+        fields = {f.binding.plan_key: f for side in ("query", "mutation")
+                  for f in _operation_fields(schema, side)}
+        for key in wrapper.plans:
+            op, field = operations[key], fields.get(key)
+            assert field is not None, (name, key)
+            required = {(p.name, p.location): p.required for p in op.parameters}
+            assert len(field.args) == len(required) + (op.request_body is not None), (name, key)
+            for arg in field.args.values():
+                should = (op.request_body.required if arg.location == "body"
+                          else required[arg.raw, arg.location])
+                assert (arg.type.kind == NON_NULL) == should, (name, key, arg.name)
     passed(7, "query fields <=> GET operations and NonNull <=> required "
               "on every fixture")
 

@@ -683,7 +683,7 @@ def test_execute_mutation_viewer_fields_serial_in_order():
             self.tags: list[str] = []
 
         def send(self, spec):
-            tag = spec.query_values["tag"]
+            tag = spec.sent["query"]["tag"]
             if tag == aliases[0]:
                 time.sleep(0.2)
             self.tags.append(tag)

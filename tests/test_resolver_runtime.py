@@ -18,6 +18,7 @@ from oaswrap.errors import (
     UpstreamNotJson,
 )
 from oaswrap.generator import GenerationOptions, generate
+from oaswrap.ir import NON_NULL
 from oaswrap.resolver_runtime import (
     ExecutionContext,
     HttpClient,
@@ -72,10 +73,10 @@ def test_plan_binds_design_time_information():
     assert plan.method == "GET"
     assert plan.base_url == "https://api.example.com"
     assert plan.path == "/user/{id}"
-    binding = plan.parameter_map["id"]
-    assert binding.location == "path"
-    assert binding.raw_name == "id"
-    assert binding.required is True
+    arg = plan.args["id"]
+    assert arg.location == "path"
+    assert arg.raw == "id"
+    assert arg.type.kind == NON_NULL  # required
 
 
 def test_plan_records_declared_default():
@@ -85,7 +86,7 @@ def test_plan_records_declared_default():
                      "schema": {"type": "integer", "default": 10}}],
     )})
     plan = wrapper.plans["GET /items"]
-    assert plan.parameter_map["limit"].default == 10
+    assert plan.args["limit"].default == 10
 
 
 def test_plan_payload_arg_named_after_input_type():
@@ -100,8 +101,9 @@ def test_plan_payload_arg_named_after_input_type():
             "id": {"type": "string"}}}}},
     )
     plan = wrapper.plans["POST /users"]
-    assert plan.payload_arg == "user"
-    assert plan.payload_required is True
+    assert list(plan.args) == ["user"]
+    assert plan.args["user"].location == "body"
+    assert plan.args["user"].type.kind == NON_NULL  # required
 
 
 def test_plan_sanitizes_argument_names():
@@ -110,8 +112,8 @@ def test_plan_sanitizes_argument_names():
         parameters=[{"name": "page-size", "in": "query", "schema": {"type": "integer"}}],
     )})
     plan = wrapper.plans["GET /q"]
-    assert "pageSize" in plan.parameter_map
-    assert plan.parameter_map["pageSize"].raw_name == "page-size"
+    assert "pageSize" in plan.args
+    assert plan.args["pageSize"].raw == "page-size"
 
 
 # -- bind_runtime -----------------------------------------------------------------
@@ -177,7 +179,8 @@ def test_bind_desanitizes_body_keys_recursively():
     )
     plan = wrapper.plans["POST /things"]
     payload = {"id": 1, "nested": {"xY": "v"}}
-    spec = bind_runtime(plan, {plan.payload_arg: payload}, None, None, EMPTY_CTX,
+    [body] = [arg.name for arg in plan.args.values() if arg.location == "body"]
+    spec = bind_runtime(plan, {body: payload}, None, None, EMPTY_CTX,
                         wrapper.schema.types)
     assert spec.body == {"$id": 1, "nested": {"x-y": "v"}}
 
@@ -238,7 +241,7 @@ def test_bind_precedence_total_order(has_arg, has_link, has_used, has_default):
     args = {"p": "from_arg"} if has_arg else {}
     link_params = {"p": "$response.body#/v"} if has_link else {}
     parent = {"v": "from_link"}
-    ctx = EMPTY_CTX.with_used_params({"p": "from_used"}) if has_used else EMPTY_CTX
+    ctx = EMPTY_CTX.with_used_params({"query": {"p": "from_used"}}) if has_used else EMPTY_CTX
     spec = bind_runtime(plan, args, parent, None, ctx, wrapper.schema.types,
                         link_params=link_params)
     sent = dict(spec.query)
@@ -256,6 +259,60 @@ def test_bind_precedence_total_order(has_arg, has_link, has_used, has_default):
     assert sent["p"] == expected
 
 
+def linked_same_named_parameters(key):
+    """GET /p links to GET /s/{id}, which has a path id and a query id."""
+    link = {"operationId": "getS", "parameters": {key: "$response.body#/x"}}
+    paths = {
+        "/p": get_path({"type": "object", "properties": {"x": {"type": "integer"}}}),
+        "/s/{id}": get_path(
+            {"type": "object", "properties": {"n": {"type": "integer"}}},
+            parameters=[{"name": "id", "in": "path", "required": True,
+                         "schema": {"type": "integer"}},
+                        {"name": "id", "in": "query",
+                         "schema": {"type": "string", "enum": ["a-b", "c"]}}]),
+    }
+    paths["/p"]["get"]["responses"]["200"]["links"] = {"S": link}
+    paths["/s/{id}"]["get"]["operationId"] = "getS"
+    return build(paths)
+
+
+def run_linked(wrapper, query):
+    client = RecordingClient({"x": 5})
+    result = Executor(wrapper.schema, wrapper.plans, client).execute(
+        parse_query(query), None, None, EMPTY_CTX)
+    assert result.errors == [] and result.data == {"getP": {"s": {"n": None}}}
+    return [(spec.url, spec.query) for spec in client.sent]
+
+
+@pytest.mark.parametrize("key", ["id", "path.id"])
+def test_link_key_binds_one_of_two_same_named_parameters(key):
+    # An unqualified key binds the first declared "id", the path one; the
+    # query "id" stays on the link field.
+    wrapper = linked_same_named_parameters(key)
+    assert "s(id2: IdInput)" in wrapper.sdl
+    assert run_linked(wrapper, "{ getP { s { n } } }") == [
+        ("https://api.example.com/p", []), ("https://api.example.com/s/5", [])]
+
+
+def test_link_key_qualified_by_query_binds_the_query_parameter():
+    wrapper = linked_same_named_parameters("query.id")
+    assert "s(id: Int!)" in wrapper.sdl
+    assert run_linked(wrapper, "{ getP { s(id: 3) { n } } }") == [
+        ("https://api.example.com/p", []), ("https://api.example.com/s/3", [("id", "5")])]
+
+
+def test_propagated_parameter_prefers_the_path_value():
+    # A parent that sent a path "id" and a query "id" passes the path value
+    # on to a child parameter named "id".
+    ctx = EMPTY_CTX.with_used_params({"path": {"id": "p"}, "query": {"id": "q"},
+                                      "header": {"id": "h"}})
+    assert ctx.used_params == {"id": "p"}
+    wrapper = build({"/c": get_path({"type": "string"}, parameters=[
+        {"name": "id", "in": "query", "required": True, "schema": {"type": "string"}}])})
+    spec = bind_runtime(wrapper.plans["GET /c"], {}, None, None, ctx, wrapper.schema.types)
+    assert spec.query == [("id", "p")]
+
+
 def test_bind_propagated_parameter_matches_on_raw_name():
     wrapper = build({"/child": get_path(
         {"type": "string"},
@@ -263,7 +320,7 @@ def test_bind_propagated_parameter_matches_on_raw_name():
                      "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /child"]
-    ctx = EMPTY_CTX.with_used_params({"api-version": "7"})
+    ctx = EMPTY_CTX.with_used_params({"path": {"api-version": "7"}})
     spec = bind_runtime(plan, {}, None, None, ctx, wrapper.schema.types)
     assert spec.query == [("api-version", "7")]
 
@@ -281,7 +338,8 @@ def test_bind_header_parameters():
 def test_bind_records_sent_params_for_propagation():
     wrapper, plan = make_plan_fixture(default="d")
     spec = bind_runtime(plan, {"p": "x"}, None, None, EMPTY_CTX, wrapper.schema.types)
-    assert spec.sent_params == {"p": "x"}
+    assert spec.sent == {"path": {}, "query": {"p": "x"}, "header": {}}
+    assert EMPTY_CTX.with_used_params(spec.sent).used_params == {"p": "x"}
 
 
 # -- eval_link_expression ------------------------------------------------------------

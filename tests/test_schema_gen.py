@@ -136,6 +136,16 @@ def test_boolean_enum_is_sanitation_error_in_both_modes():
         assert wrapper.report.error_kind == "SanitationError"
 
 
+def test_unsanitizable_parameter_name_fails_during_preprocessing():
+    paths = {"/s": get_path({"type": "string"}, parameters=[
+        {"name": "$$", "in": "query", "schema": {"type": "string"}}])}
+    for strict in (False, True):
+        wrapper = build(paths, strict=strict)
+        assert not wrapper.ok
+        assert wrapper.report.error_kind == "SanitationError"
+        assert wrapper.report.stats.operations_total == 0  # preprocessing never finished
+
+
 def test_scalar_mappings():
     wrapper = build({"/n": get_path({"type": "object", "properties": {
         "i": {"type": "integer"}, "f": {"type": "number"},
