@@ -303,14 +303,28 @@ def test_link_key_qualified_by_query_binds_the_query_parameter():
 
 def test_propagated_parameter_prefers_the_path_value():
     # A parent that sent a path "id" and a query "id" passes the path value
-    # on to a child parameter named "id".
-    ctx = EMPTY_CTX.with_used_params({"path": {"id": "p"}, "query": {"id": "q"},
-                                      "header": {"id": "h"}})
-    assert ctx.used_params == {"id": "p"}
-    wrapper = build({"/c": get_path({"type": "string"}, parameters=[
-        {"name": "id", "in": "query", "required": True, "schema": {"type": "string"}}])})
-    spec = bind_runtime(wrapper.plans["GET /c"], {}, None, None, ctx, wrapper.schema.types)
-    assert spec.query == [("id", "p")]
+    # on to a linked child's parameter "id".
+    string = {"type": "string"}
+    paths = {
+        "/p/{id}": get_path({"type": "object", "properties": {"x": {"type": "integer"}}},
+                            parameters=[{"name": "id", "in": "path", "required": True,
+                                         "schema": string},
+                                        {"name": "id", "in": "query", "schema": string}]),
+        "/c": get_path({"type": "object", "properties": {"n": {"type": "integer"}}},
+                       parameters=[{"name": "id", "in": "query", "required": True,
+                                    "schema": string}]),
+    }
+    paths["/p/{id}"]["get"]["responses"]["200"]["links"] = {
+        "C": {"operationId": "getC", "parameters": {}}}
+    paths["/c"]["get"]["operationId"] = "getC"
+    wrapper = build(paths)
+    client = RecordingClient({"x": 5})
+    result = Executor(wrapper.schema, wrapper.plans, client).execute(
+        parse_query('{ getPId(id: "p", id2: "q") { c { n } } }'), None, None, EMPTY_CTX)
+    assert result.errors == []
+    assert [(spec.url, spec.query) for spec in client.sent] == [
+        ("https://api.example.com/p/p", [("id", "q")]),
+        ("https://api.example.com/c", [("id", "p")])]
 
 
 def test_bind_propagated_parameter_matches_on_raw_name():
