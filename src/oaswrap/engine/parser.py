@@ -19,11 +19,16 @@ from .ast import (
 )
 from .lexer import TokenStream
 
+# Nesting of selection sets, list values and types, and object values. The
+# parser, validator and executor recurse once or more per level.
+MAX_DEPTH = 64
+
 
 def parse_query(text: str) -> QueryDocument:
     if not text or not text.strip():
         raise GraphQLSyntaxError("query text is empty")
     stream = TokenStream(text)
+    _check_depth(stream)
     doc = QueryDocument()
     while stream.current.kind != "EOF":
         token = stream.current
@@ -49,6 +54,20 @@ def parse_query(text: str) -> QueryDocument:
     if not doc.operations:
         raise GraphQLSyntaxError("document defines no operations")
     return doc
+
+
+def _check_depth(stream: TokenStream) -> None:
+    depth = 0
+    for token in stream.tokens:
+        if token.kind != "PUNCT":
+            continue
+        if token.value in "{[":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise GraphQLSyntaxError(f"query nests deeper than {MAX_DEPTH} levels",
+                                         token.line, token.column)
+        elif token.value in "}]":
+            depth -= 1
 
 
 def _operation(stream: TokenStream) -> OperationNode:

@@ -104,6 +104,12 @@ class UpstreamNotJson(ResolveError):
     kind = "UpstreamNotJson"
 
 
+class UpstreamTooLarge(ResolveError):
+    """An upstream body exceeds resolver_runtime.MAX_UPSTREAM_BYTES."""
+
+    kind = "UpstreamTooLarge"
+
+
 class NetworkError(ResolveError):
     kind = "NetworkError"
 

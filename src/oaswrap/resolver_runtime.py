@@ -8,11 +8,23 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import select
+import ssl
+import threading
+import zlib
 from dataclasses import dataclass, field, replace
+from http.client import (
+    HTTPConnection,
+    HTTPException,
+    HTTPResponse,
+    HTTPSConnection,
+    IncompleteRead,
+    InvalidURL,
+    RemoteDisconnected,
+)
 from typing import Any, Mapping
-from urllib.parse import quote, urlencode
-
-import requests
+from urllib.parse import quote, unquote, urlencode, urljoin, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .errors import (
     ExpressionUnresolvable,
@@ -22,6 +34,7 @@ from .errors import (
     RequestTimeout,
     UpstreamError,
     UpstreamNotJson,
+    UpstreamTooLarge,
 )
 from .ir import NON_NULL, ArgIR, TypeIR, to_raw
 from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
@@ -31,6 +44,8 @@ logger = logging.getLogger("oaswrap.runtime")
 
 DEFAULT_TIMEOUT = 30.0
 BODY_EXCERPT_LIMIT = 1024
+MAX_UPSTREAM_BYTES = 32 * 1024 * 1024  # per upstream body, on the wire and decoded
+MAX_REDIRECTS = 30
 
 _UNSET = object()
 
@@ -86,6 +101,7 @@ class HttpRequestSpec:
     content_type: str | None = None
     # location (path | query | header) -> raw name -> de-sanitized value
     sent: dict[str, dict[str, Any]] = field(default_factory=dict)
+    operation: str = ""  # the plan's operation key, for error messages
 
 
 # -- plan construction -----------------------------------------------------------
@@ -190,6 +206,7 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
         body=body,
         content_type=content_type,
         sent=sent,
+        operation=plan.operation_key,
     )
 
 
@@ -325,37 +342,201 @@ def read_token(store: Any, token_path: str | None) -> Any:
 
 
 class HttpClient:
-    """Thin transport wrapper; one round trip, no retries."""
+    """Keep-alive HTTP/1.1 transport shared by every query thread.
+
+    Idle connections wait in one pool keyed by (scheme, host, port), which the
+    per-connection threads of a threading server share, so the pool holds at
+    most as many connections as there were concurrent sends. A connection goes
+    back only when its response was read to the end and the server keeps it
+    open.
+    """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT):
         self.timeout = timeout
-        self.session = requests.Session()
+        self._idle: dict[tuple[str, str, int], list[_Connection]] = {}
+        self._lock = threading.Lock()
+        self._tls: ssl.SSLContext | None = None  # built on the first HTTPS connection
 
     def send(self, spec: HttpRequestSpec) -> tuple[int, Mapping[str, str], bytes]:
-        """One HTTP round trip; network failures map to execution errors."""
-        headers = dict(spec.headers)
-        kwargs: dict[str, Any] = {}
+        """One HTTP round trip, following redirects; network failures map to
+        execution errors."""
+        given = {name.lower() for name in spec.headers}
+        headers = {k: v for k, v in _DEFAULT_HEADERS.items() if k.lower() not in given}
+        headers.update(spec.headers)
+        body = None
         if spec.body is not None:
             content_type = spec.content_type or "application/json"
             if content_type == FORM_MEDIA and isinstance(spec.body, dict):
-                kwargs["data"] = urlencode({k: _plain(v) for k, v in spec.body.items()})
+                body = urlencode({k: _plain(v) for k, v in spec.body.items()}).encode("ascii")
             elif isinstance(spec.body, str):
-                kwargs["data"] = spec.body.encode("utf-8")
+                body = spec.body.encode("utf-8")
             else:
-                kwargs["data"] = json.dumps(spec.body).encode("utf-8")
-            headers.setdefault("Content-Type", content_type)
+                body = json.dumps(spec.body).encode("utf-8")
+            if "content-type" not in given:
+                headers["Content-Type"] = content_type
+        url = spec.url
+        if spec.query:
+            url += ("&" if "?" in url else "?") + urlencode(spec.query)
+        method = spec.method
         try:
-            response = self.session.request(
-                spec.method, spec.url, params=spec.query or None, headers=headers,
-                timeout=self.timeout, **kwargs,
-            )
-        except requests.Timeout as exc:
+            for _ in range(MAX_REDIRECTS + 1):
+                status, response_headers, data = self._exchange(method, url, headers, body, spec)
+                location = response_headers.get("Location")
+                if status not in (301, 302, 303, 307, 308) or location is None:
+                    logger.debug("upstream %s %s -> %s", method, url.split("?")[0], status)
+                    return status, response_headers, data
+                target = urljoin(url, location)
+                dropped = set()
+                if status in (301, 302, 303):  # as browsers do: the body is not resent
+                    body = None
+                    dropped.add("content-type")
+                    if method != "HEAD" and (status != 301 or method == "POST"):
+                        method = "GET"
+                before, after = urlsplit(url), urlsplit(target)
+                if after.hostname != before.hostname or (before.scheme, after.scheme) == (
+                        "https", "http"):
+                    dropped.add("authorization")  # credentials stay with their host and on TLS
+                headers = {k: v for k, v in headers.items() if k.lower() not in dropped}
+                url = target
+        except TimeoutError as exc:
             raise RequestTimeout(f"request to {spec.url} timed out") from exc
-        except requests.RequestException as exc:
+        except (OSError, HTTPException, ValueError, zlib.error) as exc:
             raise NetworkError(f"request to {spec.url} failed: {exc}") from exc
-        logger.debug("upstream %s %s -> %s", spec.method, spec.url.split("?")[0],
-                     response.status_code)
-        return response.status_code, response.headers, response.content
+        raise NetworkError(f"request to {spec.url} exceeded {MAX_REDIRECTS} redirects")
+
+    def close(self) -> None:
+        """Close the idle connections; a later send opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.http.close()
+
+    def _exchange(self, method: str, url: str, headers: dict[str, str], body: bytes | None,
+                  spec: HttpRequestSpec) -> tuple[int, Mapping[str, str], bytes]:
+        """One request and its whole response on a pooled or new connection.
+        An idempotent request that finds a reused socket closed by the server
+        is sent once more on a new connection."""
+        parts = urlsplit(url)
+        scheme = parts.scheme.lower()
+        if scheme not in _DEFAULT_PORTS or not parts.hostname:
+            raise InvalidURL(f"no http or https host in {url.split('?')[0]!r}")
+        key = (scheme, parts.hostname, parts.port or _DEFAULT_PORTS[scheme])
+        path = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        conn = self._idle_connection(key)
+        if conn is not None:
+            try:
+                response = _request(conn, method, path, headers, body)
+            except _STALE:
+                if method not in _IDEMPOTENT:
+                    raise
+                conn = None
+        if conn is None:
+            conn = self._connect(key)
+            response = _request(conn, method, path, headers, body)
+        try:
+            data = response.read(MAX_UPSTREAM_BYTES + 1)
+            if len(data) > MAX_UPSTREAM_BYTES:
+                raise UpstreamTooLarge(_too_large(spec))
+            if response.length:
+                raise IncompleteRead(data, response.length)
+        except BaseException:
+            conn.http.close()
+            raise
+        finally:
+            response.close()
+        if response.will_close:
+            conn.http.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        return response.status, response.headers, _decoded(
+            data, response.headers.get("Content-Encoding"), spec)
+
+    def _idle_connection(self, key: tuple[str, str, int]) -> _Connection | None:
+        """A pooled connection to key that the server has not closed, if any.
+        A readable idle socket holds an EOF or stray bytes, so it is dropped."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(key)
+                if not idle:
+                    return None
+                conn = idle.pop()
+            sock = conn.http.sock
+            if sock is not None and not select.select([sock], [], [], 0)[0]:
+                return conn
+            conn.http.close()
+
+    def _connect(self, key: tuple[str, str, int]) -> _Connection:
+        """A new connection to key, through the proxy the environment names for
+        its scheme unless the host is exempt: an HTTP proxy is sent absolute
+        URLs, and HTTPS goes through a CONNECT tunnel."""
+        scheme, host, port = key
+        proxy = getproxies().get(scheme)
+        if not proxy or proxy_bypass(f"{host}:{port}"):
+            return _Connection(self._open(scheme, host, port))
+        parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        auth = {}
+        if parts.username is not None:
+            token = base64.b64encode(
+                f"{unquote(parts.username)}:{unquote(parts.password or '')}".encode()
+            ).decode("ascii")
+            auth["Proxy-Authorization"] = f"Basic {token}"
+        conn = self._open(scheme, parts.hostname, parts.port or 80)
+        if scheme == "https":
+            conn.set_tunnel(host, port, headers=auth)
+            return _Connection(conn)
+        return _Connection(conn, f"http://{host}:{port}", auth)
+
+    def _open(self, scheme: str, host: str, port: int) -> HTTPConnection:
+        if scheme == "http":
+            return HTTPConnection(host, port, timeout=self.timeout)
+        with self._lock:
+            if self._tls is None:
+                self._tls = ssl.create_default_context()
+        return HTTPSConnection(host, port, timeout=self.timeout, context=self._tls)
+
+
+@dataclass
+class _Connection:
+    http: HTTPConnection
+    prefix: str = ""  # an HTTP proxy is sent the absolute URL
+    headers: dict[str, str] = field(default_factory=dict)  # added to each request
+
+
+def _request(conn: _Connection, method: str, path: str, headers: dict[str, str],
+             body: bytes | None) -> HTTPResponse:
+    """Send one request on conn and read the response head; a failure closes conn."""
+    try:
+        conn.http.request(method, conn.prefix + path, body, {**headers, **conn.headers})
+        return conn.http.getresponse()
+    except BaseException:
+        conn.http.close()
+        raise
+
+
+_DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
+                    "User-Agent": "oaswrap"}
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_IDEMPOTENT = frozenset({"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"})
+# What a request on a kept-alive socket the server has since closed raises.
+_STALE = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _decoded(data: bytes, encoding: str | None, spec: HttpRequestSpec) -> bytes:
+    """The body with a gzip or (zlib-wrapped) deflate coding removed; the
+    decoded size is capped like the wire size."""
+    if (encoding or "").strip().lower() not in ("gzip", "x-gzip", "deflate"):
+        return data
+    decoded = zlib.decompressobj(zlib.MAX_WBITS | 32).decompress(data, MAX_UPSTREAM_BYTES + 1)
+    if len(decoded) > MAX_UPSTREAM_BYTES:
+        raise UpstreamTooLarge(_too_large(spec))
+    return decoded
+
+
+def _too_large(spec: HttpRequestSpec) -> str:
+    return (f"upstream response of {spec.operation or spec.url} exceeds "
+            f"{MAX_UPSTREAM_BYTES} bytes")
 
 
 def parse_upstream_body(status: int, body: bytes, expects_structured: bool) -> Any:

@@ -75,9 +75,10 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
         link_params = {arg_name: expr for key, expr in link.parameters.items()
                        if (arg_name := _link_argument(target_args, key)) is not None}
         # A required argument stays required on the link field unless the
-        # parent operation declares the same raw name, in which case the
-        # propagated value covers it and the argument relaxes to optional.
-        parent_params = {p.name for p in op.parameters}
+        # parent operation always sends the same raw name (a required
+        # parameter, or one with a default), whose propagated value then
+        # covers it and the argument relaxes to optional.
+        parent_params = {p.name for p in op.parameters if p.required or p.default is not None}
         args = {arg_name: _relaxed(arg) if arg.raw in parent_params else arg
                 for arg_name, arg in target_args.items() if arg_name not in link_params}
 

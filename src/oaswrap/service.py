@@ -1,14 +1,15 @@
 """GraphQL-over-HTTP service for a generated wrapper.
 
 POST /graphql executes queries (HTTP 200 even for execution errors, 400 for
-request errors); GET /sdl returns the schema text; GET /report the generation
-report.
+request errors, 500 with an error ID for an internal error); GET /sdl returns
+the schema text; GET /report the generation report.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
@@ -117,7 +118,13 @@ def make_server(service: GraphQLService, host: str = "127.0.0.1",
                 self._send(400, b'{"errors": [{"message": "request body is not valid JSON"}]}',
                            "application/json")
                 return
-            status, body = service.handle_graphql(payload)
+            try:
+                status, body = service.handle_graphql(payload)
+            except Exception:  # the server keeps serving; the client gets no stack trace
+                error_id = os.urandom(8).hex()
+                logger.exception("internal error %s handling POST /graphql", error_id)
+                status, body = 500, {"errors": [{"message": f"internal error {error_id}",
+                                                 "extensions": {"errorId": error_id}}]}
             self._send(status, json.dumps(body).encode("utf-8"), "application/json")
 
     return WrapperServer((host, port), Handler)
@@ -132,3 +139,4 @@ def serve_forever(service: GraphQLService, host: str, port: int) -> None:
         pass
     finally:
         server.server_close()
+        service.executor.client.close()

@@ -2,18 +2,26 @@
 injection, response shaping, and the HTTP round trip."""
 
 import base64
+import gzip
 import itertools
 import json
+import threading
+import time
+import zlib
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import CannedClient
+from oaswrap import resolver_runtime
 from oaswrap.engine import Executor, parse_query
 from oaswrap.errors import (
     ExpressionUnresolvable,
     MissingCredentials,
     MissingRequiredParameter,
     NetworkError,
+    RequestTimeout,
     UpstreamError,
     UpstreamNotJson,
 )
@@ -583,3 +591,310 @@ def test_execute_request_unreachable_host_is_network_error():
     spec = HttpRequestSpec(method="GET", url="http://127.0.0.1:1/nope")
     with pytest.raises(NetworkError):
         HttpClient(timeout=2).send(spec)
+
+
+@pytest.mark.parametrize("url", ["/relative/path", "ftp://files.example.com/x"])
+def test_execute_request_without_http_host_is_network_error(url):
+    spec = HttpRequestSpec(method="GET", url=url, query=[("key", "s3cret")])
+    with pytest.raises(NetworkError) as caught:
+        HttpClient(timeout=2).send(spec)
+    assert "s3cret" not in str(caught.value)
+
+
+# -- HttpClient connection reuse and protocol handling ---------------------------------
+
+
+class KeepAliveUpstream(ThreadingHTTPServer):
+    """An HTTP/1.1 upstream that keeps connections open, counts the
+    connections it accepts and records each request it reads. answer(handler)
+    returns (status, headers, body), or None to close without answering; it
+    may set handler.close_connection to close after answering."""
+
+    daemon_threads = True
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.connections = 0
+        self.seen = []  # (method, request target, headers, body)
+        upstream = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            timeout = 5
+
+            def log_message(self, *args):
+                pass
+
+            def _handle(self):
+                length = int(self.headers.get("Content-Length") or 0)
+                body = self.rfile.read(length) if length else b""
+                upstream.seen.append((self.command, self.path, dict(self.headers), body))
+                reply = upstream.answer(self)
+                if reply is None:
+                    self.close_connection = True
+                    return
+                status, headers, payload = reply
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            do_GET = do_POST = do_CONNECT = _handle
+
+        super().__init__(("127.0.0.1", 0), Handler)
+
+    def get_request(self):
+        self.connections += 1
+        return super().get_request()
+
+    @property
+    def base_url(self):
+        host, port = self.server_address
+        return f"http://{host}:{port}"
+
+
+@pytest.fixture
+def keepalive():
+    servers = []
+
+    def start(answer=lambda handler: (200, {}, b'{"ok": true}')):
+        server = KeepAliveUpstream(answer)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def client():
+    client = HttpClient(timeout=5)
+    yield client
+    client.close()
+
+
+def get(url, client, **fields):
+    return client.send(HttpRequestSpec(method="GET", url=url, **fields))
+
+
+def in_thread(fn):
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(5)
+    assert not thread.is_alive()
+    return result[0]
+
+
+def test_sends_from_two_threads_share_one_connection(keepalive, client):
+    server = keepalive()
+    for _ in range(2):
+        status, _, body = in_thread(lambda: get(f"{server.base_url}/a", client))
+        assert (status, json.loads(body)) == (200, {"ok": True})
+    assert server.connections == 1
+    assert len(server.seen) == 2
+
+
+def closes_after_each_answer(handler):
+    handler.close_connection = True  # without a Connection: close header
+    return 200, {}, b'{"ok": true}'
+
+
+def test_idle_socket_closed_by_upstream_is_replaced(keepalive, client):
+    server = keepalive(closes_after_each_answer)
+    for _ in range(3):
+        assert get(f"{server.base_url}/a", client)[0] == 200
+    assert server.connections == 3
+
+
+@pytest.fixture
+def blind_reuse(monkeypatch):
+    """Make every pooled socket look idle, so a request meets the closed
+    socket itself instead of being moved to a new connection beforehand."""
+    monkeypatch.setattr(resolver_runtime, "select",
+                        SimpleNamespace(select=lambda r, w, x, timeout: ([], [], [])))
+
+
+def test_get_on_a_closed_reused_socket_is_retried_once(keepalive, blind_reuse, client):
+    server = keepalive(closes_after_each_answer)
+    get(f"{server.base_url}/a", client)
+    assert get(f"{server.base_url}/a", client)[0] == 200
+    assert server.connections == 2
+
+
+def test_post_on_a_reused_socket_is_sent_at_most_once(keepalive, blind_reuse, client):
+    def answer(handler):  # reads the POST, then drops the connection unanswered
+        return None if handler.command == "POST" else (200, {}, b"{}")
+
+    server = keepalive(answer)
+    get(f"{server.base_url}/warm", client)
+    with pytest.raises(NetworkError):
+        client.send(HttpRequestSpec(method="POST", url=f"{server.base_url}/submit",
+                                    body={"n": 1}))
+    assert [seen[0] for seen in server.seen].count("POST") == 1
+
+
+def test_get_follows_relative_redirect(keepalive, client):
+    def answer(handler):
+        if handler.path == "/old":
+            return 302, {"Location": "../new/place?x=1"}, b""
+        return 200, {}, json.dumps({"at": handler.path}).encode()
+
+    server = keepalive(answer)
+    status, _, body = get(f"{server.base_url}/old", client)
+    assert (status, json.loads(body)) == (200, {"at": "/new/place?x=1"})
+
+
+def test_post_303_becomes_get_without_body(keepalive, client):
+    def answer(handler):
+        if handler.command == "POST":
+            return 303, {"Location": "/result"}, b""
+        return 200, {}, b'{"done": true}'
+
+    server = keepalive(answer)
+    spec = HttpRequestSpec(method="POST", url=f"{server.base_url}/make", body={"n": 1},
+                           content_type="application/json")
+    assert client.send(spec)[0] == 200
+    (post, _, _, sent), (get_, target, headers, body) = server.seen
+    assert (post, sent, get_, target, body) == ("POST", b'{"n": 1}', "GET", "/result", b"")
+    assert "Content-Type" not in headers
+
+
+def test_redirect_to_another_host_drops_authorization(keepalive, client):
+    def answer(handler):
+        if handler.headers["Host"].startswith("127.0.0.1"):
+            port = handler.server.server_address[1]
+            return 302, {"Location": f"http://localhost:{port}/there"}, b""
+        return 200, {}, b"{}"
+
+    server = keepalive(answer)
+    get(f"{server.base_url}/here", client,
+        headers={"Authorization": "Bearer t", "X-Keep": "k"})
+    first, second = (seen[2] for seen in server.seen)
+    assert first["Authorization"] == "Bearer t"
+    assert "Authorization" not in second and second["X-Keep"] == "k"
+
+
+def test_redirect_loop_stops_after_the_cap(keepalive, client):
+    server = keepalive(lambda handler: (302, {"Location": "/loop"}, b""))
+    with pytest.raises(NetworkError, match="redirects"):
+        get(f"{server.base_url}/loop", client)
+    assert len(server.seen) == resolver_runtime.MAX_REDIRECTS + 1
+
+
+def test_gzip_body_is_decoded_and_default_headers_sent(keepalive, client):
+    payload = json.dumps({"items": list(range(50))}).encode()
+    server = keepalive(lambda handler: (200, {"Content-Encoding": "gzip"},
+                                        gzip.compress(payload)))
+    status, _, body = get(f"{server.base_url}/z", client)
+    assert body == payload
+    headers = server.seen[0][2]
+    assert headers["Accept"] == "*/*"
+    assert headers["Accept-Encoding"] == "gzip, deflate"
+
+
+def test_deflate_body_is_decoded(keepalive, client):
+    server = keepalive(lambda handler: (200, {"Content-Encoding": "deflate"},
+                                        zlib.compress(b'{"d": 1}')))
+    assert get(f"{server.base_url}/z", client)[2] == b'{"d": 1}'
+
+
+def test_list_query_argument_is_sent_as_repeated_pairs(keepalive, client):
+    server = keepalive()
+    wrapper = build({"/items": get_path(
+        {"type": "object", "properties": {"ok": {"type": "boolean"}}},
+        parameters=[{"name": "tag", "in": "query",
+                     "schema": {"type": "array", "items": {"type": "string"}}}],
+    )}, servers=[{"url": server.base_url}])
+    executor = Executor(wrapper.schema, wrapper.plans, client)
+    result = executor.execute(parse_query('{ getItems(tag: ["a b", "c&d"]) { ok } }'),
+                              None, None, EMPTY_CTX)
+    assert result.errors == [] and result.data == {"getItems": {"ok": True}}
+    assert server.seen[0][1] == "/items?tag=a+b&tag=c%26d"
+
+
+def test_http_1_0_upstream_answers_every_send(upstream, client):
+    upstream.static("GET", "/ping", {"pong": True})
+    for _ in range(2):
+        status, _, body = get(f"{upstream.base_url}/ping", client)
+        assert (status, json.loads(body)) == (200, {"pong": True})
+    assert len(upstream.requests) == 2
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY",
+                 "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+def test_http_proxy_from_the_environment_gets_absolute_urls(keepalive, proxy_env, client):
+    proxy = keepalive()
+    proxy_env.setenv("http_proxy", f"http://user:pw@127.0.0.1:{proxy.server_address[1]}")
+    get("http://api.example.invalid:8080/things?id=1", client)
+    method, target, headers, _ = proxy.seen[0]
+    assert (method, target) == ("GET", "http://api.example.invalid:8080/things?id=1")
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_no_proxy_host_is_reached_directly(keepalive, proxy_env, client):
+    server = keepalive()
+    proxy_env.setenv("http_proxy", "http://127.0.0.1:1")  # nothing listens there
+    proxy_env.setenv("no_proxy", "127.0.0.1")
+    assert get(f"{server.base_url}/a", client)[0] == 200
+
+
+def test_https_through_a_proxy_opens_a_tunnel(keepalive, proxy_env, client):
+    proxy = keepalive(lambda handler: (403, {}, b""))
+    proxy_env.setenv("https_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
+    with pytest.raises(NetworkError):
+        get("https://api.example.invalid/things", client)
+    assert proxy.seen[0][:2] == ("CONNECT", "api.example.invalid:443")
+
+
+def test_slow_upstream_is_request_timeout(keepalive):
+    def answer(handler):
+        time.sleep(0.5)
+        return 200, {}, b"{}"
+
+    server = keepalive(answer)
+    with pytest.raises(RequestTimeout):
+        get(f"{server.base_url}/slow", HttpClient(timeout=0.1))
+
+
+def test_oversize_body_is_a_field_error_and_its_connection_is_closed(keepalive, client,
+                                                                     monkeypatch):
+    monkeypatch.setattr(resolver_runtime, "MAX_UPSTREAM_BYTES", 64)
+
+    def answer(handler):
+        if handler.path == "/big":
+            return 200, {}, json.dumps({"s": "x" * 100}).encode()
+        if handler.path == "/bomb":
+            return 200, {"Content-Encoding": "gzip"}, gzip.compress(b" " * 1000)
+        return 200, {}, b'{"s": "ok"}'
+
+    server = keepalive(answer)
+    # Distinct shapes, so that each operation keeps its own root field name.
+    wrapper = build({f"/{name}": get_path({"type": "object", "properties": {
+                         "s": {"type": "string"}, name: {"type": "string"}}})
+                     for name in ("big", "bomb", "small")},
+                    servers=[{"url": server.base_url}])
+    executor = Executor(wrapper.schema, wrapper.plans, client)
+
+    def run(query):
+        return executor.execute(parse_query(query), None, None, EMPTY_CTX)
+
+    for name in ("Bomb", "Big"):  # too large once decoded; too large on the wire
+        result = run(f"{{ get{name} {{ s }} }}")
+        assert result.data == {f"get{name}": None}
+        assert [error["message"] for error in result.errors] == [
+            f"upstream response of GET /{name.lower()} exceeds 64 bytes"]
+    assert server.connections == 1
+    assert run("{ getSmall { s } }").data == {"getSmall": {"s": "ok"}}
+    assert server.connections == 2  # a body cut short leaves its connection unusable

@@ -7,7 +7,7 @@ from collections import namedtuple
 import pytest
 
 from conftest import CORPUS_DIR, CannedClient, load_manifest
-from oaswrap.engine import Executor, parse_query
+from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.engine.sdl import parse_sdl
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, NON_NULL, OBJECT, REFERENCE, resolve_type
@@ -364,6 +364,36 @@ def test_link_arg_shared_with_parent_relaxes_to_optional():
     # while the root field for the same operation keeps it required
     root_field = wrapper.schema.query_fields["company2"]
     assert type_str(root_field.args["id"].type) == "String!"
+
+
+@pytest.mark.parametrize("parent_id, link_arg", [
+    ({}, "s(id: String!)"),  # optional with no default: the parent may not send it
+    ({"required": True}, "s(id: String)"),
+    ({"schema": {"type": "string", "default": "d"}}, "s(id: String)"),
+])
+def test_link_arg_relaxes_only_when_the_parent_always_sends_its_name(parent_id, link_arg):
+    # GET /p (query "id") links to GET /s/{id} with a key that binds nothing.
+    string = {"type": "string"}
+    paths = {
+        "/p": get_path({"type": "object", "properties": {"x": string}},
+                       parameters=[{"name": "id", "in": "query", "schema": string,
+                                    **parent_id}],
+                       links={"S": {"operationId": "getS",
+                                    "parameters": {"k": "$response.body#/x"}}}),
+        "/s/{id}": get_path({"type": "object", "properties": {"n": string}},
+                            parameters=[{"name": "id", "in": "path", "required": True,
+                                         "schema": string}],
+                            operation_id="getS"),
+    }
+    wrapper = build(paths)
+    assert wrapper.ok
+    assert link_arg in wrapper.sdl
+    query = "{ getP%s { s { n } } }" % ('(id: "a")' if parent_id.get("required") else "")
+    errors = validate_query(parse_query(query), wrapper.schema)
+    if link_arg == "s(id: String!)":  # it used to be optional, and failed at run time
+        assert errors == ["required argument 'id' of field 's' is missing (line 1)"]
+    else:
+        assert errors == []
 
 
 def test_multi_scheme_operation_under_every_matching_viewer():

@@ -1,11 +1,14 @@
 """GraphQL-over-HTTP service endpoints."""
 
+import http.client
 import json
+import logging
 import socket
 import threading
+from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.service import GraphQLService, make_server
@@ -49,8 +52,30 @@ def service_url(upstream):
     server.server_close()
 
 
+@dataclass
+class Reply:
+    status_code: int
+    text: str
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def fetch(url, method="GET", body=None, headers=None):
+    """One request to the service under test, on its own connection."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        conn.request(method, parts.path, body, headers or {})
+        response = conn.getresponse()
+        return Reply(response.status, response.read().decode("utf-8"))
+    finally:
+        conn.close()
+
+
 def post_graphql(url, payload):
-    return requests.post(f"{url}/graphql", json=payload, timeout=5)
+    return fetch(f"{url}/graphql", "POST", json.dumps(payload).encode(),
+                 {"Content-Type": "application/json"})
 
 
 def test_post_graphql_success(service_url):
@@ -94,8 +119,8 @@ def test_unknown_operation_name_is_400(service_url):
 
 def test_malformed_body_is_400(service_url):
     url, _, _ = service_url
-    response = requests.post(f"{url}/graphql", data=b"not json",
-                             headers={"Content-Type": "application/json"}, timeout=5)
+    response = fetch(f"{url}/graphql", "POST", b"not json",
+                     {"Content-Type": "application/json"})
     assert response.status_code == 400
 
 
@@ -135,14 +160,14 @@ def test_variables_must_be_object(service_url):
 
 def test_get_sdl_matches_generated(service_url):
     url, wrapper, _ = service_url
-    response = requests.get(f"{url}/sdl", timeout=5)
+    response = fetch(f"{url}/sdl")
     assert response.status_code == 200
     assert response.text == wrapper.sdl
 
 
 def test_get_report_is_generation_report(service_url):
     url, wrapper, _ = service_url
-    response = requests.get(f"{url}/report", timeout=5)
+    response = fetch(f"{url}/report")
     assert response.status_code == 200
     payload = response.json()
     assert payload["outcome"] == "success"
@@ -151,7 +176,7 @@ def test_get_report_is_generation_report(service_url):
 
 def test_unknown_route_404(service_url):
     url, _, _ = service_url
-    assert requests.get(f"{url}/nope", timeout=5).status_code == 404
+    assert fetch(f"{url}/nope").status_code == 404
 
 
 def test_static_extra_headers_reach_upstream(service_url):
@@ -194,3 +219,41 @@ def test_bearer_token_from_context_file(upstream):
     assert payload["data"] == {"getPrivate": {"v": "s3cret-data"}}
     sent = upstream.requests[-1]
     assert sent.headers.get("Authorization") == "Bearer tok-42"
+
+
+def test_deep_query_is_400_before_any_upstream_call(upstream):
+    service = GraphQLService(build_wrapper(upstream))
+    query = "{ " + "children { " * 3000 + "id" + " }" * 3000 + " }"
+    status, payload = service.handle_graphql({"query": query})
+    assert status == 400
+    assert "deeper than" in payload["errors"][0]["message"]
+    assert upstream.requests == []
+
+
+class RaisingClient:
+    def send(self, spec):
+        raise RuntimeError("client bug with a secret in it")
+
+
+def test_unhandled_error_is_json_500_with_error_id(upstream, caplog):
+    service = GraphQLService(build_wrapper(upstream), client=RaisingClient())
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        with caplog.at_level(logging.ERROR, logger="oaswrap.service"):
+            response = post_graphql(f"http://{host}:{port}",
+                                    {"query": '{ user(id: "u1") { name } }'})
+    finally:
+        server.shutdown()
+        server.server_close()
+    thread.join(5)
+    assert not thread.is_alive()
+    assert response.status_code == 500
+    [error] = response.json()["errors"]
+    error_id = error["extensions"]["errorId"]
+    assert error["message"] == f"internal error {error_id}"
+    assert "secret" not in response.text and "Traceback" not in response.text
+    [record] = [r for r in caplog.records if error_id in r.getMessage()]
+    assert record.levelno == logging.ERROR and record.exc_info is not None
