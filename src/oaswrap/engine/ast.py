@@ -26,8 +26,9 @@ class ValueNode:
     value: Any = None  # scalar payload, or variable/enum name
     values: list["ValueNode"] | None = None  # list
     fields: dict[str, "ValueNode"] | None = None  # object
-    line: int = 0
-    column: int = 0
+    # Values compare without their source positions, as the field-merge rule needs.
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -88,6 +89,8 @@ class OperationNode:
     selection_set: list = field(default_factory=list)
     line: int = 0
     column: int = 0
+    # (schema, compiled root selection set, errors) of validation.compile_operation
+    compiled: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Query execution: depth-first field collection, argument/variable coercion,
-resolve-plan invocation over HTTP, and spec-shaped response assembly.
+"""Query execution over the selection sets validation compiles: argument and
+variable coercion, resolve-plan invocation over HTTP, and spec-shaped
+response assembly.
 
 Sibling fields of query selections may resolve concurrently (bounded), while
 a mutation's fields resolve one at a time at every depth; a link field's
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError
@@ -42,23 +43,12 @@ from ..ir import (
     resolve_type,
     scalar,
 )
-from .ast import (
-    FieldNode,
-    FragmentSpreadNode,
-    InlineFragmentNode,
-    OperationNode,
-    QueryDocument,
-    TypeNode,
-    ValueNode,
-)
-from .validation import INT_MAX, INT_MIN
+from .ast import FieldNode, OperationNode, QueryDocument, TypeNode, ValueNode
+from .validation import INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation
 
 logger = logging.getLogger("oaswrap.engine")
 
 _ABSENT = object()
-
-# Python types of upstream JSON values that complete to themselves.
-_PASS_THROUGH = {"String": str, "ID": str, "Int": int, "Float": float, "Boolean": bool}
 
 
 @dataclass
@@ -93,34 +83,12 @@ class Source:
 
 
 @dataclass
-class _Field:
-    """One response key of a compiled selection set."""
-
-    key: str
-    nodes: list[FieldNode]
-    field_ir: FieldIR
-    selections: list  # the nodes' merged sub-selections
-    raw_key: str | None  # the upstream key a field without binding reads
-    leaf: bool  # completed inline, without a Source, arguments or _execute_field
-    plain: type | None = None  # a leaf scalar's values of this exact type pass unchanged
-    enum: dict[str, str] | None = None  # a leaf enum's raw -> sanitized table
-
-
-@dataclass
-class _Compiled:
-    fields: list[_Field]
-    parallel: bool
-
-
-@dataclass
 class _Query:
-    """Per-query state: the document, the coerced variables and the selection
-    sets compiled so far, keyed by (id of the selection list, parent type).
-    One per execute(), since one Executor serves concurrent requests."""
+    """Per-query state: the coerced variables and, with DEBUG on, the dropped
+    upstream keys. One per execute(), since one Executor serves concurrent
+    requests."""
 
-    doc: QueryDocument
     variables: dict
-    compiled: dict[tuple[int, str], _Compiled] = field(default_factory=dict)
     dropped: dict[str, set[str]] | None = None  # type -> unexpected upstream keys, DEBUG only
 
 
@@ -140,7 +108,7 @@ def coerce_variables(definitions, provided: Mapping[str, Any] | None,
         if name in provided:
             coerced[name] = _coerce_input(provided[name], expected, schema, f"${name}")
         elif definition.default is not None:
-            coerced[name] = _literal_value(definition.default, {}, expected, schema)
+            coerced[name] = _literal_value(definition.default, {})
         elif definition.type.kind == "non_null":
             raise CoercionError(f"variable ${name} is non-null but was not provided")
     return coerced
@@ -219,8 +187,7 @@ def _coerce_scalar(value: Any, name: str, where: str) -> Any:
     raise CoercionError(f"{where}: unknown scalar {name!r}")
 
 
-def _literal_value(node: ValueNode, variables: Mapping[str, Any],
-                   expected: TypeIR | None, schema: SchemaIR) -> Any:
+def _literal_value(node: ValueNode, variables: Mapping[str, Any]) -> Any:
     if node.kind == "variable":
         return variables.get(node.value, _ABSENT)
     if node.kind in ("int", "float", "string", "boolean"):
@@ -231,16 +198,15 @@ def _literal_value(node: ValueNode, variables: Mapping[str, Any],
         return node.value
     if node.kind == "list":
         items = []
-        inner = expected.of_type if expected is not None and expected.kind == LIST else None
         for child in node.values:
-            value = _literal_value(child, variables, inner, schema)
+            value = _literal_value(child, variables)
             if value is not _ABSENT:
                 items.append(value)
         return items
     if node.kind == "object":
         out = {}
         for key, child in node.fields.items():
-            value = _literal_value(child, variables, None, schema)
+            value = _literal_value(child, variables)
             if value is not _ABSENT:
                 out[key] = value
         return out
@@ -269,22 +235,18 @@ class Executor:
     def execute(self, doc: QueryDocument, operation_name: str | None,
                 variables: Mapping[str, Any] | None, ctx: ExecutionContext) -> ExecutionResult:
         operation = self._pick_operation(doc, operation_name)
-        query = _Query(doc, coerce_variables(operation.variable_definitions, variables,
-                                             self.schema))
+        root, errors = compile_operation(doc, operation, self.schema)
+        if errors:
+            raise RequestFailed("; ".join(errors))
+        query = _Query(coerce_variables(operation.variable_definitions, variables,
+                                        self.schema))
         if logger.isEnabledFor(logging.DEBUG):
             query.dropped = {}
 
         result = ExecutionResult()
-        if operation.kind == "mutation":
-            root = TypeIR(OBJECT, name="Mutation", fields=self.schema.mutation_fields)
-            ctx = replace(ctx, mutation=True)
-        else:
-            root = TypeIR(OBJECT, name="Query", fields=self.schema.query_fields)
         source = Source(value={}, request_record={}, ctx=ctx)
         try:
-            result.data = self._execute_selection_set(
-                operation.selection_set, root, source, query, [], result.errors,
-            )
+            result.data = self._execute_selection_set(root, source, query, [], result.errors)
         except _NonNullViolation:
             result.data = None
         for type_name, keys in sorted((query.dropped or {}).items()):
@@ -304,20 +266,17 @@ class Executor:
 
     # -- selection sets ---------------------------------------------------
 
-    def _execute_selection_set(self, selections: list, parent_type: TypeIR, source: Source,
-                               query: _Query, path: list, errors: list) -> dict:
-        compiled = query.compiled.get((id(selections), parent_type.name))
-        if compiled is None:
-            compiled = self._compile(selections, parent_type, source.ctx, query)
+    def _execute_selection_set(self, compiled: CompiledSet, source: Source, query: _Query,
+                               path: list, errors: list) -> dict:
         if query.dropped is not None:
-            unexpected = source.value.keys() - {f.raw for f in parent_type.fields.values()}
+            unexpected = source.value.keys() - {f.raw for f in compiled.type.fields.values()}
             if unexpected:
-                query.dropped.setdefault(parent_type.name, set()).update(unexpected)
+                query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
 
         out: dict[str, Any] = {}
         bubbled: _NonNullViolation | None = None
-        if compiled.parallel:
-            def run(f: _Field):
+        if compiled.parallel and self.max_parallel > 1:
+            def run(f: CompiledField):
                 # Each sibling collects into its own error list so concurrent
                 # completion cannot reorder the merged result.
                 local_errors: list = []
@@ -354,63 +313,9 @@ class Executor:
             raise bubbled
         return out
 
-    def _compile(self, selections: list, parent_type: TypeIR, ctx: ExecutionContext,
-                 query: _Query) -> _Compiled:
-        """Collect a selection set's fields once per query, deciding which are
-        leaves and whether siblings resolve in parallel."""
-        fields = []
-        for key, nodes in self._collect_fields(selections, parent_type, query.doc).items():
-            field_ir = (parent_type.fields or {}).get(nodes[0].name)
-            if field_ir is None:  # validation rejects this; defensive only
-                continue
-            merged = [s for n in nodes if n.selection_set for s in n.selection_set]
-            raw_key = field_ir.raw or field_ir.name if field_ir.binding is None else None
-            f = _Field(key, nodes, field_ir, merged, raw_key, self._is_leaf(field_ir))
-            if f.leaf:  # a list leaf is neither plain nor enum
-                t = field_ir.type.of_type if field_ir.type.kind == NON_NULL else field_ir.type
-                named = resolve_type(t, self.schema.types)
-                if named.kind == SCALAR:
-                    f.plain = _PASS_THROUGH.get(named.name)
-                elif named.kind == ENUM:
-                    f.enum = self.enums.get(named.name)
-            fields.append(f)
-        operations = sum(1 for f in fields
-                         if f.field_ir.binding and f.field_ir.binding.kind == "operation")
-        parallel = (not ctx.mutation and self.max_parallel > 1 and len(fields) > 1
-                    and operations > 1)
-        compiled = _Compiled(fields, parallel)
-        query.compiled[(id(selections), parent_type.name)] = compiled
-        return compiled
-
-    def _is_leaf(self, field_ir: FieldIR) -> bool:
-        """Whether a field completes inline: a scalar or enum, or a list of
-        them, with no binding and no arguments."""
-        return (field_ir.binding is None and not field_ir.args
-                and resolve_type(field_ir.type.unwrap(), self.schema.types).kind
-                in (SCALAR, ENUM))
-
-    def _collect_fields(self, selections: list, parent_type: TypeIR,
-                        doc: QueryDocument) -> dict[str, list[FieldNode]]:
-        grouped: dict[str, list[FieldNode]] = {}
-
-        def visit(nodes: list, seen_fragments: set[str]) -> None:
-            for node in nodes:
-                if isinstance(node, FieldNode):
-                    grouped.setdefault(node.response_key, []).append(node)
-                elif isinstance(node, FragmentSpreadNode):
-                    if node.name in seen_fragments:
-                        continue
-                    fragment = doc.fragments[node.name]
-                    visit(fragment.selection_set, seen_fragments | {node.name})
-                elif isinstance(node, InlineFragmentNode):
-                    visit(node.selection_set, seen_fragments)
-
-        visit(selections, set())
-        return grouped
-
     # -- fields ----------------------------------------------------------------
 
-    def _field_value(self, f: _Field, source: Source, query: _Query, path: list,
+    def _field_value(self, f: CompiledField, source: Source, query: _Query, path: list,
                      errors: list):
         """The completed value of one field, or a _NonNullViolation to bubble."""
         if not f.leaf:
@@ -421,9 +326,9 @@ class Executor:
         except _NonNullViolation as bubble:
             return bubble if f.field_ir.type.kind == NON_NULL else None
 
-    def _execute_field(self, f: _Field, source: Source, query: _Query, path: list,
+    def _execute_field(self, f: CompiledField, source: Source, query: _Query, path: list,
                        errors: list):
-        node = f.nodes[0]
+        node = f.node
         field_ir = f.field_ir
         try:
             args = self._coerce_arguments(field_ir, node, query.variables)
@@ -441,19 +346,13 @@ class Executor:
 
     def _coerce_arguments(self, field_ir: FieldIR, node: FieldNode,
                           variables: dict) -> dict[str, Any]:
-        args: dict[str, Any] = {}
-        for arg_name, arg in field_ir.args.items():
-            if arg_name in node.arguments:
-                value = _literal_value(node.arguments[arg_name], variables,
-                                       arg.type, self.schema)
-                if value is _ABSENT:
-                    continue
-                args[arg_name] = value
-            # absent nullable arguments simply stay absent; defaults are
-            # design-time plan knowledge applied at bind time
-        return args
+        """The given arguments, in declaration order. Absent ones stay absent:
+        defaults are design-time plan knowledge applied at bind time."""
+        given = {name: _literal_value(node.arguments[name], variables)
+                 for name in field_ir.args if name in node.arguments}
+        return {name: value for name, value in given.items() if value is not _ABSENT}
 
-    def _resolve(self, f: _Field, args: dict, source: Source) -> Source:
+    def _resolve(self, f: CompiledField, args: dict, source: Source) -> Source:
         field_ir = f.field_ir
         binding = field_ir.binding
         if binding is None:
@@ -491,7 +390,7 @@ class Executor:
 
     # -- completion ---------------------------------------------------------------
 
-    def _complete(self, type_ir: TypeIR, value: Any, source: Source, f: _Field,
+    def _complete(self, type_ir: TypeIR, value: Any, source: Source, f: CompiledField,
                   query: _Query, path: list, errors: list):
         """Complete a raw value of field f; objects inherit source's request
         record and context."""
@@ -499,7 +398,7 @@ class Executor:
             value = self._complete(type_ir.of_type, value, source, f, query, path, errors)
             if value is None:
                 errors.append(_error_entry(
-                    f"field {f.key!r} of non-null type resolved to null", path, f.nodes[0]))
+                    f"field {f.key!r} of non-null type resolved to null", path, f.node))
                 raise _NonNullViolation(path)
             return value
         if value is None:
@@ -509,7 +408,7 @@ class Executor:
             if not isinstance(value, list):
                 errors.append(_error_entry(
                     f"expected a list for field {f.key!r}, got {type(value).__name__}",
-                    path, f.nodes[0]))
+                    path, f.node))
                 return None
             items = []
             for index, item in enumerate(value):
@@ -524,7 +423,7 @@ class Executor:
             return items
 
         named = resolve_type(type_ir, self.schema.types)
-        node = f.nodes[0]
+        node = f.node
         if named.kind == SCALAR:
             return self._complete_scalar(named.name, value, path, errors, node)
         if named.kind == ENUM:
@@ -536,8 +435,7 @@ class Executor:
                     path, node))
                 return None
             return self._execute_selection_set(
-                f.selections, named, Source(value, source.request_record, source.ctx),
-                query, path, errors)
+                f.child, Source(value, source.request_record, source.ctx), query, path, errors)
         errors.append(_error_entry(f"type {named.name!r} cannot appear in output", path, node))
         return None
 

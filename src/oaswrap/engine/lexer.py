@@ -1,4 +1,4 @@
-"""GraphQL lexer shared by the query and SDL parsers."""
+"""GraphQL lexer for the query parser."""
 
 from __future__ import annotations
 

@@ -19,8 +19,9 @@ from .ast import (
 )
 from .lexer import TokenStream
 
-# Nesting of selection sets, list values and types, and object values. The
-# parser, validator and executor recurse once or more per level.
+# Nesting of selection sets, list values and types, and object values in the
+# query text; validation bounds selection sets again with fragments expanded.
+# The parser, validator and executor recurse once or more per level.
 MAX_DEPTH = 64
 
 

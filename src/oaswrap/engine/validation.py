@@ -1,9 +1,16 @@
-"""Query validation against a generated SchemaIR.
+"""Query validation against a generated SchemaIR, and the compiled selection
+sets the executor runs.
 
-Covers the documented subset: field existence, leaf/composite selection
-correctness, argument names and types, required arguments, variable usage and
-compatibility, enum literals, fragment resolution, and rejection of
-directives and introspection selections.
+One walk per operation collects each selection set's fields the way the
+spec's CollectFields does: spreads expand from an explicit stack, each
+fragment at most once per collection. Each response-key group is checked
+once: its fields merge (one field, the same arguments), the field exists,
+its arguments and variables are valid, and a leaf has no selection set while
+an object has one. A compiled set is memoized per operation by its parent
+type and the selection lists it merges, so a fragment spread in many places
+compiles once and the result is a DAG linear in the query text. Depth counts
+selection sets with fragments expanded and is bounded by ``MAX_DEPTH``.
+Directives and introspection selections are rejected.
 """
 
 from __future__ import annotations
@@ -17,30 +24,43 @@ from ..ir import (
     NON_NULL,
     OBJECT,
     SCALAR,
+    FieldIR,
     SchemaIR,
     TypeIR,
     resolve_type,
 )
-from .ast import (
-    FieldNode,
-    FragmentSpreadNode,
-    InlineFragmentNode,
-    QueryDocument,
-    TypeNode,
-    ValueNode,
-)
+from .ast import FieldNode, FragmentSpreadNode, OperationNode, QueryDocument, TypeNode, ValueNode
+from .parser import MAX_DEPTH
 
 INT_MAX = 2**31 - 1
 INT_MIN = -(2**31)
 
+# Python types of upstream JSON values that complete to themselves.
+_PASS_THROUGH = {"String": str, "ID": str, "Int": int, "Float": float, "Boolean": bool}
+
 
 @dataclass
-class _OperationState:
-    """Per-operation validation state."""
+class CompiledField:
+    """One response key of a compiled selection set."""
 
-    variables: dict[str, TypeNode] = field(default_factory=dict)
-    defaults: set[str] = field(default_factory=set)
-    used: set[str] = field(default_factory=set)
+    key: str
+    node: FieldNode  # the first of the merged nodes: arguments and error locations
+    field_ir: FieldIR
+    child: CompiledSet | None  # an object field's merged sub-selections
+    raw_key: str | None  # the upstream key a field without binding reads
+    leaf: bool  # completed inline, without a Source, arguments or _execute_field
+    plain: type | None = None  # a leaf scalar's values of this exact type pass unchanged
+    enum: dict[str, str] | None = None  # a leaf enum's raw -> sanitized table
+
+
+@dataclass
+class CompiledSet:
+    """A selection set compiled on one parent type, fields in response-key order."""
+
+    type: TypeIR
+    fields: list[CompiledField] = field(default_factory=list)
+    parallel: bool = False  # two or more operation fields, outside a mutation
+    height: int = 1  # nested selection sets, this one included, fragments expanded
 
 
 def validate_query(doc: QueryDocument, schema: SchemaIR) -> list[str]:
@@ -51,215 +71,295 @@ def validate_query(doc: QueryDocument, schema: SchemaIR) -> list[str]:
         errors.append("operation names must be unique")
     if len(doc.operations) > 1 and any(op.name is None for op in doc.operations):
         errors.append("anonymous operations are only allowed in single-operation documents")
-
-    for fragment in doc.fragments.values():
-        if _fragment_cycle(fragment.name, doc, set()):
-            errors.append(f"fragment {fragment.name!r} spreads itself, directly or transitively")
-
-    spread_names = _all_spreads(doc)
-    for name in doc.fragments:
-        if name not in spread_names:
-            errors.append(f"fragment {name!r} is defined but never used")
-
+    _check_fragment_graph(doc, errors)
     for op in doc.operations:
-        scope = _OperationState()
-        for var_def in op.variable_definitions:
-            if var_def.name in scope.variables:
-                errors.append(f"variable ${var_def.name} is declared more than once")
-            scope.variables[var_def.name] = var_def.type
-            if var_def.default is not None:
-                scope.defaults.add(var_def.name)
-        _check_directives(op.directives, errors)
-
-        if op.kind == "mutation":
-            if not schema.mutation_fields:
-                errors.append("schema defines no mutations")
-                continue
-            root = TypeIR(OBJECT, name="Mutation", fields=schema.mutation_fields)
-        else:
-            root = TypeIR(OBJECT, name="Query", fields=schema.query_fields)
-        _check_selection_set(op.selection_set, root, schema, doc, scope, errors, set())
-
-        for name in scope.variables:
-            if name not in scope.used:
-                errors.append(f"variable ${name} is declared but never used")
+        errors.extend(compile_operation(doc, op, schema)[1])
     return errors
 
 
-def _fragment_cycle(name: str, doc: QueryDocument, stack: set[str]) -> bool:
-    if name in stack:
-        return True
-    fragment = doc.fragments.get(name)
-    if fragment is None:
-        return False
-    stack = stack | {name}
-    for spread in _spreads_in(fragment.selection_set):
-        if _fragment_cycle(spread, doc, stack):
-            return True
-    return False
+def _check_fragment_graph(doc: QueryDocument, errors: list[str]) -> None:
+    """Report fragment cycles, and fragments no operation reaches, in one
+    iterative depth-first pass over the spread graph from the operations."""
+    spreads = {name: _spreads(f.selection_set) for name, f in doc.fragments.items()}
+    on_stack: dict[str, bool] = {}  # every fragment reached; True while on the stack
+    stack = [(None, iter([name for op in doc.operations for name in _spreads(op.selection_set)]))]
+    while stack:
+        name, targets = stack[-1]
+        target = next(targets, None)
+        if target is None:
+            on_stack[name] = False
+            stack.pop()
+        elif on_stack.get(target):
+            errors.append(f"fragment {target!r} spreads itself, directly or transitively")
+        elif target in spreads and target not in on_stack:
+            on_stack[target] = True
+            stack.append((target, iter(spreads[target])))
+    errors.extend(f"fragment {name!r} is defined but never used"
+                  for name in doc.fragments if name not in on_stack)
 
 
-def _spreads_in(selections: list) -> list[str]:
-    found = []
-    for node in selections:
-        if isinstance(node, FragmentSpreadNode):
-            found.append(node.name)
-        elif isinstance(node, FieldNode) and node.selection_set:
-            found.extend(_spreads_in(node.selection_set))
-        elif isinstance(node, InlineFragmentNode):
-            found.extend(_spreads_in(node.selection_set))
+def _spreads(selections: list) -> dict[str, None]:
+    """The fragment names spread anywhere in a selection list, once each."""
+    found: dict[str, None] = {}
+    todo = [selections]
+    while todo:
+        for node in todo.pop():
+            if isinstance(node, FragmentSpreadNode):
+                found[node.name] = None
+            elif node.selection_set:
+                todo.append(node.selection_set)
     return found
 
 
-def _all_spreads(doc: QueryDocument) -> set[str]:
-    names: set[str] = set()
-    for op in doc.operations:
-        names.update(_spreads_in(op.selection_set))
-    for fragment in doc.fragments.values():
-        names.update(_spreads_in(fragment.selection_set))
-    return names
-
-
 def _check_directives(directives, errors: list[str]) -> None:
-    for directive in directives:
-        errors.append(
-            f"directive @{directive.name} is not supported by this engine "
-            f"(line {directive.line})"
-        )
+    errors.extend(f"directive @{d.name} is not supported by this engine (line {d.line})"
+                  for d in directives)
 
 
-def _check_selection_set(selections: list, parent: TypeIR, schema: SchemaIR,
-                         doc: QueryDocument, scope: _OperationState, errors: list[str],
-                         seen_fragments: set[str]) -> None:
-    for node in selections:
-        if isinstance(node, FieldNode):
-            _check_field(node, parent, schema, doc, scope, errors, seen_fragments)
-        elif isinstance(node, FragmentSpreadNode):
-            _check_directives(node.directives, errors)
-            fragment = doc.fragments.get(node.name)
-            if fragment is None:
-                errors.append(f"fragment {node.name!r} is spread but never defined "
+def compile_operation(doc: QueryDocument, op: OperationNode,
+                      schema: SchemaIR) -> tuple[CompiledSet | None, list[str]]:
+    """The operation's compiled root selection set and its validation errors,
+    walked once per schema and kept on the operation node."""
+    if op.compiled is not None and op.compiled[0] is schema:
+        return op.compiled[1], op.compiled[2]
+    errors: list[str] = []
+    walk = _Walk(doc, schema, errors, op.kind == "mutation")
+    for var_def in op.variable_definitions:
+        if var_def.name in walk.variables:
+            errors.append(f"variable ${var_def.name} is declared more than once")
+        walk.variables[var_def.name] = var_def.type
+        if var_def.default is not None:
+            walk.defaults.add(var_def.name)
+    _check_directives(op.directives, errors)
+
+    root = None
+    if walk.mutation and not schema.mutation_fields:
+        errors.append("schema defines no mutations")
+    else:
+        fields = schema.mutation_fields if walk.mutation else schema.query_fields
+        root = walk.compile([op.selection_set], TypeIR(OBJECT, name=op.kind.title(),
+                                                       fields=fields), 1)
+        errors.extend(f"variable ${name} is declared but never used"
+                      for name in walk.variables if name not in walk.used)
+    op.compiled = (schema, root, errors)
+    return root, errors
+
+
+class _Walk:
+    """Compiles one operation's selection sets, each once per parent type and
+    merged selection lists, and holds the operation's variable scope."""
+
+    def __init__(self, doc: QueryDocument, schema: SchemaIR, errors: list[str],
+                 mutation: bool):
+        self.doc = doc
+        self.schema = schema
+        self.errors = errors
+        self.mutation = mutation
+        self.variables: dict[str, TypeNode] = {}
+        self.defaults: set[str] = set()
+        self.used: set[str] = set()
+        self.memo: dict[tuple, CompiledSet | None] = {}  # None while being compiled
+        self.too_deep = False
+
+    def compile(self, lists: list[list], parent: TypeIR, depth: int) -> CompiledSet:
+        """The set merging lists on parent, whose own level is at depth."""
+        key = (parent.name, tuple(map(id, lists)))
+        if key in self.memo:
+            compiled = self.memo[key]
+            # A set reached again inside itself nests without end.
+            if compiled is None or depth + compiled.height - 1 > MAX_DEPTH:
+                self._deep()
+            return compiled or CompiledSet(parent)
+        if depth > MAX_DEPTH:
+            self._deep()
+            return CompiledSet(parent)
+        self.memo[key] = None
+        compiled = CompiledSet(parent)
+        groups, compiled.height = self._collect(lists, parent, depth)
+        for response_key, (nodes, level) in groups.items():
+            f = self._field(response_key, nodes, parent, depth + level)
+            if f is not None:
+                compiled.fields.append(f)
+                if f.child is not None:
+                    compiled.height = max(compiled.height, level + f.child.height)
+        operations = sum(1 for f in compiled.fields
+                         if f.field_ir.binding and f.field_ir.binding.kind == "operation")
+        compiled.parallel = not self.mutation and operations > 1
+        self.memo[key] = compiled
+        return compiled
+
+    def _collect(self, lists: list[list], parent: TypeIR,
+                 depth: int) -> tuple[dict[str, list], int]:
+        """The fields of lists grouped by response key in first-occurrence
+        order, each with the deepest level it occurs at, and the deepest level
+        reached. Spreads and inline fragments expand in place, each fragment
+        once."""
+        groups: dict[str, list] = {}
+        visited: set[str] = set()
+        height = 1
+        stack = [(iter(nodes), 1) for nodes in reversed(lists)]
+        while stack:
+            nodes, level = stack[-1]
+            node = next(nodes, None)
+            if node is None:
+                stack.pop()
+                continue
+            _check_directives(node.directives, self.errors)
+            if isinstance(node, FieldNode):
+                group = groups.setdefault(node.response_key, [[], level])
+                group[0].append(node)
+                group[1] = max(group[1], level)
+                continue
+            if isinstance(node, FragmentSpreadNode):
+                fragment = self.doc.fragments.get(node.name)
+                if fragment is None:
+                    self.errors.append(f"fragment {node.name!r} is spread but never defined "
+                                       f"(line {node.line})")
+                    continue
+                if fragment.type_condition != parent.name:
+                    self.errors.append(
+                        f"fragment {node.name!r} is declared on {fragment.type_condition!r} "
+                        f"but spread into {parent.name!r} (line {node.line})")
+                    continue
+                if node.name in visited:
+                    continue
+                visited.add(node.name)
+                _check_directives(fragment.directives, self.errors)
+                inner = fragment.selection_set
+            else:
+                if node.type_condition is not None and node.type_condition != parent.name:
+                    self.errors.append(
+                        f"inline fragment on {node.type_condition!r} does not match "
+                        f"enclosing type {parent.name!r} (line {node.line})")
+                    continue
+                inner = node.selection_set
+            if depth + level > MAX_DEPTH:
+                self._deep()
+                continue
+            height = max(height, level + 1)
+            stack.append((iter(inner), level + 1))
+        return groups, height
+
+    def _field(self, key: str, nodes: list[FieldNode], parent: TypeIR,
+               depth: int) -> CompiledField | None:
+        """Check one response-key group; compile it unless it is in error."""
+        node = nodes[0]
+        errors = self.errors
+        for other in nodes[1:]:
+            if other.name != node.name or other.arguments != node.arguments:
+                errors.append(
+                    f"response key {key!r} selects conflicting fields or arguments (line "
+                    f"{node.line}, column {node.column} and line {other.line}, column "
+                    f"{other.column}); use different aliases")
+                return None
+        if node.name in ("__schema", "__type", "__typename"):
+            errors.append(
+                f"introspection field {node.name!r} is not served; fetch the exported "
+                f"SDL instead (line {node.line})"
+            )
+            return None
+        field_ir = (parent.fields or {}).get(node.name)
+        if field_ir is None:
+            errors.append(f"field {node.name!r} does not exist on type {parent.name!r} "
+                          f"(line {node.line})")
+            return None
+
+        for arg_name, value in node.arguments.items():
+            arg = field_ir.args.get(arg_name)
+            if arg is None:
+                errors.append(f"unknown argument {arg_name!r} on field {node.name!r} "
                               f"(line {node.line})")
                 continue
-            if fragment.type_condition != parent.name:
-                errors.append(
-                    f"fragment {node.name!r} is declared on {fragment.type_condition!r} "
-                    f"but spread into {parent.name!r} (line {node.line})"
-                )
-                continue
-            if node.name in seen_fragments:
-                continue
-            _check_directives(fragment.directives, errors)
-            _check_selection_set(fragment.selection_set, parent, schema, doc, scope,
-                                 errors, seen_fragments | {node.name})
-        elif isinstance(node, InlineFragmentNode):
-            _check_directives(node.directives, errors)
-            if node.type_condition is not None and node.type_condition != parent.name:
-                errors.append(
-                    f"inline fragment on {node.type_condition!r} does not match "
-                    f"enclosing type {parent.name!r} (line {node.line})"
-                )
-                continue
-            _check_selection_set(node.selection_set, parent, schema, doc, scope,
-                                 errors, seen_fragments)
+            self._check_value(value, arg.type, f"argument {arg_name!r} of field {node.name!r}")
+        for arg_name, arg in field_ir.args.items():
+            if arg.type.kind == NON_NULL and arg_name not in node.arguments:
+                errors.append(f"required argument {arg_name!r} of field {node.name!r} "
+                              f"is missing (line {node.line})")
 
-
-def _check_field(node: FieldNode, parent: TypeIR, schema: SchemaIR, doc: QueryDocument,
-                 scope: _OperationState, errors: list[str], seen_fragments: set[str]) -> None:
-    _check_directives(node.directives, errors)
-    if node.name in ("__schema", "__type", "__typename"):
-        errors.append(
-            f"introspection field {node.name!r} is not served; fetch the exported "
-            f"SDL instead (line {node.line})"
-        )
-        return
-    field_ir = (parent.fields or {}).get(node.name)
-    if field_ir is None:
-        errors.append(f"field {node.name!r} does not exist on type {parent.name!r} "
-                      f"(line {node.line})")
-        return
-
-    for arg_name, value in node.arguments.items():
-        arg = field_ir.args.get(arg_name)
-        if arg is None:
-            errors.append(f"unknown argument {arg_name!r} on field {node.name!r} "
-                          f"(line {node.line})")
-            continue
-        _check_value(value, arg.type, schema, scope, errors,
-                     f"argument {arg_name!r} of field {node.name!r}")
-    for arg_name, arg in field_ir.args.items():
-        if arg.type.kind == NON_NULL and arg_name not in node.arguments:
-            errors.append(f"required argument {arg_name!r} of field {node.name!r} "
-                          f"is missing (line {node.line})")
-
-    inner = resolve_type(field_ir.type.unwrap(), schema.types)
-    if inner.kind == OBJECT:
-        if node.selection_set is None:
-            errors.append(f"field {node.name!r} of object type {inner.name!r} "
-                          f"requires a selection set (line {node.line})")
-        else:
-            _check_selection_set(node.selection_set, inner, schema, doc, scope,
-                                 errors, seen_fragments)
-    else:
-        if node.selection_set is not None:
+        inner = resolve_type(field_ir.type.unwrap(), self.schema.types)
+        lists = [n.selection_set for n in nodes if n.selection_set is not None]
+        child = None
+        if inner.kind == OBJECT:
+            if len(lists) < len(nodes):
+                bare = next(n for n in nodes if n.selection_set is None)
+                errors.append(f"field {node.name!r} of object type {inner.name!r} "
+                              f"requires a selection set (line {bare.line})")
+                return None
+            child = self.compile(lists, inner, depth)
+        elif lists:
             errors.append(f"field {node.name!r} of leaf type {inner.name!r} "
                           f"must not have a selection set (line {node.line})")
+            return None
 
+        raw_key = field_ir.raw or field_ir.name if field_ir.binding is None else None
+        leaf = field_ir.binding is None and not field_ir.args and inner.kind in (SCALAR, ENUM)
+        f = CompiledField(key, node, field_ir, child, raw_key, leaf)
+        t = field_ir.type.of_type if field_ir.type.kind == NON_NULL else field_ir.type
+        if leaf and t.kind != LIST:
+            if inner.kind == SCALAR:
+                f.plain = _PASS_THROUGH.get(inner.name)
+            else:
+                f.enum = {raw: value for value, raw in inner.enum_values.items()}
+        return f
 
-def _check_value(value: ValueNode, expected: TypeIR, schema: SchemaIR, scope: _OperationState,
-                 errors: list[str], where: str) -> None:
-    if value.kind == "variable":
-        scope.used.add(value.value)
-        declared = scope.variables.get(value.value)
-        if declared is None:
-            errors.append(f"variable ${value.value} used in {where} is not declared")
+    def _check_value(self, value: ValueNode, expected: TypeIR, where: str) -> None:
+        errors = self.errors
+        if value.kind == "variable":
+            self.used.add(value.value)
+            declared = self.variables.get(value.value)
+            if declared is None:
+                errors.append(f"variable ${value.value} used in {where} is not declared")
+            elif not _variable_compatible(declared, expected, value.value in self.defaults,
+                                          self.schema):
+                errors.append(f"variable ${value.value}: {declared} is not compatible with "
+                              f"the {_type_str(expected)} expected by {where}")
             return
-        if not _variable_compatible(declared, expected, value.value in scope.defaults,
-                                    schema):
-            errors.append(
-                f"variable ${value.value}: {declared} is not compatible with the "
-                f"{_type_str(expected, schema)} expected by {where}"
-            )
-        return
 
-    if expected.kind == NON_NULL:
+        if expected.kind == NON_NULL:
+            if value.kind == "null":
+                errors.append(f"{where} must not be null")
+            else:
+                self._check_value(value, expected.of_type, where)
+            return
         if value.kind == "null":
-            errors.append(f"{where} must not be null")
             return
-        _check_value(value, expected.of_type, schema, scope, errors, where)
-        return
-    if value.kind == "null":
-        return
-    if expected.kind == LIST:
-        items = value.values if value.kind == "list" else [value]
-        for item in items:
-            _check_value(item, expected.of_type, schema, scope, errors, where)
-        return
+        if expected.kind == LIST:
+            for item in value.values if value.kind == "list" else [value]:
+                self._check_value(item, expected.of_type, where)
+            return
 
-    named = resolve_type(expected, schema.types)
-    if named.kind == SCALAR:
-        _check_scalar(value, named.name, errors, where)
-    elif named.kind == ENUM:
-        if value.kind != "enum" or value.value not in (named.enum_values or []):
-            errors.append(f"{where} expects enum {named.name} "
-                          f"(one of {list(named.enum_values)}), got {_describe(value)}")
-    elif named.kind == INPUT_OBJECT:
-        if value.kind != "object":
-            errors.append(f"{where} expects input object {named.name}, got {_describe(value)}")
-            return
-        for key, child in value.fields.items():
-            child_field = (named.fields or {}).get(key)
-            if child_field is None:
-                errors.append(f"unknown field {key!r} for input object {named.name} in {where}")
-                continue
-            _check_value(child, child_field.type, schema, scope, errors,
-                         f"field {key!r} of {named.name}")
-        for key, child_field in (named.fields or {}).items():
-            if child_field.type.kind == NON_NULL and key not in value.fields:
-                errors.append(f"required field {key!r} of input object {named.name} "
-                              f"is missing in {where}")
-    else:
-        errors.append(f"{where} expects an input type, got {named.kind}")
+        named = resolve_type(expected, self.schema.types)
+        if named.kind == SCALAR:
+            _check_scalar(value, named.name, errors, where)
+        elif named.kind == ENUM:
+            if value.kind != "enum" or value.value not in (named.enum_values or []):
+                errors.append(f"{where} expects enum {named.name} "
+                              f"(one of {list(named.enum_values)}), got {_describe(value)}")
+        elif named.kind == INPUT_OBJECT:
+            if value.kind != "object":
+                errors.append(f"{where} expects input object {named.name}, "
+                              f"got {_describe(value)}")
+                return
+            for key, child in value.fields.items():
+                child_field = (named.fields or {}).get(key)
+                if child_field is None:
+                    errors.append(f"unknown field {key!r} for input object {named.name} "
+                                  f"in {where}")
+                else:
+                    self._check_value(child, child_field.type, f"field {key!r} of {named.name}")
+            for key, child_field in (named.fields or {}).items():
+                if child_field.type.kind == NON_NULL and key not in value.fields:
+                    errors.append(f"required field {key!r} of input object {named.name} "
+                                  f"is missing in {where}")
+        else:
+            errors.append(f"{where} expects an input type, got {named.kind}")
+
+
+    def _deep(self) -> None:
+        if not self.too_deep:
+            self.too_deep = True
+            self.errors.append(f"selections nest deeper than {MAX_DEPTH} levels "
+                               f"with fragments expanded")
 
 
 def _check_scalar(value: ValueNode, scalar_name: str, errors: list[str], where: str) -> None:
@@ -298,11 +398,11 @@ def _variable_compatible(declared: TypeNode, expected: TypeIR, has_default: bool
     return declared.name == named.name
 
 
-def _type_str(t: TypeIR, schema: SchemaIR) -> str:
+def _type_str(t: TypeIR) -> str:
     if t.kind == NON_NULL:
-        return _type_str(t.of_type, schema) + "!"
+        return _type_str(t.of_type) + "!"
     if t.kind == LIST:
-        return "[" + _type_str(t.of_type, schema) + "]"
+        return "[" + _type_str(t.of_type) + "]"
     return t.name or "?"
 
 

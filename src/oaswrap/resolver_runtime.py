@@ -73,7 +73,6 @@ class ExecutionContext:
     token_store: Any = None
     used_params: Mapping[str, Any] = field(default_factory=dict)
     extra_headers: Mapping[str, str] = field(default_factory=dict)
-    mutation: bool = False  # fields resolve one at a time, in query order, at every depth
 
     def with_credentials(self, creds: Mapping[str, Mapping[str, str]]) -> "ExecutionContext":
         merged = dict(self.credentials)

@@ -1,8 +1,9 @@
 """GraphQL-over-HTTP service for a generated wrapper.
 
 POST /graphql executes queries (HTTP 200 even for execution errors, 400 for
-request errors, 500 with an error ID for an internal error); GET /sdl returns
-the schema text; GET /report the generation report.
+request errors, 413 for a body over MAX_REQUEST_BYTES, 500 with an error ID
+for an internal error); GET /sdl returns the schema text; GET /report the
+generation report.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .report import finalize_report
 from .resolver_runtime import DEFAULT_TIMEOUT, ExecutionContext, HttpClient
 
 logger = logging.getLogger("oaswrap.service")
+
+# The largest request body read; a longer one is refused unread.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class GraphQLService:
@@ -110,6 +114,12 @@ def make_server(service: GraphQLService, host: str = "127.0.0.1",
             if length < 0:
                 self._send(400, b'{"errors": [{"message": "Content-Length must be a '
                                 b'non-negative integer"}]}', "application/json")
+                return
+            if length > MAX_REQUEST_BYTES:
+                self.close_connection = True  # the unread body must not be parsed as a request
+                self._send(413, json.dumps({"errors": [{"message": (
+                    f"request body of {length} bytes exceeds the limit of "
+                    f"{MAX_REQUEST_BYTES} bytes")}]}).encode("utf-8"), "application/json")
                 return
             raw = self.rfile.read(length) if length else b""
             try:

@@ -1,5 +1,5 @@
-"""Shared test infrastructure: a programmable, recording mock upstream and
-corpus paths."""
+"""Shared test infrastructure: a programmable, recording mock upstream, a
+canned client, an SDL reader for round trips, and corpus paths."""
 
 from __future__ import annotations
 
@@ -11,6 +11,9 @@ from pathlib import Path
 from urllib.parse import parse_qsl, urlparse
 
 import pytest
+
+from oaswrap.ir import (ENUM, INPUT_OBJECT, OBJECT, SCALAR_TYPE_NAMES, ArgIR, FieldIR, SchemaIR,
+                        TypeIR, list_of, non_null, reference, scalar)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
@@ -125,6 +128,43 @@ class MockUpstream:
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
+
+
+def schema_from_sdl(text: str) -> SchemaIR:
+    """The SchemaIR graphql-core reads from SDL text, for print round trips.
+    Descriptions are kept; bindings and raw names are not in SDL."""
+    from graphql import (GraphQLEnumType, GraphQLInputObjectType, GraphQLList,
+                         GraphQLNonNull, build_schema)
+
+    built = build_schema(text)
+
+    def type_ref(t) -> TypeIR:
+        if isinstance(t, GraphQLNonNull):
+            return non_null(type_ref(t.of_type))
+        if isinstance(t, GraphQLList):
+            return list_of(type_ref(t.of_type))
+        return scalar(t.name) if t.name in SCALAR_TYPE_NAMES else reference(t.name)
+
+    def fields(t) -> dict[str, FieldIR]:
+        return {name: FieldIR(name, type_ref(f.type), description=f.description, args={
+                    arg_name: ArgIR(arg_name, type_ref(arg.type), arg.description)
+                    for arg_name, arg in getattr(f, "args", {}).items()})
+                for name, f in t.fields.items()}
+
+    schema = SchemaIR(query_fields=fields(built.query_type),
+                      mutation_fields=fields(built.mutation_type) if built.mutation_type else {})
+    for name, t in built.type_map.items():
+        if name.startswith("__") or name in SCALAR_TYPE_NAMES or t in (
+                built.query_type, built.mutation_type):
+            continue
+        if isinstance(t, GraphQLEnumType):
+            schema.types[name] = TypeIR(ENUM, name=name, enum_values={v: v for v in t.values},
+                                        description=t.description)
+        else:
+            kind = INPUT_OBJECT if isinstance(t, GraphQLInputObjectType) else OBJECT
+            schema.types[name] = TypeIR(kind, name=name, fields=fields(t),
+                                        description=t.description)
+    return schema
 
 
 class CannedClient:

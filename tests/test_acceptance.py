@@ -11,9 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, MockUpstream, load_manifest
+from conftest import CORPUS_DIR, MockUpstream, load_manifest, schema_from_sdl
 from oaswrap.engine import Executor, parse_query, validate_query
-from oaswrap.engine.sdl import parse_sdl
 from oaswrap.evaluate import evaluate_corpus
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import NON_NULL, to_raw
@@ -424,7 +423,7 @@ def test_criterion_8_sdl_round_trip():
         if not wrapper.ok:
             continue
         first = wrapper.sdl
-        second = print_sdl(parse_sdl(first))
+        second = print_sdl(schema_from_sdl(first))
         assert first == second, f"{name}: SDL round trip not a fixed point"
         checked += 1
     assert checked >= 15

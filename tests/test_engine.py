@@ -11,6 +11,7 @@ from oaswrap.engine import (
     coerce_variables,
     parse_query,
     validate_query,
+    validation,
 )
 from oaswrap.engine.ast import FragmentSpreadNode, InlineFragmentNode
 from oaswrap.engine.execution import RequestFailed
@@ -864,15 +865,20 @@ ITEMS = [
 ]
 
 
-def execute_items(query, monkeypatch=None, general=False):
+def execute_items(query, general=False):
     """Complete a query over ITEMS, optionally with every leaf forced
     through the general path."""
     wrapper = build({"/items": get_path(
         {"type": "array", "items": {"$ref": "#/components/schemas/Item"}})}, ITEM_COMPONENTS)
-    if general:
-        monkeypatch.setattr(Executor, "_is_leaf", lambda self, field_ir: False)
     doc = parse_query(query)
     assert validate_query(doc, wrapper.schema) == []
+    if general:
+        todo = [doc.operations[0].compiled[1]]
+        while todo:
+            for f in todo.pop().fields:
+                f.leaf, f.plain, f.enum = False, None, None
+                if f.child is not None:
+                    todo.append(f.child)
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(ITEMS))
     return executor.execute(doc, None, None, ExecutionContext()).to_payload()
 
@@ -883,9 +889,9 @@ fragment F on Item { n k: id }
 """
 
 
-def test_leaf_path_matches_general_path_on_list_items(monkeypatch):
+def test_leaf_path_matches_general_path_on_list_items():
     leaf = execute_items(ITEMS_QUERY)
-    general = execute_items(ITEMS_QUERY, monkeypatch, general=True)
+    general = execute_items(ITEMS_QUERY, general=True)
     assert leaf == general
     assert leaf["data"] == {"getItems": [
         {"k": "i0", "n": 7, "sort": "upDown", "tags": ["a"], "box": {"wD": 1}, "id": "i0"},
@@ -906,23 +912,27 @@ def test_leaf_path_matches_general_path_on_list_items(monkeypatch):
 
 def test_selection_sets_compile_once_per_query(monkeypatch):
     calls = []
-    collect = Executor._collect_fields
+    collect = validation._Walk._collect
 
-    def counting(self, selections, parent_type, doc):
-        calls.append(parent_type.name)
-        return collect(self, selections, parent_type, doc)
+    def counting(self, lists, parent, depth):
+        calls.append(parent.name)
+        return collect(self, lists, parent, depth)
 
-    monkeypatch.setattr(Executor, "_collect_fields", counting)
+    monkeypatch.setattr(validation._Walk, "_collect", counting)
     items = [{"id": f"i{n}", "n": n, "box": {"w-d": n}} for n in range(200)]
     wrapper = build({"/items": get_path(
         {"type": "array", "items": {"$ref": "#/components/schemas/Item"}})}, ITEM_COMPONENTS)
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(items))
-    doc = parse_query("{ getItems { id n box { wD } } }")
-    for _ in range(2):
-        result = executor.execute(doc, None, None, ExecutionContext())
+    query = "{ getItems { id n box { wD } } }"
+    for _ in range(2):  # unvalidated documents: execute runs the same walk
+        result = executor.execute(parse_query(query), None, None, ExecutionContext())
         assert result.errors == [] and len(result.data["getItems"]) == 200
     # The root, item and box selection sets: once each per query.
     assert sorted(calls) == sorted(["Query", "Item", "Box"] * 2)
+    doc = parse_query(query)
+    assert validate_query(doc, wrapper.schema) == []
+    executor.execute(doc, None, None, ExecutionContext())
+    assert len(calls) == 9  # execute reuses what validation compiled
 
 
 def test_non_integral_upstream_number_for_int_is_a_field_error():

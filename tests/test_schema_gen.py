@@ -6,9 +6,8 @@ from collections import namedtuple
 
 import pytest
 
-from conftest import CORPUS_DIR, CannedClient, load_manifest
+from conftest import CORPUS_DIR, CannedClient, load_manifest, schema_from_sdl
 from oaswrap.engine import Executor, parse_query, validate_query
-from oaswrap.engine.sdl import parse_sdl
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, NON_NULL, OBJECT, REFERENCE, resolve_type
 from oaswrap.resolver_runtime import ExecutionContext
@@ -614,7 +613,7 @@ def test_sdl_round_trip_fixed_point():
                        "sort": {"type": "string", "enum": ["asc", "desc"]}},
     }}})
     first = wrapper.sdl
-    reparsed = parse_sdl(first)
+    reparsed = schema_from_sdl(first)
     second = print_sdl(reparsed)
     assert first == second
 
@@ -652,7 +651,7 @@ def test_placeholder_sdl_for_empty_query_root():
             "schema": {"type": "object", "properties": {"id": {"type": "string"}}}}}}},
     }}})
     assert "placeholder: String" in wrapper.sdl
-    reparsed = parse_sdl(wrapper.sdl)
+    reparsed = schema_from_sdl(wrapper.sdl)
     assert print_sdl(reparsed) == wrapper.sdl
 
 

@@ -11,7 +11,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.service import GraphQLService, make_server
+from oaswrap.service import MAX_REQUEST_BYTES, GraphQLService, make_server
 
 
 def build_wrapper(upstream, token_path=None):
@@ -137,6 +137,23 @@ def test_bad_content_length_is_400(service_url, length):
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.0 400")
     assert "Content-Length" in json.loads(body)["errors"][0]["message"]
+
+
+def test_request_over_the_size_cap_is_413_unread(service_url):
+    url, _, upstream = service_url
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        # The body is never sent: the reply must come without reading it, and
+        # the server must close the connection rather than wait for it.
+        sock.sendall(f"POST /graphql HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {MAX_REQUEST_BYTES + 1}\r\n\r\n".encode())
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 413")
+    assert str(MAX_REQUEST_BYTES) in json.loads(body)["errors"][0]["message"]
+    assert upstream.requests == []
 
 
 def test_server_listen_backlog(upstream):
