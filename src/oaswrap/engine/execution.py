@@ -33,18 +33,14 @@ from ..ir import (
     NON_NULL,
     OBJECT,
     SCALAR,
-    SCALAR_TYPE_NAMES,
     FieldIR,
     SchemaIR,
     TypeIR,
-    list_of,
-    non_null,
-    reference,
     resolve_type,
-    scalar,
 )
-from .ast import FieldNode, OperationNode, QueryDocument, TypeNode, ValueNode
-from .validation import INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation
+from .ast import FieldNode, OperationNode, QueryDocument, ValueNode
+from .validation import (INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation,
+                         declared_type)
 
 logger = logging.getLogger("oaswrap.engine")
 
@@ -73,11 +69,11 @@ class _NonNullViolation(Exception):
 
 
 @dataclass
-class Source:
-    """A raw upstream value under completion, with the request that fetched
-    it (for ``$request.*`` link expressions) and the query's context."""
+class Scope:
+    """What completion below one resolved field shares: the request that
+    fetched its raw values (for ``$request.*`` link expressions) and the
+    query's context. Nested objects and list items inherit it unchanged."""
 
-    value: Any
     request_record: Mapping[str, Mapping[str, Any]]
     ctx: ExecutionContext
 
@@ -104,26 +100,18 @@ def coerce_variables(definitions, provided: Mapping[str, Any] | None,
     coerced: dict[str, Any] = {}
     for definition in definitions:
         name = definition.name
-        expected = _type_from_node(definition.type, schema)
+        expected = declared_type(definition.type, schema)
+        if expected is None:
+            raise CoercionError(f"variable type {str(definition.type)!r} is not defined "
+                                f"by the schema")
         if name in provided:
             coerced[name] = _coerce_input(provided[name], expected, schema, f"${name}")
         elif definition.default is not None:
-            coerced[name] = _literal_value(definition.default, {})
+            coerced[name] = _coerce_input(_literal_value(definition.default, {}), expected,
+                                          schema, f"${name}")
         elif definition.type.kind == "non_null":
             raise CoercionError(f"variable ${name} is non-null but was not provided")
     return coerced
-
-
-def _type_from_node(node: TypeNode, schema: SchemaIR) -> TypeIR:
-    if node.kind == "non_null":
-        return non_null(_type_from_node(node.of_type, schema))
-    if node.kind == "list":
-        return list_of(_type_from_node(node.of_type, schema))
-    if node.name in SCALAR_TYPE_NAMES:
-        return scalar(node.name)
-    if node.name not in schema.types:
-        raise CoercionError(f"variable type {node.name!r} is not defined by the schema")
-    return reference(node.name)
 
 
 def _coerce_input(value: Any, expected: TypeIR, schema: SchemaIR, where: str) -> Any:
@@ -220,15 +208,13 @@ class Executor:
     """Executes validated query documents against one immutable SchemaIR.
 
     Completion reads the raw upstream JSON by each field's raw key, and maps
-    raw enum values through one raw -> sanitized table per enum, built here.
+    raw enum values through the compiled field's raw -> sanitized table.
     """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
                  client: HttpClient | None = None, max_parallel: int = 8):
         self.schema = schema
         self.plans = plans
-        self.enums = {name: {raw: value for value, raw in t.enum_values.items()}
-                      for name, t in schema.types.items() if t.kind == ENUM}
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
 
@@ -244,9 +230,9 @@ class Executor:
             query.dropped = {}
 
         result = ExecutionResult()
-        source = Source(value={}, request_record={}, ctx=ctx)
         try:
-            result.data = self._execute_selection_set(root, source, query, [], result.errors)
+            result.data = self._execute_selection_set(root, {}, Scope({}, ctx), query, [],
+                                                      result.errors)
         except _NonNullViolation:
             result.data = None
         for type_name, keys in sorted((query.dropped or {}).items()):
@@ -266,10 +252,11 @@ class Executor:
 
     # -- selection sets ---------------------------------------------------
 
-    def _execute_selection_set(self, compiled: CompiledSet, source: Source, query: _Query,
-                               path: list, errors: list) -> dict:
+    def _execute_selection_set(self, compiled: CompiledSet, raw: dict, scope: Scope,
+                               query: _Query, path: list, errors: list) -> dict:
+        """Complete the raw upstream object raw on compiled's fields."""
         if query.dropped is not None:
-            unexpected = source.value.keys() - {f.raw for f in compiled.type.fields.values()}
+            unexpected = raw.keys() - {f.raw for f in compiled.type.fields.values()}
             if unexpected:
                 query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
 
@@ -280,7 +267,8 @@ class Executor:
                 # Each sibling collects into its own error list so concurrent
                 # completion cannot reorder the merged result.
                 local_errors: list = []
-                return self._field_value(f, source, query, path, local_errors), local_errors
+                return (self._execute_field(f, raw, scope, query, path + [f.key], local_errors),
+                        local_errors)
 
             with ThreadPoolExecutor(
                     max_workers=min(self.max_parallel, len(compiled.fields))) as pool:
@@ -292,50 +280,58 @@ class Executor:
                 else:
                     out[f.key] = value
         else:
-            raw = source.value
             for f in compiled.fields:
-                # A leaf value that completes unchanged, or by one enum table
-                # lookup, is taken here; any other value, and every error,
-                # takes the general path.
-                value = raw.get(f.raw_key) if f.leaf else None
-                if type(value) is f.plain and (f.plain is not int
-                                               or INT_MIN <= value <= INT_MAX):
-                    out[f.key] = value
-                elif f.enum is not None and type(value) is str and value in f.enum:
-                    out[f.key] = f.enum[value]
-                else:
-                    value = self._field_value(f, source, query, path, errors)
-                    if isinstance(value, _NonNullViolation):
-                        bubbled = bubbled or value
-                    else:
+                # An unbound scalar or enum, or a list of them, whose values
+                # pass unchanged or map by one enum table lookup each, is
+                # taken here; any other field, and every error, takes
+                # _execute_field.
+                shape = f.shape
+                if shape == "leaf":
+                    value = raw.get(f.raw_key)
+                    plain = f.plain
+                    if type(value) is plain and (plain is not int
+                                                 or INT_MIN <= value <= INT_MAX):
                         out[f.key] = value
+                        continue
+                    if f.enum is not None and type(value) is str and value in f.enum:
+                        out[f.key] = f.enum[value]
+                        continue
+                elif shape == "leaves":
+                    value = raw.get(f.raw_key)
+                    if type(value) is list:
+                        value = _leaves(f, value)
+                        if value is not None:
+                            out[f.key] = value
+                            continue
+                value = self._execute_field(f, raw, scope, query, path + [f.key], errors)
+                if isinstance(value, _NonNullViolation):
+                    bubbled = bubbled or value
+                else:
+                    out[f.key] = value
         if bubbled is not None:
             raise bubbled
         return out
 
     # -- fields ----------------------------------------------------------------
 
-    def _field_value(self, f: CompiledField, source: Source, query: _Query, path: list,
-                     errors: list):
-        """The completed value of one field, or a _NonNullViolation to bubble."""
-        if not f.leaf:
-            return self._execute_field(f, source, query, path + [f.key], errors)
-        try:
-            return self._complete(f.field_ir.type, source.value.get(f.raw_key), source, f,
-                                  query, path + [f.key], errors)
-        except _NonNullViolation as bubble:
-            return bubble if f.field_ir.type.kind == NON_NULL else None
-
-    def _execute_field(self, f: CompiledField, source: Source, query: _Query, path: list,
-                       errors: list):
-        node = f.node
+    def _execute_field(self, f: CompiledField, raw: dict, scope: Scope, query: _Query,
+                       path: list, errors: list):
+        """The completed value of one field of the raw object raw, or a
+        _NonNullViolation to bubble. An unbound field's value is read from raw,
+        any other is resolved. An object goes straight to the child set; any
+        other value takes _complete."""
         field_ir = f.field_ir
         try:
-            args = self._coerce_arguments(field_ir, node, query.variables)
-            child = self._resolve(f, args, source)
-            return self._complete(field_ir.type, child.value, child, f, query, path, errors)
+            if f.raw_key is not None:
+                value = raw.get(f.raw_key)
+            else:
+                args = self._coerce_arguments(field_ir, f.node, query.variables)
+                value, scope = self._resolve(f, args, raw, scope)
+            if f.shape == "object" and type(value) is dict:
+                return self._execute_selection_set(f.child, value, scope, query, path, errors)
+            return self._complete(field_ir.type, value, scope, f, query, path, errors)
         except (ResolveError, CoercionError) as exc:
-            errors.append(_error_entry(str(exc), path, node))
+            errors.append(_error_entry(str(exc), path, f.node))
             if field_ir.type.kind == NON_NULL:
                 return _NonNullViolation(path)
             return None
@@ -352,13 +348,14 @@ class Executor:
                  for name in field_ir.args if name in node.arguments}
         return {name: value for name, value in given.items() if value is not _ABSENT}
 
-    def _resolve(self, f: CompiledField, args: dict, source: Source) -> Source:
+    def _resolve(self, f: CompiledField, args: dict, raw: dict,
+                 scope: Scope) -> tuple[Any, Scope]:
+        """The value of a bound field of the raw object raw, and the scope its
+        completion runs in."""
         field_ir = f.field_ir
         binding = field_ir.binding
-        if binding is None:
-            return Source(source.value.get(f.raw_key), source.request_record, source.ctx)
         if binding.kind == "placeholder":
-            return Source(None, {}, source.ctx)
+            return None, scope
         if binding.kind == "viewer":
             creds: dict[str, dict[str, str]] = {}
             if binding.credential_args:
@@ -369,33 +366,28 @@ class Executor:
             else:
                 for scheme in binding.schemes:
                     creds[scheme] = {k: str(v) for k, v in args.items() if v is not None}
-            ctx = source.ctx.with_credentials(creds)
-            return Source({}, source.request_record, ctx)
+            return {}, Scope(scope.request_record, scope.ctx.with_credentials(creds))
 
         plan = self.plans[binding.plan_key]
         # Link expressions read the raw object holding the link field.
         spec = bind_runtime(
-            plan, args, source.value, source.request_record, source.ctx,
+            plan, args, raw, scope.request_record, scope.ctx,
             self.schema.types, link_params=binding.link_params,
         )
-        spec = inject_auth(spec, plan, source.ctx)
+        spec = inject_auth(spec, plan, scope.ctx)
         status, _headers, body = self.client.send(spec)
         stringlike = _is_plain_string(field_ir.type)
         parsed = parse_upstream_body(status, body, expects_structured=not stringlike)
-        return Source(
-            value=shape_response(parsed, not stringlike),
-            request_record=spec.sent,
-            ctx=source.ctx.with_used_params(spec.sent),
-        )
+        return (shape_response(parsed, not stringlike),
+                Scope(spec.sent, scope.ctx.with_used_params(spec.sent)))
 
     # -- completion ---------------------------------------------------------------
 
-    def _complete(self, type_ir: TypeIR, value: Any, source: Source, f: CompiledField,
+    def _complete(self, type_ir: TypeIR, value: Any, scope: Scope, f: CompiledField,
                   query: _Query, path: list, errors: list):
-        """Complete a raw value of field f; objects inherit source's request
-        record and context."""
+        """Complete a raw value of field f, of type type_ir, in scope."""
         if type_ir.kind == NON_NULL:
-            value = self._complete(type_ir.of_type, value, source, f, query, path, errors)
+            value = self._complete(type_ir.of_type, value, scope, f, query, path, errors)
             if value is None:
                 errors.append(_error_entry(
                     f"field {f.key!r} of non-null type resolved to null", path, f.node))
@@ -410,32 +402,38 @@ class Executor:
                     f"expected a list for field {f.key!r}, got {type(value).__name__}",
                     path, f.node))
                 return None
+            item_type = type_ir.of_type
+            # A list of objects completes each dict item straight in the child set.
+            child = f.child if f.shape == "objects" else None
             items = []
             for index, item in enumerate(value):
                 try:
-                    items.append(self._complete(type_ir.of_type, item, source, f, query,
-                                                path + [index], errors))
+                    if child is not None and type(item) is dict:
+                        items.append(self._execute_selection_set(child, item, scope, query,
+                                                                 path + [index], errors))
+                    else:
+                        items.append(self._complete(item_type, item, scope, f, query,
+                                                    path + [index], errors))
                 except _NonNullViolation:
                     # A nullable item is the nearest nullable parent.
-                    if type_ir.of_type.kind == NON_NULL:
+                    if item_type.kind == NON_NULL:
                         raise
                     items.append(None)
             return items
 
-        named = resolve_type(type_ir, self.schema.types)
+        named = f.inner
         node = f.node
         if named.kind == SCALAR:
             return self._complete_scalar(named.name, value, path, errors, node)
         if named.kind == ENUM:
-            return self._complete_enum(named, value, path, errors, node)
+            return self._complete_enum(f, value, path, errors)
         if named.kind == OBJECT:
             if not isinstance(value, dict):
                 errors.append(_error_entry(
                     f"expected an object for field {f.key!r}, got {type(value).__name__}",
                     path, node))
                 return None
-            return self._execute_selection_set(
-                f.child, Source(value, source.request_record, source.ctx), query, path, errors)
+            return self._execute_selection_set(f.child, value, scope, query, path, errors)
         errors.append(_error_entry(f"type {named.name!r} cannot appear in output", path, node))
         return None
 
@@ -475,16 +473,27 @@ class Executor:
         errors.append(_error_entry(f"unknown scalar {name!r}", path, node))
         return None
 
-    def _complete_enum(self, named: TypeIR, value: Any, path: list, errors: list,
-                       node: FieldNode):
-        mapped = self.enums.get(named.name, {}).get(str(value))
+    def _complete_enum(self, f: CompiledField, value: Any, path: list, errors: list):
+        mapped = f.enum.get(str(value))
         if mapped is not None:
             return mapped
-        if isinstance(value, str) and value in (named.enum_values or []):
+        if isinstance(value, str) and value in f.inner.enum_values:
             return value
         errors.append(_error_entry(
-            f"upstream value {value!r} is not a value of enum {named.name}", path, node))
+            f"upstream value {value!r} is not a value of enum {f.inner.name}", path, f.node))
         return None
+
+
+def _leaves(f: CompiledField, items: list) -> list | None:
+    """items completed, if each one fits f's scalar or enum; else None."""
+    enum, plain = f.enum, f.plain
+    for item in items:
+        if enum is not None:
+            if type(item) is not str or item not in enum:
+                return None
+        elif type(item) is not plain or plain is int and not INT_MIN <= item <= INT_MAX:
+            return None
+    return items if enum is None else [enum[item] for item in items]
 
 
 def _is_plain_string(type_ir: TypeIR) -> bool:

@@ -46,6 +46,7 @@ def parse_query(text: str) -> QueryDocument:
             doc.operations.append(_operation(stream))
         elif token.kind == "NAME" and token.value == "fragment":
             fragment = _fragment_definition(stream)
+            _unique(doc.fragments, fragment.name, "fragment", fragment.line, fragment.column)
             doc.fragments[fragment.name] = fragment
         else:
             raise GraphQLSyntaxError(
@@ -151,12 +152,7 @@ def _field(stream: TokenStream) -> FieldNode:
     if stream.accept("PUNCT", ":"):
         alias = first.value
         name = stream.expect("NAME").value
-    arguments = {}
-    if stream.accept("PUNCT", "("):
-        while not stream.accept("PUNCT", ")"):
-            arg_name = stream.expect("NAME").value
-            stream.expect("PUNCT", ":")
-            arguments[arg_name] = _value(stream)
+    arguments = _arguments(stream)
     directives = _directives(stream)
     selection_set = None
     if stream.current.kind == "PUNCT" and stream.current.value == "{":
@@ -170,15 +166,27 @@ def _directives(stream: TokenStream) -> list[DirectiveNode]:
     while stream.current.kind == "PUNCT" and stream.current.value == "@":
         at = stream.advance()
         name = stream.expect("NAME").value
-        arguments = {}
-        if stream.accept("PUNCT", "("):
-            while not stream.accept("PUNCT", ")"):
-                arg_name = stream.expect("NAME").value
-                stream.expect("PUNCT", ":")
-                arguments[arg_name] = _value(stream)
-        directives.append(DirectiveNode(name=name, arguments=arguments,
+        directives.append(DirectiveNode(name=name, arguments=_arguments(stream),
                                         line=at.line, column=at.column))
     return directives
+
+
+def _arguments(stream: TokenStream) -> dict[str, ValueNode]:
+    arguments: dict[str, ValueNode] = {}
+    if stream.accept("PUNCT", "("):
+        while not stream.accept("PUNCT", ")"):
+            name = stream.expect("NAME")
+            stream.expect("PUNCT", ":")
+            _unique(arguments, name.value, "argument", name.line, name.column)
+            arguments[name.value] = _value(stream)
+    return arguments
+
+
+def _unique(seen: dict, name: str, what: str, line: int, column: int) -> None:
+    """Reject a repeated argument, input field or fragment name, which the AST
+    keys by, with graphql-core's message."""
+    if name in seen:
+        raise GraphQLSyntaxError(f"There can be only one {what} named {name!r}.", line, column)
 
 
 def _value(stream: TokenStream, const: bool = False) -> ValueNode:
@@ -216,11 +224,12 @@ def _value(stream: TokenStream, const: bool = False) -> ValueNode:
         return ValueNode("list", values=values, line=token.line, column=token.column)
     if token.kind == "PUNCT" and token.value == "{":
         stream.advance()
-        fields = {}
+        fields: dict[str, ValueNode] = {}
         while not stream.accept("PUNCT", "}"):
-            field_name = stream.expect("NAME").value
+            name = stream.expect("NAME")
             stream.expect("PUNCT", ":")
-            fields[field_name] = _value(stream, const)
+            _unique(fields, name.value, "input field", name.line, name.column)
+            fields[name.value] = _value(stream, const)
         return ValueNode("object", fields=fields, line=token.line, column=token.column)
     raise GraphQLSyntaxError(f"expected a value, found {token.value or token.kind!r}",
                              token.line, token.column)

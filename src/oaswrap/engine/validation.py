@@ -24,10 +24,15 @@ from ..ir import (
     NON_NULL,
     OBJECT,
     SCALAR,
+    SCALAR_TYPE_NAMES,
     FieldIR,
     SchemaIR,
     TypeIR,
+    list_of,
+    non_null,
+    reference,
     resolve_type,
+    scalar,
 )
 from .ast import FieldNode, FragmentSpreadNode, OperationNode, QueryDocument, TypeNode, ValueNode
 from .parser import MAX_DEPTH
@@ -41,16 +46,24 @@ _PASS_THROUGH = {"String": str, "ID": str, "Int": int, "Float": float, "Boolean"
 
 @dataclass
 class CompiledField:
-    """One response key of a compiled selection set."""
+    """One response key of a compiled selection set.
+
+    A value that fits the field's shape completes without the general path:
+    an unbound ``leaf`` (a scalar or enum) or ``leaves`` (a list of them) in
+    the selection-set loop, read straight from the parent's raw object; an
+    ``object`` straight in its child set; ``objects`` (a list of objects)
+    item by item in the child set. Any other value, and every error, takes
+    the general path."""
 
     key: str
     node: FieldNode  # the first of the merged nodes: arguments and error locations
     field_ir: FieldIR
+    inner: TypeIR  # the named type under the field's list and non-null wrappers
     child: CompiledSet | None  # an object field's merged sub-selections
-    raw_key: str | None  # the upstream key a field without binding reads
-    leaf: bool  # completed inline, without a Source, arguments or _execute_field
-    plain: type | None = None  # a leaf scalar's values of this exact type pass unchanged
-    enum: dict[str, str] | None = None  # a leaf enum's raw -> sanitized table
+    raw_key: str | None  # an unbound field's upstream key: its value is read, not resolved
+    shape: str | None = None  # leaf | object | leaves | objects; None: the general path
+    plain: type | None = None  # a scalar's values of this exact type pass unchanged
+    enum: dict[str, str] | None = None  # an enum's raw -> sanitized table
 
 
 @dataclass
@@ -130,6 +143,10 @@ def compile_operation(doc: QueryDocument, op: OperationNode,
         walk.variables[var_def.name] = var_def.type
         if var_def.default is not None:
             walk.defaults.add(var_def.name)
+            expected = declared_type(var_def.type, schema)
+            if expected is not None:  # an unknown type is incompatible wherever it is used
+                walk._check_value(var_def.default, expected,
+                                  f"default value of variable ${var_def.name}")
     _check_directives(op.directives, errors)
 
     root = None
@@ -291,15 +308,21 @@ class _Walk:
                           f"must not have a selection set (line {node.line})")
             return None
 
-        raw_key = field_ir.raw or field_ir.name if field_ir.binding is None else None
-        leaf = field_ir.binding is None and not field_ir.args and inner.kind in (SCALAR, ENUM)
-        f = CompiledField(key, node, field_ir, child, raw_key, leaf)
-        t = field_ir.type.of_type if field_ir.type.kind == NON_NULL else field_ir.type
-        if leaf and t.kind != LIST:
-            if inner.kind == SCALAR:
-                f.plain = _PASS_THROUGH.get(inner.name)
-            else:
-                f.enum = {raw: value for value, raw in inner.enum_values.items()}
+        unbound = field_ir.binding is None
+        f = CompiledField(key, node, field_ir, inner, child,
+                          field_ir.raw or field_ir.name if unbound else None)
+        if inner.kind == SCALAR:
+            f.plain = _PASS_THROUGH.get(inner.name)
+        elif inner.kind == ENUM:
+            f.enum = {raw: value for value, raw in inner.enum_values.items()}
+        t = _nullable(field_ir.type)
+        many = t.kind == LIST
+        if many and _nullable(t.of_type).kind == LIST:
+            return f  # nested lists take the general path
+        if inner.kind == OBJECT:
+            f.shape = "objects" if many else "object"
+        elif inner.kind in (SCALAR, ENUM) and unbound:  # read in the selection-set loop
+            f.shape = "leaves" if many else "leaf"
         return f
 
     def _check_value(self, value: ValueNode, expected: TypeIR, where: str) -> None:
@@ -360,6 +383,22 @@ class _Walk:
             self.too_deep = True
             self.errors.append(f"selections nest deeper than {MAX_DEPTH} levels "
                                f"with fragments expanded")
+
+
+def declared_type(node: TypeNode, schema: SchemaIR) -> TypeIR | None:
+    """The type a variable declares, or None if it names no type of the schema."""
+    if node.kind == "named":
+        if node.name in SCALAR_TYPE_NAMES:
+            return scalar(node.name)
+        return reference(node.name) if node.name in schema.types else None
+    inner = declared_type(node.of_type, schema)
+    if inner is None:
+        return None
+    return non_null(inner) if node.kind == "non_null" else list_of(inner)
+
+
+def _nullable(t: TypeIR) -> TypeIR:
+    return t.of_type if t.kind == NON_NULL else t
 
 
 def _check_scalar(value: ValueNode, scalar_name: str, errors: list[str], where: str) -> None:

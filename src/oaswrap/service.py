@@ -135,7 +135,8 @@ def make_server(service: GraphQLService, host: str = "127.0.0.1",
                 logger.exception("internal error %s handling POST /graphql", error_id)
                 status, body = 500, {"errors": [{"message": f"internal error {error_id}",
                                                  "extensions": {"errorId": error_id}}]}
-            self._send(status, json.dumps(body).encode("utf-8"), "application/json")
+            self._send(status, json.dumps(body, separators=(",", ":")).encode("utf-8"),
+                       "application/json")
 
     return WrapperServer((host, port), Handler)
 

@@ -1,5 +1,6 @@
 """Shared test infrastructure: a programmable, recording mock upstream, a
-canned client, an SDL reader for round trips, and corpus paths."""
+canned client, a switch to the executor's general completion path, an SDL
+reader for round trips, and corpus paths."""
 
 from __future__ import annotations
 
@@ -175,6 +176,18 @@ class CannedClient:
 
     def send(self, spec):
         return 200, {}, self.body
+
+
+def general_path(doc) -> None:
+    """Clear the inline shape of every compiled field of doc's validated
+    first operation, so that its execution completes every value through
+    the executor's general path."""
+    todo = [doc.operations[0].compiled[1]]
+    while todo:
+        for f in todo.pop().fields:
+            f.shape = None
+            if f.child is not None:
+                todo.append(f.child)
 
 
 @pytest.fixture

@@ -1,0 +1,186 @@
+"""Completion of upstream records, checked against graphql-core as an oracle.
+
+Hypothesis generates upstream bodies for a list of records whose type has
+non-null, list, enum, list-of-scalar and nested-object fields. The bodies hold
+nulls, missing keys, wrong JSON types, unknown enum values, non-dict items and
+lists containing nulls. The executor completes each body twice, through its
+inline shapes and through its general path alone, and the two must agree
+exactly. graphql_sync completes the same body with resolvers that read each
+field by its raw upstream key (``FieldIR.raw``); data and error paths must
+agree with it.
+
+Deliberate differences, which the bodies do not generate:
+- an Int outside 32 bits surfaces as a Float, where graphql-core errs;
+- a String from a JSON object or array becomes its JSON text, where
+  graphql-core errs;
+- an upstream boolean or numeric string for an Int or Float, and a number for
+  a Boolean, are field errors, where graphql-core coerces them;
+- an upstream enum value that already is the sanitized GraphQL name passes,
+  where graphql-core errs.
+"""
+
+import copy
+import json
+
+from graphql import build_schema, graphql_sync
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import CannedClient, general_path
+from oaswrap.engine import Executor, parse_query, validate_query
+from oaswrap.engine.validation import INT_MAX, INT_MIN
+from oaswrap.generator import GenerationOptions, generate
+from oaswrap.ir import OBJECT, list_of, non_null, reference, scalar
+from oaswrap.resolver_runtime import ExecutionContext
+from oaswrap.schema_gen import print_sdl
+
+SORTS = ["up-down", "flat", "x_y"]
+FIXTURE = {
+    "openapi": "3.0.0",
+    "info": {"title": "Completion", "version": "1"},
+    "servers": [{"url": "http://upstream.invalid"}],
+    "paths": {"/records": {"get": {"responses": {"200": {
+        "description": "ok", "content": {"application/json": {"schema": {
+            "type": "array", "items": {"$ref": "#/components/schemas/Record"}}}}}}}}},
+    "components": {"schemas": {
+        "Record": {"type": "object", "required": ["id", "label-text"], "properties": {
+            "id": {"type": "string"}, "label-text": {"type": "string"},
+            "n": {"type": "integer"}, "x": {"type": "number"}, "ok": {"type": "boolean"},
+            "sort": {"type": "string", "enum": SORTS},
+            "tags": {"type": "array", "items": {"type": "string"}},
+            "nums": {"type": "array", "items": {"type": "integer"}},
+            "sorts": {"type": "array", "items": {"type": "string", "enum": SORTS}},
+            "box": {"$ref": "#/components/schemas/Box"},
+            "boxes": {"type": "array", "items": {"$ref": "#/components/schemas/Box"}}}},
+        "Box": {"type": "object", "required": ["name"], "properties": {
+            "w-d": {"type": "integer"}, "name": {"type": "string"}}},
+    }},
+}
+WRAPPER = generate(json.dumps(FIXTURE).encode(), GenerationOptions())
+
+
+def strict_items(schema):
+    """A copy of schema whose lists hold non-null items, with tags itself non-null.
+    Generated schemas never have non-null items; the executor must still
+    bubble them."""
+    schema = copy.deepcopy(schema)
+    fields = schema.types["Record"].fields
+    fields["tags"].type = non_null(list_of(non_null(scalar("String"))))
+    fields["nums"].type = list_of(non_null(scalar("Int")))
+    fields["sorts"].type = list_of(non_null(reference("Sort")))
+    fields["boxes"].type = list_of(non_null(reference("Box")))
+    schema.query_fields["getRecords"].type = list_of(non_null(reference("Record")))
+    return schema
+
+
+def oracle(schema):
+    """graphql-core's schema for ours: object fields read their raw key from a
+    dict parent, anything else is not an object, and enums serialize raw values."""
+    theirs = build_schema(print_sdl(schema))
+    for name, type_ir in schema.types.items():
+        target = theirs.type_map[name]
+        if type_ir.kind == OBJECT:
+            target.is_type_of = lambda value, info: isinstance(value, dict)
+            for field_name, field_ir in type_ir.fields.items():
+                target.fields[field_name].resolve = (
+                    lambda parent, info, raw=field_ir.raw: parent.get(raw))
+        elif type_ir.enum_values:
+            for value, raw in type_ir.enum_values.items():
+                target.values[value].value = raw
+    return theirs
+
+
+# The generated schema and its strict copy, each with graphql-core's.
+SCHEMAS = [(schema, oracle(schema)) for schema in (WRAPPER.schema, strict_items(WRAPPER.schema))]
+
+# Values that are wrong for a scalar in both engines.
+NOT_NUMBERS = st.sampled_from(["x", "", {}, [1]])
+SCALARS = {
+    "String": st.one_of(st.text(max_size=4), st.integers(-10**6, 10**6), st.booleans(),
+                        st.floats(allow_nan=False, allow_infinity=False)),
+    "Int": st.one_of(st.integers(INT_MIN, INT_MAX), st.sampled_from([3.0, -0.0, 2.5]),
+                     NOT_NUMBERS),
+    "Float": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-2**53, 2**53), NOT_NUMBERS),
+    "Boolean": st.one_of(st.booleans(), NOT_NUMBERS),
+}
+
+
+def often(values, otherwise=st.none()):
+    """values seven times in eight, otherwise (null by default) once."""
+    return st.integers(0, 7).flatmap(lambda n: values if n else otherwise)
+
+
+ENUM = often(st.sampled_from(SORTS), st.sampled_from(["sideways", "UP-DOWN", 5, True, {}]))
+NOT_OBJECTS = st.sampled_from(["x", 5, [1]])
+
+
+def lists_of(items):
+    return often(st.lists(often(items), max_size=3), st.sampled_from([None, "a", 5, {}]))
+
+
+BOX = often(st.fixed_dictionaries({"name": often(st.text(max_size=4))}, optional={
+    "w-d": often(SCALARS["Int"]), "other": st.just(1)}), often(NOT_OBJECTS))
+RECORD = often(st.fixed_dictionaries({
+    "id": often(st.text(max_size=4), often(st.none(), SCALARS["String"])),
+    "label-text": often(SCALARS["String"]), "tags": lists_of(SCALARS["String"]),
+    "sort": often(ENUM), "box": often(BOX), "boxes": lists_of(BOX),
+}, optional={
+    "n": often(SCALARS["Int"]), "x": often(SCALARS["Float"]),
+    "ok": often(SCALARS["Boolean"]), "nums": lists_of(SCALARS["Int"]),
+    "sorts": lists_of(ENUM),
+}), often(NOT_OBJECTS))
+BODIES = often(st.lists(RECORD, min_size=1, max_size=5), st.sampled_from([None, {}, "x", []]))
+
+RECORD_FIELDS = ["box", "boxes", "id", "labelText", "n", "nums", "ok", "sort", "sorts",
+                 "tags", "x"]
+
+
+@st.composite
+def queries(draw):
+    def pick(names):
+        return draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names),
+                             unique=True))
+
+    selections = [name + (" { " + " ".join(pick(["name", "wD"])) + " }"
+                          if name in ("box", "boxes") else "")
+                  for name in pick(RECORD_FIELDS)]
+    return "{ getRecords { " + " ".join(selections) + " } }"
+
+
+def execute(schema, text, body, general):
+    doc = parse_query(text)
+    assert validate_query(doc, schema) == []
+    if general:
+        general_path(doc)
+    executor = Executor(schema, WRAPPER.plans, CannedClient(body))
+    return executor.execute(doc, None, None, ExecutionContext()).to_payload()
+
+
+def under_null(data, path) -> bool:
+    """Whether a proper prefix of path leads to null in data."""
+    for key in path[:-1]:
+        if data is None:
+            return True
+        data = data[key]
+    return data is None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), queries(), BODIES)
+def test_completion_agrees_with_graphql_core(strict, text, body):
+    schema, theirs = SCHEMAS[strict]
+    ours = execute(schema, text, body, general=False)
+    # As JSON, since 3 == 3.0.
+    assert json.dumps(ours) == json.dumps(execute(schema, text, body, general=True))
+
+    expected = graphql_sync(theirs, text, root_value={"getRecords": json.loads(json.dumps(body))})
+    assert json.dumps(ours["data"]) == json.dumps(expected.data)
+    # graphql-core sorts its errors, and stops completing an object at its
+    # first non-null violation, where the executor completes every field and
+    # reports each error. Errors outside a nulled object agree one for one.
+    our_paths = sorted((e["path"] for e in ours.get("errors", [])), key=json.dumps)
+    their_paths = sorted((e.path for e in expected.errors or []), key=json.dumps)
+    assert all(path in our_paths for path in their_paths)
+    assert ([p for p in our_paths if not under_null(ours["data"], p)]
+            == [p for p in their_paths if not under_null(expected.data, p)])

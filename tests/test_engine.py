@@ -2,10 +2,11 @@
 
 import base64
 import json
+import logging
 
 import pytest
 
-from conftest import CannedClient
+from conftest import CannedClient, general_path
 from oaswrap.engine import (
     Executor,
     coerce_variables,
@@ -259,6 +260,19 @@ def test_syntax_error_carries_position():
         parse_query("{ user(id: }")
     assert excinfo.value.line == 1
     assert excinfo.value.column > 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{ a(x: 1, x: 2) }', "There can be only one argument named 'x'. (line 1, column 11)"),
+    ('{ a @d(x: 1, x: 2) }', "There can be only one argument named 'x'. (line 1, column 14)"),
+    ('{ a(x: {b: 1, b: 2}) }', "There can be only one input field named 'b'. (line 1, column 15)"),
+    ('{ a } fragment F on A { b } fragment F on A { c }',
+     "There can be only one fragment named 'F'. (line 1, column 29)"),
+], ids=["argument", "directive-argument", "input-field", "fragment"])
+def test_repeated_names_are_syntax_errors(text, message):
+    with pytest.raises(GraphQLSyntaxError) as excinfo:
+        parse_query(text)
+    assert str(excinfo.value) == message
 
 
 # -- validate_query --------------------------------------------------------------
@@ -854,32 +868,34 @@ ITEM_COMPONENTS = {"schemas": {
         "id": {"type": "string"}, "n": {"type": "integer"},
         "sort": {"type": "string", "enum": ["up-down", "flat"]},
         "tags": {"type": "array", "items": {"type": "string"}},
-        "box": {"type": "object", "properties": {"w-d": {"type": "integer"}}}}},
+        "box": {"type": "object", "properties": {"w-d": {"type": "integer"}}},
+        "sorts": {"type": "array", "items": {"type": "string", "enum": ["up-down", "flat"]}},
+        "ns": {"type": "array", "items": {"type": "integer"}},
+        "boxes": {"type": "array", "items": {
+            "type": "object", "properties": {"w-d": {"type": "integer"}}}}}},
 }}
 
 ITEMS = [
-    {"id": "i0", "n": 7, "sort": "up-down", "tags": ["a"], "box": {"w-d": 1}},
-    {"n": 8, "sort": "flat"},  # required id absent: the item bubbles to null
-    {"id": "i2", "n": "12", "sort": "sideways", "tags": [3, None]},  # Int as string, bad enum
-    {"id": "i3", "n": 2**40, "box": {"w-d": "x"}},  # Int overflow, Int as string in a child
+    {"id": "i0", "n": 7, "sort": "up-down", "tags": ["a"], "box": {"w-d": 1},
+     "sorts": ["flat", "up-down"], "ns": [1, -2], "boxes": [{"w-d": 2}, {"w-d": 3}]},
+    {"n": 8, "sort": "flat", "boxes": []},  # required id absent: the item bubbles to null
+    {"id": "i2", "n": "12", "sort": "sideways", "tags": [3, None],  # Int as string, bad enum
+     "sorts": ["flat", "sideways"], "ns": [1, 2**31], "boxes": [None, "x", {"w-d": True}]},
+    {"id": "i3", "n": 2**40, "box": {"w-d": "x"},  # Int overflow, Int as string in a child
+     "sorts": "flat", "ns": [True, None], "boxes": {"w-d": 1}, "extra": 1},
 ]
 
 
-def execute_items(query, general=False):
-    """Complete a query over ITEMS, optionally with every leaf forced
+def execute_items(query, general=False, items=ITEMS):
+    """Complete a query over items, optionally with every field forced
     through the general path."""
     wrapper = build({"/items": get_path(
         {"type": "array", "items": {"$ref": "#/components/schemas/Item"}})}, ITEM_COMPONENTS)
     doc = parse_query(query)
     assert validate_query(doc, wrapper.schema) == []
     if general:
-        todo = [doc.operations[0].compiled[1]]
-        while todo:
-            for f in todo.pop().fields:
-                f.leaf, f.plain, f.enum = False, None, None
-                if f.child is not None:
-                    todo.append(f.child)
-    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(ITEMS))
+        general_path(doc)
+    executor = Executor(wrapper.schema, wrapper.plans, CannedClient(items))
     return executor.execute(doc, None, None, ExecutionContext()).to_payload()
 
 
@@ -908,6 +924,48 @@ def test_leaf_path_matches_general_path_on_list_items():
         ("upstream value 'x' is not an Int", ["getItems", 3, "box", "wD"]),
     ]
     assert all(e["locations"] for e in leaf["errors"])
+
+
+SHAPES_QUERY = "{ getItems { sorts ns boxes { wD } tags box { wD } } }"
+# Values that fit no shape: an object that is a list, a list holding an Int
+# beyond 32 bits, an Int in a String list and a null enum.
+SHAPE_ITEMS = ITEMS + [{"box": [1], "boxes": [{"w-d": 2**31}], "tags": ["x", 5],
+                        "sorts": [None], "ns": []}]
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["info", "debug"])
+def test_inline_shapes_match_general_path(debug, caplog):
+    caplog.set_level(logging.DEBUG if debug else logging.INFO, logger="oaswrap.engine")
+    for query in (ITEMS_QUERY, SHAPES_QUERY):
+        caplog.clear()
+        inline = execute_items(query, items=SHAPE_ITEMS)
+        inline_log = caplog.messages[:]
+        caplog.clear()
+        general = execute_items(query, general=True, items=SHAPE_ITEMS)
+        # As JSON, since 2**40 == float(2**40).
+        assert json.dumps(inline) == json.dumps(general)
+        assert inline_log == caplog.messages
+        assert any("dropped" in m for m in inline_log) == debug
+    assert inline["data"] == {"getItems": [
+        {"sorts": ["flat", "upDown"], "ns": [1, -2], "boxes": [{"wD": 2}, {"wD": 3}],
+         "tags": ["a"], "box": {"wD": 1}},
+        {"sorts": None, "ns": None, "boxes": [], "tags": None, "box": None},
+        {"sorts": ["flat", None], "ns": [1, float(2**31)], "boxes": [None, None, {"wD": None}],
+         "tags": ["3", None], "box": None},
+        {"sorts": None, "ns": [None, None], "boxes": None, "tags": None, "box": {"wD": None}},
+        {"sorts": [None], "ns": [], "boxes": [{"wD": float(2**31)}], "tags": ["x", "5"],
+         "box": None},
+    ]}
+    assert [(e["message"], e["path"]) for e in inline["errors"]] == [
+        ("upstream value 'sideways' is not a value of enum Sort", ["getItems", 2, "sorts", 1]),
+        ("expected an object for field 'boxes', got str", ["getItems", 2, "boxes", 1]),
+        ("upstream value True is not an Int", ["getItems", 2, "boxes", 2, "wD"]),
+        ("expected a list for field 'sorts', got str", ["getItems", 3, "sorts"]),
+        ("upstream value True is not an Int", ["getItems", 3, "ns", 0]),
+        ("expected a list for field 'boxes', got dict", ["getItems", 3, "boxes"]),
+        ("upstream value 'x' is not an Int", ["getItems", 3, "box", "wD"]),
+        ("expected an object for field 'box', got list", ["getItems", 4, "box"]),
+    ]
 
 
 def test_selection_sets_compile_once_per_query(monkeypatch):

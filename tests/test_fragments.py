@@ -2,6 +2,7 @@
 fragments expanded, checked through the service and against graphql-core as
 an oracle."""
 
+import copy
 import json
 import time
 
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import CannedClient
 from oaswrap.engine import parse_query, validate_query
 from oaswrap.engine.parser import MAX_DEPTH
+from oaswrap.errors import GraphQLSyntaxError
 from oaswrap.generator import GenerationOptions, generate
+from oaswrap.ir import scalar
 from oaswrap.service import GraphQLService
 
 
@@ -98,6 +101,44 @@ def test_fields_that_merge_make_one_call_and_keep_first_occurrence_order():
     assert len(client.specs) == 1
 
 
+# -- names that must not repeat, and variable defaults --------------------------------
+
+
+@pytest.mark.parametrize("query, message", [
+    ('{ user(id: "1", id: "2") { id } }', "There can be only one argument named 'id'."),
+    ('{ user(id: "1") { ...A } } fragment A on User { id } fragment A on User { name }',
+     "There can be only one fragment named 'A'."),
+], ids=["argument", "fragment"])
+def test_repeated_names_are_400_before_any_upstream_call(query, message):
+    service, client = counting_service()
+    status, payload = service.handle_graphql({"query": query})
+    assert status == 400
+    assert payload["errors"][0]["message"].startswith(message)
+    assert client.specs == []
+    assert [e.message for e in validate(SCHEMA, parse(query))] == [message]
+
+
+def test_variable_default_of_the_wrong_type_is_400_before_any_upstream_call():
+    service, client = counting_service()
+    query = 'query Q($v: String = 5) { user(id: $v) { id } }'
+    status, payload = service.handle_graphql({"query": query})
+    assert status == 400
+    assert payload == {"errors": [
+        {"message": "default value of variable $v expects String, got int 5"}]}
+    assert client.specs == []
+    assert validate(SCHEMA, parse(query))
+
+
+def test_variable_default_is_coerced_to_its_type():
+    wrapper = copy.deepcopy(WRAPPER)
+    wrapper.schema.query_fields["user"].args["id"].type = scalar("ID")
+    client = CountingClient(BODY)
+    service = GraphQLService(wrapper, client=client)
+    status, _ = service.handle_graphql({"query": 'query Q($v: ID = 5) { user(id: $v) { id } }'})
+    assert status == 200
+    assert [spec.sent["path"] for spec in client.specs] == [{"id": "5"}]
+
+
 # -- fragment chains and depth ------------------------------------------------------
 
 
@@ -176,7 +217,8 @@ def odds(draw, n):
 def documents(draw):
     """A document over FIELDS whose spread graph may hold chains, diamonds,
     doubled spreads, cycles, unused fragments, wrong type conditions and
-    conflicting aliases. Acyclic, it nests at most 3 + 3 * 5 levels.
+    conflicting aliases, and which may repeat an argument or a fragment name.
+    Acyclic, it nests at most 3 + 3 * 5 levels.
 
     Fragment Fi spreads only later fragments unless the document may be
     cyclic, and mostly fragments on the type it spreads them into."""
@@ -215,9 +257,15 @@ def documents(draw):
         if not odds(draw, 4):  # most documents spread every fitting fragment here too
             body = body[:-1] + "".join(f"...{n} " for n in names
                                        if conditions[n] == root.title()) + "}"
-        roots.append(f'{alias}{root}(id: "{draw(st.sampled_from("12"))}") {body}')
+        args = ", ".join(f'id: "{draw(st.sampled_from("12"))}"'
+                         for _ in range(2 if odds(draw, 16) else 1))
+        roots.append(f"{alias}{root}({args}) {body}")
     fragments = [f"fragment {name} on {conditions[name]} "
                  + selection_set(conditions[name], 2, i) for i, name in enumerate(names)]
+    if names and odds(draw, 16):
+        i = draw(st.integers(0, count - 1))
+        fragments.append(f"fragment {names[i]} on {conditions[names[i]]} "
+                         + selection_set(conditions[names[i]], 2, i))
     return "\n".join(["{ " + " ".join(roots) + " }"] + fragments)
 
 
@@ -231,7 +279,10 @@ def graphql_core_errors(text):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
 def test_walk_agrees_with_graphql_core(text):
-    ours = validate_query(parse_query(text), WRAPPER.schema)
+    try:
+        ours = validate_query(parse_query(text), WRAPPER.schema)
+    except GraphQLSyntaxError as exc:  # a repeated name
+        ours = [str(exc)]
     theirs = graphql_core_errors(text)
     assert (ours == []) == (theirs == []), (ours, [e.message for e in theirs])
     status, payload = counting_service()[0].handle_graphql({"query": text})
