@@ -15,6 +15,7 @@ import click
 from .evaluate import evaluate_corpus, render_tables, stats_json
 from .generator import GenerationOptions, generate
 from .report import finalize_report
+from .resolver_runtime import read_token
 from .service import GraphQLService, serve_forever
 
 
@@ -94,20 +95,18 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
             raise click.UsageError(f"--header must look like 'Name: value', got {header!r}")
         extra_headers[key.strip()] = value.strip()
 
-    wrapper = generate(oas_path, GenerationOptions(strict=strict, casing=casing,
-                                                   token_path=token_path))
+    wrapper = generate(oas_path, GenerationOptions(strict=strict, casing=casing))
     if not wrapper.ok:
         click.echo(f"generation failed: [{wrapper.report.error_kind}] "
                    f"{wrapper.report.error_message}", err=True)
         sys.exit(1)
 
-    token_store = None
+    token = None
     if context_file:
-        token_store = json.loads(context_file.read_text(encoding="utf-8"))
+        token = read_token(json.loads(context_file.read_text(encoding="utf-8")), token_path)
 
-    service = GraphQLService(wrapper, extra_headers=extra_headers,
-                             token_store=token_store, timeout=timeout,
-                             max_parallel=parallelism)
+    service = GraphQLService(wrapper, extra_headers=extra_headers, token=token,
+                             timeout=timeout, max_parallel=parallelism)
     serve_forever(service, host, port)
 
 

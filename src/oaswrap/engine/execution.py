@@ -256,7 +256,7 @@ class Executor:
                                query: _Query, path: list, errors: list) -> dict:
         """Complete the raw upstream object raw on compiled's fields."""
         if query.dropped is not None:
-            unexpected = raw.keys() - {f.raw for f in compiled.type.fields.values()}
+            unexpected = raw.keys() - compiled.raw_keys
             if unexpected:
                 query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
 
@@ -342,11 +342,14 @@ class Executor:
 
     def _coerce_arguments(self, field_ir: FieldIR, node: FieldNode,
                           variables: dict) -> dict[str, Any]:
-        """The given arguments, in declaration order. Absent ones stay absent:
-        defaults are design-time plan knowledge applied at bind time."""
+        """The given arguments, in declaration order, coerced to their types as
+        variables are, so a literal and a variable of one value bind alike.
+        Absent ones stay absent: defaults are design-time plan knowledge
+        applied at bind time."""
         given = {name: _literal_value(node.arguments[name], variables)
                  for name in field_ir.args if name in node.arguments}
-        return {name: value for name, value in given.items() if value is not _ABSENT}
+        return {name: _coerce_input(value, field_ir.args[name].type, self.schema, name)
+                for name, value in given.items() if value is not _ABSENT}
 
     def _resolve(self, f: CompiledField, args: dict, raw: dict,
                  scope: Scope) -> tuple[Any, Scope]:

@@ -33,6 +33,7 @@ from ..ir import (
     reference,
     resolve_type,
     scalar,
+    type_str,
 )
 from .ast import FieldNode, FragmentSpreadNode, OperationNode, QueryDocument, TypeNode, ValueNode
 from .parser import MAX_DEPTH
@@ -74,6 +75,7 @@ class CompiledSet:
     fields: list[CompiledField] = field(default_factory=list)
     parallel: bool = False  # two or more operation fields, outside a mutation
     height: int = 1  # nested selection sets, this one included, fragments expanded
+    raw_keys: frozenset = frozenset()  # the upstream keys the type declares
 
 
 def validate_query(doc: QueryDocument, schema: SchemaIR) -> list[str]:
@@ -191,7 +193,7 @@ class _Walk:
             self._deep()
             return CompiledSet(parent)
         self.memo[key] = None
-        compiled = CompiledSet(parent)
+        compiled = CompiledSet(parent, raw_keys=frozenset(f.raw for f in parent.fields.values()))
         groups, compiled.height = self._collect(lists, parent, depth)
         for response_key, (nodes, level) in groups.items():
             f = self._field(response_key, nodes, parent, depth + level)
@@ -335,7 +337,7 @@ class _Walk:
             elif not _variable_compatible(declared, expected, value.value in self.defaults,
                                           self.schema):
                 errors.append(f"variable ${value.value}: {declared} is not compatible with "
-                              f"the {_type_str(expected)} expected by {where}")
+                              f"the {type_str(expected)} expected by {where}")
             return
 
         if expected.kind == NON_NULL:
@@ -435,14 +437,6 @@ def _variable_compatible(declared: TypeNode, expected: TypeIR, has_default: bool
         return False
     named = resolve_type(expected, schema.types)
     return declared.name == named.name
-
-
-def _type_str(t: TypeIR) -> str:
-    if t.kind == NON_NULL:
-        return _type_str(t.of_type) + "!"
-    if t.kind == LIST:
-        return "[" + _type_str(t.of_type) + "]"
-    return t.name or "?"
 
 
 def _describe(value: ValueNode) -> str:

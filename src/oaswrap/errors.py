@@ -36,7 +36,6 @@ class MissingRefError(OaswrapError):
 
     def __init__(self, pointer: str, message: str | None = None):
         super().__init__(message or f"cannot resolve reference {pointer!r}")
-        self.pointer = pointer
 
 
 class SanitationError(OaswrapError):

@@ -23,7 +23,6 @@ from .schema_gen import assemble_schema, print_sdl
 class GenerationOptions:
     strict: bool = False
     casing: str = CAMEL
-    token_path: str | None = None
 
     @property
     def mode(self) -> str:
@@ -74,10 +73,9 @@ def _run_pipeline(source, source_name, options: GenerationOptions, report: Repor
 def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
             wrapper: GeneratedWrapper) -> None:
     wrapper.document = doc
-    issues = validate(doc)
-    fatal = [issue for issue in issues if issue.severity == "fatal"]
-    if fatal:
-        raise InvalidOasError(f"{fatal[0].message} (at {fatal[0].location})")
+    errors = validate(doc)
+    if errors:
+        raise InvalidOasError(errors[0])
 
     pre = preprocess(doc, report, options.casing)
     wrapper.pre = pre
@@ -87,7 +85,7 @@ def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
         binding = pre.bindings[op.key]
         if binding.skipped:
             continue
-        plans[op.key] = make_resolve_plan(op, doc, binding, options.token_path)
+        plans[op.key] = make_resolve_plan(op, doc, binding)
     wrapper.plans = plans
 
     schema = assemble_schema(doc, pre, report, options.casing)

@@ -53,6 +53,15 @@ def non_null(inner: TypeIR) -> TypeIR:
     return TypeIR(NON_NULL, of_type=inner)
 
 
+def type_str(t: TypeIR) -> str:
+    """The type as GraphQL writes it: ``[Name!]``."""
+    if t.kind == NON_NULL:
+        return type_str(t.of_type) + "!"
+    if t.kind == LIST:
+        return f"[{type_str(t.of_type)}]"
+    return t.name
+
+
 def resolve_type(t: TypeIR, types: dict[str, TypeIR]) -> TypeIR:
     if t.kind == REFERENCE:
         return types[t.name]
@@ -90,17 +99,28 @@ class ArgIR:
 
     name: str
     type: TypeIR
-    description: str | None = None
     raw: str | None = None  # the upstream parameter name; None for the body
     location: str | None = None  # path | query | header | body
     default: Any = None
+
+
+@dataclass(frozen=True)
+class LinkExpression:
+    """A supported OAS runtime expression, parsed at generation: a
+    ``$response.body#/…`` pointer into the object that holds the link field,
+    or a ``$request.path.<name>`` / ``$request.query.<name>`` parameter the
+    parent's request sent."""
+
+    text: str  # as written, for error messages
+    source: str  # body | path | query
+    tokens: tuple[str, ...]  # body: the unescaped pointer tokens; else the parameter name
 
 
 @dataclass
 class FieldBinding:
     kind: str  # "operation" | "viewer" | "placeholder"
     plan_key: str | None = None
-    link_params: dict[str, str] = field(default_factory=dict)  # argument name -> expression
+    link_params: dict[str, LinkExpression] = field(default_factory=dict)  # by argument name
     schemes: list[str] = field(default_factory=list)  # viewer credential schemes
     credential_args: dict[str, str] = field(default_factory=dict)  # anyAuth: arg -> scheme
 

@@ -41,7 +41,8 @@ TITLE = (str, *_SCALARS)  # other scalars read as absent: a schema title names a
 # With no element types the member is one value: absent or null, it reads as
 # None. Otherwise it is a collection: absent or null, it reads as empty, and
 # each element must have the element types. Where the object kind decides the
-# shape, the key is qualified by it.
+# shape, the key is qualified by it. A member read for its shape only (the
+# descriptions nothing keeps) is still InvalidOas when it has another type.
 SHAPES: dict[str, tuple[tuple[type, ...], tuple[type, ...] | None]] = {
     # document roots, 3.x and 2.0
     "openapi": (STRING, None), "info": (MAPPING, ANY), "info.title": (TEXT, None),
@@ -140,7 +141,6 @@ class OasParameter:
     schema: SchemaObject | None
     required: bool = False
     default: Any = None
-    description: str | None = None
     pointer: str = ""
 
 
@@ -149,13 +149,11 @@ class RequestBody:
     content_type: str | None
     schema: SchemaObject | None
     required: bool = False
-    description: str | None = None
     pointer: str = ""
 
 
 @dataclass
 class LinkDefinition:
-    name: str
     operation_id: str | None = None
     operation_ref: str | None = None
     parameters: dict[str, str] = field(default_factory=dict)
@@ -166,11 +164,9 @@ class LinkDefinition:
 
 @dataclass
 class OasResponse:
-    status: str
     content_type: str | None
     schema: SchemaObject | None
     links: dict[str, LinkDefinition] = field(default_factory=dict)
-    description: str | None = None
     pointer: str = ""
 
 
@@ -181,8 +177,6 @@ class SecurityScheme:
     location: str | None = None  # apiKey: header | query
     param_name: str | None = None  # apiKey: raw upstream name
     http_scheme: str | None = None  # http: basic | bearer | ...
-    description: str | None = None
-    pointer: str = ""
 
 
 @dataclass
@@ -213,24 +207,14 @@ class OasOperation:
 
 
 @dataclass
-class ValidationIssue:
-    severity: str  # "fatal" | "note"
-    location: str
-    message: str
-
-
-@dataclass
 class OasDocument:
-    version: str
     title: str | None
     api_version: str | None
-    description: str | None
     servers: list[str]
     operations: list[OasOperation]
     schemas: dict[str, str]  # component name -> pointer
     security_schemes: dict[str, SecurityScheme]
     raw_root: dict
-    source: str = ""
 
     def __post_init__(self):
         self._ref_cache: dict[str, SchemaObject] = {}
@@ -329,7 +313,7 @@ def ingest(doc: RawDocument, report: Report) -> OasDocument:
     if version == "v2":
         return upconvert(doc, report)
     if version == "v3":
-        return normalize(doc.root, doc.source_path, report)
+        return normalize(doc.root, report)
     raise InvalidOasError(
         f"{doc.source_path}: neither 'swagger: 2.0' nor an 'openapi: 3.*' version marker found"
     )
@@ -343,7 +327,7 @@ def upconvert(doc: RawDocument, report: Report | None = None) -> OasDocument:
     if report is None:
         report = Report(source=doc.source_path)
     v3_root = convert_v2_dict(doc.root)
-    return normalize(v3_root, doc.source_path, report)
+    return normalize(v3_root, report)
 
 
 def convert_v2_dict(root: dict) -> dict:
@@ -441,8 +425,6 @@ def _convert_v2_operation(op: dict, params: list[dict], pointer: str,
             "content": {media: {"schema": body.get("schema", {})}},
             "required": bool(body.get("required")),
         }
-        if body.get("description"):
-            out["requestBody"]["description"] = body["description"]
     elif form_params:
         properties = {}
         required = []
@@ -517,7 +499,7 @@ def _rewrite_refs(node: Any) -> None:
 # -- normalization of 3.x documents --------------------------------------------
 
 
-def normalize(root: dict, source: str, report: Report) -> OasDocument:
+def normalize(root: dict, report: Report) -> OasDocument:
     """Build the document model from a raw 3.x mapping.
 
     Grossly malformed structure raises InvalidOas; semantic problems are left
@@ -551,14 +533,14 @@ def normalize(root: dict, source: str, report: Report) -> OasDocument:
                 f"{path_ptr}/{method}", global_security, security_schemes, report,
             ))
 
-    return OasDocument(
-        version=str(root.get("openapi", "")),
+    doc = OasDocument(
         title=member(info, "info.title", "#/info"),
         api_version=member(info, "version", "#/info"),
-        description=member(info, "description", "#/info"),
         servers=servers, operations=operations, schemas=schemas,
-        security_schemes=security_schemes, raw_root=root, source=source,
+        security_schemes=security_schemes, raw_root=root,
     )
+    member(info, "description", "#/info")  # shape check only
+    return doc
 
 
 def _parse_security_schemes(nodes: dict, report: Report) -> dict[str, SecurityScheme]:
@@ -566,7 +548,7 @@ def _parse_security_schemes(nodes: dict, report: Report) -> dict[str, SecuritySc
     for name, node in nodes.items():
         pointer = f"#/components/securitySchemes/{escape_pointer_token(name)}"
         kind = member(node, "type", pointer)
-        description = member(node, "description", pointer)
+        member(node, "description", pointer)  # shape check only
         if kind == "apiKey":
             location = member(node, "in", pointer) or "header"
             if location not in ("header", "query"):
@@ -576,15 +558,12 @@ def _parse_security_schemes(nodes: dict, report: Report) -> dict[str, SecuritySc
             schemes[name] = SecurityScheme(
                 name=name, type="apiKey", location=location,
                 param_name=member(node, "name", pointer) or name,
-                description=description, pointer=pointer,
             )
         elif kind == "http":
             scheme = (member(node, "scheme", pointer) or "").lower()
-            schemes[name] = SecurityScheme(name=name, type="http", http_scheme=scheme,
-                                           description=description, pointer=pointer)
+            schemes[name] = SecurityScheme(name=name, type="http", http_scheme=scheme)
         elif kind in ("oauth2", "openIdConnect"):
-            schemes[name] = SecurityScheme(name=name, type=kind, description=description,
-                                           pointer=pointer)
+            schemes[name] = SecurityScheme(name=name, type=kind)
         else:
             record_warning(report, UNSUPPORTED_FEATURE, pointer,
                            f"security scheme type {kind!r} unsupported; scheme ignored")
@@ -617,9 +596,9 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
         content_type, schema = _select_content(body_node, body_ptr)
         request_body = RequestBody(
             content_type=content_type, schema=schema,
-            required=bool(member(body_node, "param.required", body_ptr)),
-            description=member(body_node, "description", body_ptr), pointer=body_ptr,
+            required=bool(member(body_node, "param.required", body_ptr)), pointer=body_ptr,
         )
+        member(body_node, "description", body_ptr)  # shape check only
 
     responses: dict[str, OasResponse] = {}
     for status, resp_node in member(node, "responses", pointer).items():
@@ -633,17 +612,14 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
             link_node = _deref_raw(root, link_node, link_ptr)
             parameters = member(link_node, "link.parameters", link_ptr)
             links[link_name] = LinkDefinition(
-                name=link_name,
                 operation_id=member(link_node, "operationId", link_ptr),
                 operation_ref=member(link_node, "operationRef", link_ptr),
                 parameters={str(k): str(v) for k, v in parameters.items()},
                 request_body=link_node.get("requestBody"),
                 description=member(link_node, "description", link_ptr), pointer=link_ptr,
             )
-        responses[status] = OasResponse(
-            status=status, content_type=content_type, schema=schema, links=links,
-            description=member(resp_node, "description", resp_ptr), pointer=resp_ptr,
-        )
+        member(resp_node, "description", resp_ptr)  # shape check only
+        responses[status] = OasResponse(content_type, schema, links, pointer=resp_ptr)
 
     security = global_security
     if "security" in node:
@@ -682,12 +658,11 @@ def _parse_parameter(root: dict, node: dict, pointer: str, index: int,
         schema = parse_schema(schema, f"{param_ptr}/schema")
     else:
         _, schema = _select_content(node, param_ptr)
-    return OasParameter(
-        name=name, location=location, schema=schema,
-        required=bool(member(node, "param.required", param_ptr)) or location == "path",
-        default=schema.default if schema is not None else None,
-        description=member(node, "description", param_ptr), pointer=param_ptr,
-    )
+    required = bool(member(node, "param.required", param_ptr)) or location == "path"
+    member(node, "description", param_ptr)  # shape check only
+    return OasParameter(name=name, location=location, schema=schema, required=required,
+                        default=schema.default if schema is not None else None,
+                        pointer=param_ptr)
 
 
 def _deref_raw(root: dict, node: dict, pointer: str) -> dict:
@@ -846,61 +821,41 @@ def _join_descriptions(schema: SchemaObject, members: list[SchemaObject]) -> str
 # -- validation --------------------------------------------------------------------
 
 
-KNOWN_TOP_LEVEL = {
-    "openapi", "info", "servers", "paths", "components", "security", "tags",
-    "externalDocs",
-}
-
-
-def validate(doc: OasDocument) -> list[ValidationIssue]:
-    """Structural checks over a normalized document.
-
-    An empty result means generation may proceed; any fatal issue means the
-    document is rejected as InvalidOas.
-    """
-    issues: list[ValidationIssue] = []
+def validate(doc: OasDocument) -> list[str]:
+    """Structural checks over a normalized document: each error, worded
+    ``"<message> (at <pointer>)"``. Any error rejects the document as
+    InvalidOas."""
+    errors: list[str] = []
 
     if not doc.title:
-        issues.append(ValidationIssue("fatal", "#/info/title", "info.title is required"))
+        errors.append("info.title is required (at #/info/title)")
     if not doc.api_version:
-        issues.append(ValidationIssue("fatal", "#/info/version", "info.version is required"))
+        errors.append("info.version is required (at #/info/version)")
     if "paths" not in doc.raw_root:
-        issues.append(ValidationIssue("fatal", "#/paths", "paths object is required"))
-
-    for key in map(str, doc.raw_root):
-        if key not in KNOWN_TOP_LEVEL and not key.startswith("x-"):
-            issues.append(ValidationIssue("note", f"#/{key}", f"unrecognized top-level field {key!r}"))
+        errors.append("paths object is required (at #/paths)")
 
     seen_ops: set[tuple[str, str]] = set()
     for op in doc.operations:
         if (op.method, op.path) in seen_ops:
-            issues.append(ValidationIssue("fatal", op.pointer,
-                                          f"duplicate operation {op.key}"))
+            errors.append(f"duplicate operation {op.key} (at {op.pointer})")
         seen_ops.add((op.method, op.path))
 
         template = template_params(op.path)
         declared = [p.name for p in op.parameters if p.location == "path"]
         for name in template:
             if declared.count(name) != 1:
-                issues.append(ValidationIssue(
-                    "fatal", op.pointer,
-                    f"path parameter {{{name}}} of {op.key} must be declared exactly once "
-                    f"(found {declared.count(name)})",
-                ))
+                errors.append(f"path parameter {{{name}}} of {op.key} must be declared "
+                              f"exactly once (found {declared.count(name)}) (at {op.pointer})")
         for name in declared:
             if name not in template:
-                issues.append(ValidationIssue(
-                    "fatal", op.pointer,
-                    f"declared path parameter {name!r} does not appear in {op.path!r}",
-                ))
+                errors.append(f"declared path parameter {name!r} does not appear in "
+                              f"{op.path!r} (at {op.pointer})")
 
         for status in op.responses:
             if not _valid_status_pattern(status):
-                issues.append(ValidationIssue(
-                    "fatal", f"{op.pointer}/responses/{status}",
-                    f"response key {status!r} is not a 3-digit code, wildcard pattern, or 'default'",
-                ))
-    return issues
+                errors.append(f"response key {status!r} is not a 3-digit code, wildcard "
+                              f"pattern, or 'default' (at {op.pointer}/responses/{status})")
+    return errors
 
 
 def _valid_status_pattern(status: str) -> bool:

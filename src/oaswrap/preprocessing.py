@@ -210,21 +210,11 @@ class StructuralClasses:
 
 
 @dataclass
-class Provenance:
-    """Which naming fallback produced an entry's name."""
-
-    kind: str  # component_ref | title | operation | property_key
-    detail: str
-    suffixed: bool = False
-
-
-@dataclass
 class DictionaryEntry:
     name: str
     base_name: str  # name before the Input suffix / uniqueness suffix
     schema: SchemaObject
     direction: str  # input | output
-    origin: Provenance
 
 
 class TypesDictionary:
@@ -269,24 +259,23 @@ class PreprocessResult:
 
 
 def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,
-                    property_key: str | None, casing: str = CAMEL) -> list[tuple[str, str, str]]:
+                    property_key: str | None, casing: str = CAMEL) -> list[str]:
     """Sanitized naming candidates in priority order: ref name, then title,
     then method+path, then the parent property key; empty when none is legal."""
-    candidates: list[tuple[str, str, str]] = []
+    candidates: list[str] = []
     if ref_name:
-        candidates.append(("component_ref", ref_name, ref_name))
+        candidates.append(ref_name)
     if schema.title:
-        candidates.append(("title", schema.title, schema.title))
+        candidates.append(schema.title)
     if op is not None:
-        candidates.append(("operation", op.key, f"{op.method.lower()}{op.path}"))
+        candidates.append(f"{op.method.lower()}{op.path}")
     if property_key is not None:
-        pretty = property_key[:1].upper() + property_key[1:]
-        candidates.append(("property_key", property_key, pretty))
+        candidates.append(property_key[:1].upper() + property_key[1:])
 
-    sanitized: list[tuple[str, str, str]] = []
-    for kind, detail, raw in candidates:
+    sanitized: list[str] = []
+    for raw in candidates:
         try:
-            sanitized.append((kind, detail, sanitize(raw, casing)))
+            sanitized.append(sanitize(raw, casing))
         except SanitationError:
             continue
     return sanitized
@@ -368,8 +357,7 @@ class Preprocessor:
                                       top_level=False)
             name = first_free(sanitize(param.name, self.casing), args)
             args[name] = ArgIR(name, non_null(param_type) if param.required else param_type,
-                               param.description, raw=param.name, location=param.location,
-                               default=param.default)
+                               raw=param.name, location=param.location, default=param.default)
         if request is not None:
             # The payload is named after its input type, lower-cased.
             base = "payload"
@@ -378,7 +366,7 @@ class Preprocessor:
                 base = base[:1].lower() + base[1:]
             name = first_free(base, args)
             args[name] = ArgIR(name, non_null(request) if op.request_body.required else request,
-                               op.request_body.description, location="body")
+                               location="body")
         return binding
 
     def _select_response(self, op: OasOperation) -> OasResponse | None:
@@ -545,21 +533,14 @@ class Preprocessor:
             raise SanitationError(
                 f"no legal GraphQL name can be derived for schema at {resolved.pointer!r}")
         decorate = (lambda b: f"{b}Input") if direction == INPUT else (lambda b: b)
-        name = base = origin = None
-        for kind, detail, candidate_base in candidates:
-            taken = self.dictionary.take_name(decorate(candidate_base))
-            if taken:
-                name, base, origin = taken, candidate_base, Provenance(kind, detail)
+        for base in candidates:
+            name = self.dictionary.take_name(decorate(base))
+            if name:
                 break
-        if name is None:
-            kind, detail, candidate_base = candidates[-1]
-            name = self.dictionary.take(decorate(candidate_base))
-            base, origin = candidate_base, Provenance(kind, detail, suffixed=True)
-        entry = DictionaryEntry(
-            name=name, base_name=base, schema=resolved, direction=direction,
-            origin=origin,
-        )
-        self.dictionary.entries[name] = entry
+        else:  # every candidate is taken: the last one gets a suffix
+            name = self.dictionary.take(decorate(base))
+        self.dictionary.entries[name] = DictionaryEntry(
+            name=name, base_name=base, schema=resolved, direction=direction)
         self._first[direction, self.classes.of(resolved)] = name
         return name
 

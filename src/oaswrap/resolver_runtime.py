@@ -36,7 +36,7 @@ from .errors import (
     UpstreamNotJson,
     UpstreamTooLarge,
 )
-from .ir import NON_NULL, ArgIR, TypeIR, to_raw
+from .ir import NON_NULL, ArgIR, LinkExpression, TypeIR, to_raw
 from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
 from .preprocessing import OperationBinding
 
@@ -62,7 +62,6 @@ class ResolvePlan:
     args: dict[str, ArgIR] = field(default_factory=dict)  # the operation's arguments
     content_type: str | None = None  # of the body argument's payload
     security: list[SecurityScheme] = field(default_factory=list)
-    token_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class ExecutionContext:
     """Read-only per-query state; forks grow used_params along one path."""
 
     credentials: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
-    token_store: Any = None
+    token: Any = None  # the bearer token of OAuth, OpenID and bearer schemes
     used_params: Mapping[str, Any] = field(default_factory=dict)
     extra_headers: Mapping[str, str] = field(default_factory=dict)
 
@@ -106,8 +105,8 @@ class HttpRequestSpec:
 # -- plan construction -----------------------------------------------------------
 
 
-def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBinding,
-                      token_path: str | None = None) -> ResolvePlan:
+def make_resolve_plan(op: OasOperation, doc: OasDocument,
+                      binding: OperationBinding) -> ResolvePlan:
     """Bind base URL, path, method, arguments, security, and the payload's
     content type for one operation."""
     return ResolvePlan(
@@ -120,7 +119,6 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
                       if op.request_body is not None else None),
         security=[doc.security_schemes[name] for name in op.security
                   if name in doc.security_schemes],
-        token_path=token_path,
     )
 
 
@@ -130,13 +128,14 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument, binding: OperationBind
 def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: Any,
                  parent_request: Mapping[str, Mapping[str, Any]] | None,
                  ctx: ExecutionContext, types: Mapping[str, TypeIR],
-                 link_params: Mapping[str, str] | None = None) -> HttpRequestSpec:
+                 link_params: Mapping[str, LinkExpression] | None = None) -> HttpRequestSpec:
     """Assemble the upstream request for one field resolution.
 
     Per-parameter precedence: explicit argument, then link expression value,
     then a parameter propagated from an ancestor request, then the declared
     default. ``link_params`` maps argument names to link expressions, which
-    read ``parent_response``, the raw object that holds the link field. Every
+    read ``parent_response``, the raw object that holds the link field, or
+    ``parent_request``, what the parent's request sent. Every
     argument value, lists included, and the payload are de-sanitized through
     their named types in ``types`` before sending.
     """
@@ -220,52 +219,36 @@ def _plain(value: Any) -> str:
 # -- link expressions ---------------------------------------------------------------
 
 
-def eval_link_expression(expr: str, parent_response: Any,
+def eval_link_expression(expr: LinkExpression, parent_response: Any,
                          parent_request: Mapping[str, Mapping[str, Any]] | None = None) -> Any:
-    """Evaluate a supported runtime expression against the raw parent response
-    (``$response.body#/...``) or the parent's sent parameters (``$request.*``)."""
-    if expr.startswith("$response.body#/"):
-        pointer = expr[len("$response.body#"):]
-        return _eval_pointer(pointer, parent_response, expr)
-    if expr.startswith("$request.path."):
-        name = expr[len("$request.path."):]
-        return _request_lookup(parent_request, "path", name, expr)
-    if expr.startswith("$request.query."):
-        name = expr[len("$request.query."):]
-        return _request_lookup(parent_request, "query", name, expr)
-    raise ExpressionUnresolvable(f"unsupported runtime expression {expr!r}")
-
-
-def _eval_pointer(pointer: str, value: Any, expr: str) -> Any:
-    node = value
-    for raw_token in pointer.lstrip("/").split("/"):
-        token = raw_token.replace("~1", "/").replace("~0", "~")
+    """The value a link expression reads from the raw parent response or from
+    the parameters the parent's request sent."""
+    if expr.source != "body":
+        values = (parent_request or {}).get(expr.source, {})
+        name = expr.tokens[0]
+        if name not in values:
+            raise ExpressionUnresolvable(f"expression {expr.text!r}: parent request sent no "
+                                         f"{expr.source} parameter {name!r}")
+        return values[name]
+    node = parent_response
+    for token in expr.tokens:
         if isinstance(node, dict):
             if token not in node:
                 raise ExpressionUnresolvable(
-                    f"expression {expr!r}: key {token!r} absent in upstream response"
+                    f"expression {expr.text!r}: key {token!r} absent in upstream response"
                 )
             node = node[token]
         elif isinstance(node, list):
             if not token.isdigit() or int(token) >= len(node):
                 raise ExpressionUnresolvable(
-                    f"expression {expr!r}: index {token!r} out of range"
+                    f"expression {expr.text!r}: index {token!r} out of range"
                 )
             node = node[int(token)]
         else:
             raise ExpressionUnresolvable(
-                f"expression {expr!r}: cannot descend into non-container value"
+                f"expression {expr.text!r}: cannot descend into non-container value"
             )
     return node
-
-
-def _request_lookup(parent_request, section: str, name: str, expr: str) -> Any:
-    values = (parent_request or {}).get(section, {})
-    if name not in values:
-        raise ExpressionUnresolvable(
-            f"expression {expr!r}: parent request sent no {section} parameter {name!r}"
-        )
-    return values[name]
 
 
 # -- authentication -----------------------------------------------------------------
@@ -275,8 +258,8 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan, ctx: ExecutionContext)
     """Apply the first security scheme whose credentials are available.
 
     API keys go to their declared header or query location, basic credentials
-    become an Authorization header, and OAuth/OpenID tokens are read from the
-    context's token store at the configured path and sent as a Bearer header.
+    become an Authorization header, and the context's token, if any, goes to
+    OAuth, OpenID and bearer schemes as a Bearer header.
     """
     if not plan.security:
         return spec
@@ -302,10 +285,9 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan, ctx: ExecutionContext)
         if scheme.type in ("oauth2", "openIdConnect") or (
             scheme.type == "http" and scheme.http_scheme == "bearer"
         ):
-            token = read_token(ctx.token_store, plan.token_path)
-            if token is None:
+            if ctx.token is None:
                 continue
-            spec.headers["Authorization"] = f"Bearer {token}"
+            spec.headers["Authorization"] = f"Bearer {ctx.token}"
             return spec
     raise MissingCredentials(
         f"operation {plan.operation_key} requires one of "

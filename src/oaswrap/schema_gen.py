@@ -18,11 +18,13 @@ from .ir import (
     ArgIR,
     FieldBinding,
     FieldIR,
+    LinkExpression,
     SchemaIR,
     TypeIR,
     non_null,
     reference,
     scalar,
+    type_str,
 )
 from .oas_ingest import (
     LinkDefinition,
@@ -47,8 +49,10 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
     """
     attached = 0
     for name, link in links.items():
+        exprs = {key: parse_link_expression(text) for key, text in link.parameters.items()}
         # A list response's links go on the item type, where an index never resolves.
-        indexed = [e for e in link.parameters.values() if _indexes_body(e)]
+        indexed = [e.text for e in exprs.values()
+                   if e is not None and e.source == "body" and e.tokens[0].isdigit()]
         if indexed and bindings[op.key].response.kind == LIST:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} on a list response indexes the list "
@@ -63,7 +67,7 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} uses a requestBody expression; link skipped")
             continue
-        unsupported = [e for e in link.parameters.values() if not supported_expression(e)]
+        unsupported = [link.parameters[key] for key, e in exprs.items() if e is None]
         if unsupported:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} uses unsupported runtime expression "
@@ -72,7 +76,7 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
 
         field_name = first_free(lower_first(sanitize(name, casing)), object_type.fields)
         target_args = bindings[target.key].args
-        link_params = {arg_name: expr for key, expr in link.parameters.items()
+        link_params = {arg_name: expr for key, expr in exprs.items()
                        if (arg_name := _link_argument(target_args, key)) is not None}
         # A required argument stays required on the link field unless the
         # parent operation always sends the same raw name (a required
@@ -123,18 +127,17 @@ def _find_link_target(doc: OasDocument, link: LinkDefinition) -> OasOperation | 
     return None
 
 
-def supported_expression(expr: str) -> bool:
-    if expr.startswith("$response.body#/"):
-        return True
-    if expr.startswith("$request.path.") or expr.startswith("$request.query."):
-        return len(expr.split(".", 2)[2]) > 0
-    return False
-
-
-def _indexes_body(expr: str) -> bool:
-    """A ``$response.body#/`` expression whose pointer starts with an index."""
-    return (expr.startswith("$response.body#/")
-            and expr[len("$response.body#/"):].split("/", 1)[0].isdigit())
+def parse_link_expression(text: str) -> LinkExpression | None:
+    """The record of a supported runtime expression, or None for any other.
+    A body pointer's tokens are unescaped as JSON pointer tokens."""
+    if text.startswith("$response.body#/"):
+        tokens = text[len("$response.body#/"):].lstrip("/").split("/")
+        return LinkExpression(text, "body", tuple(map(unescape_pointer_token, tokens)))
+    for source in ("path", "query"):
+        prefix = f"$request.{source}."
+        if text.startswith(prefix) and len(text) > len(prefix):
+            return LinkExpression(text, source, (text[len(prefix):],))
+    return None
 
 
 def lower_first(name: str) -> str:
@@ -269,8 +272,7 @@ class SchemaAssembler:
 
         if scheme.type == "apiKey":
             kind = "apiKey"
-            args = {"apiKey": ArgIR("apiKey", non_null(scalar("String")),
-                                    f"API key for security scheme {scheme_name!r}")}
+            args = {"apiKey": ArgIR("apiKey", non_null(scalar("String")))}
         else:
             kind = "basicAuth"
             args = {
@@ -308,8 +310,7 @@ class SchemaAssembler:
             schemes.append(scheme_name)
             cred_type = self._credential_type(schema, scheme_name, scheme)
             arg_name = _take(arg_names, lower_first(sanitize(scheme_name, self.casing)))
-            args[arg_name] = ArgIR(arg_name, reference(cred_type),
-                                   f"Credentials for scheme {scheme_name!r}.")
+            args[arg_name] = ArgIR(arg_name, reference(cred_type))
             credential_args[arg_name] = scheme_name
 
         fields = self._viewer_member_fields(members)
@@ -402,10 +403,10 @@ def _fields_block(keyword: str, name: str, description: str | None,
         entry = f"  {field_ir.name}"
         if field_ir.args:
             rendered = ", ".join(
-                f"{arg.name}: {_type_literal(arg.type)}" for arg in field_ir.args.values()
+                f"{arg.name}: {type_str(arg.type)}" for arg in field_ir.args.values()
             )
             entry += f"({rendered})"
-        entry += f": {_type_literal(field_ir.type)}"
+        entry += f": {type_str(field_ir.type)}"
         lines.append(entry)
     lines.append("}")
     return "\n".join(lines)
@@ -420,14 +421,6 @@ def _enum_block(type_ir: TypeIR) -> str:
         lines.append(f"  {value}")
     lines.append("}")
     return "\n".join(lines)
-
-
-def _type_literal(t: TypeIR) -> str:
-    if t.kind == NON_NULL:
-        return _type_literal(t.of_type) + "!"
-    if t.kind == LIST:
-        return f"[{_type_literal(t.of_type)}]"
-    return t.name or "String"
 
 
 def _string_literal(text: str) -> str:

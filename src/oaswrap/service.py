@@ -31,7 +31,7 @@ class GraphQLService:
     """Stateless request handling around one immutable generated wrapper."""
 
     def __init__(self, wrapper: GeneratedWrapper, extra_headers: Mapping[str, str] | None = None,
-                 token_store: Any = None, timeout: float = DEFAULT_TIMEOUT,
+                 token: Any = None, timeout: float = DEFAULT_TIMEOUT,
                  max_parallel: int = 8, client: HttpClient | None = None):
         if not wrapper.ok:
             raise ValueError("cannot serve a wrapper whose generation failed")
@@ -41,7 +41,7 @@ class GraphQLService:
             max_parallel=max_parallel,
         )
         self.base_context = ExecutionContext(
-            credentials={}, token_store=token_store, used_params={},
+            credentials={}, token=token, used_params={},
             extra_headers=dict(extra_headers or {}),
         )
 

@@ -148,7 +148,7 @@ def schema_from_sdl(text: str) -> SchemaIR:
 
     def fields(t) -> dict[str, FieldIR]:
         return {name: FieldIR(name, type_ref(f.type), description=f.description, args={
-                    arg_name: ArgIR(arg_name, type_ref(arg.type), arg.description)
+                    arg_name: ArgIR(arg_name, type_ref(arg.type))
                     for arg_name, arg in getattr(f, "args", {}).items()})
                 for name, f in t.fields.items()}
 

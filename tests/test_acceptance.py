@@ -311,7 +311,7 @@ def test_criterion_5_sanitation_round_trip(tree):
                 "content": {"application/json": {"schema": ref}}}}}},
             "components": {"schemas": {"T": {"type": "object", "properties": {
                 key: ref for key in [*keys, "q"]}}}}}
-    types = preprocess(normalize(root, "<test>", Report(source="<test>")),
+    types = preprocess(normalize(root, Report(source="<test>")),
                        Report(source="<test>")).dictionary.types
     names = {f.raw: f.name for f in types["TInput"].fields.values()}
     for key in keys:

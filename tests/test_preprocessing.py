@@ -41,7 +41,7 @@ def make_doc(paths, components=None, report=None):
     }
     if components:
         root["components"] = components
-    return normalize(root, "<test>", report or Report(source="<test>"))
+    return normalize(root, report or Report(source="<test>"))
 
 
 def get_op(schema, parameters=None):
@@ -543,11 +543,10 @@ def test_repeated_enum_values_dedup_as_a_set():
 # -- canonical names -------------------------------------------------------------
 
 
-def entry_origins(paths, components=None):
-    """Entry name -> (origin kind, origin detail, suffixed), in creation order."""
+def entry_names(paths, components=None):
+    """The entry names, in creation order."""
     pre = preprocess(make_doc(paths, components), Report(source="<test>"))
-    return {name: (e.origin.kind, e.origin.detail, e.origin.suffixed)
-            for name, e in pre.dictionary.entries.items()}
+    return list(pre.dictionary.entries)
 
 
 def obj(**props):
@@ -555,60 +554,54 @@ def obj(**props):
 
 
 def test_canonical_name_from_component_ref():
-    origins = entry_origins({"/u": get_op(_ref("User"))},
-                            {"schemas": {"User": obj(id="string")}})
-    assert origins == {"User": ("component_ref", "User", False)}
+    names = entry_names({"/u": get_op(_ref("User"))}, {"schemas": {"User": obj(id="string")}})
+    assert names == ["User"]
 
 
 def test_canonical_name_operation_fallback():
-    origins = entry_origins({"/users/{id}": get_op(obj(n="string"), parameters=[
+    names = entry_names({"/users/{id}": get_op(obj(n="string"), parameters=[
         {"name": "id", "in": "path", "required": True, "schema": {"type": "string"}}])})
     # Rule 3 plus camel sanitation over "get/users/{id}".
-    assert origins == {"getUsersId": ("operation", "GET /users/{id}", False)}
+    assert names == ["getUsersId"]
 
 
 def test_canonical_name_property_key_fallback():
-    origins = entry_origins({"/u": get_op({"type": "object", "properties": {
+    names = entry_names({"/u": get_op({"type": "object", "properties": {
         "address": obj(city="string")}})})
-    assert origins == {"getU": ("operation", "GET /u", False),
-                       "Address": ("property_key", "address", False)}
+    assert names == ["getU", "Address"]
 
 
 def test_canonical_name_title_collision_falls_through():
     widget = dict(obj(a="string"), title="Widget")
     other_widget = dict(obj(b="integer"), title="Widget")
-    origins = entry_origins({
+    names = entry_names({
         "/a": get_op(widget),
         "/b": get_op({"type": "object", "properties": {"fallbackKey": other_widget}}),
     })
-    assert origins == {"Widget": ("title", "Widget", False),
-                       "getB": ("operation", "GET /b", False),
-                       "FallbackKey": ("property_key", "fallbackKey", False)}
+    # The second Widget takes its property key, not a suffixed title.
+    assert names == ["Widget", "getB", "FallbackKey"]
 
 
 def test_canonical_name_suffix_past_last_rule():
-    origins = entry_origins({
+    names = entry_names({
         "/a": get_op({"type": "object", "properties": {"address": obj(city="string")}}),
         "/b": get_op({"type": "object", "properties": {"address": obj(zip="integer")}}),
     })
-    assert origins["Address"] == ("property_key", "address", False)
-    assert origins["Address2"] == ("property_key", "address", True)
+    assert names == ["getA", "Address", "getB", "Address2"]
 
 
 def test_unnamed_items_of_top_level_array_are_named_from_operation():
     # Neither ref, title nor property key names these items.
-    origins = entry_origins({"/pets": get_op({"type": "array", "items": obj(id="integer")})})
-    assert origins == {"getPets": ("operation", "GET /pets", False),
-                       "getPets2": ("operation", "GET /pets", True)}
+    names = entry_names({"/pets": get_op({"type": "array", "items": obj(id="integer")})})
+    assert names == ["getPets", "getPets2"]
 
 
 def test_titled_items_of_top_level_array_keep_their_suffixed_title():
-    origins = entry_origins({
+    names = entry_names({
         "/a": get_op(dict(obj(a="string"), title="Pet")),
         "/pets": get_op({"type": "array", "items": dict(obj(b="integer"), title="Pet")}),
     })
-    assert origins["Pet2"] == ("title", "Pet", True)
-    assert not [name for name in origins if name.startswith("getPets") and name != "getPets"]
+    assert names == ["Pet", "getPets", "Pet2"]
 
 
 # -- build_types_dictionary ----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CORPUS_DIR, corpus_path, load_manifest
+from oaswrap import cli
 from oaswrap.cli import main
 from oaswrap.errors import StrictModeAbort
 from oaswrap.evaluate import evaluate_corpus, render_tables
@@ -184,6 +185,34 @@ def test_cmd_serve_rejects_malformed_header():
     ])
     assert result.exit_code == 2
     assert "Name: value" in result.output
+
+
+def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstream,
+                                                                monkeypatch):
+    upstream.static("GET", "/private", {"v": "s3cret-data"})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.0", "info": {"title": "Tok", "version": "1"},
+        "servers": [{"url": upstream.base_url}],
+        "paths": {"/private": {"get": {
+            "security": [{"oauth": []}],
+            "responses": {"200": {"description": "ok", "content": {"application/json": {
+                "schema": {"type": "object", "properties": {"v": {"type": "string"}}}}}}},
+        }}},
+        "components": {"securitySchemes": {"oauth": {"type": "oauth2", "flows": {}}}},
+    }))
+    context = tmp_path / "context.json"
+    context.write_text(json.dumps({"security": {"oauthToken": "tok-42"}}))
+    served = []
+    monkeypatch.setattr(cli, "serve_forever", lambda service, host, port: served.append(service))
+    result = CliRunner().invoke(main, ["serve", str(spec), "--token-path", "security.oauthToken",
+                                       "--context-file", str(context)])
+    assert result.exit_code == 0, result.output
+    [service] = served
+    status, payload = service.handle_graphql({"query": "{ getPrivate { v } }"})
+    assert (status, payload) == (200, {"data": {"getPrivate": {"v": "s3cret-data"}}})
+    assert upstream.requests[-1].headers.get("Authorization") == "Bearer tok-42"
+    service.executor.client.close()
 
 
 def test_cmd_eval_writes_stats(tmp_path):

@@ -25,7 +25,7 @@ from oaswrap.errors import (
     UpstreamError,
     UpstreamNotJson,
 )
-from oaswrap.generator import GenerationOptions, generate
+from oaswrap.generator import generate
 from oaswrap.ir import NON_NULL
 from oaswrap.resolver_runtime import (
     ExecutionContext,
@@ -38,9 +38,10 @@ from oaswrap.resolver_runtime import (
     read_token,
     shape_response,
 )
+from oaswrap.schema_gen import parse_link_expression
 
 
-def build(paths, components=None, servers=None, token_path=None):
+def build(paths, components=None, servers=None):
     root = {
         "openapi": "3.0.0",
         "info": {"title": "T", "version": "1"},
@@ -49,8 +50,7 @@ def build(paths, components=None, servers=None, token_path=None):
     }
     if components:
         root["components"] = components
-    wrapper = generate(json.dumps(root).encode(),
-                       GenerationOptions(token_path=token_path))
+    wrapper = generate(json.dumps(root).encode())
     assert wrapper.ok, wrapper.report.error_message
     return wrapper
 
@@ -220,6 +220,20 @@ def test_bind_desanitizes_enum_values_in_lists_too():
         [("status", "in-stock"), ("status", "sold-out"), ("one", "in-stock")]]
 
 
+def test_literal_and_variable_arguments_send_the_same_request():
+    # Both go through the argument's type: the Float 5 is sent as 5.0 either way.
+    wrapper = build({"/items": get_path(
+        {"type": "object", "properties": {"n": {"type": "integer"}}},
+        parameters=[{"name": "min", "in": "query", "schema": {"type": "number"}}],
+    )})
+    client = RecordingClient({"n": 1})
+    executor = Executor(wrapper.schema, wrapper.plans, client)
+    for query, variables in (("{ getItems(min: 5) { n } }", None),
+                             ("query($m: Float) { getItems(min: $m) { n } }", {"m": 5})):
+        result = executor.execute(parse_query(query), None, variables, EMPTY_CTX)
+        assert result.errors == [] and result.data == {"getItems": {"n": 1}}
+    assert [spec.query for spec in client.sent] == [[("min", "5.0")], [("min", "5.0")]]
+
 
 def test_same_named_parameters_in_two_locations_are_two_arguments():
     # A path "id" and a query "id" each keep their own argument and type.
@@ -247,7 +261,7 @@ def test_bind_precedence_total_order(has_arg, has_link, has_used, has_default):
     """Enumerates all 2^4 presence combinations of the four value sources."""
     wrapper, plan = make_plan_fixture(default="from_default" if has_default else None)
     args = {"p": "from_arg"} if has_arg else {}
-    link_params = {"p": "$response.body#/v"} if has_link else {}
+    link_params = {"p": parse_link_expression("$response.body#/v")} if has_link else {}
     parent = {"v": "from_link"}
     ctx = EMPTY_CTX.with_used_params({"query": {"p": "from_used"}}) if has_used else EMPTY_CTX
     spec = bind_runtime(plan, args, parent, None, ctx, wrapper.schema.types,
@@ -364,39 +378,55 @@ def test_bind_records_sent_params_for_propagation():
     assert EMPTY_CTX.with_used_params(spec.sent).used_params == {"p": "x"}
 
 
-# -- eval_link_expression ------------------------------------------------------------
+# -- link expressions: parsed at generation, evaluated at serving --------------------
+
+
+def evaluate(text, parent_response, parent_request=None):
+    return eval_link_expression(parse_link_expression(text), parent_response, parent_request)
 
 
 def test_expression_body_pointer():
     payload = {"employerId": "ibm", "name": "erik"}
-    assert eval_link_expression("$response.body#/employerId", payload) == "ibm"
+    assert evaluate("$response.body#/employerId", payload) == "ibm"
 
 
 def test_expression_array_index():
     payload = {"languages": [{"language": "en", "confidence": 0.9}]}
-    assert eval_link_expression("$response.body#/languages/0/language", payload) == "en"
+    assert evaluate("$response.body#/languages/0/language", payload) == "en"
+    with pytest.raises(ExpressionUnresolvable, match=r"index '3' out of range"):
+        evaluate("$response.body#/languages/3", payload)
+    with pytest.raises(ExpressionUnresolvable,
+                       match="cannot descend into non-container value"):
+        evaluate("$response.body#/languages/0/language/x", payload)
 
 
 def test_expression_missing_key_unresolvable():
-    with pytest.raises(ExpressionUnresolvable):
-        eval_link_expression("$response.body#/nope", {"x": 1})
+    with pytest.raises(ExpressionUnresolvable) as raised:
+        evaluate("$response.body#/nope", {"x": 1})
+    assert str(raised.value) == ("expression '$response.body#/nope': key 'nope' absent "
+                                 "in upstream response")
 
 
 def test_expression_request_path_and_query():
     record = {"path": {"id": "u1"}, "query": {"limit": 5}}
-    assert eval_link_expression("$request.path.id", None, record) == "u1"
-    assert eval_link_expression("$request.query.limit", None, record) == 5
-    with pytest.raises(ExpressionUnresolvable):
-        eval_link_expression("$request.query.absent", None, record)
+    assert evaluate("$request.path.id", None, record) == "u1"
+    assert evaluate("$request.query.limit", None, record) == 5
+    with pytest.raises(ExpressionUnresolvable) as raised:
+        evaluate("$request.query.absent", None, record)
+    assert str(raised.value) == ("expression '$request.query.absent': parent request "
+                                 "sent no query parameter 'absent'")
 
 
 def test_expression_unsupported_form():
-    with pytest.raises(ExpressionUnresolvable):
-        eval_link_expression("$response.header.Location", {})
+    # attach_links skips a link with such an expression, so serving never sees one.
+    for text in ("$response.header.Location", "$request.path.", "$request.body#/id", "$url"):
+        assert parse_link_expression(text) is None
 
 
 def test_expression_pointer_escapes():
-    assert eval_link_expression("$response.body#/a~1b", {"a/b": 3}) == 3
+    expr = parse_link_expression("$response.body#/a~1b/c~0d")
+    assert (expr.source, expr.tokens) == ("body", ("a/b", "c~d"))
+    assert eval_link_expression(expr, {"a/b": {"c~d": 3}}) == 3
 
 
 # -- inject_auth ------------------------------------------------------------------
@@ -413,12 +443,11 @@ SECURED = {
 }
 
 
-def secured_plan(scheme, token_path=None):
+def secured_plan(scheme):
     wrapper = build(
         {"/s": get_path({"$ref": "#/components/schemas/Thing"},
                         security=[{scheme: []}])},
         components=SECURED,
-        token_path=token_path,
     )
     return wrapper.plans["GET /s"]
 
@@ -450,8 +479,8 @@ def test_inject_basic_credentials():
 
 
 def test_inject_bearer_token_from_context_store():
-    plan = secured_plan("oauth", token_path="security.oauthToken")
-    ctx = ExecutionContext(token_store={"security": {"oauthToken": "tok123"}})
+    plan = secured_plan("oauth")
+    ctx = ExecutionContext(token="tok123")
     spec = inject_auth(spec_stub(), plan, ctx)
     assert spec.headers["Authorization"] == "Bearer tok123"
 

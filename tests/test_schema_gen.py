@@ -9,7 +9,7 @@ import pytest
 from conftest import CORPUS_DIR, CannedClient, load_manifest, schema_from_sdl
 from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, NON_NULL, OBJECT, REFERENCE, resolve_type
+from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, OBJECT, REFERENCE, resolve_type, type_str
 from oaswrap.resolver_runtime import ExecutionContext
 from oaswrap.schema_gen import print_sdl
 
@@ -42,14 +42,6 @@ def get_path(schema, parameters=None, security=None, links=None, operation_id=No
     if operation_id:
         op["operationId"] = operation_id
     return {"get": op}
-
-
-def type_str(t):
-    if t.kind == NON_NULL:
-        return type_str(t.of_type) + "!"
-    if t.kind == LIST:
-        return "[" + type_str(t.of_type) + "]"
-    return t.name
 
 
 # -- named types ---------------------------------------------------------------

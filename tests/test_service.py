@@ -10,11 +10,11 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from oaswrap.generator import GenerationOptions, generate
+from oaswrap.generator import generate
 from oaswrap.service import MAX_REQUEST_BYTES, GraphQLService, make_server
 
 
-def build_wrapper(upstream, token_path=None):
+def build_wrapper(upstream):
     root = {
         "openapi": "3.0.0",
         "info": {"title": "Svc", "version": "1"},
@@ -32,8 +32,7 @@ def build_wrapper(upstream, token_path=None):
         "components": {"schemas": {"User": {"type": "object", "properties": {
             "id": {"type": "string"}, "name": {"type": "string"}}}}},
     }
-    wrapper = generate(json.dumps(root).encode(),
-                       GenerationOptions(token_path=token_path))
+    wrapper = generate(json.dumps(root).encode())
     assert wrapper.ok
     return wrapper
 
@@ -226,11 +225,9 @@ def test_bearer_token_from_context_file(upstream):
         }}},
         "components": {"securitySchemes": {"oauth": {"type": "oauth2", "flows": {}}}},
     }
-    wrapper = generate(json.dumps(root).encode(),
-                       GenerationOptions(token_path="security.oauthToken"))
+    wrapper = generate(json.dumps(root).encode())
     assert wrapper.ok
-    service = GraphQLService(wrapper,
-                             token_store={"security": {"oauthToken": "tok-42"}})
+    service = GraphQLService(wrapper, token="tok-42")
     status, payload = service.handle_graphql({"query": "{ getPrivate { v } }"})
     assert status == 200
     assert payload["data"] == {"getPrivate": {"v": "s3cret-data"}}
