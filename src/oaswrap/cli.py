@@ -95,15 +95,22 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
             raise click.UsageError(f"--header must look like 'Name: value', got {header!r}")
         extra_headers[key.strip()] = value.strip()
 
+    token = None
+    if token_path or context_file:
+        if not (token_path and context_file):
+            raise click.UsageError("--token-path and --context-file must be given together")
+        token = read_token(json.loads(context_file.read_text(encoding="utf-8")), token_path)
+        if token is None:
+            raise click.UsageError(f"--token-path {token_path!r} names nothing in {context_file}")
+        if isinstance(token, (bool, dict, list)):
+            raise click.UsageError(f"--token-path {token_path!r} names a {type(token).__name__} "
+                                   f"in {context_file}, not a string or number")
+
     wrapper = generate(oas_path, GenerationOptions(strict=strict, casing=casing))
     if not wrapper.ok:
         click.echo(f"generation failed: [{wrapper.report.error_kind}] "
                    f"{wrapper.report.error_message}", err=True)
         sys.exit(1)
-
-    token = None
-    if context_file:
-        token = read_token(json.loads(context_file.read_text(encoding="utf-8")), token_path)
 
     service = GraphQLService(wrapper, extra_headers=extra_headers, token=token,
                              timeout=timeout, max_parallel=parallelism)

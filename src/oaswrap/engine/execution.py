@@ -14,6 +14,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError
@@ -290,7 +291,8 @@ class Executor:
                     value = raw.get(f.raw_key)
                     plain = f.plain
                     if type(value) is plain and (plain is not int
-                                                 or INT_MIN <= value <= INT_MAX):
+                                                 or INT_MIN <= value <= INT_MAX) and (
+                            plain is not float or isfinite(value)):
                         out[f.key] = value
                         continue
                     if f.enum is not None and type(value) is str and value in f.enum:
@@ -331,14 +333,18 @@ class Executor:
                 return self._execute_selection_set(f.child, value, scope, query, path, errors)
             return self._complete(field_ir.type, value, scope, f, query, path, errors)
         except (ResolveError, CoercionError) as exc:
-            errors.append(_error_entry(str(exc), path, f.node))
-            if field_ir.type.kind == NON_NULL:
-                return _NonNullViolation(path)
-            return None
+            message = str(exc)
+        except RecursionError:  # a value nested past what decoding or json.dumps can walk
+            source = field_ir.binding and field_ir.binding.plan_key or f"field {f.key!r}"
+            message = f"upstream value of {source} is nested too deeply"
         except _NonNullViolation as bubble:
             if field_ir.type.kind == NON_NULL:
                 return bubble
             return None
+        errors.append(_error_entry(message, path, f.node))
+        if field_ir.type.kind == NON_NULL:
+            return _NonNullViolation(path)
+        return None
 
     def _coerce_arguments(self, field_ir: FieldIR, node: FieldNode,
                           variables: dict) -> dict[str, Any]:
@@ -457,14 +463,14 @@ class Executor:
             as_int = int(value)
             if not (INT_MIN <= as_int <= INT_MAX):
                 logger.info("Int overflow at %s: %s surfaced as Float", path, value)
-                return float(value)
+                return _finite_float(value, path, errors, node)
             return as_int
         if name == "Float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 errors.append(_error_entry(f"upstream value {value!r} is not a Float",
                                            path, node))
                 return None
-            return float(value)
+            return _finite_float(value, path, errors, node)
         if name == "Boolean":
             if not isinstance(value, bool):
                 errors.append(_error_entry(f"upstream value {value!r} is not a Boolean",
@@ -494,9 +500,25 @@ def _leaves(f: CompiledField, items: list) -> list | None:
         if enum is not None:
             if type(item) is not str or item not in enum:
                 return None
-        elif type(item) is not plain or plain is int and not INT_MIN <= item <= INT_MAX:
+        elif (type(item) is not plain or plain is int and not INT_MIN <= item <= INT_MAX
+              or plain is float and not isfinite(item)):
             return None
     return items if enum is None else [enum[item] for item in items]
+
+
+def _finite_float(value: int | float, path: list, errors: list,
+                  node: FieldNode) -> float | None:
+    """value as a float, or None after a field error if it is NaN, an
+    infinity or an integer past the float range: JSON has no such number."""
+    try:
+        as_float = float(value)
+    except OverflowError:
+        as_float = inf
+    if isfinite(as_float):
+        return as_float
+    errors.append(_error_entry(f"Float cannot represent non numeric value: {value!r}",
+                               path, node))
+    return None
 
 
 def _is_plain_string(type_ir: TypeIR) -> bool:

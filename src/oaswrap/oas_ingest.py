@@ -834,12 +834,7 @@ def validate(doc: OasDocument) -> list[str]:
     if "paths" not in doc.raw_root:
         errors.append("paths object is required (at #/paths)")
 
-    seen_ops: set[tuple[str, str]] = set()
     for op in doc.operations:
-        if (op.method, op.path) in seen_ops:
-            errors.append(f"duplicate operation {op.key} (at {op.pointer})")
-        seen_ops.add((op.method, op.path))
-
         template = template_params(op.path)
         declared = [p.name for p in op.parameters if p.location == "path"]
         for name in template:

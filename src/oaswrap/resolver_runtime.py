@@ -26,6 +26,8 @@ from typing import Any, Mapping
 from urllib.parse import quote, unquote, urlencode, urljoin, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
+import orjson
+
 from .errors import (
     ExpressionUnresolvable,
     MissingCredentials,
@@ -46,6 +48,10 @@ DEFAULT_TIMEOUT = 30.0
 BODY_EXCERPT_LIMIT = 1024
 MAX_UPSTREAM_BYTES = 32 * 1024 * 1024  # per upstream body, on the wire and decoded
 MAX_REDIRECTS = 30
+# orjson converts nested values on the C stack without a depth limit, and one
+# object level takes about 160 bytes of it; a body with more opening brackets
+# than this could nest deep enough to overflow a thread's stack.
+MAX_FAST_BRACKETS = 4096
 
 _UNSET = object()
 
@@ -522,7 +528,16 @@ def _too_large(spec: HttpRequestSpec) -> str:
 
 def parse_upstream_body(status: int, body: bytes, expects_structured: bool) -> Any:
     """Decode an upstream body; non-2xx raises, non-JSON raises only when a
-    structured value is required (String fallbacks receive the raw text)."""
+    structured value is required (String fallbacks receive the raw text).
+
+    A 2xx body is read by orjson where it reads it as the standard library
+    does; any body orjson refuses, might read differently or might not read
+    safely takes the standard library, errors included."""
+    if 200 <= status < 300 and _fast_decodable(body):
+        try:
+            return orjson.loads(body)
+        except orjson.JSONDecodeError:
+            pass
     text = body.decode("utf-8", errors="replace")
     if not (200 <= status < 300):
         raise UpstreamError(status, text[:BODY_EXCERPT_LIMIT])
@@ -535,6 +550,21 @@ def parse_upstream_body(status: int, body: bytes, expects_structured: bool) -> A
                 f"{text[:120]!r}"
             ) from None
         return text
+
+
+# Digits and minus signs become "0" and braces "[", so that one count and one
+# search over the translated body find wide integers and bound nesting.
+_GUARD_TABLE = bytes.maketrans(b"-0123456789{", b"00000000000[")
+_WIDE_INT = b"0" * 20
+
+
+def _fast_decodable(body: bytes) -> bool:
+    """Whether orjson may decode body. It reads an integer outside
+    [-2**63, 2**64) as a float, where the standard library keeps it exact, so
+    any run of 20 digits and minus signs rules it out (such an integer is
+    one); so do more than MAX_FAST_BRACKETS opening brackets."""
+    masked = body.translate(_GUARD_TABLE)
+    return masked.count(b"[") <= MAX_FAST_BRACKETS and _WIDE_INT not in masked
 
 
 def shape_response(body: Any, structured: bool) -> Any:

@@ -14,6 +14,8 @@ import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
+import orjson
+
 from .engine import Executor, parse_query, validate_query
 from .engine.execution import RequestFailed
 from .errors import CoercionError, GraphQLSyntaxError
@@ -128,6 +130,10 @@ def make_server(service: GraphQLService, host: str = "127.0.0.1",
                 self._send(400, b'{"errors": [{"message": "request body is not valid JSON"}]}',
                            "application/json")
                 return
+            except RecursionError:
+                self._send(400, b'{"errors": [{"message": "request body is nested too deeply"}]}',
+                           "application/json")
+                return
             try:
                 status, body = service.handle_graphql(payload)
             except Exception:  # the server keeps serving; the client gets no stack trace
@@ -135,10 +141,19 @@ def make_server(service: GraphQLService, host: str = "127.0.0.1",
                 logger.exception("internal error %s handling POST /graphql", error_id)
                 status, body = 500, {"errors": [{"message": f"internal error {error_id}",
                                                  "extensions": {"errorId": error_id}}]}
-            self._send(status, json.dumps(body, separators=(",", ":")).encode("utf-8"),
-                       "application/json")
+            self._send(status, encode_response(body), "application/json")
 
     return WrapperServer((host, port), Handler)
+
+
+def encode_response(body: Any) -> bytes:
+    """body as compact JSON in UTF-8. orjson refuses a lone surrogate, an
+    integer past 64 bits and nesting past 254 levels; those take the standard
+    library, whose output escapes every non-ASCII character."""
+    try:
+        return orjson.dumps(body)
+    except orjson.JSONEncodeError:
+        return json.dumps(body, separators=(",", ":")).encode("utf-8")
 
 
 def serve_forever(service: GraphQLService, host: str, port: int) -> None:

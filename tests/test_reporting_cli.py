@@ -215,6 +215,30 @@ def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstre
     service.executor.client.close()
 
 
+@pytest.mark.parametrize("context, token_path, expected", [
+    ({"security": {"oauthToken": "tok-42"}}, "security.typo", "names nothing"),
+    ({"security": {"oauthToken": {"value": "tok-42"}}}, "security.oauthToken", "names a dict"),
+    ({"security": {"oauthToken": ["tok-42"]}}, "security.oauthToken", "names a list"),
+    ({"security": {"oauthToken": "tok-42"}}, None, "must be given together"),
+    (None, "security.oauthToken", "must be given together"),
+])
+def test_cmd_serve_refuses_a_token_path_that_names_no_token(tmp_path, monkeypatch, context,
+                                                           token_path, expected):
+    args = ["serve", str(corpus_path("clean_minimal.json"))]
+    if token_path is not None:
+        args += ["--token-path", token_path]
+    if context is not None:
+        context_file = tmp_path / "context.json"
+        context_file.write_text(json.dumps(context))
+        args += ["--context-file", str(context_file)]
+    served = []
+    monkeypatch.setattr(cli, "serve_forever", lambda service, host, port: served.append(service))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert expected in result.output
+    assert served == []
+
+
 def test_cmd_eval_writes_stats(tmp_path):
     out = tmp_path / "stats.json"
     runner = CliRunner()

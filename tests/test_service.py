@@ -5,12 +5,14 @@ import json
 import logging
 import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 import pytest
 
 from oaswrap.generator import generate
+from oaswrap.resolver_runtime import MAX_FAST_BRACKETS
 from oaswrap.service import MAX_REQUEST_BYTES, GraphQLService, make_server
 
 
@@ -271,3 +273,39 @@ def test_unhandled_error_is_json_500_with_error_id(upstream, caplog):
     assert "secret" not in response.text and "Traceback" not in response.text
     [record] = [r for r in caplog.records if error_id in r.getMessage()]
     assert record.levelno == logging.ERROR and record.exc_info is not None
+
+
+@contextmanager
+def serving(service):
+    """The URL of service served on a loopback port until the block ends."""
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+
+
+def test_a_deeply_nested_request_body_is_a_json_400(service_url):
+    url, _, upstream = service_url
+    response = fetch(f"{url}/graphql", "POST", b"[" * 1000 + b"]" * 1000,
+                     {"Content-Type": "application/json"})
+    assert response.status_code == 400
+    assert response.json() == {"errors": [{"message": "request body is nested too deeply"}]}
+    assert upstream.requests == []
+
+
+def test_an_upstream_body_nested_past_both_decoders_is_a_field_error(upstream):
+    depth = MAX_FAST_BRACKETS + 1
+    upstream.static("GET", "/user/{id}", '{"id": "u1", "name": ' + "[" * depth + "]" * depth + "}")
+    with serving(GraphQLService(build_wrapper(upstream))) as url:
+        response = post_graphql(url, {"query": '{ user(id: "u1") { id } }'})
+    assert response.status_code == 200
+    assert response.json() == {"data": {"user": None}, "errors": [{
+        "message": "upstream value of GET /user/{id} is nested too deeply",
+        "path": ["user"], "locations": [{"line": 1, "column": 3}]}]}
+    assert upstream.paths_seen == ["/user/u1"]
