@@ -119,7 +119,9 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
 
 @main.command(name="eval")
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--strict-also", is_flag=True, help="Additionally run every file in strict mode.")
+@click.option("--strict-also", is_flag=True,
+              help="Also report each file's strict-mode outcome, derived from its non-strict "
+                   "report: strict succeeds exactly when non-strict succeeds with no warnings.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
               help="Write the stats JSON here.")
 def eval_cmd(corpus_dir: Path, strict_also: bool, out_path: Path | None) -> None:

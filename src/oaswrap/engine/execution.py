@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import inf, isfinite
+from math import isfinite
 from typing import Any, Mapping
 
-from ..errors import CoercionError, OaswrapError, ResolveError
+from ..errors import CoercionError, OaswrapError, ResolveError, UpstreamNotJson
 from ..resolver_runtime import (
     ExecutionContext,
     HttpClient,
@@ -41,7 +42,7 @@ from ..ir import (
 )
 from .ast import FieldNode, OperationNode, QueryDocument, ValueNode
 from .validation import (INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation,
-                         declared_type)
+                         declared_type, finite_float)
 
 logger = logging.getLogger("oaswrap.engine")
 
@@ -160,7 +161,10 @@ def _coerce_scalar(value: Any, name: str, where: str) -> Any:
     if name == "Float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CoercionError(f"{where} expects Float, got {value!r}")
-        return float(value)
+        as_float = finite_float(value)
+        if as_float is None:
+            raise CoercionError(f"{where}: Float cannot represent non numeric value: {value!r}")
+        return as_float
     if name == "String":
         if not isinstance(value, str):
             raise CoercionError(f"{where} expects String, got {value!r}")
@@ -386,7 +390,11 @@ class Executor:
         spec = inject_auth(spec, plan, scope.ctx)
         status, _headers, body = self.client.send(spec)
         stringlike = _is_plain_string(field_ir.type)
-        parsed = parse_upstream_body(status, body, expects_structured=not stringlike)
+        try:
+            parsed = parse_upstream_body(status, body, expects_structured=not stringlike)
+        except ValueError:  # an integer literal past sys.get_int_max_str_digits()
+            raise UpstreamNotJson(f"upstream value of {binding.plan_key} holds an integer of "
+                                  f"more than {sys.get_int_max_str_digits()} digits") from None
         return (shape_response(parsed, not stringlike),
                 Scope(spec.sent, scope.ctx.with_used_params(spec.sent)))
 
@@ -508,17 +516,12 @@ def _leaves(f: CompiledField, items: list) -> list | None:
 
 def _finite_float(value: int | float, path: list, errors: list,
                   node: FieldNode) -> float | None:
-    """value as a float, or None after a field error if it is NaN, an
-    infinity or an integer past the float range: JSON has no such number."""
-    try:
-        as_float = float(value)
-    except OverflowError:
-        as_float = inf
-    if isfinite(as_float):
-        return as_float
-    errors.append(_error_entry(f"Float cannot represent non numeric value: {value!r}",
-                               path, node))
-    return None
+    """value as a float, or None after a field error if JSON cannot carry it."""
+    as_float = finite_float(value)
+    if as_float is None:
+        errors.append(_error_entry(f"Float cannot represent non numeric value: {value!r}",
+                                   path, node))
+    return as_float
 
 
 def _is_plain_string(type_ir: TypeIR) -> bool:

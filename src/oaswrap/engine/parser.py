@@ -200,7 +200,12 @@ def _value(stream: TokenStream, const: bool = False) -> ValueNode:
         return ValueNode("variable", value=name, line=token.line, column=token.column)
     if token.kind == "INT":
         stream.advance()
-        return ValueNode("int", value=int(token.value), line=token.line, column=token.column)
+        try:
+            value = int(token.value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise GraphQLSyntaxError(f"integer literal of {len(token.value)} characters is too "
+                                     f"long", token.line, token.column) from None
+        return ValueNode("int", value=value, line=token.line, column=token.column)
     if token.kind == "FLOAT":
         stream.advance()
         return ValueNode("float", value=float(token.value), line=token.line, column=token.column)

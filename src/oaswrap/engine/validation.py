@@ -16,6 +16,7 @@ Directives and introspection selections are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from ..ir import (
     ENUM,
@@ -40,6 +41,17 @@ from .parser import MAX_DEPTH
 
 INT_MAX = 2**31 - 1
 INT_MIN = -(2**31)
+
+
+def finite_float(value: int | float) -> float | None:
+    """value as a float, or None if it is NaN, an infinity or an integer past
+    the float range: GraphQL's Float and JSON have no such number."""
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return None
+    return as_float if isfinite(as_float) else None
+
 
 # Python types of upstream JSON values that complete to themselves.
 _PASS_THROUGH = {"String": str, "ID": str, "Int": int, "Float": float, "Boolean": bool}
@@ -417,6 +429,8 @@ def _check_scalar(value: ValueNode, scalar_name: str, errors: list[str], where: 
         return
     if scalar_name == "Int" and kind == "int" and not (INT_MIN <= value.value <= INT_MAX):
         errors.append(f"{where}: Int value {value.value} is outside the 32-bit range")
+    if scalar_name == "Float" and finite_float(value.value) is None:
+        errors.append(f"{where}: Float cannot represent non numeric value: {value.value}")
 
 
 def _variable_compatible(declared: TypeNode, expected: TypeIR, has_default: bool,

@@ -4,6 +4,12 @@ Every mitigation performed during generation goes through
 :func:`record_warning`, which either appends a warning (non-strict) or aborts
 generation with an error of the same kind (strict). This single choke point is
 what keeps the strict/non-strict coherence property true by construction.
+
+``evaluate`` relies on it: a strict run succeeds exactly when the non-strict
+run succeeds with no warnings, so ``eval --strict-also`` derives each strict
+outcome from the non-strict report instead of generating twice. Code that
+reads ``Report.mode`` anywhere else breaks that derivation, and must bring
+back the second, strict generation in ``evaluate_corpus``.
 """
 
 from __future__ import annotations

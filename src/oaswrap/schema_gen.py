@@ -131,7 +131,7 @@ def parse_link_expression(text: str) -> LinkExpression | None:
     """The record of a supported runtime expression, or None for any other.
     A body pointer's tokens are unescaped as JSON pointer tokens."""
     if text.startswith("$response.body#/"):
-        tokens = text[len("$response.body#/"):].lstrip("/").split("/")
+        tokens = text[len("$response.body#/"):].split("/")
         return LinkExpression(text, "body", tuple(map(unescape_pointer_token, tokens)))
     for source in ("path", "query"):
         prefix = f"$request.{source}."

@@ -134,6 +134,10 @@ def make_server(service: GraphQLService, host: str = "127.0.0.1",
                 self._send(400, b'{"errors": [{"message": "request body is nested too deeply"}]}',
                            "application/json")
                 return
+            except ValueError:  # an integer literal past sys.get_int_max_str_digits()
+                self._send(400, b'{"errors": [{"message": "request body holds an integer too '
+                                b'long to decode"}]}', "application/json")
+                return
             try:
                 status, body = service.handle_graphql(payload)
             except Exception:  # the server keeps serving; the client gets no stack trace

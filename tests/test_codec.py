@@ -26,7 +26,7 @@ from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import list_of, scalar
 from oaswrap.resolver_runtime import (BODY_EXCERPT_LIMIT, MAX_FAST_BRACKETS, ExecutionContext,
                                       parse_upstream_body)
-from oaswrap.service import encode_response
+from oaswrap.service import GraphQLService, encode_response
 
 
 def same(a, b) -> bool:
@@ -271,3 +271,91 @@ def test_a_wide_integer_serves_its_exact_digits(scalar_name):
     payload = run(body, "s fs", schema=schema)
     assert payload == {"data": {"x": {"s": "123456789012345678901234567890",
                                       "fs": ["-98765432109876543210"]}}}
+
+
+@pytest.mark.parametrize("key", ["s", "f"])
+def test_an_integer_past_the_digit_limit_is_a_field_error(key):
+    """json.loads refuses an integer literal of more digits than
+    sys.get_int_max_str_digits() with a ValueError that is no decode error."""
+    digits = sys.get_int_max_str_digits()
+    payload = run(b'{"%s": 1%s}' % (key.encode(), b"0" * digits), key)
+    assert payload == {"data": {"x": None}, "errors": [{
+        "message": f"upstream value of GET /x holds an integer of more than {digits} digits",
+        "path": ["x"], "locations": [{"line": 1, "column": 3}]}]}
+
+
+# -- Float inputs JSON cannot carry ------------------------------------------------------------
+
+INPUTS = {
+    "openapi": "3.0.0",
+    "info": {"title": "Inputs", "version": "1"},
+    "servers": [{"url": "http://upstream.invalid"}],
+    "paths": {"/x": {"post": {
+        "requestBody": {"content": {"application/json": {"schema": {
+            "type": "object", "properties": {"f": {"type": "number"}}}}}},
+        "parameters": [{"name": "q", "in": "query", "schema": {"type": "number"}}],
+        "responses": {"200": {"description": "ok", "content": {"application/json": {
+            "schema": {"type": "object", "properties": {"ok": {"type": "boolean"}}}}}}}}}},
+}
+INPUTS_WRAPPER = generate(json.dumps(INPUTS).encode(), GenerationOptions())
+
+
+class RecordingClient(BytesClient):
+    def __init__(self):
+        super().__init__(b'{"ok": true}')
+        self.specs = []
+
+    def send(self, spec):
+        self.specs.append(spec)
+        return super().send(spec)
+
+
+def handle(query: str, variables=None):
+    client = RecordingClient()
+    service = GraphQLService(INPUTS_WRAPPER, client=client)
+    status, payload = service.handle_graphql({"query": query, "variables": variables})
+    return status, payload, client.specs
+
+
+def test_a_finite_float_input_is_sent():
+    status, payload, specs = handle("mutation M($f: Float) { postX(q: 2, postX: {f: $f}) { ok } }",
+                                    {"f": 1.5})
+    assert (status, payload) == (200, {"data": {"postX": {"ok": True}}})
+    assert [(spec.body, spec.query) for spec in specs] == [({"f": 1.5}, [("q", "2.0")])]
+
+
+VARIABLE = "mutation M($f: Float) { postX(postX: {f: $f}) { ok } }"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+                         ids=["nan", "inf", "-inf", "wide", "-wide"])
+def test_a_non_finite_or_oversize_float_variable_is_a_400(value):
+    status, payload, specs = handle(VARIABLE, {"f": value})
+    assert status == 400
+    [error] = payload["errors"]
+    assert error["message"].startswith("$f: Float cannot represent non numeric value")
+    assert specs == []
+
+
+@pytest.mark.parametrize("query", [
+    "mutation { postX(postX: {f: 1e400}) { ok } }",
+    "mutation { postX(postX: {f: -1e400}) { ok } }",
+    "mutation { postX(postX: {f: 1%s}) { ok } }" % ("0" * 400),
+    "mutation { postX(q: 1e400) { ok } }",
+    "mutation M($f: Float = 1e400) { postX(q: $f) { ok } }",
+], ids=["1e400", "-1e400", "wide", "argument", "default"])
+def test_a_non_finite_or_oversize_float_literal_is_a_400(query):
+    status, payload, specs = handle(query)
+    assert status == 400
+    [error] = payload["errors"]
+    assert "Float cannot represent non numeric value" in error["message"]
+    assert specs == []
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_400():
+    literal = "1" + "0" * sys.get_int_max_str_digits()
+    status, payload, specs = handle("mutation { postX(postX: {f: %s}) { ok } }" % literal)
+    assert status == 400
+    assert payload == {"errors": [{"message": f"integer literal of {len(literal)} characters "
+                                              f"is too long (line 1, column 29)"}]}
+    assert specs == []

@@ -667,19 +667,26 @@ def _subtree_paths(node, prefix=()):
         yield from _subtree_paths(child, prefix + (key,))
 
 
-@settings(max_examples=2000, deadline=None)
-@given(fixture=st.sampled_from(_parseable_json_fixtures()),
-       mutations=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_JUNK)),
-                          min_size=1, max_size=3))
-def test_mutated_fixtures_end_in_the_error_taxonomy(fixture, mutations):
-    # Replaces 1-3 subtrees (never the root) with junk, or moves them to a
-    # number or boolean key, then generates in both modes: every outcome
-    # must be in the closed error taxonomy.
+# One to three subtrees, never the root, each replaced with junk or moved to
+# a number or boolean key.
+MUTATIONS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_JUNK)),
+                     min_size=1, max_size=3)
+
+
+def mutant(fixture: dict, mutations: list) -> bytes:
     doc = copy.deepcopy(fixture)
     for choice, junk in mutations:
         paths = list(_subtree_paths(doc))
         _replace(doc, paths[choice % len(paths)], junk)
-    data = _dump(doc, any(isinstance(junk, _Key) for _, junk in mutations))
+    return _dump(doc, any(isinstance(junk, _Key) for _, junk in mutations))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(fixture=st.sampled_from(_parseable_json_fixtures()), mutations=MUTATIONS)
+def test_mutated_fixtures_end_in_the_error_taxonomy(fixture, mutations):
+    # Generates each mutant in both modes: every outcome must be in the
+    # closed error taxonomy.
+    data = mutant(fixture, mutations)
     for strict in (False, True):
         report = generate(data, GenerationOptions(strict=strict)).report
         assert report.error_kind is None or report.error_kind in ERROR_KINDS

@@ -1,11 +1,16 @@
 """Report behavior, strict-mode semantics, CLI exit codes, and corpus eval."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, corpus_path, load_manifest
+from conftest import CORPUS_DIR, FIXTURES, corpus_path, load_manifest
+from test_oas_ingest import MUTATIONS, _parseable_json_fixtures, mutant
 from oaswrap import cli
 from oaswrap.cli import main
 from oaswrap.errors import StrictModeAbort
@@ -251,13 +256,26 @@ def test_cmd_eval_writes_stats(tmp_path):
     assert "Errors by kind" in result.output
 
 
+# Written by `oaswrap eval tests/fixtures/corpus --strict-also`, with and
+# without `--out`, from the tree in which every document was generated twice.
+EVAL_GOLDEN_STDOUT = FIXTURES / "eval_strict_also.txt"
+EVAL_GOLDEN_JSON = FIXTURES / "eval_strict_also.json"
+
+
 def test_cmd_eval_strict_also_table(tmp_path):
+    out = tmp_path / "s.json"
     runner = CliRunner()
-    result = runner.invoke(main, [
-        "eval", str(CORPUS_DIR), "--strict-also", "--out", str(tmp_path / "s.json"),
-    ])
+    result = runner.invoke(main, ["eval", str(CORPUS_DIR), "--strict-also", "--out", str(out)])
     assert result.exit_code == 0
-    assert "strict" in result.output
+    assert out.read_bytes() == EVAL_GOLDEN_JSON.read_bytes()
+    golden = EVAL_GOLDEN_STDOUT.read_text(encoding="utf-8")
+    assert result.output == golden[golden.index("Overall results"):]
+
+
+def test_cmd_eval_strict_also_stdout_matches_golden():
+    result = CliRunner().invoke(main, ["eval", str(CORPUS_DIR), "--strict-also"])
+    assert result.exit_code == 0
+    assert result.output.encode("utf-8") == EVAL_GOLDEN_STDOUT.read_bytes()
 
 
 # -- evaluate_corpus --------------------------------------------------------------
@@ -308,3 +326,26 @@ def test_render_tables_shape():
     assert "non-strict" in text
     assert "strict" in text
     assert "Skipped-operation ratio" in text
+
+
+# -- strict outcomes derived from the non-strict report ---------------------------
+
+
+def test_derived_strict_outcomes_equal_the_golden_strict_runs():
+    golden = json.loads((FIXTURES / "sdl_golden.json").read_text(encoding="utf-8"))
+    stats = evaluate_corpus(CORPUS_DIR, strict_also=True)
+    assert len(stats.files) == len(load_manifest()["files"])
+    for result in stats.files:
+        assert result.strict_outcome == golden[f"{result.name}|True|camel"]["report"]["outcome"], \
+            result.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixture=st.sampled_from(_parseable_json_fixtures()), mutations=MUTATIONS)
+def test_derived_strict_outcome_equals_a_strict_run(fixture, mutations):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mutant.json"
+        path.write_bytes(mutant(fixture, mutations))
+        [result] = evaluate_corpus(directory, strict_also=True).files
+        strict = generate(path, GenerationOptions(strict=True)).report
+    assert result.strict_outcome == strict.outcome

@@ -429,6 +429,13 @@ def test_expression_pointer_escapes():
     assert eval_link_expression(expr, {"a/b": {"c~d": 3}}) == 3
 
 
+def test_expression_pointer_empty_tokens():
+    # RFC 6901: only the one leading "/" goes; "//a" is key "" and then key "a".
+    expr = parse_link_expression("$response.body#//a")
+    assert expr.tokens == ("", "a")
+    assert eval_link_expression(expr, {"": {"a": 1}, "a": 2}) == 1
+
+
 # -- inject_auth ------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import http.client
 import json
 import logging
 import socket
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -309,3 +310,14 @@ def test_an_upstream_body_nested_past_both_decoders_is_a_field_error(upstream):
         "message": "upstream value of GET /user/{id} is nested too deeply",
         "path": ["user"], "locations": [{"line": 1, "column": 3}]}]}
     assert upstream.paths_seen == ["/user/u1"]
+
+
+def test_a_request_body_integer_past_the_digit_limit_is_a_json_400(service_url):
+    url, _, upstream = service_url
+    body = (b'{"query": "query Q($n: Int) { user(id: \\"u1\\") { id } }", "variables": {"n": 1'
+            + b"0" * sys.get_int_max_str_digits() + b"}}")
+    response = fetch(f"{url}/graphql", "POST", body, {"Content-Type": "application/json"})
+    assert response.status_code == 400
+    assert response.json() == {"errors": [{"message": "request body holds an integer too long "
+                                                      "to decode"}]}
+    assert upstream.requests == []
