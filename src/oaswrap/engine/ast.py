@@ -32,19 +32,10 @@ class ValueNode:
 
 
 @dataclass
-class DirectiveNode:
-    name: str
-    arguments: dict[str, ValueNode]
-    line: int = 0
-    column: int = 0
-
-
-@dataclass
 class FieldNode:
     name: str
     alias: str | None = None
     arguments: dict[str, ValueNode] = field(default_factory=dict)
-    directives: list[DirectiveNode] = field(default_factory=list)
     selection_set: list | None = None
     line: int = 0
     column: int = 0
@@ -57,7 +48,6 @@ class FieldNode:
 @dataclass
 class FragmentSpreadNode:
     name: str
-    directives: list[DirectiveNode] = field(default_factory=list)
     line: int = 0
     column: int = 0
 
@@ -66,7 +56,6 @@ class FragmentSpreadNode:
 class InlineFragmentNode:
     type_condition: str | None
     selection_set: list = field(default_factory=list)
-    directives: list[DirectiveNode] = field(default_factory=list)
     line: int = 0
     column: int = 0
 
@@ -85,7 +74,6 @@ class OperationNode:
     kind: str  # "query" | "mutation"
     name: str | None
     variable_definitions: list[VariableDefinitionNode] = field(default_factory=list)
-    directives: list[DirectiveNode] = field(default_factory=list)
     selection_set: list = field(default_factory=list)
     line: int = 0
     column: int = 0
@@ -98,7 +86,6 @@ class FragmentNode:
     name: str
     type_condition: str
     selection_set: list = field(default_factory=list)
-    directives: list[DirectiveNode] = field(default_factory=list)
     line: int = 0
     column: int = 0
 

@@ -1,12 +1,11 @@
 """Recursive-descent parser for the supported GraphQL query language subset:
 operations, fields with arguments and aliases, variables, named and inline
-fragments. Subscriptions are rejected outright."""
+fragments. Subscriptions and directives are rejected outright."""
 
 from __future__ import annotations
 
 from ..errors import GraphQLSyntaxError
 from .ast import (
-    DirectiveNode,
     FieldNode,
     FragmentNode,
     FragmentSpreadNode,
@@ -59,10 +58,14 @@ def parse_query(text: str) -> QueryDocument:
 
 
 def _check_depth(stream: TokenStream) -> None:
+    """Bound the nesting, and refuse the first directive, in one pass."""
     depth = 0
-    for token in stream.tokens:
+    for i, token in enumerate(stream.tokens):
         if token.kind != "PUNCT":
             continue
+        if token.value == "@":
+            raise GraphQLSyntaxError(f"directive @{stream.tokens[i + 1].value} is not supported "
+                                     f"by this engine", token.line, token.column)
         if token.value in "{[":
             depth += 1
             if depth > MAX_DEPTH:
@@ -78,13 +81,12 @@ def _operation(stream: TokenStream) -> OperationNode:
     if stream.current.kind == "NAME":
         name = stream.advance().value
     variable_definitions = []
-    if stream.accept("PUNCT", "("):
-        while not stream.accept("PUNCT", ")"):
+    if stream.accept("PUNCT", "("):  # one definition or more, as arguments are
+        while not variable_definitions or not stream.accept("PUNCT", ")"):
             variable_definitions.append(_variable_definition(stream))
-    directives = _directives(stream)
     return OperationNode(
         kind=keyword.value, name=name, variable_definitions=variable_definitions,
-        directives=directives, selection_set=_selection_set(stream),
+        selection_set=_selection_set(stream),
         line=keyword.line, column=keyword.column,
     )
 
@@ -133,13 +135,11 @@ def _selection(stream: TokenStream):
         spread = stream.advance()
         if stream.current.kind == "NAME" and stream.current.value != "on":
             name = stream.advance().value
-            return FragmentSpreadNode(name=name, directives=_directives(stream),
-                                      line=spread.line, column=spread.column)
+            return FragmentSpreadNode(name=name, line=spread.line, column=spread.column)
         type_condition = None
         if stream.accept("NAME", "on"):
             type_condition = stream.expect("NAME").value
-        directives = _directives(stream)
-        return InlineFragmentNode(type_condition=type_condition, directives=directives,
+        return InlineFragmentNode(type_condition=type_condition,
                                   selection_set=_selection_set(stream),
                                   line=spread.line, column=spread.column)
     return _field(stream)
@@ -153,28 +153,17 @@ def _field(stream: TokenStream) -> FieldNode:
         alias = first.value
         name = stream.expect("NAME").value
     arguments = _arguments(stream)
-    directives = _directives(stream)
     selection_set = None
     if stream.current.kind == "PUNCT" and stream.current.value == "{":
         selection_set = _selection_set(stream)
-    return FieldNode(name=name, alias=alias, arguments=arguments, directives=directives,
+    return FieldNode(name=name, alias=alias, arguments=arguments,
                      selection_set=selection_set, line=first.line, column=first.column)
-
-
-def _directives(stream: TokenStream) -> list[DirectiveNode]:
-    directives = []
-    while stream.current.kind == "PUNCT" and stream.current.value == "@":
-        at = stream.advance()
-        name = stream.expect("NAME").value
-        directives.append(DirectiveNode(name=name, arguments=_arguments(stream),
-                                        line=at.line, column=at.column))
-    return directives
 
 
 def _arguments(stream: TokenStream) -> dict[str, ValueNode]:
     arguments: dict[str, ValueNode] = {}
-    if stream.accept("PUNCT", "("):
-        while not stream.accept("PUNCT", ")"):
+    if stream.accept("PUNCT", "("):  # one argument or more
+        while not arguments or not stream.accept("PUNCT", ")"):
             name = stream.expect("NAME")
             stream.expect("PUNCT", ":")
             _unique(arguments, name.value, "argument", name.line, name.column)
@@ -248,7 +237,6 @@ def _fragment_definition(stream: TokenStream) -> FragmentNode:
                                  keyword.line, keyword.column)
     stream.expect("NAME", "on")
     type_condition = stream.expect("NAME").value
-    directives = _directives(stream)
-    return FragmentNode(name=name, type_condition=type_condition, directives=directives,
+    return FragmentNode(name=name, type_condition=type_condition,
                         selection_set=_selection_set(stream),
                         line=keyword.line, column=keyword.column)

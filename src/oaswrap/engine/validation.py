@@ -10,7 +10,8 @@ an object has one. A compiled set is memoized per operation by its parent
 type and the selection lists it merges, so a fragment spread in many places
 compiles once and the result is a DAG linear in the query text. Depth counts
 selection sets with fragments expanded and is bounded by ``MAX_DEPTH``.
-Directives and introspection selections are rejected.
+Introspection selections are rejected; directives and subscriptions never get
+here, as the parser refuses them with a syntax error, which is a 400.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ def _spreads(selections: list) -> dict[str, None]:
     return found
 
 
-def _check_directives(directives, errors: list[str]) -> None:
-    errors.extend(f"directive @{d.name} is not supported by this engine (line {d.line})"
-                  for d in directives)
-
-
 def compile_operation(doc: QueryDocument, op: OperationNode,
                       schema: SchemaIR) -> tuple[CompiledSet | None, list[str]]:
     """The operation's compiled root selection set and its validation errors,
@@ -161,7 +157,6 @@ def compile_operation(doc: QueryDocument, op: OperationNode,
             if expected is not None:  # an unknown type is incompatible wherever it is used
                 walk._check_value(var_def.default, expected,
                                   f"default value of variable ${var_def.name}")
-    _check_directives(op.directives, errors)
 
     root = None
     if walk.mutation and not schema.mutation_fields:
@@ -235,7 +230,6 @@ class _Walk:
             if node is None:
                 stack.pop()
                 continue
-            _check_directives(node.directives, self.errors)
             if isinstance(node, FieldNode):
                 group = groups.setdefault(node.response_key, [[], level])
                 group[0].append(node)
@@ -255,7 +249,6 @@ class _Walk:
                 if node.name in visited:
                     continue
                 visited.add(node.name)
-                _check_directives(fragment.directives, self.errors)
                 inner = fragment.selection_set
             else:
                 if node.type_condition is not None and node.type_condition != parent.name:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidOasError, OaswrapError, StrictModeAbort
+from .errors import InvalidOasError, OaswrapError
 from .ir import SchemaIR
 from .oas_ingest import OasDocument, ingest, load_document, validate
 from .preprocessing import CAMEL, PreprocessResult, preprocess
@@ -53,8 +53,6 @@ def generate(source: str | Path | bytes, options: GenerationOptions | None = Non
     wrapper = GeneratedWrapper(report=report)
     try:
         _run_pipeline(source, source_name, options, report, wrapper)
-    except StrictModeAbort as exc:
-        report.fail(exc.kind, str(exc))
     except OaswrapError as exc:
         report.fail(exc.kind, str(exc))
     except RecursionError:

@@ -111,7 +111,6 @@ def _wrong_type(pointer: str, expected: tuple[type, ...], value: Any) -> None:
 @dataclass
 class RawDocument:
     source_path: str
-    format: str  # "json" | "yaml"
     root: dict
 
 
@@ -212,13 +211,15 @@ class OasDocument:
     api_version: str | None
     servers: list[str]
     operations: list[OasOperation]
-    schemas: dict[str, str]  # component name -> pointer
     security_schemes: dict[str, SecurityScheme]
     raw_root: dict
 
     def __post_init__(self):
         self._ref_cache: dict[str, SchemaObject] = {}
         self._allof_cache: dict[int, SchemaObject] = {}
+        # Link targets by operationId, the first declaration winning, and by (method, path).
+        self._by_id = {op.operation_id: op for op in reversed(self.operations)}
+        self._by_route = {(op.method, op.path): op for op in self.operations}
 
     # -- reference resolution -------------------------------------------------
 
@@ -251,12 +252,9 @@ class OasDocument:
 
     def find_operation(self, operation_id: str | None = None,
                        method: str | None = None, path: str | None = None) -> OasOperation | None:
-        for op in self.operations:
-            if operation_id is not None and op.operation_id == operation_id:
-                return op
-            if method is not None and op.method == method and op.path == path:
-                return op
-        return None
+        if operation_id is not None:
+            return self._by_id.get(operation_id)
+        return self._by_route.get((method, path))
 
 
 # -- loading and version detection --------------------------------------------
@@ -275,11 +273,10 @@ def load_document(data: bytes | str, format_hint: str | None = None,
     if not text.strip():
         raise ParseError(f"{source_path}: document is empty")
 
-    attempts = {"json": [("json", json.loads)],
-                "yaml": [("yaml", _load_yaml)],
-                None: [("json", json.loads), ("yaml", _load_yaml)]}[format_hint]
+    attempts = {"json": [json.loads], "yaml": [_load_yaml],
+                None: [json.loads, _load_yaml]}[format_hint]
     last_error: Exception | None = None
-    for fmt, loader in attempts:
+    for loader in attempts:
         try:
             root = loader(text)
         except Exception as exc:  # json.JSONDecodeError or yaml.YAMLError
@@ -287,7 +284,7 @@ def load_document(data: bytes | str, format_hint: str | None = None,
             continue
         if not isinstance(root, dict):
             raise ParseError(f"{source_path}: document root must be a mapping")
-        return RawDocument(source_path=source_path, format=fmt, root=root)
+        return RawDocument(source_path=source_path, root=root)
     raise ParseError(f"{source_path}: cannot parse as JSON or YAML: {last_error}")
 
 
@@ -513,10 +510,7 @@ def normalize(root: dict, report: Report) -> OasDocument:
             servers.append(url)
 
     components = member(root, "components", "#")
-    schemas = {
-        name: f"#/components/schemas/{escape_pointer_token(name)}"
-        for name in member(components, "schemas", "#/components")
-    }
+    member(components, "schemas", "#/components")  # shape check only
     security_schemes = _parse_security_schemes(
         member(components, "securitySchemes", "#/components"), report)
 
@@ -536,7 +530,7 @@ def normalize(root: dict, report: Report) -> OasDocument:
     doc = OasDocument(
         title=member(info, "info.title", "#/info"),
         api_version=member(info, "version", "#/info"),
-        servers=servers, operations=operations, schemas=schemas,
+        servers=servers, operations=operations,
         security_schemes=security_schemes, raw_root=root,
     )
     member(info, "description", "#/info")  # shape check only

@@ -1,10 +1,12 @@
 """Shared test infrastructure: a programmable, recording mock upstream, a
 canned client, a switch to the executor's general completion path, an SDL
-reader for round trips, and corpus paths."""
+reader for round trips, a strategy of GraphQL query texts, and corpus
+paths."""
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,6 +14,7 @@ from pathlib import Path
 from urllib.parse import parse_qsl, urlparse
 
 import pytest
+from hypothesis import strategies as st
 
 from oaswrap.ir import (ENUM, INPUT_OBJECT, OBJECT, SCALAR_TYPE_NAMES, ArgIR, FieldIR, SchemaIR,
                         TypeIR, list_of, non_null, reference, scalar)
@@ -188,6 +191,58 @@ def general_path(doc) -> None:
             f.shape = None
             if f.child is not None:
                 todo.append(f.child)
+
+
+# Pieces of query text: every token kind with the spec's edge numbers, escapes
+# and block strings, each ignored token, and characters no token starts with.
+QUERY_PIECES = [
+    "{", "}", "(", ")", "[", "]", ":", "=", "!", "$", "@", "&", "|", "...", "..", ".",
+    "query", "mutation", "subscription", "fragment", "on", "true", "false", "null",
+    "user", "id", "name", "a", "x", "Q", "F", "User", "String", "Int", "_a1",
+    "0", "-0", "7", "-12", "1.5", "0.25", "1e3", "1E-3", "-2.5e+2", "1e400", "9" * 30,
+    "00", "01", "1.", ".5", "1e", "-", "1a", "1_", "1.5.1",
+    '""', '"u1"', '"a b"', r'"\n\t\"\\\/"', r'"\u0041"', r'"\u{1F600}"', r'"\u{0}"',
+    r'"\uD83D\uDE00"', r'"\ud800"', r'"\u{D800}"', r'"\ud83d\u{DC00}"', r'"\u{110000}"',
+    r'"\u{FFFFFFFF}"', r'"\u{}"', r'"\x"', r'"\u12"', r'"\\u{41}"', '"\ta"', '"a\nb"', '"é"',
+    '"\x00"', '"',
+    '""""""', '"""a"""', '"""\n    hi\n  there\n"""', '"""a \\""" b"""', '"""\r\n  x\r  y"""',
+    '"""', " ", ",", "\t", "\n", "\r\n", "\r", "\ufeff", "# note\n", "#", "é", "'", "\x00",
+]
+
+VALID_QUERIES = [
+    '{ user(id: "u1") { id name } }',
+    'query Q($id: String!) { user(id: $id) { ...F } }\nfragment F on User { id name }',
+    'query { u: user(id: "x") { ... on User { name } id } }',
+    'mutation M { createUser(user: {id: "a", tags: [1, 2.5, -3e2]}) { id } }',
+    'query V($n: Int = 3, $s: [String!]!) { a(x: 1.5, e: RED, z: null, b: false, n: $n, '
+    's: """ block""") { x } }',
+]
+
+
+# A VALID_QUERIES text split into pieces that mutations move whole.
+_QUERY_PIECE = re.compile(r'"""(?:\\"""|[\s\S])*?"""|"(?:\\.|[^"\\])*"|\.\.\.|[-+.\w]+|\s+|.')
+
+
+@st.composite
+def query_texts(draw) -> str:
+    """Soup of QUERY_PIECES, or one of VALID_QUERIES with QUERY_PIECES
+    inserted or put in place of its own, and its pieces deleted or repeated."""
+    if draw(st.booleans()):
+        soup = draw(st.lists(st.sampled_from(QUERY_PIECES), max_size=30))
+        return "".join(p + draw(st.sampled_from(["", " ", "\n"])) for p in soup)
+    pieces = _QUERY_PIECE.findall(draw(st.sampled_from(VALID_QUERIES)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from([k for k, p in enumerate(pieces) if not p.isspace()] or [0]))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "repeat"]))
+        if edit == "insert":
+            pieces.insert(i, draw(st.sampled_from(QUERY_PIECES)))
+        elif edit == "replace":
+            pieces[i:i + 1] = [draw(st.sampled_from(QUERY_PIECES))]
+        elif edit == "delete":
+            del pieces[i:i + draw(st.integers(1, 4))]
+        else:
+            pieces[i:i] = pieces[i:i + draw(st.integers(1, 4))]
+    return "".join(pieces)
 
 
 @pytest.fixture

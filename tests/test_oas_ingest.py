@@ -47,7 +47,6 @@ def make_doc(paths=None, components=None, servers=None, title="T", version="1.0.
 
 def test_load_json_document():
     raw = load_document(b'{"swagger": "2.0", "info": {}}')
-    assert raw.format == "json"
     assert raw.root["swagger"] == "2.0"
 
 
@@ -58,7 +57,6 @@ def test_load_truncated_json_is_parse_error():
 
 def test_load_yaml_autodetected():
     raw = load_document(b"openapi: 3.0.0\ninfo:\n  title: Y\n")
-    assert raw.format == "yaml"
     assert raw.root["openapi"] == "3.0.0"
 
 
@@ -197,7 +195,7 @@ def test_upconvert_formdata_to_urlencoded_body():
 def test_upconvert_no_definitions_gives_empty_components():
     v2 = {"swagger": "2.0", "info": {"title": "X", "version": "0"}, "paths": {}}
     doc = upconvert(load_document(json.dumps(v2).encode()))
-    assert doc.schemas == {}
+    assert doc.raw_root["components"] == {}
     assert doc.operations == []
 
 
@@ -442,6 +440,19 @@ def test_unique_path_method_pairs():
     })
     keys = [op.key for op in doc.operations]
     assert len(keys) == len(set(keys)) == 2
+
+
+def test_find_operation_by_id_takes_the_first_declaration():
+    ok = {"responses": {"200": {"description": "ok", "content": {
+        "application/json": {"schema": {"type": "string"}}}}}}
+    doc = make_doc(paths={"/a": {"get": {**ok, "operationId": "dup"}},
+                          "/b": {"get": {**ok, "operationId": "dup"},
+                                 "post": {**ok, "operationId": "other"}}})
+    assert doc.find_operation(operation_id="dup").path == "/a"
+    assert doc.find_operation(operation_id="other").key == "POST /b"
+    assert doc.find_operation(method="get", path="/b").operation_id == "dup"
+    assert doc.find_operation(operation_id="missing") is None
+    assert doc.find_operation(method="put", path="/a") is None
 
 
 def test_template_params():

@@ -8,10 +8,14 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import CannedClient, query_texts
 from oaswrap.generator import generate
 from oaswrap.resolver_runtime import MAX_FAST_BRACKETS
 from oaswrap.service import MAX_REQUEST_BYTES, GraphQLService, make_server
@@ -104,6 +108,14 @@ def test_parse_error_is_400(service_url):
     response = post_graphql(url, {"query": "{ user(id: }"})
     assert response.status_code == 400
     assert "errors" in response.json()
+
+
+def test_an_exponent_without_digits_is_a_json_400(service_url):
+    url, _, upstream = service_url
+    response = post_graphql(url, {"query": "{ a(x: 1e) }"})
+    assert response.status_code == 400
+    assert response.json() == {"errors": [{"message": "invalid number '1e' (line 1, column 8)"}]}
+    assert upstream.requests == []
 
 
 def test_validation_error_is_400(service_url):
@@ -321,3 +333,37 @@ def test_a_request_body_integer_past_the_digit_limit_is_a_json_400(service_url):
     assert response.json() == {"errors": [{"message": "request body holds an integer too long "
                                                       "to decode"}]}
     assert upstream.requests == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def canned_service():
+    """The service of build_wrapper, whose every upstream call gets one user."""
+    wrapper = build_wrapper(SimpleNamespace(base_url="http://127.0.0.1:9"))
+    return GraphQLService(wrapper, client=CannedClient({"id": "u1", "name": "Uma"}))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(query_texts(),
+       st.none() | st.fixed_dictionaries({"id": JSON_VALUES}) | JSON_VALUES
+       | st.dictionaries(st.sampled_from(["id", "n", "s", "x"]), JSON_VALUES, max_size=3),
+       st.none() | st.sampled_from(["Q", "M", "V", ""]) | JSON_VALUES)
+def test_any_request_gets_a_spec_shaped_answer(canned_service, query, variables,
+                                               operation_name):
+    """handle_graphql answers any query text, variables and operationName with
+    200 and data, or with 400 and one error message or more; it never raises."""
+    status, body = canned_service.handle_graphql(
+        {"query": query, "variables": variables, "operationName": operation_name})
+    json.dumps(body, allow_nan=False)
+    errors = body.get("errors", [])
+    assert all(isinstance(error["message"], str) for error in errors)
+    if status == 400:
+        assert list(body) == ["errors"] and errors
+    else:
+        assert status == 200 and "data" in body
