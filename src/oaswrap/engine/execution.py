@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import logging
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import isfinite
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError, UpstreamNotJson
@@ -41,12 +41,17 @@ from ..ir import (
     resolve_type,
 )
 from .ast import FieldNode, OperationNode, QueryDocument, ValueNode
+from .kernels import Kernel, build_kernel, objects
 from .validation import (INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation,
                          declared_type, finite_float)
 
 logger = logging.getLogger("oaswrap.engine")
 
 _ABSENT = object()
+
+# The most selection-set signatures an executor keeps a completion kernel, or
+# a first sighting, for; past it the oldest entry goes.
+KERNEL_TABLE_ENTRIES = 256
 
 
 @dataclass
@@ -168,7 +173,7 @@ def _coerce_scalar(value: Any, name: str, where: str) -> Any:
     if name == "String":
         if not isinstance(value, str):
             raise CoercionError(f"{where} expects String, got {value!r}")
-        return value
+        return _unicode_text(value, where)
     if name == "Boolean":
         if not isinstance(value, bool):
             raise CoercionError(f"{where} expects Boolean, got {value!r}")
@@ -176,8 +181,20 @@ def _coerce_scalar(value: Any, name: str, where: str) -> Any:
     if name == "ID":
         if isinstance(value, bool) or not isinstance(value, (str, int)):
             raise CoercionError(f"{where} expects ID, got {value!r}")
-        return str(value)
+        return _unicode_text(str(value), where)
     raise CoercionError(f"{where}: unknown scalar {name!r}")
+
+
+def _unicode_text(text: str, where: str) -> str:
+    """text, unless it holds a lone surrogate: the request decoder yields one
+    for a JSON escape such as "\\ud800", and no upstream request can carry it."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CoercionError(f"{where} holds a lone surrogate, which is no Unicode "
+                                f"scalar value") from None
+    return text
 
 
 def _literal_value(node: ValueNode, variables: Mapping[str, Any]) -> Any:
@@ -213,7 +230,10 @@ class Executor:
     """Executes validated query documents against one immutable SchemaIR.
 
     Completion reads the raw upstream JSON by each field's raw key, and maps
-    raw enum values through the compiled field's raw -> sanitized table.
+    raw enum values through the compiled field's raw -> sanitized table. A
+    selection set whose signature runs a second time gets a completion kernel
+    (kernels.py), shared by every set of that signature, which completes its
+    fitting objects; any other object takes the general path.
     """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
@@ -222,6 +242,9 @@ class Executor:
         self.plans = plans
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
+        # signature -> its kernel, or None after its first run; in age order
+        self._kernels: dict[str, Kernel | None] = {}
+        self._kernels_lock = threading.Lock()
 
     def execute(self, doc: QueryDocument, operation_name: str | None,
                 variables: Mapping[str, Any] | None, ctx: ExecutionContext) -> ExecutionResult:
@@ -259,13 +282,25 @@ class Executor:
 
     def _execute_selection_set(self, compiled: CompiledSet, raw: dict, scope: Scope,
                                query: _Query, path: list, errors: list) -> dict:
-        """Complete the raw upstream object raw on compiled's fields."""
+        """Complete the raw upstream object raw on compiled's fields: those
+        its kernel covers, if the kernel completes them, and the rest on the
+        general path."""
+        out = None
         if query.dropped is not None:
             unexpected = raw.keys() - compiled.raw_keys
             if unexpected:
                 query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
+        elif compiled.signature is not None:
+            kernel = self._kernels.get(compiled.signature) or self._kernel(compiled)
+            if kernel is not None:
+                out = kernel(raw)
+        if out is None:
+            out, fields = {}, compiled.fields
+        elif compiled.rest:
+            fields = compiled.rest  # assigned in place, so response-key order holds
+        else:
+            return out
 
-        out: dict[str, Any] = {}
         bubbled: _NonNullViolation | None = None
         if compiled.parallel and self.max_parallel > 1:
             def run(f: CompiledField):
@@ -275,40 +310,16 @@ class Executor:
                 return (self._execute_field(f, raw, scope, query, path + [f.key], local_errors),
                         local_errors)
 
-            with ThreadPoolExecutor(
-                    max_workers=min(self.max_parallel, len(compiled.fields))) as pool:
-                results = list(pool.map(run, compiled.fields))
-            for f, (value, local_errors) in zip(compiled.fields, results):
+            with ThreadPoolExecutor(max_workers=min(self.max_parallel, len(fields))) as pool:
+                results = list(pool.map(run, fields))
+            for f, (value, local_errors) in zip(fields, results):
                 errors.extend(local_errors)
                 if isinstance(value, _NonNullViolation):
                     bubbled = bubbled or value
                 else:
                     out[f.key] = value
         else:
-            for f in compiled.fields:
-                # An unbound scalar or enum, or a list of them, whose values
-                # pass unchanged or map by one enum table lookup each, is
-                # taken here; any other field, and every error, takes
-                # _execute_field.
-                shape = f.shape
-                if shape == "leaf":
-                    value = raw.get(f.raw_key)
-                    plain = f.plain
-                    if type(value) is plain and (plain is not int
-                                                 or INT_MIN <= value <= INT_MAX) and (
-                            plain is not float or isfinite(value)):
-                        out[f.key] = value
-                        continue
-                    if f.enum is not None and type(value) is str and value in f.enum:
-                        out[f.key] = f.enum[value]
-                        continue
-                elif shape == "leaves":
-                    value = raw.get(f.raw_key)
-                    if type(value) is list:
-                        value = _leaves(f, value)
-                        if value is not None:
-                            out[f.key] = value
-                            continue
+            for f in fields:
                 value = self._execute_field(f, raw, scope, query, path + [f.key], errors)
                 if isinstance(value, _NonNullViolation):
                     bubbled = bubbled or value
@@ -317,6 +328,29 @@ class Executor:
         if bubbled is not None:
             raise bubbled
         return out
+
+    def _kernel(self, compiled: CompiledSet) -> Kernel | None:
+        """compiled's kernel, generated the second time its signature runs;
+        None the first time, so a set that runs once never pays for it."""
+        with self._kernels_lock:
+            if compiled.signature not in self._kernels:
+                self._keep(compiled.signature, None)
+                return None
+            return self._built(compiled)
+
+    def _built(self, compiled: CompiledSet) -> Kernel:
+        """compiled's kernel, generated now if need be. The lock is held."""
+        kernel = self._kernels.get(compiled.signature)
+        if kernel is None:
+            kernel = build_kernel(compiled, self._built)
+            self._keep(compiled.signature, kernel)
+        return kernel
+
+    def _keep(self, signature: str, kernel: Kernel | None) -> None:
+        kernels = self._kernels
+        if signature not in kernels and len(kernels) >= KERNEL_TABLE_ENTRIES:
+            del kernels[next(iter(kernels))]
+        kernels[signature] = kernel
 
     # -- fields ----------------------------------------------------------------
 
@@ -420,8 +454,14 @@ class Executor:
                     path, f.node))
                 return None
             item_type = type_ir.of_type
-            # A list of objects completes each dict item straight in the child set.
+            # A list of objects completes each dict item straight in the child
+            # set; when the child's kernel covers it whole, the list at once.
             child = f.child if f.shape == "objects" else None
+            if child is not None and not child.rest and query.dropped is None:
+                kernel = self._kernels.get(child.signature)
+                done = kernel and objects(kernel, value)
+                if done is not None:
+                    return done
             items = []
             for index, item in enumerate(value):
                 try:
@@ -499,19 +539,6 @@ class Executor:
         errors.append(_error_entry(
             f"upstream value {value!r} is not a value of enum {f.inner.name}", path, f.node))
         return None
-
-
-def _leaves(f: CompiledField, items: list) -> list | None:
-    """items completed, if each one fits f's scalar or enum; else None."""
-    enum, plain = f.enum, f.plain
-    for item in items:
-        if enum is not None:
-            if type(item) is not str or item not in enum:
-                return None
-        elif (type(item) is not plain or plain is int and not INT_MIN <= item <= INT_MAX
-              or plain is float and not isfinite(item)):
-            return None
-    return items if enum is None else [enum[item] for item in items]
 
 
 def _finite_float(value: int | float, path: list, errors: list,

@@ -10,13 +10,16 @@ an object has one. A compiled set is memoized per operation by its parent
 type and the selection lists it merges, so a fragment spread in many places
 compiles once and the result is a DAG linear in the query text. Depth counts
 selection sets with fragments expanded and is bounded by ``MAX_DEPTH``.
-Introspection selections are rejected; directives and subscriptions never get
-here, as the parser refuses them with a syntax error, which is a 400.
+Each compiled set carries a structural signature, by which the executor
+shares one completion kernel (``kernels.py``) among the sets that complete
+alike. Introspection selections are rejected; directives and subscriptions
+never get here, as the parser refuses them with a syntax error, which is a 400.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from math import isfinite
 
 from ..ir import (
@@ -64,7 +67,7 @@ class CompiledField:
 
     A value that fits the field's shape completes without the general path:
     an unbound ``leaf`` (a scalar or enum) or ``leaves`` (a list of them) in
-    the selection-set loop, read straight from the parent's raw object; an
+    its set's kernel, read straight from the parent's raw object; an
     ``object`` straight in its child set; ``objects`` (a list of objects)
     item by item in the child set. Any other value, and every error, takes
     the general path."""
@@ -89,6 +92,10 @@ class CompiledSet:
     parallel: bool = False  # two or more operation fields, outside a mutation
     height: int = 1  # nested selection sets, this one included, fragments expanded
     raw_keys: frozenset = frozenset()  # the upstream keys the type declares
+    # What a completion kernel of the set depends on, digested; None when a
+    # kernel would complete no field. Sets of one signature share a kernel.
+    signature: str | None = None
+    rest: list[CompiledField] = field(default_factory=list)  # fields a kernel leaves out
 
 
 def validate_query(doc: QueryDocument, schema: SchemaIR) -> list[str]:
@@ -211,6 +218,7 @@ class _Walk:
         operations = sum(1 for f in compiled.fields
                          if f.field_ir.binding and f.field_ir.binding.kind == "operation")
         compiled.parallel = not self.mutation and operations > 1
+        _sign(compiled)
         self.memo[key] = compiled
         return compiled
 
@@ -328,7 +336,7 @@ class _Walk:
             return f  # nested lists take the general path
         if inner.kind == OBJECT:
             f.shape = "objects" if many else "object"
-        elif inner.kind in (SCALAR, ENUM) and unbound:  # read in the selection-set loop
+        elif inner.kind in (SCALAR, ENUM) and unbound:  # read by the set's kernel
             f.shape = "leaves" if many else "leaf"
         return f
 
@@ -390,6 +398,25 @@ class _Walk:
             self.too_deep = True
             self.errors.append(f"selections nest deeper than {MAX_DEPTH} levels "
                                f"with fragments expanded")
+
+
+def _sign(compiled: CompiledSet) -> None:
+    """Set compiled's kernel signature and the fields its kernel leaves to the
+    general path. A kernel reads each unbound field that has a shape and
+    whose child set, if any, a kernel covers whole. Child sets enter by their
+    own signature, so a signature's size does not grow with the sets under it."""
+    parts: list = [compiled.type.name]
+    for f in compiled.fields:
+        child = f.child
+        if f.raw_key is None or f.shape is None or child is not None and (
+                child.signature is None or child.rest):
+            compiled.rest.append(f)
+            parts.append((f.key,))
+        else:
+            parts.append((f.key, f.raw_key, f.shape, f.field_ir.type.kind == NON_NULL,
+                          f.inner.name, child and child.signature))
+    if len(compiled.rest) < len(compiled.fields):
+        compiled.signature = blake2b(repr(parts).encode(), digest_size=16).hexdigest()
 
 
 def declared_type(node: TypeNode, schema: SchemaIR) -> TypeIR | None:

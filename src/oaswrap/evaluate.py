@@ -113,8 +113,9 @@ def evaluate_corpus(directory: str | Path, strict_also: bool = False) -> CorpusS
             result.strict_outcome = "success" if clean else "error"
         return result
 
+    # One job for the whole loop: the caller and the worker hand off once per pass.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        results = list(pool.map(run, files))
+        results = pool.submit(lambda: [run(path) for path in files]).result()
 
     for result in results:
         stats.files.append(result)

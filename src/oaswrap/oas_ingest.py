@@ -237,6 +237,8 @@ class OasDocument:
 
     def deref(self, schema: SchemaObject) -> SchemaObject:
         """Follow ref chains to the underlying schema (cycle-guarded)."""
+        if schema.ref is None:
+            return schema
         seen: set[str] = set()
         while schema.ref is not None:
             if schema.ref in seen:

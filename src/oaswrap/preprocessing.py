@@ -107,12 +107,16 @@ def first_free(base: str, taken, counters: dict[str, int] | None = None) -> str:
 # -- structural equality ---------------------------------------------------------
 
 
+# One encoder for every enum value: json.dumps with arguments builds a new one per call.
+_encode_enum_value = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
 def _label(s: SchemaObject) -> tuple:
     """What equality compares on one node: type, property keys, required and
     enum as sets, items presence and allOf arity; titles never count."""
     enum = None
     if s.enum is not None:
-        enum = frozenset(json.dumps(v, sort_keys=True, default=str) for v in s.enum)
+        enum = frozenset(map(_encode_enum_value, s.enum))
     return (s.type, frozenset(s.properties), frozenset(s.required), enum,
             s.items is not None, None if s.all_of is None else len(s.all_of))
 

@@ -3,7 +3,8 @@
 POST /graphql executes queries (HTTP 200 even for execution errors, 400 for
 request errors, 413 for a body over MAX_REQUEST_BYTES, 500 with an error ID
 for an internal error); GET /sdl returns the schema text; GET /report the
-generation report.
+generation report. A query text seen before skips parsing and validation: its
+document, compiled plan included, is kept in a bounded cache.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 import orjson
 
 from .engine import Executor, parse_query, validate_query
+from .engine.ast import QueryDocument
 from .engine.execution import RequestFailed
 from .errors import CoercionError, GraphQLSyntaxError
 from .generator import GeneratedWrapper
@@ -27,10 +31,17 @@ logger = logging.getLogger("oaswrap.service")
 
 # The largest request body read; a longer one is refused unread.
 MAX_REQUEST_BYTES = 1 << 20
+# The document cache keeps at most this many query texts, of at most this many
+# UTF-8 bytes in all; the least recently used go first. A cached document with
+# its compiled plan takes about 70 times its text's size.
+DOCUMENT_CACHE_ENTRIES = 256
+DOCUMENT_CACHE_BYTES = 1 << 18
 
 
 class GraphQLService:
-    """Stateless request handling around one immutable generated wrapper."""
+    """Request handling around one immutable generated wrapper. Its one state
+    is a cache from query text to the parsed document and its validation
+    errors; the document carries its compiled plan."""
 
     def __init__(self, wrapper: GeneratedWrapper, extra_headers: Mapping[str, str] | None = None,
                  token: Any = None, timeout: float = DEFAULT_TIMEOUT,
@@ -46,6 +57,10 @@ class GraphQLService:
             credentials={}, token=token, used_params={},
             extra_headers=dict(extra_headers or {}),
         )
+        # query text -> (document, validation errors, UTF-8 bytes of the text)
+        self._documents: OrderedDict[str, tuple[QueryDocument, list[str], int]] = OrderedDict()
+        self._document_bytes = 0
+        self._documents_lock = threading.Lock()
 
     def handle_graphql(self, payload: Any) -> tuple[int, dict]:
         if not isinstance(payload, dict) or not isinstance(payload.get("query"), str):
@@ -58,10 +73,9 @@ class GraphQLService:
             return 400, {"errors": [{"message": "'variables' must be an object"}]}
 
         try:
-            doc = parse_query(query)
+            doc, validation_errors = self._document(query)
         except GraphQLSyntaxError as exc:
             return 400, {"errors": [{"message": str(exc)}]}
-        validation_errors = validate_query(doc, self.wrapper.schema)
         if validation_errors:
             return 400, {"errors": [{"message": message} for message in validation_errors]}
         try:
@@ -69,6 +83,27 @@ class GraphQLService:
         except (RequestFailed, CoercionError) as exc:
             return 400, {"errors": [{"message": str(exc)}]}
         return 200, result.to_payload()
+
+    def _document(self, query: str) -> tuple[QueryDocument, list[str]]:
+        """query parsed and validated, from the cache when it holds the text.
+        A syntax error raises and is never cached."""
+        with self._documents_lock:
+            hit = self._documents.get(query)
+            if hit is not None:
+                self._documents.move_to_end(query)
+                return hit[0], hit[1]
+        doc = parse_query(query)
+        errors = validate_query(doc, self.wrapper.schema)
+        size = len(query.encode("utf-8", "surrogatepass"))
+        if size <= DOCUMENT_CACHE_BYTES:
+            with self._documents_lock:
+                if query not in self._documents:
+                    self._documents[query] = (doc, errors, size)
+                    self._document_bytes += size
+                    while (len(self._documents) > DOCUMENT_CACHE_ENTRIES
+                           or self._document_bytes > DOCUMENT_CACHE_BYTES):
+                        self._document_bytes -= self._documents.popitem(last=False)[1][2]
+        return doc, errors
 
     def sdl_text(self) -> str:
         return self.wrapper.sdl or ""

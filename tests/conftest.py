@@ -182,12 +182,14 @@ class CannedClient:
 
 
 def general_path(doc) -> None:
-    """Clear the inline shape of every compiled field of doc's validated
-    first operation, so that its execution completes every value through
-    the executor's general path."""
+    """Clear the kernel signature of every compiled set, and the inline shape
+    of every compiled field, of doc's validated first operation, so that its
+    execution completes every value through the executor's general path."""
     todo = [doc.operations[0].compiled[1]]
     while todo:
-        for f in todo.pop().fields:
+        compiled = todo.pop()
+        compiled.signature = None
+        for f in compiled.fields:
             f.shape = None
             if f.child is not None:
                 todo.append(f.child)

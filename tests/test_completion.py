@@ -3,8 +3,9 @@
 Hypothesis generates upstream bodies for a list of records whose type has
 non-null, list, enum, list-of-scalar and nested-object fields. The bodies hold
 nulls, missing keys, wrong JSON types, unknown enum values, non-dict items and
-lists containing nulls. The executor completes each body twice, through its
-inline shapes and through its general path alone, and the two must agree
+lists containing nulls. The executor completes each body three times: on its
+first run, on its second run (through the completion kernels of the sets that
+ran before) and through its general path alone, and all three must agree
 exactly. graphql_sync completes the same body with resolvers that read each
 field by its raw upstream key (``FieldIR.raw``); data and error paths must
 agree with it.
@@ -21,17 +22,20 @@ Deliberate differences, which the bodies do not generate:
 
 import copy
 import json
+import logging
 import math
 
+import pytest
 from graphql import build_schema, graphql_sync
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CannedClient, general_path
 from oaswrap.engine import Executor, parse_query, validate_query
+from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
 from oaswrap.engine.validation import INT_MAX, INT_MIN
 from oaswrap.generator import GenerationOptions, generate
-from oaswrap.ir import OBJECT, list_of, non_null, reference, scalar
+from oaswrap.ir import OBJECT, list_of, non_null, reference, resolve_type, scalar
 from oaswrap.resolver_runtime import ExecutionContext
 from oaswrap.schema_gen import print_sdl
 
@@ -151,13 +155,21 @@ def queries(draw):
     return "{ getRecords { " + " ".join(selections) + " } }"
 
 
-def execute(schema, text, body, general):
+def execute(schema, text, body, mode, plans=WRAPPER.plans):
+    """body completed for text by a new executor: on its first run ("cold"),
+    on its second ("warm"), or through its general path alone ("general")."""
     doc = parse_query(text)
     assert validate_query(doc, schema) == []
-    if general:
+    if mode == "general":
         general_path(doc)
-    executor = Executor(schema, WRAPPER.plans, CannedClient(body))
-    return executor.execute(doc, None, None, ExecutionContext()).to_payload()
+    executor = Executor(schema, plans, CannedClient(body))
+    for _ in range(2 if mode == "warm" else 1):
+        payload = executor.execute(doc, None, None, ExecutionContext()).to_payload()
+    if (mode == "warm" and type(body) is list and body and all(type(r) is dict for r in body)
+            and not logging.getLogger("oaswrap.engine").isEnabledFor(logging.DEBUG)):
+        records = doc.operations[0].compiled[1].fields[0].child
+        assert callable(executor._kernels[records.signature])
+    return payload
 
 
 def under_null(data, path) -> bool:
@@ -173,9 +185,10 @@ def under_null(data, path) -> bool:
 @given(st.booleans(), queries(), BODIES)
 def test_completion_agrees_with_graphql_core(strict, text, body):
     schema, theirs = SCHEMAS[strict]
-    ours = execute(schema, text, body, general=False)
+    ours = execute(schema, text, body, "warm")
     # As JSON, since 3 == 3.0.
-    assert json.dumps(ours) == json.dumps(execute(schema, text, body, general=True))
+    for mode in ("cold", "general"):
+        assert json.dumps(ours) == json.dumps(execute(schema, text, body, mode))
 
     expected = graphql_sync(theirs, text, root_value={"getRecords": json.loads(json.dumps(body))})
     assert json.dumps(ours["data"]) == json.dumps(expected.data)
@@ -187,3 +200,86 @@ def test_completion_agrees_with_graphql_core(strict, text, body):
     assert all(path in our_paths for path in their_paths)
     assert ([p for p in our_paths if not under_null(ours["data"], p)]
             == [p for p in their_paths if not under_null(expected.data, p)])
+
+
+# Raw keys and enum values that would break generated source if it embedded
+# them other than by repr().
+HOSTILE = ['a"b', "a'b", "a'''b", 'a"""b', "a\\b", "a\nb", "{x}", "x}{y", "aé", "a\\'", "get",
+           "raw"]
+
+
+@pytest.fixture
+def kernels(caplog):
+    """Kernels run even where DEBUG logging is on, which turns them off to
+    report dropped upstream keys."""
+    caplog.set_level(logging.INFO, logger="oaswrap.engine")
+
+
+def test_kernels_read_hostile_raw_keys(kernels):
+    props = {key: {"type": "string"} for key in HOSTILE}
+    props["n'"] = {"type": "integer"}
+    props['e"'] = {"type": "string", "enum": ["q'", 'q"', "q\\", "q}\n{", "é1"]}
+    props["o{"] = {"type": "object", "properties": {
+        "c'''": {"type": "boolean"}, "d\\": {"type": "number"},
+        "e\n": {"type": "array", "items": {"type": "string"}}}}
+    spec = dict(FIXTURE, components={}, paths={"/things": {"get": {"responses": {"200": {
+        "description": "ok", "content": {"application/json": {"schema": {
+            "type": "array", "items": {"type": "object", "properties": props}}}}}}}}})
+    wrapper = generate(json.dumps(spec).encode(), GenerationOptions())
+    schema = wrapper.schema
+    [root] = schema.query_fields.values()
+
+    def selection(type_ir):
+        parts = []
+        for name, field_ir in type_ir.fields.items():
+            inner = resolve_type(field_ir.type.unwrap(), schema.types)
+            parts.append(name + (" { " + selection(inner) + " }" if inner.kind == OBJECT else ""))
+        return " ".join(parts)
+
+    def completed(type_ir, raw):
+        out = {}
+        for name, field_ir in type_ir.fields.items():
+            inner = resolve_type(field_ir.type.unwrap(), schema.types)
+            value = raw[field_ir.raw]
+            if inner.kind == OBJECT:
+                value = completed(inner, value)
+            elif inner.enum_values:
+                value = {raw: name for name, raw in inner.enum_values.items()}[value]
+            out[name] = value
+        return out
+
+    records = [dict({key: f"{key}-{n}" for key in HOSTILE}, **{
+        "n'": n, 'e"': props['e"']["enum"][n],
+        "o{": {"c'''": n % 2 == 0, "d\\": n + 0.5, "e\n": ["'", "\\"]}}) for n in range(3)]
+    thing = resolve_type(root.type.unwrap(), schema.types)
+    text = "{ %s { %s } }" % (root.name, selection(thing))
+    expected = {"data": {root.name: [completed(thing, record) for record in records]}}
+    for mode in ("cold", "warm", "general"):
+        assert execute(schema, text, records, mode, wrapper.plans) == expected
+
+
+def record_ids(alias: str) -> str:
+    return "{ getRecords { %s: id } }" % alias
+
+
+def test_a_kernel_is_generated_the_second_time_its_signature_runs(kernels):
+    executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient([{"id": "r"}]))
+    doc = parse_query(record_ids("a"))
+    for run in range(3):
+        assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
+            "data": {"getRecords": [{"a": "r"}]}}
+        records = doc.operations[0].compiled[1].fields[0].child
+        assert callable(executor._kernels[records.signature]) is (run > 0)
+
+
+def test_the_kernel_table_keeps_the_newest_signatures_at_its_bound(kernels):
+    executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient([{"id": "r"}] * 2))
+    signatures = []
+    for n in range(KERNEL_TABLE_ENTRIES + 1):
+        doc = parse_query(record_ids(f"a{n}"))
+        assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
+            "data": {"getRecords": [{f"a{n}": "r"}] * 2}}
+        signatures.append(doc.operations[0].compiled[1].fields[0].child.signature)
+    assert len(set(signatures)) == len(executor._kernels) + 1 == KERNEL_TABLE_ENTRIES + 1
+    assert signatures[0] not in executor._kernels
+    assert all(callable(executor._kernels[s]) for s in signatures[1:])

@@ -16,9 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CannedClient, query_texts
+from oaswrap import service as service_module
+from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
 from oaswrap.generator import generate
 from oaswrap.resolver_runtime import MAX_FAST_BRACKETS
-from oaswrap.service import MAX_REQUEST_BYTES, GraphQLService, make_server
+from oaswrap.service import (DOCUMENT_CACHE_BYTES, DOCUMENT_CACHE_ENTRIES, MAX_REQUEST_BYTES,
+                             GraphQLService, make_server)
 
 
 def build_wrapper(upstream):
@@ -335,9 +338,155 @@ def test_a_request_body_integer_past_the_digit_limit_is_a_json_400(service_url):
     assert upstream.requests == []
 
 
+def test_a_lone_surrogate_in_a_variable_is_a_400_before_any_upstream_call(service_url):
+    url, _, upstream = service_url
+    body = (b'{"query": "query Q($id: String!) { user(id: $id) { id } }", '
+            b'"variables": {"id": "\\ud800"}}')
+    response = fetch(f"{url}/graphql", "POST", body, {"Content-Type": "application/json"})
+    assert response.status_code == 400
+    assert response.json() == {"errors": [{"message": "$id holds a lone surrogate, which is "
+                                                      "no Unicode scalar value"}]}
+    assert upstream.requests == []
+
+
+def test_a_lone_surrogate_inside_an_input_object_is_a_400_before_any_upstream_call(upstream):
+    root = {
+        "openapi": "3.0.0",
+        "info": {"title": "Post", "version": "1"},
+        "servers": [{"url": upstream.base_url}],
+        "paths": {"/user": {"post": {
+            "requestBody": {"content": {"application/json": {"schema": {
+                "type": "object", "properties": {"name": {"type": "string"}}}}}},
+            "responses": {"200": {"description": "ok", "content": {"application/json": {
+                "schema": {"type": "object", "properties": {"id": {"type": "string"}}}}}}}}}},
+    }
+    body = (b'{"query": "mutation M($u: postUserInput) { postUser(postUser: $u) { id } }", '
+            b'"variables": {"u": {"name": "a\\udfffb"}}}')
+    with serving(GraphQLService(generate(json.dumps(root).encode()))) as url:
+        response = fetch(f"{url}/graphql", "POST", body, {"Content-Type": "application/json"})
+    assert response.status_code == 400
+    assert response.json() == {"errors": [{"message": "$u.name holds a lone surrogate, which "
+                                                      "is no Unicode scalar value"}]}
+    assert upstream.requests == []
+
+
+# -- the document cache -----------------------------------------------------------------
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The query texts the service parses, in order."""
+    seen = []
+    parse = service_module.parse_query
+
+    def counting(text):
+        seen.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(service_module, "parse_query", counting)
+    return seen
+
+
+def user_query(n: int, pad: int = 0) -> str:
+    """A distinct valid query text, padded with a comment to pad UTF-8 bytes."""
+    text = f'{{ user(id: "u1") {{ id }} }} # {n} '
+    return text + "x" * (pad - len(text))
+
+
+def test_the_document_cache_evicts_the_least_recently_used_text_at_its_entry_bound(
+        canned_service, parses):
+    service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
+    for n in range(DOCUMENT_CACHE_ENTRIES):
+        assert service.handle_graphql({"query": user_query(n)})[0] == 200
+    service.handle_graphql({"query": user_query(0)})  # now the most recently used
+    service.handle_graphql({"query": user_query(DOCUMENT_CACHE_ENTRIES)})  # evicts 1
+    del parses[:]
+    for n in (0, 2, DOCUMENT_CACHE_ENTRIES, 1):
+        assert service.handle_graphql({"query": user_query(n)})[0] == 200
+    assert parses == [user_query(1)]
+
+
+def test_the_document_cache_evicts_at_its_byte_bound(canned_service, parses):
+    service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
+    half = DOCUMENT_CACHE_BYTES // 2
+    for n in (0, 1, 0):  # two halves fit
+        service.handle_graphql({"query": user_query(n, half)})
+    assert parses == [user_query(0, half), user_query(1, half)]
+    service.handle_graphql({"query": user_query(2)})  # past the bound: 1, the older, goes
+    del parses[:]
+    for n, pad in ((0, half), (2, 0), (1, half)):
+        assert service.handle_graphql({"query": user_query(n, pad)})[0] == 200
+    assert parses == [user_query(1, half)]
+
+
+def test_an_over_size_text_is_answered_but_never_cached(canned_service, parses):
+    service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
+    small, big = user_query(0), user_query(1, DOCUMENT_CACHE_BYTES + 1)
+    for text in (small, big, big, small):
+        assert service.handle_graphql({"query": text}) == (200, {"data": {"user": {"id": "u1"}}})
+    assert parses == [small, big, big]
+
+
+def test_one_cached_text_answers_each_variables_and_operation_name(upstream):
+    upstream.route("GET", "/user/{id}", lambda req, params: {"id": params["id"], "name": "N"})
+    service = GraphQLService(build_wrapper(upstream))
+    text = ('query A($id: String!) { user(id: $id) { id } } '
+            'query B($id: String = "b") { user(id: $id) { name id } }')
+    answers = [service.handle_graphql({"query": text, "operationName": name,
+                                       "variables": variables})
+               for name, variables in (("A", {"id": "1"}), ("A", {"id": "2"}), ("B", None),
+                                       ("B", {"id": "3"}), ("A", None), (None, {"id": "4"}))]
+    assert answers[:4] == [(200, {"data": {"user": {"id": "1"}}}),
+                           (200, {"data": {"user": {"id": "2"}}}),
+                           (200, {"data": {"user": {"name": "N", "id": "b"}}}),
+                           (200, {"data": {"user": {"name": "N", "id": "3"}}})]
+    assert answers[4] == (400, {"errors": [{"message": "variable $id is non-null but was "
+                                                       "not provided"}]})
+    assert answers[5][0] == 400
+    assert upstream.paths_seen == ["/user/1", "/user/2", "/user/b", "/user/3"]
+
+
+def test_a_syntax_error_is_a_400_on_every_repeat_and_never_cached(canned_service, parses):
+    for _ in range(3):
+        status, body = canned_service.handle_graphql({"query": "{ user(id: }"})
+        assert status == 400 and list(body) == ["errors"]
+    assert parses == ["{ user(id: }"] * 3
+
+
+def test_threads_sharing_the_caches_past_their_bounds_keep_them_consistent(canned_service):
+    service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
+    texts = [f"{{ user(id: \"u1\") {{ a{n}: id }} }}" for n in range(DOCUMENT_CACHE_ENTRIES + 64)]
+    answers = {}
+
+    def work(first):
+        for n in range(first, len(texts), 8):
+            for _ in range(2):
+                answers.setdefault(n, []).append(service.handle_graphql({"query": texts[n]}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(answers[n] == [(200, {"data": {"user": {f"a{n}": "u1"}}})] * 2
+               for n in range(len(texts)))
+    assert len(service._documents) == DOCUMENT_CACHE_ENTRIES
+    assert service._document_bytes == sum(size for _, _, size in service._documents.values())
+    assert len(service.executor._kernels) <= KERNEL_TABLE_ENTRIES
+
+
+# Text, with lone surrogates among its characters, which the request decoder
+# yields for JSON escapes such as "\ud800".
+TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=4)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner,
                                                                max_size=3),
     max_leaves=6)
 
