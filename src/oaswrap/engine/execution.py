@@ -14,8 +14,12 @@ import json
 import logging
 import sys
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count
+from math import isfinite
+from types import FunctionType
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError, UpstreamNotJson
@@ -41,7 +45,7 @@ from ..ir import (
     resolve_type,
 )
 from .ast import FieldNode, OperationNode, QueryDocument, ValueNode
-from .kernels import Kernel, build_kernel, objects
+from .kernels import Kernel, build_kernel, leaves
 from .validation import (INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation,
                          declared_type, finite_float)
 
@@ -50,7 +54,7 @@ logger = logging.getLogger("oaswrap.engine")
 _ABSENT = object()
 
 # The most selection-set signatures an executor keeps a completion kernel, or
-# a first sighting, for; past it the oldest entry goes.
+# the query that first ran it, for; past it the least recently used goes.
 KERNEL_TABLE_ENTRIES = 256
 
 
@@ -92,6 +96,7 @@ class _Query:
     requests."""
 
     variables: dict
+    serial: int  # this query's number among its executor's
     dropped: dict[str, set[str]] | None = None  # type -> unexpected upstream keys, DEBUG only
 
 
@@ -231,9 +236,9 @@ class Executor:
 
     Completion reads the raw upstream JSON by each field's raw key, and maps
     raw enum values through the compiled field's raw -> sanitized table. A
-    selection set whose signature runs a second time gets a completion kernel
-    (kernels.py), shared by every set of that signature, which completes its
-    fitting objects; any other object takes the general path.
+    selection set whose signature a second query runs gets a completion
+    kernel (kernels.py), shared by every set of that signature, which
+    completes its fitting objects; any other object takes the general path.
     """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
@@ -242,9 +247,12 @@ class Executor:
         self.plans = plans
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
-        # signature -> its kernel, or None after its first run; in age order
-        self._kernels: dict[str, Kernel | None] = {}
+        # signature -> its kernel, or the serial of the query that first ran
+        # it; least recently used first. Reads and refreshes take no lock: a
+        # race with another thread's write can only cost a kernel a rebuild.
+        self._kernels: OrderedDict[str, Kernel | int] = OrderedDict()
         self._kernels_lock = threading.Lock()
+        self._serials = count()
 
     def execute(self, doc: QueryDocument, operation_name: str | None,
                 variables: Mapping[str, Any] | None, ctx: ExecutionContext) -> ExecutionResult:
@@ -253,7 +261,7 @@ class Executor:
         if errors:
             raise RequestFailed("; ".join(errors))
         query = _Query(coerce_variables(operation.variable_definitions, variables,
-                                        self.schema))
+                                        self.schema), next(self._serials))
         if logger.isEnabledFor(logging.DEBUG):
             query.dropped = {}
 
@@ -291,9 +299,20 @@ class Executor:
             if unexpected:
                 query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
         elif compiled.signature is not None:
-            kernel = self._kernels.get(compiled.signature) or self._kernel(compiled)
-            if kernel is not None:
+            # A kernel is generated when a second query runs the signature,
+            # so a selection that one query runs, however many objects it
+            # completes, never pays for it.
+            kernel = self._kernels.get(compiled.signature)
+            if type(kernel) is FunctionType:
+                try:
+                    self._kernels.move_to_end(compiled.signature)
+                except KeyError:  # another thread evicted it since
+                    pass
                 out = kernel(raw)
+            elif kernel is None:
+                self._keep(compiled.signature, query.serial)
+            elif kernel != query.serial:
+                out = self._built(compiled)(raw)
         if out is None:
             out, fields = {}, compiled.fields
         elif compiled.rest:
@@ -320,6 +339,29 @@ class Executor:
                     out[f.key] = value
         else:
             for f in fields:
+                # An unbound scalar or enum, or a list of them, whose values
+                # pass unchanged or map by one enum table lookup each, is
+                # taken here; any other field, and every error, takes
+                # _execute_field.
+                shape = f.shape
+                if shape == "leaf":
+                    value = raw.get(f.raw_key)
+                    plain = f.plain
+                    if type(value) is plain and (plain is not int
+                                                 or INT_MIN <= value <= INT_MAX) and (
+                            plain is not float or isfinite(value)):
+                        out[f.key] = value
+                        continue
+                    if f.enum is not None and type(value) is str and value in f.enum:
+                        out[f.key] = f.enum[value]
+                        continue
+                elif shape == "leaves":
+                    value = raw.get(f.raw_key)
+                    if type(value) is list:
+                        value = leaves(f, value)
+                        if value is not None:
+                            out[f.key] = value
+                            continue
                 value = self._execute_field(f, raw, scope, query, path + [f.key], errors)
                 if isinstance(value, _NonNullViolation):
                     bubbled = bubbled or value
@@ -329,28 +371,22 @@ class Executor:
             raise bubbled
         return out
 
-    def _kernel(self, compiled: CompiledSet) -> Kernel | None:
-        """compiled's kernel, generated the second time its signature runs;
-        None the first time, so a set that runs once never pays for it."""
-        with self._kernels_lock:
-            if compiled.signature not in self._kernels:
-                self._keep(compiled.signature, None)
-                return None
-            return self._built(compiled)
-
     def _built(self, compiled: CompiledSet) -> Kernel:
-        """compiled's kernel, generated now if need be. The lock is held."""
+        """compiled's kernel, generated now if the table lacks it. Threads
+        generate outside the lock, so two may build one kernel alike."""
         kernel = self._kernels.get(compiled.signature)
-        if kernel is None:
+        if type(kernel) is not FunctionType:
             kernel = build_kernel(compiled, self._built)
             self._keep(compiled.signature, kernel)
         return kernel
 
-    def _keep(self, signature: str, kernel: Kernel | None) -> None:
-        kernels = self._kernels
-        if signature not in kernels and len(kernels) >= KERNEL_TABLE_ENTRIES:
-            del kernels[next(iter(kernels))]
-        kernels[signature] = kernel
+    def _keep(self, signature: str, entry: Kernel | int) -> None:
+        with self._kernels_lock:
+            kernels = self._kernels
+            kernels[signature] = entry
+            kernels.move_to_end(signature)
+            if len(kernels) > KERNEL_TABLE_ENTRIES:
+                kernels.popitem(last=False)
 
     # -- fields ----------------------------------------------------------------
 
@@ -454,14 +490,8 @@ class Executor:
                     path, f.node))
                 return None
             item_type = type_ir.of_type
-            # A list of objects completes each dict item straight in the child
-            # set; when the child's kernel covers it whole, the list at once.
+            # A list of objects completes each dict item straight in the child set.
             child = f.child if f.shape == "objects" else None
-            if child is not None and not child.rest and query.dropped is None:
-                kernel = self._kernels.get(child.signature)
-                done = kernel and objects(kernel, value)
-                if done is not None:
-                    return done
             items = []
             for index, item in enumerate(value):
                 try:

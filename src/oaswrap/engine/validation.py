@@ -45,6 +45,11 @@ from .parser import MAX_DEPTH
 
 INT_MAX = 2**31 - 1
 INT_MIN = -(2**31)
+# The most characters of signed text (see _sign) a set with a completion
+# kernel may have. A kernel's source, code and tables grow with that text, so
+# this bounds what one kernel holds and how long it takes to generate; a
+# larger set takes the general path.
+KERNEL_TEXT_CHARS = 4096
 
 
 def finite_float(value: int | float) -> float | None:
@@ -404,7 +409,8 @@ def _sign(compiled: CompiledSet) -> None:
     """Set compiled's kernel signature and the fields its kernel leaves to the
     general path. A kernel reads each unbound field that has a shape and
     whose child set, if any, a kernel covers whole. Child sets enter by their
-    own signature, so a signature's size does not grow with the sets under it."""
+    own signature, so a signature's size does not grow with the sets under it.
+    A set whose signed text is longer than KERNEL_TEXT_CHARS gets none."""
     parts: list = [compiled.type.name]
     for f in compiled.fields:
         child = f.child
@@ -415,8 +421,9 @@ def _sign(compiled: CompiledSet) -> None:
         else:
             parts.append((f.key, f.raw_key, f.shape, f.field_ir.type.kind == NON_NULL,
                           f.inner.name, child and child.signature))
-    if len(compiled.rest) < len(compiled.fields):
-        compiled.signature = blake2b(repr(parts).encode(), digest_size=16).hexdigest()
+    text = repr(parts)
+    if len(compiled.rest) < len(compiled.fields) and len(text) <= KERNEL_TEXT_CHARS:
+        compiled.signature = blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def declared_type(node: TypeNode, schema: SchemaIR) -> TypeIR | None:

@@ -33,7 +33,9 @@ logger = logging.getLogger("oaswrap.service")
 MAX_REQUEST_BYTES = 1 << 20
 # The document cache keeps at most this many query texts, of at most this many
 # UTF-8 bytes in all; the least recently used go first. A cached document with
-# its compiled plan takes about 70 times its text's size.
+# its compiled plan takes about 70 times its text's size. A text is kept when
+# it comes a second time while the cache remembers, by hash, at most this many
+# texts seen once.
 DOCUMENT_CACHE_ENTRIES = 256
 DOCUMENT_CACHE_BYTES = 1 << 18
 
@@ -41,7 +43,8 @@ DOCUMENT_CACHE_BYTES = 1 << 18
 class GraphQLService:
     """Request handling around one immutable generated wrapper. Its one state
     is a cache from query text to the parsed document and its validation
-    errors; the document carries its compiled plan."""
+    errors; the document carries its compiled plan. Traffic that never
+    repeats a text never pays for keeping one."""
 
     def __init__(self, wrapper: GeneratedWrapper, extra_headers: Mapping[str, str] | None = None,
                  token: Any = None, timeout: float = DEFAULT_TIMEOUT,
@@ -60,6 +63,7 @@ class GraphQLService:
         # query text -> (document, validation errors, UTF-8 bytes of the text)
         self._documents: OrderedDict[str, tuple[QueryDocument, list[str], int]] = OrderedDict()
         self._document_bytes = 0
+        self._seen_once: OrderedDict[int, None] = OrderedDict()  # hashes of texts seen once
         self._documents_lock = threading.Lock()
 
     def handle_graphql(self, payload: Any) -> tuple[int, dict]:
@@ -86,7 +90,8 @@ class GraphQLService:
 
     def _document(self, query: str) -> tuple[QueryDocument, list[str]]:
         """query parsed and validated, from the cache when it holds the text.
-        A syntax error raises and is never cached."""
+        A syntax error raises and is never cached; a text is cached when it
+        comes a second time."""
         with self._documents_lock:
             hit = self._documents.get(query)
             if hit is not None:
@@ -96,10 +101,17 @@ class GraphQLService:
         errors = validate_query(doc, self.wrapper.schema)
         size = len(query.encode("utf-8", "surrogatepass"))
         if size <= DOCUMENT_CACHE_BYTES:
+            seen = hash(query)
             with self._documents_lock:
-                if query not in self._documents:
-                    self._documents[query] = (doc, errors, size)
-                    self._document_bytes += size
+                if seen not in self._seen_once:
+                    self._seen_once[seen] = None
+                    if len(self._seen_once) > DOCUMENT_CACHE_ENTRIES:
+                        self._seen_once.popitem(last=False)
+                else:
+                    del self._seen_once[seen]
+                    if query not in self._documents:
+                        self._documents[query] = (doc, errors, size)
+                        self._document_bytes += size
                     while (len(self._documents) > DOCUMENT_CACHE_ENTRIES
                            or self._document_bytes > DOCUMENT_CACHE_BYTES):
                         self._document_bytes -= self._documents.popitem(last=False)[1][2]

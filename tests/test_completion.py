@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from conftest import CannedClient, general_path
 from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
-from oaswrap.engine.validation import INT_MAX, INT_MIN
+from oaswrap.engine.validation import INT_MAX, INT_MIN, KERNEL_TEXT_CHARS, CompiledSet
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import OBJECT, list_of, non_null, reference, resolve_type, scalar
 from oaswrap.resolver_runtime import ExecutionContext
@@ -262,24 +262,67 @@ def record_ids(alias: str) -> str:
     return "{ getRecords { %s: id } }" % alias
 
 
-def test_a_kernel_is_generated_the_second_time_its_signature_runs(kernels):
-    executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient([{"id": "r"}]))
+def test_a_kernel_is_generated_when_a_second_query_runs_its_signature(kernels):
+    executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient([{"id": "r"}] * 3))
     doc = parse_query(record_ids("a"))
     for run in range(3):
         assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
-            "data": {"getRecords": [{"a": "r"}]}}
+            "data": {"getRecords": [{"a": "r"}] * 3}}
         records = doc.operations[0].compiled[1].fields[0].child
         assert callable(executor._kernels[records.signature]) is (run > 0)
 
 
-def test_the_kernel_table_keeps_the_newest_signatures_at_its_bound(kernels):
+def test_the_kernel_table_keeps_the_most_recently_used_signatures_at_its_bound(kernels):
     executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient([{"id": "r"}] * 2))
-    signatures = []
-    for n in range(KERNEL_TABLE_ENTRIES + 1):
-        doc = parse_query(record_ids(f"a{n}"))
+
+    def run(alias: str) -> str:
+        doc = parse_query(record_ids(alias))
         assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
-            "data": {"getRecords": [{f"a{n}": "r"}] * 2}}
-        signatures.append(doc.operations[0].compiled[1].fields[0].child.signature)
-    assert len(set(signatures)) == len(executor._kernels) + 1 == KERNEL_TABLE_ENTRIES + 1
-    assert signatures[0] not in executor._kernels
-    assert all(callable(executor._kernels[s]) for s in signatures[1:])
+            "data": {"getRecords": [{alias: "r"}] * 2}}
+        return doc.operations[0].compiled[1].fields[0].child.signature
+
+    hot = run("hot")
+    run("hot")
+    once = []
+    for n in range(KERNEL_TABLE_ENTRIES):
+        once.append(run(f"a{n}"))
+        run("hot")
+    assert len(set(once)) == KERNEL_TABLE_ENTRIES == len(executor._kernels)
+    assert callable(executor._kernels[hot])
+    assert once[0] not in executor._kernels
+    assert all(type(executor._kernels[s]) is int for s in once[1:])
+    for n in range(KERNEL_TABLE_ENTRIES):
+        run(f"b{n}")
+    assert hot not in executor._kernels and len(executor._kernels) == KERNEL_TABLE_ENTRIES
+
+
+def test_a_set_past_the_kernel_text_bound_takes_the_general_path(kernels):
+    def run(text: str, data: list) -> tuple[CompiledSet, Executor]:
+        doc = parse_query(text)
+        assert validate_query(doc, WRAPPER.schema) == []
+        body = [{"id": "r", "box": {"name": "b"}}] * 2
+        executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient(body))
+        for _ in range(2):
+            assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
+                "data": {"getRecords": data}}
+        return doc.operations[0].compiled[1].fields[0].child, executor
+
+    def records(alias: str) -> CompiledSet:
+        return run(record_ids(alias), [{alias: "r"}] * 2)
+
+    # The longest alias whose one-field set still gets a signature.
+    lengths = range(KERNEL_TEXT_CHARS - 100, KERNEL_TEXT_CHARS + 1)
+    longest = max(n for n in lengths if records("a" * n)[0].signature)
+    for alias, signed in [("a" * (longest - 1), True), ("a" * longest, True),
+                          ("a" * (longest + 1), False)]:
+        compiled, executor = records(alias)
+        assert (compiled.signature is not None) is signed
+        assert callable(executor._kernels.get(compiled.signature)) is signed
+
+    # A parent keeps its kernel and leaves the field holding an unsigned set out.
+    alias = "a" * KERNEL_TEXT_CHARS
+    compiled, executor = run("{ getRecords { id box { %s: name } } }" % alias,
+                             [{"id": "r", "box": {alias: "b"}}] * 2)
+    assert [f.key for f in compiled.rest] == ["box"]
+    assert compiled.fields[1].child.signature is None
+    assert callable(executor._kernels[compiled.signature])

@@ -393,13 +393,30 @@ def user_query(n: int, pad: int = 0) -> str:
     return text + "x" * (pad - len(text))
 
 
+def test_a_text_is_cached_when_it_comes_a_second_time(canned_service, parses):
+    service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
+    for _ in range(3):
+        assert service.handle_graphql({"query": user_query(0)})[0] == 200
+    assert parses == [user_query(0)] * 2
+    # The cache remembers at most DOCUMENT_CACHE_ENTRIES texts seen once.
+    for n in range(1, DOCUMENT_CACHE_ENTRIES + 2):
+        service.handle_graphql({"query": user_query(n)})
+    assert len(service._seen_once) == DOCUMENT_CACHE_ENTRIES
+    del parses[:]
+    for n in (1, 1, 1, 3, 3):  # 1 was forgotten, and then 2 for 1; 3 is remembered
+        assert service.handle_graphql({"query": user_query(n)})[0] == 200
+    assert parses == [user_query(1)] * 2 + [user_query(3)]
+
+
 def test_the_document_cache_evicts_the_least_recently_used_text_at_its_entry_bound(
         canned_service, parses):
     service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
     for n in range(DOCUMENT_CACHE_ENTRIES):
-        assert service.handle_graphql({"query": user_query(n)})[0] == 200
+        for _ in range(2):
+            assert service.handle_graphql({"query": user_query(n)})[0] == 200
     service.handle_graphql({"query": user_query(0)})  # now the most recently used
-    service.handle_graphql({"query": user_query(DOCUMENT_CACHE_ENTRIES)})  # evicts 1
+    for _ in range(2):
+        service.handle_graphql({"query": user_query(DOCUMENT_CACHE_ENTRIES)})  # evicts 1
     del parses[:]
     for n in (0, 2, DOCUMENT_CACHE_ENTRIES, 1):
         assert service.handle_graphql({"query": user_query(n)})[0] == 200
@@ -409,10 +426,11 @@ def test_the_document_cache_evicts_the_least_recently_used_text_at_its_entry_bou
 def test_the_document_cache_evicts_at_its_byte_bound(canned_service, parses):
     service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
     half = DOCUMENT_CACHE_BYTES // 2
-    for n in (0, 1, 0):  # two halves fit
+    for n in (0, 0, 1, 1, 0):  # two halves fit
         service.handle_graphql({"query": user_query(n, half)})
-    assert parses == [user_query(0, half), user_query(1, half)]
-    service.handle_graphql({"query": user_query(2)})  # past the bound: 1, the older, goes
+    assert parses == [user_query(0, half)] * 2 + [user_query(1, half)] * 2
+    for _ in range(2):
+        service.handle_graphql({"query": user_query(2)})  # past the bound: 1, the older, goes
     del parses[:]
     for n, pad in ((0, half), (2, 0), (1, half)):
         assert service.handle_graphql({"query": user_query(n, pad)})[0] == 200
@@ -422,9 +440,9 @@ def test_the_document_cache_evicts_at_its_byte_bound(canned_service, parses):
 def test_an_over_size_text_is_answered_but_never_cached(canned_service, parses):
     service = GraphQLService(canned_service.wrapper, client=CannedClient({"id": "u1"}))
     small, big = user_query(0), user_query(1, DOCUMENT_CACHE_BYTES + 1)
-    for text in (small, big, big, small):
+    for text in (small, small, big, big, big, small):
         assert service.handle_graphql({"query": text}) == (200, {"data": {"user": {"id": "u1"}}})
-    assert parses == [small, big, big]
+    assert parses == [small, small, big, big, big]
 
 
 def test_one_cached_text_answers_each_variables_and_operation_name(upstream):
