@@ -1,22 +1,25 @@
 """Command line interface: generate, serve, and eval subcommands.
 
-Exit codes: 0 success, 1 generation error, 2 usage error.
+Exit codes: 0 success, 1 generation error or an output file that cannot be
+written, 2 usage error.
+
+Generation imports no serving code: ``serve`` imports the server and the
+upstream client, and ``eval`` the corpus runner, when they run.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
+import threading
 from pathlib import Path
 
 import click
 
-from .evaluate import evaluate_corpus, render_tables, stats_json
 from .generator import GenerationOptions, generate
 from .report import finalize_report
-from .resolver_runtime import read_token
-from .service import GraphQLService, serve_forever
 
 
 @click.group()
@@ -27,6 +30,20 @@ def main(verbose: bool) -> None:
         level=logging.DEBUG if verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
+
+
+def write_output(path: Path, text: str) -> None:
+    """Write an output file; one that cannot be written is a one-line error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(str(path), hint=exc.strerror or str(exc)) from exc
+
+
+def not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if math.isnan(value):
+        raise click.BadParameter(f"{value} is not a number.")
+    return value
 
 
 casing_option = click.option(
@@ -49,9 +66,9 @@ def generate_cmd(oas_path: Path, strict: bool, report_path: Path | None,
     wrapper = generate(oas_path, GenerationOptions(strict=strict, casing=casing))
     report_text = finalize_report(wrapper.report)
     if report_path:
-        report_path.write_text(report_text, encoding="utf-8")
+        write_output(report_path, report_text)
     if wrapper.ok and sdl_path:
-        sdl_path.write_text(wrapper.sdl, encoding="utf-8")
+        write_output(sdl_path, wrapper.sdl)
     if wrapper.ok:
         click.echo(f"generated schema for {oas_path} "
                    f"({wrapper.report.stats.types_created} types, "
@@ -70,7 +87,7 @@ main.add_command(generate_cmd, name="generate")
 
 @main.command()
 @click.argument("oas_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--port", type=int, default=8080, show_default=True)
+@click.option("--port", type=click.IntRange(0, 65535), default=8080, show_default=True)
 @click.option("--host", default="127.0.0.1", show_default=True)
 @click.option("--strict", is_flag=True)
 @click.option("--header", "headers", multiple=True, metavar="K:V",
@@ -79,15 +96,19 @@ main.add_command(generate_cmd, name="generate")
                                    "e.g. security.oauthToken.")
 @click.option("--context-file", type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="JSON file loaded as the token context tree.")
-@click.option("--timeout", type=float, default=30.0, show_default=True,
+@click.option("--timeout", type=click.FloatRange(0, threading.TIMEOUT_MAX, min_open=True),
+              callback=not_nan, default=30.0, show_default=True,
               help="Upstream request timeout in seconds.")
-@click.option("--parallelism", type=int, default=8, show_default=True,
+@click.option("--parallelism", type=click.IntRange(min=1), default=8, show_default=True,
               help="Bound on concurrent sibling field resolutions.")
 @casing_option
 def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str, ...],
           token_path: str | None, context_file: Path | None, timeout: float,
           parallelism: int, casing: str) -> None:
     """Generate a wrapper and serve POST /graphql, GET /sdl, GET /report."""
+    from .resolver_runtime import read_token
+    from .service import GraphQLService, serve_forever
+
     extra_headers = {}
     for header in headers:
         key, sep, value = header.partition(":")
@@ -126,10 +147,12 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
               help="Write the stats JSON here.")
 def eval_cmd(corpus_dir: Path, strict_also: bool, out_path: Path | None) -> None:
     """Run generation over a corpus directory and summarize outcomes."""
+    from .evaluate import evaluate_corpus, render_tables, stats_json
+
     stats = evaluate_corpus(corpus_dir, strict_also=strict_also)
     text = stats_json(stats)
     if out_path:
-        out_path.write_text(text, encoding="utf-8")
+        write_output(out_path, text)
     else:
         click.echo(text, nl=False)
     click.echo(render_tables(stats), nl=False)

@@ -26,7 +26,6 @@ from ..errors import CoercionError, OaswrapError, ResolveError, UpstreamNotJson
 from ..resolver_runtime import (
     ExecutionContext,
     HttpClient,
-    ResolvePlan,
     bind_runtime,
     inject_auth,
     parse_upstream_body,
@@ -40,6 +39,7 @@ from ..ir import (
     OBJECT,
     SCALAR,
     FieldIR,
+    ResolvePlan,
     SchemaIR,
     TypeIR,
     resolve_type,

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidOasError, OaswrapError
-from .ir import SchemaIR
-from .oas_ingest import OasDocument, ingest, load_document, validate
-from .preprocessing import CAMEL, PreprocessResult, preprocess
+from .ir import ResolvePlan, SchemaIR
+from .oas_ingest import OasDocument, OasOperation, ingest, load_document, validate
+from .preprocessing import CAMEL, OperationBinding, PreprocessResult, preprocess
 from .report import NON_STRICT, Report
-from .resolver_runtime import ResolvePlan, make_resolve_plan
 from .schema_gen import assemble_schema, print_sdl
 
 
@@ -89,3 +88,20 @@ def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
     schema = assemble_schema(doc, pre, report, options.casing)
     wrapper.schema = schema
     wrapper.sdl = print_sdl(schema)
+
+
+def make_resolve_plan(op: OasOperation, doc: OasDocument,
+                      binding: OperationBinding) -> ResolvePlan:
+    """Bind base URL, path, method, arguments, security, and the payload's
+    content type for one operation."""
+    return ResolvePlan(
+        operation_key=op.key,
+        method=op.method.upper(),
+        path=op.path,
+        base_url=doc.servers[0] if doc.servers else "",
+        args=binding.args,
+        content_type=(op.request_body.content_type or "application/json"
+                      if op.request_body is not None else None),
+        security=[doc.security_schemes[name] for name in op.security
+                  if name in doc.security_schemes],
+    )

@@ -1,12 +1,16 @@
 """The GraphQL type IR: named and wrapped types, fields, arguments, resolve
-bindings and the whole schema. Preprocessing builds the named types, schema
-assembly adds the roots, and the engine validates and executes against them.
+bindings and plans, and the whole schema. Preprocessing builds the named
+types, generation the plans, schema assembly adds the roots, and the engine
+validates and executes against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .oas_ingest import SecurityScheme
 
 SCALAR = "Scalar"
 ENUM = "Enum"
@@ -102,6 +106,20 @@ class ArgIR:
     raw: str | None = None  # the upstream parameter name; None for the body
     location: str | None = None  # path | query | header | body
     default: Any = None
+
+
+@dataclass
+class ResolvePlan:
+    """Design-time binding of one operation: everything a resolver needs that
+    can be known before any query arrives."""
+
+    operation_key: str
+    method: str
+    path: str
+    base_url: str
+    args: dict[str, ArgIR] = field(default_factory=dict)  # the operation's arguments
+    content_type: str | None = None  # of the body argument's payload
+    security: list[SecurityScheme] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

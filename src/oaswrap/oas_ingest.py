@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Any
 
-import yaml
-
 from .errors import InvalidOasError, MissingRefError, ParseError, UpconvertError
 from .report import (
     INVALID_SCHEMA_TYPE,
@@ -292,7 +290,10 @@ def load_document(data: bytes | str, format_hint: str | None = None,
 
 def _load_yaml(text: str) -> Any:
     """Safe YAML load; libyaml's loader, where PyYAML was built with it,
-    parses the same safe subset several times faster."""
+    parses the same safe subset several times faster. PyYAML is imported
+    on the first YAML document, so JSON-only runs never load it."""
+    import yaml
+
     return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 

@@ -1,6 +1,6 @@
-"""Serve-time resolution: design-time resolve plans per operation, runtime
-argument binding with the documented precedence, link expression evaluation,
-credential injection, and the HTTP round trip with body decoding.
+"""Serve-time resolution: runtime argument binding of a resolve plan with the
+documented precedence, link expression evaluation, credential injection, and
+the HTTP round trip with body decoding.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from .errors import (
     UpstreamNotJson,
     UpstreamTooLarge,
 )
-from .ir import NON_NULL, ArgIR, LinkExpression, TypeIR, to_raw
-from .oas_ingest import FORM_MEDIA, OasDocument, OasOperation, SecurityScheme
-from .preprocessing import OperationBinding
+from .ir import NON_NULL, LinkExpression, ResolvePlan, TypeIR, to_raw
+from .oas_ingest import FORM_MEDIA
 
 logger = logging.getLogger("oaswrap.runtime")
 
@@ -54,20 +53,6 @@ MAX_REDIRECTS = 30
 MAX_FAST_BRACKETS = 4096
 
 _UNSET = object()
-
-
-@dataclass
-class ResolvePlan:
-    """Design-time binding of one operation: everything a resolver needs that
-    can be known before any query arrives."""
-
-    operation_key: str
-    method: str
-    path: str
-    base_url: str
-    args: dict[str, ArgIR] = field(default_factory=dict)  # the operation's arguments
-    content_type: str | None = None  # of the body argument's payload
-    security: list[SecurityScheme] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -106,26 +91,6 @@ class HttpRequestSpec:
     # location (path | query | header) -> raw name -> de-sanitized value
     sent: dict[str, dict[str, Any]] = field(default_factory=dict)
     operation: str = ""  # the plan's operation key, for error messages
-
-
-# -- plan construction -----------------------------------------------------------
-
-
-def make_resolve_plan(op: OasOperation, doc: OasDocument,
-                      binding: OperationBinding) -> ResolvePlan:
-    """Bind base URL, path, method, arguments, security, and the payload's
-    content type for one operation."""
-    return ResolvePlan(
-        operation_key=op.key,
-        method=op.method.upper(),
-        path=op.path,
-        base_url=doc.servers[0] if doc.servers else "",
-        args=binding.args,
-        content_type=(op.request_body.content_type or "application/json"
-                      if op.request_body is not None else None),
-        security=[doc.security_schemes[name] for name in op.security
-                  if name in doc.security_schemes],
-    )
 
 
 # -- runtime binding ------------------------------------------------------------

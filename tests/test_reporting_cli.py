@@ -1,6 +1,9 @@
 """Report behavior, strict-mode semantics, CLI exit codes, and corpus eval."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, FIXTURES, corpus_path, load_manifest
 from test_oas_ingest import MUTATIONS, _parseable_json_fixtures, mutant
-from oaswrap import cli
+import oaswrap
 from oaswrap.cli import main
 from oaswrap.errors import StrictModeAbort
 from oaswrap.evaluate import evaluate_corpus, render_tables
@@ -192,8 +195,16 @@ def test_cmd_serve_rejects_malformed_header():
     assert "Name: value" in result.output
 
 
-def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstream,
-                                                                monkeypatch):
+@pytest.fixture
+def served(monkeypatch):
+    """The services `serve` hands to the server; none is started."""
+    services = []
+    monkeypatch.setattr("oaswrap.service.serve_forever",
+                        lambda service, host, port: services.append(service))
+    return services
+
+
+def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstream, served):
     upstream.static("GET", "/private", {"v": "s3cret-data"})
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -208,8 +219,6 @@ def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstre
     }))
     context = tmp_path / "context.json"
     context.write_text(json.dumps({"security": {"oauthToken": "tok-42"}}))
-    served = []
-    monkeypatch.setattr(cli, "serve_forever", lambda service, host, port: served.append(service))
     result = CliRunner().invoke(main, ["serve", str(spec), "--token-path", "security.oauthToken",
                                        "--context-file", str(context)])
     assert result.exit_code == 0, result.output
@@ -227,7 +236,7 @@ def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstre
     ({"security": {"oauthToken": "tok-42"}}, None, "must be given together"),
     (None, "security.oauthToken", "must be given together"),
 ])
-def test_cmd_serve_refuses_a_token_path_that_names_no_token(tmp_path, monkeypatch, context,
+def test_cmd_serve_refuses_a_token_path_that_names_no_token(tmp_path, served, context,
                                                            token_path, expected):
     args = ["serve", str(corpus_path("clean_minimal.json"))]
     if token_path is not None:
@@ -236,12 +245,53 @@ def test_cmd_serve_refuses_a_token_path_that_names_no_token(tmp_path, monkeypatc
         context_file = tmp_path / "context.json"
         context_file.write_text(json.dumps(context))
         args += ["--context-file", str(context_file)]
-    served = []
-    monkeypatch.setattr(cli, "serve_forever", lambda service, host, port: served.append(service))
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     assert expected in result.output
     assert served == []
+
+
+def serve_with(monkeypatch, *options: str):
+    """Run `serve` with options it must refuse before it generates a wrapper."""
+    monkeypatch.setattr("oaswrap.cli.generate",
+                        lambda *args, **kwargs: pytest.fail("serve generated a wrapper"))
+    return CliRunner().invoke(main, ["serve", str(corpus_path("clean_minimal.json")), *options])
+
+
+def test_cmd_serve_refuses_a_port_out_of_range(monkeypatch, served):
+    result = serve_with(monkeypatch, "--port", "70000")
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--port'" in result.output
+    assert served == []
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e300"])
+def test_cmd_serve_refuses_a_timeout_out_of_range(monkeypatch, served, timeout):
+    result = serve_with(monkeypatch, "--timeout", timeout)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--timeout'" in result.output
+    assert served == []
+
+
+def test_cmd_serve_refuses_a_parallelism_below_one(monkeypatch, served):
+    result = serve_with(monkeypatch, "--parallelism", "0")
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--parallelism'" in result.output
+    assert served == []
+
+
+@pytest.mark.parametrize("command, option", [
+    ("generate", "--sdl"), ("generate", "--report"), ("eval", "--out"),
+])
+def test_cmd_unwritable_output_is_a_one_line_error(tmp_path, command, option):
+    target = tmp_path / "missing" / "out.txt"
+    source = corpus_path("clean_links.json") if command == "generate" else CORPUS_DIR
+    result = CliRunner().invoke(main, [command, str(source), option, str(target)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert str(target) in line
+    assert "Traceback" not in result.output
 
 
 def test_cmd_eval_writes_stats(tmp_path):
@@ -349,3 +399,48 @@ def test_derived_strict_outcome_equals_a_strict_run(fixture, mutations):
         [result] = evaluate_corpus(directory, strict_also=True).files
         strict = generate(path, GenerationOptions(strict=True)).report
     assert result.strict_outcome == strict.outcome
+
+
+# -- import boundary ---------------------------------------------------------------
+
+# Generation and corpus runs import none of these: they serve queries.
+SERVING_MODULES = {"ssl", "http.client", "http.server", "urllib.request", "orjson",
+                   "oaswrap.service", "oaswrap.engine", "oaswrap.resolver_runtime"}
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
+    src = str(Path(oaswrap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_serving_yaml_or_corpus_module():
+    loaded = modules_after("import oaswrap.cli")
+    assert "oaswrap.generator" in loaded
+    assert not (SERVING_MODULES | {"yaml", "concurrent.futures", "oaswrap.evaluate"}) & loaded
+
+
+def test_generate_reads_a_yaml_document_without_loading_serving_modules(tmp_path):
+    sdl = tmp_path / "schema.graphql"
+    loaded = modules_after(
+        "from oaswrap.cli import main\n"
+        f"main(['generate', {str(corpus_path('clean_components.yaml'))!r}, "
+        f"'--sdl', {str(sdl)!r}, '--report', {str(tmp_path / 'report.json')!r}], "
+        "standalone_mode=False)")
+    assert "type Query" in sdl.read_text(encoding="utf-8")
+    assert "yaml" in loaded
+    assert not SERVING_MODULES & loaded
+
+
+def test_eval_loads_no_serving_module(tmp_path):
+    loaded = modules_after(
+        "from oaswrap.cli import main\n"
+        f"main(['eval', {str(CORPUS_DIR)!r}, '--out', {str(tmp_path / 'stats.json')!r}], "
+        "standalone_mode=False)")
+    assert json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))["total"] > 0
+    assert not SERVING_MODULES & loaded
