@@ -13,13 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import count
 from math import isfinite
-from types import FunctionType
 from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError, UpstreamNotJson
@@ -45,6 +42,7 @@ from ..ir import (
     resolve_type,
 )
 from .ast import FieldNode, OperationNode, QueryDocument, ValueNode
+from .cache import SecondSightingCache
 from .kernels import Kernel, build_kernel, leaves
 from .validation import (INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation,
                          declared_type, finite_float)
@@ -53,8 +51,8 @@ logger = logging.getLogger("oaswrap.engine")
 
 _ABSENT = object()
 
-# The most selection-set signatures an executor keeps a completion kernel, or
-# the query that first ran it, for; past it the least recently used goes.
+# The most selection-set signatures an executor keeps a completion kernel for;
+# past it the least recently used goes.
 KERNEL_TABLE_ENTRIES = 256
 
 
@@ -239,6 +237,7 @@ class Executor:
     selection set whose signature a second query runs gets a completion
     kernel (kernels.py), shared by every set of that signature, which
     completes its fitting objects; any other object takes the general path.
+    The kernel table is a second-sighting cache (cache.py).
     """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
@@ -247,11 +246,7 @@ class Executor:
         self.plans = plans
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
-        # signature -> its kernel, or the serial of the query that first ran
-        # it; least recently used first. Reads and refreshes take no lock: a
-        # race with another thread's write can only cost a kernel a rebuild.
-        self._kernels: OrderedDict[str, Kernel | int] = OrderedDict()
-        self._kernels_lock = threading.Lock()
+        self._kernels = SecondSightingCache(KERNEL_TABLE_ENTRIES)  # signature -> kernel
         self._serials = count()
 
     def execute(self, doc: QueryDocument, operation_name: str | None,
@@ -295,23 +290,20 @@ class Executor:
         general path."""
         out = None
         if query.dropped is not None:
-            unexpected = raw.keys() - compiled.raw_keys
+            unexpected = raw.keys() - {f.raw for f in compiled.type.fields.values()}
             if unexpected:
                 query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
         elif compiled.signature is not None:
-            # A kernel is generated when a second query runs the signature,
-            # so a selection that one query runs, however many objects it
-            # completes, never pays for it.
+            # A query owns its sightings, so a selection that one query runs,
+            # however many objects it completes, never pays for a kernel.
             kernel = self._kernels.get(compiled.signature)
-            if type(kernel) is FunctionType:
+            if kernel is not None:
                 try:
-                    self._kernels.move_to_end(compiled.signature)
+                    self._kernels.refresh(compiled.signature)
                 except KeyError:  # another thread evicted it since
                     pass
                 out = kernel(raw)
-            elif kernel is None:
-                self._keep(compiled.signature, query.serial)
-            elif kernel != query.serial:
+            elif self._kernels.sighted(compiled.signature, query.serial):
                 out = self._built(compiled)(raw)
         if out is None:
             out, fields = {}, compiled.fields
@@ -373,20 +365,12 @@ class Executor:
 
     def _built(self, compiled: CompiledSet) -> Kernel:
         """compiled's kernel, generated now if the table lacks it. Threads
-        generate outside the lock, so two may build one kernel alike."""
+        generate outside the table's lock, so two may build one kernel alike."""
         kernel = self._kernels.get(compiled.signature)
-        if type(kernel) is not FunctionType:
+        if kernel is None:
             kernel = build_kernel(compiled, self._built)
-            self._keep(compiled.signature, kernel)
+            self._kernels.keep(compiled.signature, kernel)
         return kernel
-
-    def _keep(self, signature: str, entry: Kernel | int) -> None:
-        with self._kernels_lock:
-            kernels = self._kernels
-            kernels[signature] = entry
-            kernels.move_to_end(signature)
-            if len(kernels) > KERNEL_TABLE_ENTRIES:
-                kernels.popitem(last=False)
 
     # -- fields ----------------------------------------------------------------
 

@@ -96,7 +96,6 @@ class CompiledSet:
     fields: list[CompiledField] = field(default_factory=list)
     parallel: bool = False  # two or more operation fields, outside a mutation
     height: int = 1  # nested selection sets, this one included, fragments expanded
-    raw_keys: frozenset = frozenset()  # the upstream keys the type declares
     # What a completion kernel of the set depends on, digested; None when a
     # kernel would complete no field. Sets of one signature share a kernel.
     signature: str | None = None
@@ -212,7 +211,7 @@ class _Walk:
             self._deep()
             return CompiledSet(parent)
         self.memo[key] = None
-        compiled = CompiledSet(parent, raw_keys=frozenset(f.raw for f in parent.fields.values()))
+        compiled = CompiledSet(parent)
         groups, compiled.height = self._collect(lists, parent, depth)
         for response_key, (nodes, level) in groups.items():
             f = self._field(response_key, nodes, parent, depth + level)

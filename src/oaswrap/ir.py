@@ -39,6 +39,18 @@ class TypeIR:
         return t
 
 
+# The String members of a viewer's credentials, by the kind of scheme it
+# gates: viewer arguments, credential input fields and what resolution reads.
+CREDENTIAL_MEMBERS = {"apiKey": ("apiKey",), "basicAuth": ("username", "password")}
+
+
+def credential_kind(scheme: SecurityScheme) -> str | None:
+    """scheme's key in CREDENTIAL_MEMBERS; None for a scheme no viewer gates."""
+    if scheme.type == "http" and scheme.http_scheme == "basic":
+        return "basicAuth"
+    return "apiKey" if scheme.type == "apiKey" else None
+
+
 def scalar(name: str) -> TypeIR:
     return TypeIR(SCALAR, name=name)
 

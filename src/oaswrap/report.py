@@ -114,13 +114,9 @@ def record_warning(report: Report, kind: str, location: str, mitigation: str) ->
     report.warnings.append(WarningRecord(kind, location, mitigation))
 
 
-def finalize_report(report: Report, timestamp: str | None = None) -> str:
-    """Serialize the report to deterministic JSON (stable key order).
-
-    ``timestamp`` is the single non-deterministic field; callers comparing
-    reports byte-wise exclude it (or pass a fixed value).
-    """
-    payload = {
+def finalize_report(report: Report) -> str:
+    """Serialize the report to deterministic JSON (stable key order)."""
+    return json.dumps({
         "source": report.source,
         "mode": report.mode,
         "outcome": report.outcome,
@@ -132,7 +128,4 @@ def finalize_report(report: Report, timestamp: str | None = None) -> str:
         "warnings": [w.as_dict() for w in report.warnings],
         "warning_counts": dict(sorted(report.warning_counts().items())),
         "stats": report.stats.as_dict(),
-    }
-    if timestamp is not None:
-        payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    }, indent=2) + "\n"

@@ -38,7 +38,8 @@ from .errors import (
     UpstreamNotJson,
     UpstreamTooLarge,
 )
-from .ir import NON_NULL, LinkExpression, ResolvePlan, TypeIR, to_raw
+from .ir import (CREDENTIAL_MEMBERS, NON_NULL, LinkExpression, ResolvePlan, TypeIR,
+                 credential_kind, to_raw)
 from .oas_ingest import FORM_MEDIA
 
 logger = logging.getLogger("oaswrap.runtime")
@@ -235,23 +236,19 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan, ctx: ExecutionContext)
     if not plan.security:
         return spec
     for scheme in plan.security:
-        if scheme.type == "apiKey":
-            creds = ctx.credentials.get(scheme.name)
-            if not creds or "apiKey" not in creds:
+        kind = credential_kind(scheme)
+        if kind is not None:
+            creds = ctx.credentials.get(scheme.name) or {}
+            values = [creds.get(name) for name in CREDENTIAL_MEMBERS[kind]]
+            if None in values:
                 continue
-            if scheme.location == "query":
-                spec.query.append((scheme.param_name, creds["apiKey"]))
+            if kind == "basicAuth":
+                token = base64.b64encode(":".join(values).encode()).decode("ascii")
+                spec.headers["Authorization"] = f"Basic {token}"
+            elif scheme.location == "query":
+                spec.query.append((scheme.param_name, values[0]))
             else:
-                spec.headers[scheme.param_name] = creds["apiKey"]
-            return spec
-        if scheme.type == "http" and scheme.http_scheme == "basic":
-            creds = ctx.credentials.get(scheme.name)
-            if not creds or "username" not in creds or "password" not in creds:
-                continue
-            token = base64.b64encode(
-                f"{creds['username']}:{creds['password']}".encode()
-            ).decode("ascii")
-            spec.headers["Authorization"] = f"Basic {token}"
+                spec.headers[scheme.param_name] = values[0]
             return spec
         if scheme.type in ("oauth2", "openIdConnect") or (
             scheme.type == "http" and scheme.http_scheme == "bearer"

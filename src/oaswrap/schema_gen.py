@@ -9,6 +9,7 @@ import json
 from dataclasses import replace
 
 from .ir import (
+    CREDENTIAL_MEMBERS,
     ENUM,
     INPUT_OBJECT,
     LIST,
@@ -21,6 +22,7 @@ from .ir import (
     LinkExpression,
     SchemaIR,
     TypeIR,
+    credential_kind,
     non_null,
     reference,
     scalar,
@@ -155,10 +157,6 @@ PLACEHOLDER_DESCRIPTION = ("Inert placeholder: this API exposes no GET operation
                            "so the query root has no data fields.")
 
 
-def viewer_eligible(scheme) -> bool:
-    return scheme.type == "apiKey" or (scheme.type == "http" and scheme.http_scheme == "basic")
-
-
 class SchemaAssembler:
     """Builds the SchemaIR: named types, root fields, viewers, link fields."""
 
@@ -230,7 +228,7 @@ class SchemaAssembler:
             field_ir = self._operation_field(op, binding)
             eligible = [name for name in op.security
                         if name in self.doc.security_schemes
-                        and viewer_eligible(self.doc.security_schemes[name])]
+                        and credential_kind(self.doc.security_schemes[name])]
             if eligible:
                 for scheme_name in eligible:
                     viewer_groups.setdefault((side, scheme_name), []).append(
@@ -242,7 +240,16 @@ class SchemaAssembler:
                 target[name] = _renamed(field_ir, name)
 
         for (side, scheme_name), members in viewer_groups.items():
-            self._add_scheme_viewer(schema, side, scheme_name, members, root_names[side])
+            kind = credential_kind(self.doc.security_schemes[scheme_name])
+            self._add_viewer(
+                schema, side, upper_first(sanitize(scheme_name, self.casing)), members,
+                root_names[side],
+                f"Gates operations secured by {scheme_name!r}; credentials propagate to "
+                f"every nested resolution.",
+                f"Supplies {kind} credentials for {scheme_name!r}.",
+                {m: ArgIR(m, non_null(scalar("String"))) for m in CREDENTIAL_MEMBERS[kind]},
+                FieldBinding("viewer", schemes=[scheme_name]),
+            )
         for side, members in any_auth_fields.items():
             if members:
                 self._add_any_auth_viewer(schema, side, members, root_names[side])
@@ -261,78 +268,47 @@ class SchemaAssembler:
 
     # -- viewers -----------------------------------------------------------------
 
-    def _add_scheme_viewer(self, schema: SchemaIR, side: str, scheme_name: str,
-                           members: list[tuple[str, FieldIR]],
-                           root_names: set[str]) -> None:
-        scheme = self.doc.security_schemes[scheme_name]
-        pretty = upper_first(sanitize(scheme_name, self.casing))
-        prefix = "viewer" if side == "query" else "mutationViewer"
-        field_name = _take(root_names, f"{prefix}{pretty}")
-        type_name = self.pre.dictionary.take(upper_first(field_name))
-
-        if scheme.type == "apiKey":
-            kind = "apiKey"
-            args = {"apiKey": ArgIR("apiKey", non_null(scalar("String")))}
-        else:
-            kind = "basicAuth"
-            args = {
-                "username": ArgIR("username", non_null(scalar("String"))),
-                "password": ArgIR("password", non_null(scalar("String"))),
-            }
-
-        fields = self._viewer_member_fields(members)
-        schema.types[type_name] = TypeIR(
-            OBJECT, name=type_name, fields=fields,
-            description=f"Gates operations secured by {scheme_name!r}; credentials "
-                        f"propagate to every nested resolution.",
-        )
-        container = schema.query_fields if side == "query" else schema.mutation_fields
-        container[field_name] = FieldIR(
-            name=field_name, type=non_null(reference(type_name)), args=args,
-            description=f"Supplies {kind} credentials for {scheme_name!r}.",
-            binding=FieldBinding("viewer", schemes=[scheme_name]),
-        )
-
     def _add_any_auth_viewer(self, schema: SchemaIR, side: str,
                              members: list[tuple[str, FieldIR]],
                              root_names: set[str]) -> None:
-        prefix = "viewer" if side == "query" else "mutationViewer"
-        field_name = _take(root_names, f"{prefix}AnyAuth")
-        type_name = self.pre.dictionary.take(upper_first(field_name))
-
         args: dict[str, ArgIR] = {}
-        arg_names: set[str] = set()
         credential_args: dict[str, str] = {}
-        schemes: list[str] = []
         for scheme_name, scheme in self.doc.security_schemes.items():
-            if not viewer_eligible(scheme):
-                continue
-            schemes.append(scheme_name)
-            cred_type = self._credential_type(schema, scheme_name, scheme)
-            arg_name = _take(arg_names, lower_first(sanitize(scheme_name, self.casing)))
-            args[arg_name] = ArgIR(arg_name, reference(cred_type))
-            credential_args[arg_name] = scheme_name
-
-        fields = self._viewer_member_fields(members)
-        schema.types[type_name] = TypeIR(
-            OBJECT, name=type_name, fields=fields,
-            description="Accepts credentials for several schemes at once, so nested "
-                        "queries can span differently secured operations.",
-        )
-        container = schema.query_fields if side == "query" else schema.mutation_fields
-        container[field_name] = FieldIR(
-            name=field_name, type=non_null(reference(type_name)), args=args,
-            description="Combined-credential viewer.",
-            binding=FieldBinding("viewer", schemes=schemes, credential_args=credential_args),
+            if credential_kind(scheme):
+                cred_type = self._credential_type(schema, scheme_name, scheme)
+                arg_name = _take(set(args), lower_first(sanitize(scheme_name, self.casing)))
+                args[arg_name] = ArgIR(arg_name, reference(cred_type))
+                credential_args[arg_name] = scheme_name
+        self._add_viewer(
+            schema, side, "AnyAuth", members, root_names,
+            "Accepts credentials for several schemes at once, so nested queries can span "
+            "differently secured operations.",
+            "Combined-credential viewer.", args,
+            FieldBinding("viewer", schemes=list(credential_args.values()),
+                         credential_args=credential_args),
         )
 
-    def _viewer_member_fields(self, members: list[tuple[str, FieldIR]]) -> dict[str, FieldIR]:
+    def _add_viewer(self, schema: SchemaIR, side: str, base: str,
+                    members: list[tuple[str, FieldIR]], root_names: set[str],
+                    type_description: str, description: str, args: dict[str, ArgIR],
+                    binding: FieldBinding) -> None:
+        """A viewer root field on side, named for base, of a new object type
+        holding members."""
+        prefix = "viewer" if side == "query" else "mutationViewer"
+        field_name = _take(root_names, f"{prefix}{base}")
+        type_name = self.pre.dictionary.take(upper_first(field_name))
         names: set[str] = set()
-        fields: dict[str, FieldIR] = {}
+        fields = {}
         for base_name, field_ir in members:
             name = _take(names, base_name)
             fields[name] = _renamed(field_ir, name)
-        return fields
+        schema.types[type_name] = TypeIR(OBJECT, name=type_name, fields=fields,
+                                         description=type_description)
+        container = schema.query_fields if side == "query" else schema.mutation_fields
+        container[field_name] = FieldIR(
+            name=field_name, type=non_null(reference(type_name)), args=args,
+            description=description, binding=binding,
+        )
 
     def _credential_type(self, schema: SchemaIR, scheme_name: str, scheme) -> str:
         """One credential input type per scheme, shared by both viewer sides."""
@@ -340,13 +316,8 @@ class SchemaAssembler:
             return self._credential_types[scheme_name]
         pretty = upper_first(sanitize(scheme_name, self.casing))
         name = self._credential_types[scheme_name] = self.pre.dictionary.take(f"{pretty}Credentials")
-        if scheme.type == "apiKey":
-            fields = {"apiKey": FieldIR("apiKey", non_null(scalar("String")))}
-        else:
-            fields = {
-                "username": FieldIR("username", non_null(scalar("String"))),
-                "password": FieldIR("password", non_null(scalar("String"))),
-            }
+        fields = {member: FieldIR(member, non_null(scalar("String")))
+                  for member in CREDENTIAL_MEMBERS[credential_kind(scheme)]}
         schema.types[name] = TypeIR(INPUT_OBJECT, name=name, fields=fields,
                                     description=f"Credential group for {scheme_name!r}.")
         return name

@@ -3,8 +3,9 @@
 POST /graphql executes queries (HTTP 200 even for execution errors, 400 for
 request errors, 413 for a body over MAX_REQUEST_BYTES, 500 with an error ID
 for an internal error); GET /sdl returns the schema text; GET /report the
-generation report. A query text seen before skips parsing and validation: its
-document, compiled plan included, is kept in a bounded cache.
+generation report. A query text that comes a second time is kept, its
+document and compiled plan, in a bounded second-sighting cache
+(engine/cache.py), so that later requests with it skip parsing and validation.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
@@ -21,6 +20,7 @@ import orjson
 
 from .engine import Executor, parse_query, validate_query
 from .engine.ast import QueryDocument
+from .engine.cache import SecondSightingCache
 from .engine.execution import RequestFailed
 from .errors import CoercionError, GraphQLSyntaxError
 from .generator import GeneratedWrapper
@@ -33,9 +33,7 @@ logger = logging.getLogger("oaswrap.service")
 MAX_REQUEST_BYTES = 1 << 20
 # The document cache keeps at most this many query texts, of at most this many
 # UTF-8 bytes in all; the least recently used go first. A cached document with
-# its compiled plan takes about 70 times its text's size. A text is kept when
-# it comes a second time while the cache remembers, by hash, at most this many
-# texts seen once.
+# its compiled plan takes about 70 times its text's size.
 DOCUMENT_CACHE_ENTRIES = 256
 DOCUMENT_CACHE_BYTES = 1 << 18
 
@@ -43,8 +41,8 @@ DOCUMENT_CACHE_BYTES = 1 << 18
 class GraphQLService:
     """Request handling around one immutable generated wrapper. Its one state
     is a cache from query text to the parsed document and its validation
-    errors; the document carries its compiled plan. Traffic that never
-    repeats a text never pays for keeping one."""
+    errors; the document carries its compiled plan. Each request is a
+    sighting of its text, and a text is kept from its second."""
 
     def __init__(self, wrapper: GeneratedWrapper, extra_headers: Mapping[str, str] | None = None,
                  token: Any = None, timeout: float = DEFAULT_TIMEOUT,
@@ -60,11 +58,8 @@ class GraphQLService:
             credentials={}, token=token, used_params={},
             extra_headers=dict(extra_headers or {}),
         )
-        # query text -> (document, validation errors, UTF-8 bytes of the text)
-        self._documents: OrderedDict[str, tuple[QueryDocument, list[str], int]] = OrderedDict()
-        self._document_bytes = 0
-        self._seen_once: OrderedDict[int, None] = OrderedDict()  # hashes of texts seen once
-        self._documents_lock = threading.Lock()
+        # query text -> (document, validation errors), weighed in UTF-8 bytes
+        self._documents = SecondSightingCache(DOCUMENT_CACHE_ENTRIES, DOCUMENT_CACHE_BYTES)
 
     def handle_graphql(self, payload: Any) -> tuple[int, dict]:
         if not isinstance(payload, dict) or not isinstance(payload.get("query"), str):
@@ -92,29 +87,18 @@ class GraphQLService:
         """query parsed and validated, from the cache when it holds the text.
         A syntax error raises and is never cached; a text is cached when it
         comes a second time."""
-        with self._documents_lock:
-            hit = self._documents.get(query)
-            if hit is not None:
-                self._documents.move_to_end(query)
-                return hit[0], hit[1]
+        documents = self._documents
+        hit = documents.get(query)
+        if hit is not None:
+            try:
+                documents.refresh(query)
+            except KeyError:  # another thread evicted it since
+                pass
+            return hit
         doc = parse_query(query)
         errors = validate_query(doc, self.wrapper.schema)
-        size = len(query.encode("utf-8", "surrogatepass"))
-        if size <= DOCUMENT_CACHE_BYTES:
-            seen = hash(query)
-            with self._documents_lock:
-                if seen not in self._seen_once:
-                    self._seen_once[seen] = None
-                    if len(self._seen_once) > DOCUMENT_CACHE_ENTRIES:
-                        self._seen_once.popitem(last=False)
-                else:
-                    del self._seen_once[seen]
-                    if query not in self._documents:
-                        self._documents[query] = (doc, errors, size)
-                        self._document_bytes += size
-                    while (len(self._documents) > DOCUMENT_CACHE_ENTRIES
-                           or self._document_bytes > DOCUMENT_CACHE_BYTES):
-                        self._document_bytes -= self._documents.popitem(last=False)[1][2]
+        if documents.sighted(query):
+            documents.keep(query, (doc, errors), len(query.encode("utf-8", "surrogatepass")))
         return doc, errors
 
     def sdl_text(self) -> str:

@@ -168,7 +168,7 @@ def execute(schema, text, body, mode, plans=WRAPPER.plans):
     if (mode == "warm" and type(body) is list and body and all(type(r) is dict for r in body)
             and not logging.getLogger("oaswrap.engine").isEnabledFor(logging.DEBUG)):
         records = doc.operations[0].compiled[1].fields[0].child
-        assert callable(executor._kernels[records.signature])
+        assert callable(executor._kernels.get(records.signature))
     return payload
 
 
@@ -269,7 +269,7 @@ def test_a_kernel_is_generated_when_a_second_query_runs_its_signature(kernels):
         assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
             "data": {"getRecords": [{"a": "r"}] * 3}}
         records = doc.operations[0].compiled[1].fields[0].child
-        assert callable(executor._kernels[records.signature]) is (run > 0)
+        assert callable(executor._kernels.get(records.signature)) is (run > 0)
 
 
 def test_the_kernel_table_keeps_the_most_recently_used_signatures_at_its_bound(kernels):
@@ -281,19 +281,22 @@ def test_the_kernel_table_keeps_the_most_recently_used_signatures_at_its_bound(k
             "data": {"getRecords": [{alias: "r"}] * 2}}
         return doc.operations[0].compiled[1].fields[0].child.signature
 
-    hot = run("hot")
-    run("hot")
-    once = []
-    for n in range(KERNEL_TABLE_ENTRIES):
-        once.append(run(f"a{n}"))
-        run("hot")
-    assert len(set(once)) == KERNEL_TABLE_ENTRIES == len(executor._kernels)
-    assert callable(executor._kernels[hot])
-    assert once[0] not in executor._kernels
-    assert all(type(executor._kernels[s]) is int for s in once[1:])
-    for n in range(KERNEL_TABLE_ENTRIES):
-        run(f"b{n}")
-    assert hot not in executor._kernels and len(executor._kernels) == KERNEL_TABLE_ENTRIES
+    def kept(alias: str) -> str:
+        run(alias)
+        return run(alias)
+
+    # A kept kernel survives any number of signatures that one query runs.
+    hot = kept("hot")
+    once = [run(f"a{n}") for n in range(2 * KERNEL_TABLE_ENTRIES)]
+    assert len(set(once)) == 2 * KERNEL_TABLE_ENTRIES
+    assert len(executor._kernels._values) == 1 and callable(executor._kernels.get(hot))
+    # Among kept kernels the least recently used goes at the bound.
+    others = [kept(f"b{n}") for n in range(KERNEL_TABLE_ENTRIES - 1)]
+    run("hot")  # now the most recently used
+    newest = kept("c")  # evicts b0
+    assert len(executor._kernels._values) == KERNEL_TABLE_ENTRIES
+    assert executor._kernels.get(others[0]) is None
+    assert all(callable(executor._kernels.get(s)) for s in [hot, newest] + others[1:])
 
 
 def test_a_set_past_the_kernel_text_bound_takes_the_general_path(kernels):
@@ -325,4 +328,4 @@ def test_a_set_past_the_kernel_text_bound_takes_the_general_path(kernels):
                              [{"id": "r", "box": {alias: "b"}}] * 2)
     assert [f.key for f in compiled.rest] == ["box"]
     assert compiled.fields[1].child.signature is None
-    assert callable(executor._kernels[compiled.signature])
+    assert callable(executor._kernels.get(compiled.signature))

@@ -81,8 +81,6 @@ def test_finalize_report_counts_and_order_deterministic():
 def test_finalize_report_timestamp_excluded_by_default():
     report = Report(source="x")
     assert "generated_at" not in json.loads(finalize_report(report))
-    stamped = json.loads(finalize_report(report, timestamp="2020-01-01T00:00:00Z"))
-    assert stamped["generated_at"] == "2020-01-01T00:00:00Z"
 
 
 def test_aborted_strict_run_echoes_warning_kind():

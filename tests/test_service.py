@@ -398,10 +398,13 @@ def test_a_text_is_cached_when_it_comes_a_second_time(canned_service, parses):
     for _ in range(3):
         assert service.handle_graphql({"query": user_query(0)})[0] == 200
     assert parses == [user_query(0)] * 2
-    # The cache remembers at most DOCUMENT_CACHE_ENTRIES texts seen once.
+    assert service._documents.get(user_query(0)) is not None
+    # The cache remembers at most DOCUMENT_CACHE_ENTRIES texts seen once, and
+    # keeps none of them.
     for n in range(1, DOCUMENT_CACHE_ENTRIES + 2):
         service.handle_graphql({"query": user_query(n)})
-    assert len(service._seen_once) == DOCUMENT_CACHE_ENTRIES
+    assert len(service._documents._once) == DOCUMENT_CACHE_ENTRIES
+    assert len(service._documents._values) == 1
     del parses[:]
     for n in (1, 1, 1, 3, 3):  # 1 was forgotten, and then 2 for 1; 3 is remembered
         assert service.handle_graphql({"query": user_query(n)})[0] == 200
@@ -494,9 +497,13 @@ def test_threads_sharing_the_caches_past_their_bounds_keep_them_consistent(canne
     assert not any(thread.is_alive() for thread in threads)
     assert all(answers[n] == [(200, {"data": {"user": {f"a{n}": "u1"}}})] * 2
                for n in range(len(texts)))
-    assert len(service._documents) == DOCUMENT_CACHE_ENTRIES
-    assert service._document_bytes == sum(size for _, _, size in service._documents.values())
-    assert len(service.executor._kernels) <= KERNEL_TABLE_ENTRIES
+    for cache, entries in ((service._documents, DOCUMENT_CACHE_ENTRIES),
+                           (service.executor._kernels, KERNEL_TABLE_ENTRIES)):
+        assert cache._weights.keys() == cache._values.keys()
+        assert cache.weight == sum(cache._weights.values())
+        assert len(cache._values) <= entries and len(cache._once) <= entries
+        assert cache.weight <= cache.max_weight
+    assert len(service._documents._values) == DOCUMENT_CACHE_ENTRIES
 
 
 # Text, with lone surrogates among its characters, which the request decoder
