@@ -106,7 +106,7 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
           token_path: str | None, context_file: Path | None, timeout: float,
           parallelism: int, casing: str) -> None:
     """Generate a wrapper and serve POST /graphql, GET /sdl, GET /report."""
-    from .resolver_runtime import read_token
+    from .resolver_runtime import HttpClient, read_token
     from .service import GraphQLService, serve_forever
 
     extra_headers = {}
@@ -133,8 +133,8 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
                    f"{wrapper.report.error_message}", err=True)
         sys.exit(1)
 
-    service = GraphQLService(wrapper, extra_headers=extra_headers, token=token,
-                             timeout=timeout, max_parallel=parallelism)
+    service = GraphQLService(wrapper, HttpClient(timeout, extra_headers), token=token,
+                             max_parallel=parallelism)
     serve_forever(service, host, port)
 
 

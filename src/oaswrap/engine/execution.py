@@ -21,7 +21,6 @@ from typing import Any, Mapping
 
 from ..errors import CoercionError, OaswrapError, ResolveError, UpstreamNotJson
 from ..resolver_runtime import (
-    ExecutionContext,
     HttpClient,
     bind_runtime,
     inject_auth,
@@ -77,25 +76,34 @@ class _NonNullViolation(Exception):
         self.path = path
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scope:
-    """What completion below one resolved field shares: the request that
-    fetched its raw values (for ``$request.*`` link expressions) and the
-    query's context. Nested objects and list items inherit it unchanged."""
+    """What resolutions below one resolved field share. Nested objects and
+    list items inherit it unchanged; a resolution forks it."""
 
-    request_record: Mapping[str, Mapping[str, Any]]
-    ctx: ExecutionContext
+    sent: Mapping[str, Mapping[str, Any]]  # location -> raw name -> value the parent sent
+    used: Mapping[str, Any]  # raw name -> value an ancestor request sent
+    credentials: Mapping[str, Mapping[str, str]]  # scheme -> members a viewer supplied
+
+    def after(self, sent: Mapping[str, Mapping[str, Any]]) -> "Scope":
+        """The scope below a field resolved by a request that sent sent. Of
+        its values that share a raw name, the path value wins, then the query
+        value."""
+        used = dict(self.used)
+        for location in ("header", "query", "path"):
+            used.update(sent.get(location, {}))
+        return Scope(sent, used, self.credentials)
 
 
 @dataclass
 class _Query:
-    """Per-query state: the coerced variables and, with DEBUG on, the dropped
-    upstream keys. One per execute(), since one Executor serves concurrent
-    requests."""
+    """Per-query state: the coerced variables and, with DEBUG on, the raw
+    upstream keys seen per type. One per execute(), since one Executor serves
+    concurrent requests."""
 
     variables: dict
     serial: int  # this query's number among its executor's
-    dropped: dict[str, set[str]] | None = None  # type -> unexpected upstream keys, DEBUG only
+    seen: dict[str, set[str]] | None = None  # type -> upstream keys, DEBUG only
 
 
 # -- variable coercion ------------------------------------------------------------
@@ -238,19 +246,23 @@ class Executor:
     kernel (kernels.py), shared by every set of that signature, which
     completes its fitting objects; any other object takes the general path.
     The kernel table is a second-sighting cache (cache.py).
+
+    ``token`` is the bearer token sent to OAuth, OpenID and bearer schemes;
+    viewer credentials and propagated parameters travel in each path's Scope.
     """
 
     def __init__(self, schema: SchemaIR, plans: Mapping[str, ResolvePlan],
-                 client: HttpClient | None = None, max_parallel: int = 8):
+                 client: HttpClient | None = None, max_parallel: int = 8, token: Any = None):
         self.schema = schema
         self.plans = plans
         self.client = client or HttpClient()
         self.max_parallel = max(1, max_parallel)
+        self.token = token
         self._kernels = SecondSightingCache(KERNEL_TABLE_ENTRIES)  # signature -> kernel
         self._serials = count()
 
     def execute(self, doc: QueryDocument, operation_name: str | None,
-                variables: Mapping[str, Any] | None, ctx: ExecutionContext) -> ExecutionResult:
+                variables: Mapping[str, Any] | None) -> ExecutionResult:
         operation = self._pick_operation(doc, operation_name)
         root, errors = compile_operation(doc, operation, self.schema)
         if errors:
@@ -258,17 +270,20 @@ class Executor:
         query = _Query(coerce_variables(operation.variable_definitions, variables,
                                         self.schema), next(self._serials))
         if logger.isEnabledFor(logging.DEBUG):
-            query.dropped = {}
+            query.seen = {}
 
         result = ExecutionResult()
         try:
-            result.data = self._execute_selection_set(root, {}, Scope({}, ctx), query, [],
+            result.data = self._execute_selection_set(root, {}, Scope({}, {}, {}), query, [],
                                                       result.errors)
         except _NonNullViolation:
             result.data = None
-        for type_name, keys in sorted((query.dropped or {}).items()):
-            logger.debug("dropped %d unexpected upstream key(s) of type %s: %s",
-                         len(keys), type_name, sorted(keys)[:10])
+        for type_name, keys in sorted((query.seen or {}).items()):
+            if keys:  # root and viewer objects are empty, and their types not in the schema's
+                keys -= {f.raw for f in self.schema.types[type_name].fields.values()}
+            if keys:
+                logger.debug("dropped %d unexpected upstream key(s) of type %s: %s",
+                             len(keys), type_name, sorted(keys)[:10])
         return result
 
     def _pick_operation(self, doc: QueryDocument, name: str | None) -> OperationNode:
@@ -289,10 +304,8 @@ class Executor:
         its kernel covers, if the kernel completes them, and the rest on the
         general path."""
         out = None
-        if query.dropped is not None:
-            unexpected = raw.keys() - {f.raw for f in compiled.type.fields.values()}
-            if unexpected:
-                query.dropped.setdefault(compiled.type.name, set()).update(unexpected)
+        if query.seen is not None:
+            query.seen.setdefault(compiled.type.name, set()).update(raw)
         elif compiled.signature is not None:
             # A query owns its sightings, so a selection that one query runs,
             # however many objects it completes, never pays for a kernel.
@@ -433,15 +446,15 @@ class Executor:
             else:
                 for scheme in binding.schemes:
                     creds[scheme] = {k: str(v) for k, v in args.items() if v is not None}
-            return {}, Scope(scope.request_record, scope.ctx.with_credentials(creds))
+            return {}, Scope(scope.sent, scope.used, {**scope.credentials, **creds})
 
         plan = self.plans[binding.plan_key]
         # Link expressions read the raw object holding the link field.
         spec = bind_runtime(
-            plan, args, raw, scope.request_record, scope.ctx,
+            plan, args, raw, scope.sent, scope.used,
             self.schema.types, link_params=binding.link_params,
         )
-        spec = inject_auth(spec, plan, scope.ctx)
+        spec = inject_auth(spec, plan, scope.credentials, self.token)
         status, _headers, body = self.client.send(spec)
         stringlike = _is_plain_string(field_ir.type)
         try:
@@ -449,8 +462,7 @@ class Executor:
         except ValueError:  # an integer literal past sys.get_int_max_str_digits()
             raise UpstreamNotJson(f"upstream value of {binding.plan_key} holds an integer of "
                                   f"more than {sys.get_int_max_str_digits()} digits") from None
-        return (shape_response(parsed, not stringlike),
-                Scope(spec.sent, scope.ctx.with_used_params(spec.sent)))
+        return shape_response(parsed, not stringlike), scope.after(spec.sent)
 
     # -- completion ---------------------------------------------------------------
 

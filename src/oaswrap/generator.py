@@ -79,10 +79,9 @@ def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
 
     plans: dict[str, ResolvePlan] = {}
     for op in doc.operations:
-        binding = pre.bindings[op.key]
-        if binding.skipped:
-            continue
-        plans[op.key] = make_resolve_plan(op, doc, binding)
+        binding = pre.bindings.get(op.key)
+        if binding is not None:
+            plans[op.key] = make_resolve_plan(op, doc, binding)
     wrapper.plans = plans
 
     schema = assemble_schema(doc, pre, report, options.casing)

@@ -107,12 +107,6 @@ def _wrong_type(pointer: str, expected: tuple[type, ...], value: Any) -> None:
 
 
 @dataclass
-class RawDocument:
-    source_path: str
-    root: dict
-
-
-@dataclass
 class SchemaObject:
     """JSON-Schema-like payload shape. ``ref`` nodes stay unresolved until
     dereferenced through the owning document (cycle-safe, memoized)."""
@@ -261,8 +255,9 @@ class OasDocument:
 
 
 def load_document(data: bytes | str, format_hint: str | None = None,
-                  source_path: str = "<bytes>") -> RawDocument:
-    """Parse OAS bytes as JSON or YAML; without a hint, JSON is tried first."""
+                  source_path: str = "<bytes>") -> dict:
+    """The root mapping of OAS bytes parsed as JSON or YAML; without a hint,
+    JSON is tried first."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -284,7 +279,7 @@ def load_document(data: bytes | str, format_hint: str | None = None,
             continue
         if not isinstance(root, dict):
             raise ParseError(f"{source_path}: document root must be a mapping")
-        return RawDocument(source_path=source_path, root=root)
+        return root
     raise ParseError(f"{source_path}: cannot parse as JSON or YAML: {last_error}")
 
 
@@ -297,37 +292,34 @@ def _load_yaml(text: str) -> Any:
     return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-def detect_version(doc: RawDocument) -> str:
+def detect_version(root: dict) -> str:
     """Classify a raw document as "v2", "v3" or "unknown" (a non-string openapi is InvalidOas)."""
-    if doc.root.get("swagger") == "2.0":
+    if root.get("swagger") == "2.0":
         return "v2"
-    openapi = member(doc.root, "openapi", "#")
+    openapi = member(root, "openapi", "#")
     if openapi is not None and openapi.startswith("3."):
         return "v3"
     return "unknown"
 
 
-def ingest(doc: RawDocument, report: Report) -> OasDocument:
+def ingest(root: dict, report: Report) -> OasDocument:
     """Version-detect and produce a normalized 3.x document model."""
-    version = detect_version(doc)
+    version = detect_version(root)
     if version == "v2":
-        return upconvert(doc, report)
+        return upconvert(root, report)
     if version == "v3":
-        return normalize(doc.root, report)
+        return normalize(root, report)
     raise InvalidOasError(
-        f"{doc.source_path}: neither 'swagger: 2.0' nor an 'openapi: 3.*' version marker found"
+        f"{report.source}: neither 'swagger: 2.0' nor an 'openapi: 3.*' version marker found"
     )
 
 
 # -- OAS 2.0 -> 3.0 structural translation -------------------------------------
 
 
-def upconvert(doc: RawDocument, report: Report | None = None) -> OasDocument:
+def upconvert(root: dict, report: Report | None = None) -> OasDocument:
     """Losslessly translate a Swagger 2.0 document and normalize it."""
-    if report is None:
-        report = Report(source=doc.source_path)
-    v3_root = convert_v2_dict(doc.root)
-    return normalize(v3_root, report)
+    return normalize(convert_v2_dict(root), report or Report(source="<bytes>"))
 
 
 def convert_v2_dict(root: dict) -> dict:

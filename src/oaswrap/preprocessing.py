@@ -247,10 +247,8 @@ class TypesDictionary:
 
 @dataclass
 class OperationBinding:
-    """Per-operation outcome of preprocessing."""
+    """Per-operation outcome of preprocessing, for an operation not skipped."""
 
-    op: OasOperation
-    skipped: bool = False
     response: TypeIR | None = None
     # The operation's arguments: its parameters in declaration order, then the body.
     args: dict[str, ArgIR] = field(default_factory=dict)
@@ -259,7 +257,7 @@ class OperationBinding:
 @dataclass
 class PreprocessResult:
     dictionary: TypesDictionary
-    bindings: dict[str, OperationBinding]  # operation key -> binding
+    bindings: dict[str, OperationBinding]  # operation key -> binding; none if skipped
 
 
 def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,
@@ -304,29 +302,29 @@ class Preprocessor:
         self.classes = StructuralClasses(self.doc, roots)
         bindings: dict[str, OperationBinding] = {}
         for op in self.doc.operations:
-            bindings[op.key] = self._bind_operation(op)
+            binding = self._bind_operation(op)
+            if binding is not None:
+                bindings[op.key] = binding
         self.report.stats.operations_total = len(self.doc.operations)
-        self.report.stats.operations_skipped = sum(1 for b in bindings.values() if b.skipped)
+        self.report.stats.operations_skipped = self.report.stats.operations_total - len(bindings)
         return PreprocessResult(self.dictionary, bindings)
 
     # -- per-operation ----------------------------------------------------
 
-    def _bind_operation(self, op: OasOperation) -> OperationBinding:
-        binding = OperationBinding(op=op)
-
+    def _bind_operation(self, op: OasOperation) -> OperationBinding | None:
+        """The operation's binding, or None when it is skipped."""
         response = self._select_response(op)
         if response is None:
             record_warning(self.report, MISSING_RESPONSE_SCHEMA, op.pointer,
                            "operation has no success response schema; operation skipped")
-            binding.skipped = True
-            return binding
+            return None
 
         if op.request_body is not None and op.request_body.schema is None:
             record_warning(self.report, MISSING_RESPONSE_SCHEMA, op.request_body.pointer,
                            "request body lacks a schema; operation skipped")
-            binding.skipped = True
-            return binding
+            return None
 
+        binding = OperationBinding()
         if not is_json_media(response.content_type):
             record_warning(
                 self.report, INVALID_SCHEMA_TYPE, response.pointer,

@@ -15,7 +15,7 @@ back the second, strict generation in ``evaluate_corpus``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import StrictModeAbort
 
@@ -55,9 +55,6 @@ class WarningRecord:
     location: str  # JSON pointer into the source OAS
     mitigation: str
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "location": self.location, "mitigation": self.mitigation}
-
 
 @dataclass
 class Stats:
@@ -66,15 +63,6 @@ class Stats:
     types_created: int = 0
     links_attached: int = 0
     viewers_created: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "operations_total": self.operations_total,
-            "operations_skipped": self.operations_skipped,
-            "types_created": self.types_created,
-            "links_attached": self.links_attached,
-            "viewers_created": self.viewers_created,
-        }
 
 
 @dataclass
@@ -125,7 +113,7 @@ def finalize_report(report: Report) -> str:
             if report.outcome == "success"
             else {"kind": report.error_kind, "message": report.error_message}
         ),
-        "warnings": [w.as_dict() for w in report.warnings],
+        "warnings": [asdict(w) for w in report.warnings],
         "warning_counts": dict(sorted(report.warning_counts().items())),
-        "stats": report.stats.as_dict(),
+        "stats": asdict(report.stats),
     }, indent=2) + "\n"

@@ -12,7 +12,7 @@ import select
 import ssl
 import threading
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from http.client import (
     HTTPConnection,
     HTTPException,
@@ -56,31 +56,6 @@ MAX_FAST_BRACKETS = 4096
 _UNSET = object()
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
-    """Read-only per-query state; forks grow used_params along one path."""
-
-    credentials: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
-    token: Any = None  # the bearer token of OAuth, OpenID and bearer schemes
-    used_params: Mapping[str, Any] = field(default_factory=dict)
-    extra_headers: Mapping[str, str] = field(default_factory=dict)
-
-    def with_credentials(self, creds: Mapping[str, Mapping[str, str]]) -> "ExecutionContext":
-        merged = dict(self.credentials)
-        merged.update(creds)
-        return replace(self, credentials=merged)
-
-    def with_used_params(self, sent: Mapping[str, Mapping[str, Any]]) -> "ExecutionContext":
-        """Add what a request sent, by raw name. Of one request's values that
-        share a raw name, the path value wins, then the query value."""
-        params: dict[str, Any] = {}
-        for location in ("header", "query", "path"):
-            params.update(sent.get(location, {}))
-        if not params:
-            return self
-        return replace(self, used_params={**self.used_params, **params})
-
-
 @dataclass
 class HttpRequestSpec:
     method: str
@@ -99,23 +74,23 @@ class HttpRequestSpec:
 
 def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: Any,
                  parent_request: Mapping[str, Mapping[str, Any]] | None,
-                 ctx: ExecutionContext, types: Mapping[str, TypeIR],
+                 used_params: Mapping[str, Any], types: Mapping[str, TypeIR],
                  link_params: Mapping[str, LinkExpression] | None = None) -> HttpRequestSpec:
     """Assemble the upstream request for one field resolution.
 
     Per-parameter precedence: explicit argument, then link expression value,
-    then a parameter propagated from an ancestor request, then the declared
-    default. ``link_params`` maps argument names to link expressions, which
-    read ``parent_response``, the raw object that holds the link field, or
-    ``parent_request``, what the parent's request sent. Every
-    argument value, lists included, and the payload are de-sanitized through
-    their named types in ``types`` before sending.
+    then a parameter propagated from an ancestor request (``used_params``, by
+    raw name), then the declared default. ``link_params`` maps argument names
+    to link expressions, which read ``parent_response``, the raw object that
+    holds the link field, or ``parent_request``, what the parent's request
+    sent. Every argument value, lists included, and the payload are
+    de-sanitized through their named types in ``types`` before sending.
     """
     link_params = link_params or {}
     path = plan.path
     sent: dict[str, dict[str, Any]] = {"path": {}, "query": {}, "header": {}}
     query_pairs: list[tuple[str, str]] = []
-    headers: dict[str, str] = dict(ctx.extra_headers)
+    headers: dict[str, str] = {}
     payload = None
 
     for arg in plan.args.values():
@@ -127,8 +102,8 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
             value = args[arg.name]
         elif arg.name in link_params:
             value = eval_link_expression(link_params[arg.name], parent_response, parent_request)
-        elif arg.raw in ctx.used_params:
-            value = ctx.used_params[arg.raw]
+        elif arg.raw in used_params:
+            value = used_params[arg.raw]
         elif arg.default is not None:
             value = arg.default
         if value is _UNSET:
@@ -226,25 +201,27 @@ def eval_link_expression(expr: LinkExpression, parent_response: Any,
 # -- authentication -----------------------------------------------------------------
 
 
-def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan, ctx: ExecutionContext) -> HttpRequestSpec:
+def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan,
+                credentials: Mapping[str, Mapping[str, str]], token: Any = None) -> HttpRequestSpec:
     """Apply the first security scheme whose credentials are available.
 
-    API keys go to their declared header or query location, basic credentials
-    become an Authorization header, and the context's token, if any, goes to
-    OAuth, OpenID and bearer schemes as a Bearer header.
+    ``credentials`` maps scheme names to the members a viewer supplied. API
+    keys go to their declared header or query location, basic credentials
+    become an Authorization header, and the token, if any, goes to OAuth,
+    OpenID and bearer schemes as a Bearer header.
     """
     if not plan.security:
         return spec
     for scheme in plan.security:
         kind = credential_kind(scheme)
         if kind is not None:
-            creds = ctx.credentials.get(scheme.name) or {}
+            creds = credentials.get(scheme.name) or {}
             values = [creds.get(name) for name in CREDENTIAL_MEMBERS[kind]]
             if None in values:
                 continue
             if kind == "basicAuth":
-                token = base64.b64encode(":".join(values).encode()).decode("ascii")
-                spec.headers["Authorization"] = f"Basic {token}"
+                pair = base64.b64encode(":".join(values).encode()).decode("ascii")
+                spec.headers["Authorization"] = f"Basic {pair}"
             elif scheme.location == "query":
                 spec.query.append((scheme.param_name, values[0]))
             else:
@@ -253,9 +230,9 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan, ctx: ExecutionContext)
         if scheme.type in ("oauth2", "openIdConnect") or (
             scheme.type == "http" and scheme.http_scheme == "bearer"
         ):
-            if ctx.token is None:
+            if token is None:
                 continue
-            spec.headers["Authorization"] = f"Bearer {ctx.token}"
+            spec.headers["Authorization"] = f"Bearer {token}"
             return spec
     raise MissingCredentials(
         f"operation {plan.operation_key} requires one of "
@@ -298,10 +275,16 @@ class HttpClient:
     most as many connections as there were concurrent sends. A connection goes
     back only when its response was read to the end and the server keeps it
     open.
+
+    ``headers`` are sent on every request, each replacing a default header of
+    the same name (User-Agent, Accept, Accept-Encoding); a request's own
+    headers, its header parameters and credential, replace both. Names
+    compare case-insensitively.
     """
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT, headers: Mapping[str, str] | None = None):
         self.timeout = timeout
+        self.headers = _overridden(_DEFAULT_HEADERS, headers or {})
         self._idle: dict[tuple[str, str, int], list[_Connection]] = {}
         self._lock = threading.Lock()
         self._tls: ssl.SSLContext | None = None  # built on the first HTTPS connection
@@ -309,9 +292,7 @@ class HttpClient:
     def send(self, spec: HttpRequestSpec) -> tuple[int, Mapping[str, str], bytes]:
         """One HTTP round trip, following redirects; network failures map to
         execution errors."""
-        given = {name.lower() for name in spec.headers}
-        headers = {k: v for k, v in _DEFAULT_HEADERS.items() if k.lower() not in given}
-        headers.update(spec.headers)
+        headers = _overridden(self.headers, spec.headers)
         body = None
         if spec.body is not None:
             content_type = spec.content_type or "application/json"
@@ -321,7 +302,7 @@ class HttpClient:
                 body = spec.body.encode("utf-8")
             else:
                 body = json.dumps(spec.body).encode("utf-8")
-            if "content-type" not in given:
+            if not any(name.lower() == "content-type" for name in headers):
                 headers["Content-Type"] = content_type
         url = spec.url
         if spec.query:
@@ -466,6 +447,15 @@ def _request(conn: _Connection, method: str, path: str, headers: dict[str, str],
 
 _DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
                     "User-Agent": "oaswrap"}
+
+
+def _overridden(headers: Mapping[str, str], own: Mapping[str, str]) -> dict[str, str]:
+    """headers with own added, each of own replacing any header whose name
+    matches its name case-insensitively."""
+    given = {name.lower() for name in own}
+    merged = {k: v for k, v in headers.items() if k.lower() not in given}
+    merged.update(own)
+    return merged
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _IDEMPOTENT = frozenset({"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"})
 # What a request on a kept-alive socket the server has since closed raises.

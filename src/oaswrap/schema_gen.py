@@ -61,7 +61,7 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
                            f"with {indexed[0]!r}; link skipped")
             continue
         target = _find_link_target(doc, link)
-        if target is None or bindings[target.key].skipped:
+        if target is None or target.key not in bindings:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} targets a missing or skipped operation; link skipped")
             continue
@@ -174,8 +174,8 @@ class SchemaAssembler:
 
         attached = 0
         for op in self.doc.operations:
-            binding = self.pre.bindings[op.key]
-            if binding.skipped:
+            binding = self.pre.bindings.get(op.key)
+            if binding is None:
                 continue
             links = op.links()
             if not links:
@@ -221,8 +221,8 @@ class SchemaAssembler:
         any_auth_fields: dict[str, list[tuple[str, FieldIR]]] = {"query": [], "mutation": []}
 
         for op in self.doc.operations:
-            binding = self.pre.bindings[op.key]
-            if binding.skipped:
+            binding = self.pre.bindings.get(op.key)
+            if binding is None:
                 continue
             side = "query" if op.method == "get" else "mutation"
             field_ir = self._operation_field(op, binding)

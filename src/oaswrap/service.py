@@ -14,7 +14,7 @@ import json
 import logging
 import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any
 
 import orjson
 
@@ -25,7 +25,7 @@ from .engine.execution import RequestFailed
 from .errors import CoercionError, GraphQLSyntaxError
 from .generator import GeneratedWrapper
 from .report import finalize_report
-from .resolver_runtime import DEFAULT_TIMEOUT, ExecutionContext, HttpClient
+from .resolver_runtime import HttpClient
 
 logger = logging.getLogger("oaswrap.service")
 
@@ -42,22 +42,19 @@ class GraphQLService:
     """Request handling around one immutable generated wrapper. Its one state
     is a cache from query text to the parsed document and its validation
     errors; the document carries its compiled plan. Each request is a
-    sighting of its text, and a text is kept from its second."""
+    sighting of its text, and a text is kept from its second.
 
-    def __init__(self, wrapper: GeneratedWrapper, extra_headers: Mapping[str, str] | None = None,
-                 token: Any = None, timeout: float = DEFAULT_TIMEOUT,
-                 max_parallel: int = 8, client: HttpClient | None = None):
+    The client (by default an HttpClient with its defaults) holds the timeout
+    and the static headers of every upstream request, and the executor the
+    bearer token."""
+
+    def __init__(self, wrapper: GeneratedWrapper, client: HttpClient | None = None,
+                 token: Any = None, max_parallel: int = 8):
         if not wrapper.ok:
             raise ValueError("cannot serve a wrapper whose generation failed")
         self.wrapper = wrapper
-        self.executor = Executor(
-            wrapper.schema, wrapper.plans, client or HttpClient(timeout=timeout),
-            max_parallel=max_parallel,
-        )
-        self.base_context = ExecutionContext(
-            credentials={}, token=token, used_params={},
-            extra_headers=dict(extra_headers or {}),
-        )
+        self.executor = Executor(wrapper.schema, wrapper.plans, client,
+                                 max_parallel=max_parallel, token=token)
         # query text -> (document, validation errors), weighed in UTF-8 bytes
         self._documents = SecondSightingCache(DOCUMENT_CACHE_ENTRIES, DOCUMENT_CACHE_BYTES)
 
@@ -78,7 +75,7 @@ class GraphQLService:
         if validation_errors:
             return 400, {"errors": [{"message": message} for message in validation_errors]}
         try:
-            result = self.executor.execute(doc, operation_name, variables, self.base_context)
+            result = self.executor.execute(doc, operation_name, variables)
         except (RequestFailed, CoercionError) as exc:
             return 400, {"errors": [{"message": str(exc)}]}
         return 200, result.to_payload()

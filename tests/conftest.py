@@ -31,9 +31,14 @@ class RecordedRequest:
     query: dict
     headers: dict
     body: bytes
+    header_lines: list  # (name, value) of every header line, repeated names included
 
     def json(self):
         return json.loads(self.body) if self.body else None
+
+    def header_values(self, name: str) -> list[str]:
+        """The values of every header line named name, in any case."""
+        return [v for k, v in self.header_lines if k.lower() == name.lower()]
 
 
 @dataclass
@@ -100,6 +105,7 @@ class MockUpstream:
                     query=dict(parse_qsl(parsed.query)),
                     headers={k: v for k, v in self.headers.items()},
                     body=body,
+                    header_lines=self.headers.items(),
                 )
                 with upstream._lock:
                     upstream.requests.append(record)

@@ -19,7 +19,7 @@ from oaswrap.ir import NON_NULL, to_raw
 from oaswrap.oas_ingest import normalize
 from oaswrap.preprocessing import OUTPUT, deep_equal, preprocess
 from oaswrap.report import Report
-from oaswrap.resolver_runtime import ExecutionContext, HttpClient
+from oaswrap.resolver_runtime import HttpClient
 from oaswrap.schema_gen import print_sdl
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
@@ -148,7 +148,7 @@ def test_criterion_3_link_composition_two_requests():
         doc = parse_query(query)
         assert validate_query(doc, wrapper.schema) == []
         executor = Executor(wrapper.schema, wrapper.plans, HttpClient(timeout=5))
-        result = executor.execute(doc, None, None, ExecutionContext())
+        result = executor.execute(doc, None, None)
         assert result.errors == []
         assert result.data == {"user": {
             "name": "Erik",
@@ -241,7 +241,7 @@ def test_criterion_4_identify_translate_chain():
         assert validate_query(doc, wrapper.schema) == [], \
             validate_query(doc, wrapper.schema)
         executor = Executor(wrapper.schema, wrapper.plans, HttpClient(timeout=5))
-        result = executor.execute(doc, None, None, ExecutionContext())
+        result = executor.execute(doc, None, None)
         assert result.errors == []
         viewer_data = result.data["mutationViewerBasicAuth"]
         assert viewer_data["postIdentify"]["languages"][0]["language"] == "en"

@@ -24,7 +24,7 @@ from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.errors import UpstreamError, UpstreamNotJson
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import list_of, scalar
-from oaswrap.resolver_runtime import (BODY_EXCERPT_LIMIT, MAX_FAST_BRACKETS, ExecutionContext,
+from oaswrap.resolver_runtime import (BODY_EXCERPT_LIMIT, MAX_FAST_BRACKETS,
                                       parse_upstream_body)
 from oaswrap.service import GraphQLService, encode_response
 
@@ -233,7 +233,7 @@ def run(body: bytes, selection: str, schema=WRAPPER.schema, general=False) -> di
     if general:
         general_path(doc)
     executor = Executor(schema, WRAPPER.plans, BytesClient(body))
-    return executor.execute(doc, None, None, ExecutionContext()).to_payload()
+    return executor.execute(doc, None, None).to_payload()
 
 
 WIDE = "1" + "0" * 400

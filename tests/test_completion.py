@@ -36,7 +36,6 @@ from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
 from oaswrap.engine.validation import INT_MAX, INT_MIN, KERNEL_TEXT_CHARS, CompiledSet
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import OBJECT, list_of, non_null, reference, resolve_type, scalar
-from oaswrap.resolver_runtime import ExecutionContext
 from oaswrap.schema_gen import print_sdl
 
 SORTS = ["up-down", "flat", "x_y"]
@@ -164,7 +163,7 @@ def execute(schema, text, body, mode, plans=WRAPPER.plans):
         general_path(doc)
     executor = Executor(schema, plans, CannedClient(body))
     for _ in range(2 if mode == "warm" else 1):
-        payload = executor.execute(doc, None, None, ExecutionContext()).to_payload()
+        payload = executor.execute(doc, None, None).to_payload()
     if (mode == "warm" and type(body) is list and body and all(type(r) is dict for r in body)
             and not logging.getLogger("oaswrap.engine").isEnabledFor(logging.DEBUG)):
         records = doc.operations[0].compiled[1].fields[0].child
@@ -266,7 +265,7 @@ def test_a_kernel_is_generated_when_a_second_query_runs_its_signature(kernels):
     executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient([{"id": "r"}] * 3))
     doc = parse_query(record_ids("a"))
     for run in range(3):
-        assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
+        assert executor.execute(doc, None, None).to_payload() == {
             "data": {"getRecords": [{"a": "r"}] * 3}}
         records = doc.operations[0].compiled[1].fields[0].child
         assert callable(executor._kernels.get(records.signature)) is (run > 0)
@@ -277,7 +276,7 @@ def test_the_kernel_table_keeps_the_most_recently_used_signatures_at_its_bound(k
 
     def run(alias: str) -> str:
         doc = parse_query(record_ids(alias))
-        assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
+        assert executor.execute(doc, None, None).to_payload() == {
             "data": {"getRecords": [{alias: "r"}] * 2}}
         return doc.operations[0].compiled[1].fields[0].child.signature
 
@@ -306,7 +305,7 @@ def test_a_set_past_the_kernel_text_bound_takes_the_general_path(kernels):
         body = [{"id": "r", "box": {"name": "b"}}] * 2
         executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient(body))
         for _ in range(2):
-            assert executor.execute(doc, None, None, ExecutionContext()).to_payload() == {
+            assert executor.execute(doc, None, None).to_payload() == {
                 "data": {"getRecords": data}}
         return doc.operations[0].compiled[1].fields[0].child, executor
 

@@ -20,7 +20,7 @@ from oaswrap.engine.execution import RequestFailed
 from oaswrap.engine.lexer import tokenize
 from oaswrap.errors import CoercionError, GraphQLSyntaxError
 from oaswrap.generator import generate
-from oaswrap.resolver_runtime import ExecutionContext, HttpClient
+from oaswrap.resolver_runtime import HttpClient
 
 FIG2_QUERY = """
 query {
@@ -538,12 +538,12 @@ def test_coerce_undeclared_variable_rejected():
 # -- execute -------------------------------------------------------------------------
 
 
-def run(wrapper, query, variables=None, operation_name=None, ctx=None, max_parallel=8):
+def run(wrapper, query, variables=None, operation_name=None, max_parallel=8):
     doc = parse_query(query)
     errors = validate_query(doc, wrapper.schema)
     assert errors == [], errors
     executor = executor_for(wrapper, max_parallel)
-    return executor.execute(doc, operation_name, variables, ctx or ExecutionContext())
+    return executor.execute(doc, operation_name, variables)
 
 
 def test_execute_fig2_composition(upstream):
@@ -598,7 +598,7 @@ def test_execute_unknown_operation_name_is_request_error(upstream):
     wrapper = linked_wrapper(upstream)
     doc = parse_query('query A { user(id: "x") { id } }')
     with pytest.raises(RequestFailed):
-        executor_for(wrapper).execute(doc, "B", None, ExecutionContext())
+        executor_for(wrapper).execute(doc, "B", None)
 
 
 def test_execute_deterministic_repeat(upstream):
@@ -811,7 +811,7 @@ def test_execute_mutation_viewer_fields_serial_in_order():
     assert validate_query(doc, wrapper.schema) == []
     client = SlowFirstPost()
     executor = Executor(wrapper.schema, wrapper.plans, client)
-    result = executor.execute(doc, None, None, ExecutionContext())
+    result = executor.execute(doc, None, None)
     assert result.errors == []
     assert client.tags == aliases
     assert list(result.data["mutationViewerBasicAuth"]) == aliases
@@ -982,7 +982,7 @@ def execute_items(query, general=False, items=ITEMS):
     if general:
         general_path(doc)
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(items))
-    return executor.execute(doc, None, None, ExecutionContext()).to_payload()
+    return executor.execute(doc, None, None).to_payload()
 
 
 ITEMS_QUERY = """
@@ -1069,13 +1069,13 @@ def test_selection_sets_compile_once_per_query(monkeypatch):
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(items))
     query = "{ getItems { id n box { wD } } }"
     for _ in range(2):  # unvalidated documents: execute runs the same walk
-        result = executor.execute(parse_query(query), None, None, ExecutionContext())
+        result = executor.execute(parse_query(query), None, None)
         assert result.errors == [] and len(result.data["getItems"]) == 200
     # The root, item and box selection sets: once each per query.
     assert sorted(calls) == sorted(["Query", "Item", "Box"] * 2)
     doc = parse_query(query)
     assert validate_query(doc, wrapper.schema) == []
-    executor.execute(doc, None, None, ExecutionContext())
+    executor.execute(doc, None, None)
     assert len(calls) == 9  # execute reuses what validation compiled
 
 
@@ -1085,7 +1085,7 @@ def test_non_integral_upstream_number_for_int_is_a_field_error():
             "type": "array", "items": {"type": "integer"}}}})})
     body = {"n": 3.7, "m": 3.0, "ns": [1, 2.5, 4.0]}
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
-    result = executor.execute(parse_query("{ getX { n m ns } }"), None, None, ExecutionContext())
+    result = executor.execute(parse_query("{ getX { n m ns } }"), None, None)
     assert result.data == {"getX": {"n": None, "m": 3, "ns": [1, None, 4]}}
     assert [(e["path"], e["message"]) for e in result.errors] == [
         (["getX", "n"], "upstream value 3.7 is not an Int"),

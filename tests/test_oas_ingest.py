@@ -47,7 +47,7 @@ def make_doc(paths=None, components=None, servers=None, title="T", version="1.0.
 
 def test_load_json_document():
     raw = load_document(b'{"swagger": "2.0", "info": {}}')
-    assert raw.root["swagger"] == "2.0"
+    assert raw["swagger"] == "2.0"
 
 
 def test_load_truncated_json_is_parse_error():
@@ -57,7 +57,7 @@ def test_load_truncated_json_is_parse_error():
 
 def test_load_yaml_autodetected():
     raw = load_document(b"openapi: 3.0.0\ninfo:\n  title: Y\n")
-    assert raw.root["openapi"] == "3.0.0"
+    assert raw["openapi"] == "3.0.0"
 
 
 def test_load_scalar_root_rejected():
@@ -73,14 +73,14 @@ def test_load_empty_rejected():
 def test_yaml_anchors_are_expanded():
     text = b"openapi: 3.0.0\nx-shared: &s {a: 1}\nother: *s\n"
     raw = load_document(text, format_hint="yaml")
-    assert raw.root["other"] == {"a": 1}
+    assert raw["other"] == {"a": 1}
 
 
 @pytest.mark.parametrize("path", sorted(
     (Path(__file__).parent / "fixtures" / "corpus").glob("*.yaml")), ids=lambda p: p.name)
 def test_yaml_loader_matches_pure_python_safe_loader(path):
     text = path.read_text(encoding="utf-8")
-    assert load_document(text, format_hint="yaml").root == yaml.load(text, Loader=yaml.SafeLoader)
+    assert load_document(text, format_hint="yaml") == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 # -- detect_version ------------------------------------------------------------

@@ -27,7 +27,6 @@ from oaswrap.preprocessing import (
     sanitize_enum_value,
 )
 from oaswrap.report import Report
-from oaswrap.resolver_runtime import ExecutionContext
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
 
@@ -185,7 +184,7 @@ def serve_raw(schema, body, query):
     wrapper = generate(json.dumps(root).encode())
     assert wrapper.ok, wrapper.report.error_message
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
-    return executor.execute(parse_query(query), None, None, ExecutionContext())
+    return executor.execute(parse_query(query), None, None)
 
 
 def test_desanitize_tree_paper_example():

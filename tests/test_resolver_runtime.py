@@ -16,6 +16,7 @@ import pytest
 from conftest import CannedClient
 from oaswrap import resolver_runtime
 from oaswrap.engine import Executor, parse_query
+from oaswrap.engine.execution import Scope
 from oaswrap.errors import (
     ExpressionUnresolvable,
     MissingCredentials,
@@ -28,7 +29,6 @@ from oaswrap.errors import (
 from oaswrap.generator import generate
 from oaswrap.ir import NON_NULL
 from oaswrap.resolver_runtime import (
-    ExecutionContext,
     HttpClient,
     HttpRequestSpec,
     bind_runtime,
@@ -63,9 +63,6 @@ def get_path(schema, parameters=None, security=None):
     if security is not None:
         op["security"] = security
     return {"get": op}
-
-
-EMPTY_CTX = ExecutionContext()
 
 
 # -- make_resolve_plan -----------------------------------------------------------
@@ -144,22 +141,22 @@ def test_bind_path_substitution_and_escaping():
                      "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /user/{id}"]
-    spec = bind_runtime(plan, {"id": "erik"}, None, None, EMPTY_CTX, wrapper.schema.types)
+    spec = bind_runtime(plan, {"id": "erik"}, None, None, {}, wrapper.schema.types)
     assert spec.url == "https://api.example.com/user/erik"
-    spec = bind_runtime(plan, {"id": "a/b c"}, None, None, EMPTY_CTX, wrapper.schema.types)
+    spec = bind_runtime(plan, {"id": "a/b c"}, None, None, {}, wrapper.schema.types)
     assert spec.url.endswith("/user/a%2Fb%20c")
 
 
 def test_bind_applies_default_when_absent():
     wrapper, plan = make_plan_fixture(default="10")
-    spec = bind_runtime(plan, {}, None, None, EMPTY_CTX, wrapper.schema.types)
+    spec = bind_runtime(plan, {}, None, None, {}, wrapper.schema.types)
     assert ("p", "10") in spec.query
 
 
 def test_bind_missing_required_parameter_raises():
     wrapper, plan = make_plan_fixture(required=True)
     with pytest.raises(MissingRequiredParameter):
-        bind_runtime(plan, {}, None, None, EMPTY_CTX, wrapper.schema.types)
+        bind_runtime(plan, {}, None, None, {}, wrapper.schema.types)
 
 
 def test_bind_desanitizes_argument_names():
@@ -168,7 +165,7 @@ def test_bind_desanitizes_argument_names():
         parameters=[{"name": "page-size", "in": "query", "schema": {"type": "integer"}}],
     )})
     plan = wrapper.plans["GET /q"]
-    spec = bind_runtime(plan, {"pageSize": 5}, None, None, EMPTY_CTX, wrapper.schema.types)
+    spec = bind_runtime(plan, {"pageSize": 5}, None, None, {}, wrapper.schema.types)
     assert spec.query == [("page-size", "5")]
 
 
@@ -188,7 +185,7 @@ def test_bind_desanitizes_body_keys_recursively():
     plan = wrapper.plans["POST /things"]
     payload = {"id": 1, "nested": {"xY": "v"}}
     [body] = [arg.name for arg in plan.args.values() if arg.location == "body"]
-    spec = bind_runtime(plan, {body: payload}, None, None, EMPTY_CTX,
+    spec = bind_runtime(plan, {body: payload}, None, None, {},
                         wrapper.schema.types)
     assert spec.body == {"$id": 1, "nested": {"x-y": "v"}}
 
@@ -214,7 +211,7 @@ def test_bind_desanitizes_enum_values_in_lists_too():
     client = RecordingClient({"n": 1})
     executor = Executor(wrapper.schema, wrapper.plans, client)
     query = "{ getItems(status: [inStock, soldOut], one: inStock) { n } }"
-    result = executor.execute(parse_query(query), None, None, EMPTY_CTX)
+    result = executor.execute(parse_query(query), None, None)
     assert result.errors == [] and result.data == {"getItems": {"n": 1}}
     assert [spec.query for spec in client.sent] == [
         [("status", "in-stock"), ("status", "sold-out"), ("one", "in-stock")]]
@@ -230,7 +227,7 @@ def test_literal_and_variable_arguments_send_the_same_request():
     executor = Executor(wrapper.schema, wrapper.plans, client)
     for query, variables in (("{ getItems(min: 5) { n } }", None),
                              ("query($m: Float) { getItems(min: $m) { n } }", {"m": 5})):
-        result = executor.execute(parse_query(query), None, variables, EMPTY_CTX)
+        result = executor.execute(parse_query(query), None, variables)
         assert result.errors == [] and result.data == {"getItems": {"n": 1}}
     assert [spec.query for spec in client.sent] == [[("min", "5.0")], [("min", "5.0")]]
 
@@ -248,7 +245,7 @@ def test_same_named_parameters_in_two_locations_are_two_arguments():
     client = RecordingClient({"n": 1})
     executor = Executor(wrapper.schema, wrapper.plans, client)
     query = "{ getSId(id: 7, id2: aB) { n } }"
-    result = executor.execute(parse_query(query), None, None, EMPTY_CTX)
+    result = executor.execute(parse_query(query), None, None)
     assert result.errors == [] and result.data == {"getSId": {"n": 1}}
     [spec] = client.sent
     assert (spec.url, spec.query) == ("https://api.example.com/s/7", [("id", "a-b")])
@@ -263,8 +260,8 @@ def test_bind_precedence_total_order(has_arg, has_link, has_used, has_default):
     args = {"p": "from_arg"} if has_arg else {}
     link_params = {"p": parse_link_expression("$response.body#/v")} if has_link else {}
     parent = {"v": "from_link"}
-    ctx = EMPTY_CTX.with_used_params({"query": {"p": "from_used"}}) if has_used else EMPTY_CTX
-    spec = bind_runtime(plan, args, parent, None, ctx, wrapper.schema.types,
+    used = {"p": "from_used"} if has_used else {}
+    spec = bind_runtime(plan, args, parent, None, used, wrapper.schema.types,
                         link_params=link_params)
     sent = dict(spec.query)
     if has_arg:
@@ -301,7 +298,7 @@ def linked_same_named_parameters(key):
 def run_linked(wrapper, query):
     client = RecordingClient({"x": 5})
     result = Executor(wrapper.schema, wrapper.plans, client).execute(
-        parse_query(query), None, None, EMPTY_CTX)
+        parse_query(query), None, None)
     assert result.errors == [] and result.data == {"getP": {"s": {"n": None}}}
     return [(spec.url, spec.query) for spec in client.sent]
 
@@ -342,7 +339,7 @@ def test_propagated_parameter_prefers_the_path_value():
     wrapper = build(paths)
     client = RecordingClient({"x": 5})
     result = Executor(wrapper.schema, wrapper.plans, client).execute(
-        parse_query('{ getPId(id: "p", id2: "q") { c { n } } }'), None, None, EMPTY_CTX)
+        parse_query('{ getPId(id: "p", id2: "q") { c { n } } }'), None, None)
     assert result.errors == []
     assert [(spec.url, spec.query) for spec in client.sent] == [
         ("https://api.example.com/p/p", [("id", "q")]),
@@ -356,8 +353,7 @@ def test_bind_propagated_parameter_matches_on_raw_name():
                      "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /child"]
-    ctx = EMPTY_CTX.with_used_params({"path": {"api-version": "7"}})
-    spec = bind_runtime(plan, {}, None, None, ctx, wrapper.schema.types)
+    spec = bind_runtime(plan, {}, None, None, {"api-version": "7"}, wrapper.schema.types)
     assert spec.query == [("api-version", "7")]
 
 
@@ -367,15 +363,15 @@ def test_bind_header_parameters():
         parameters=[{"name": "X-Trace", "in": "header", "schema": {"type": "string"}}],
     )})
     plan = wrapper.plans["GET /h"]
-    spec = bind_runtime(plan, {"XTrace": "t1"}, None, None, EMPTY_CTX, wrapper.schema.types)
+    spec = bind_runtime(plan, {"XTrace": "t1"}, None, None, {}, wrapper.schema.types)
     assert spec.headers["X-Trace"] == "t1"
 
 
 def test_bind_records_sent_params_for_propagation():
     wrapper, plan = make_plan_fixture(default="d")
-    spec = bind_runtime(plan, {"p": "x"}, None, None, EMPTY_CTX, wrapper.schema.types)
+    spec = bind_runtime(plan, {"p": "x"}, None, None, {}, wrapper.schema.types)
     assert spec.sent == {"path": {}, "query": {"p": "x"}, "header": {}}
-    assert EMPTY_CTX.with_used_params(spec.sent).used_params == {"p": "x"}
+    assert Scope({}, {}, {}).after(spec.sent).used == {"p": "x"}
 
 
 # -- link expressions: parsed at generation, evaluated at serving --------------------
@@ -465,43 +461,38 @@ def spec_stub():
 
 def test_inject_api_key_header():
     plan = secured_plan("keyHeader")
-    ctx = EMPTY_CTX.with_credentials({"keyHeader": {"apiKey": "abc"}})
-    spec = inject_auth(spec_stub(), plan, ctx)
+    spec = inject_auth(spec_stub(), plan, {"keyHeader": {"apiKey": "abc"}})
     assert spec.headers["X-Api-Key"] == "abc"
 
 
 def test_inject_api_key_query_location():
     plan = secured_plan("keyQuery")
-    ctx = EMPTY_CTX.with_credentials({"keyQuery": {"apiKey": "q1"}})
-    spec = inject_auth(spec_stub(), plan, ctx)
+    spec = inject_auth(spec_stub(), plan, {"keyQuery": {"apiKey": "q1"}})
     assert ("token", "q1") in spec.query
 
 
 def test_inject_basic_credentials():
     plan = secured_plan("basicAuth")
-    ctx = EMPTY_CTX.with_credentials({"basicAuth": {"username": "u", "password": "p"}})
-    spec = inject_auth(spec_stub(), plan, ctx)
+    spec = inject_auth(spec_stub(), plan, {"basicAuth": {"username": "u", "password": "p"}})
     expected = "Basic " + base64.b64encode(b"u:p").decode()
     assert spec.headers["Authorization"] == expected
 
 
 def test_inject_bearer_token_from_context_store():
     plan = secured_plan("oauth")
-    ctx = ExecutionContext(token="tok123")
-    spec = inject_auth(spec_stub(), plan, ctx)
+    spec = inject_auth(spec_stub(), plan, {}, token="tok123")
     assert spec.headers["Authorization"] == "Bearer tok123"
 
 
 def test_inject_missing_credentials_raises():
     plan = secured_plan("keyHeader")
     with pytest.raises(MissingCredentials):
-        inject_auth(spec_stub(), plan, EMPTY_CTX)
+        inject_auth(spec_stub(), plan, {})
 
 
 def test_no_credential_in_url_path():
     plan = secured_plan("keyHeader")
-    ctx = EMPTY_CTX.with_credentials({"keyHeader": {"apiKey": "SECRET"}})
-    spec = inject_auth(spec_stub(), plan, ctx)
+    spec = inject_auth(spec_stub(), plan, {"keyHeader": {"apiKey": "SECRET"}})
     assert "SECRET" not in spec.url
 
 
@@ -551,7 +542,7 @@ def serve_shaped(schema, body, query):
     wrapper = build({"/t": get_path(schema)})
     assert shape_response(body, True) is body
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
-    return executor.execute(parse_query(query), None, None, EMPTY_CTX)
+    return executor.execute(parse_query(query), None, None)
 
 
 def test_shape_response_sanitizes_keys():
@@ -849,7 +840,7 @@ def test_list_query_argument_is_sent_as_repeated_pairs(keepalive, client):
     )}, servers=[{"url": server.base_url}])
     executor = Executor(wrapper.schema, wrapper.plans, client)
     result = executor.execute(parse_query('{ getItems(tag: ["a b", "c&d"]) { ok } }'),
-                              None, None, EMPTY_CTX)
+                              None, None)
     assert result.errors == [] and result.data == {"getItems": {"ok": True}}
     assert server.seen[0][1] == "/items?tag=a+b&tag=c%26d"
 
@@ -924,7 +915,7 @@ def test_oversize_body_is_a_field_error_and_its_connection_is_closed(keepalive, 
     executor = Executor(wrapper.schema, wrapper.plans, client)
 
     def run(query):
-        return executor.execute(parse_query(query), None, None, EMPTY_CTX)
+        return executor.execute(parse_query(query), None, None)
 
     for name in ("Bomb", "Big"):  # too large once decoded; too large on the wire
         result = run(f"{{ get{name} {{ s }} }}")

@@ -10,7 +10,6 @@ from conftest import CORPUS_DIR, CannedClient, load_manifest, schema_from_sdl
 from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import ENUM, INPUT_OBJECT, LIST, OBJECT, REFERENCE, resolve_type, type_str
-from oaswrap.resolver_runtime import ExecutionContext
 from oaswrap.schema_gen import print_sdl
 
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
@@ -682,7 +681,7 @@ def graphql_core_errors(sdl):
 
 def serve(wrapper, body, query):
     executor = Executor(wrapper.schema, wrapper.plans, CannedClient(body))
-    result = executor.execute(parse_query(query), None, None, ExecutionContext())
+    result = executor.execute(parse_query(query), None, None)
     return result.errors, result.data
 
 

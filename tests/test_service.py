@@ -19,7 +19,7 @@ from conftest import CannedClient, query_texts
 from oaswrap import service as service_module
 from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
 from oaswrap.generator import generate
-from oaswrap.resolver_runtime import MAX_FAST_BRACKETS
+from oaswrap.resolver_runtime import MAX_FAST_BRACKETS, HttpClient
 from oaswrap.service import (DOCUMENT_CACHE_BYTES, DOCUMENT_CACHE_ENTRIES, MAX_REQUEST_BYTES,
                              GraphQLService, make_server)
 
@@ -51,7 +51,7 @@ def build_wrapper(upstream):
 def service_url(upstream):
     upstream.static("GET", "/user/{id}", {"id": "u1", "name": "Uma"})
     wrapper = build_wrapper(upstream)
-    service = GraphQLService(wrapper, extra_headers={"X-Static": "on"})
+    service = GraphQLService(wrapper, HttpClient(headers={"X-Static": "on"}))
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -218,6 +218,41 @@ def test_static_extra_headers_reach_upstream(service_url):
     post_graphql(url, {"query": '{ user(id: "u1") { name } }'})
     sent = [r for r in upstream.requests if r.path == "/user/u1"]
     assert sent and sent[-1].headers.get("X-Static") == "on"
+
+
+@pytest.mark.parametrize("static,query,name,expected", [
+    ({"authorization": "Static"},
+     '{ viewerBasicAuth(username: "u", password: "p") { getPrivate { v } } }',
+     "Authorization", ["Basic dTpw"]),  # the viewer's credentials, base64 of "u:p"
+    ({"x-trace": "static"}, '{ getTraced(XTrace: "t1") }', "X-Trace", ["t1"]),
+    ({"user-agent": "static-agent"}, "{ getTraced }", "User-Agent", ["static-agent"]),
+])
+def test_a_request_header_replaces_a_static_header_and_a_static_header_a_default(
+        upstream, static, query, name, expected):
+    upstream.static("GET", "/private", {"v": "p"})
+    upstream.static("GET", "/traced", "t")
+    ok = {"200": {"description": "ok", "content": {"application/json": {"schema": {
+        "type": "object", "properties": {"v": {"type": "string"}}}}}}}
+    root = {
+        "openapi": "3.0.0",
+        "info": {"title": "Headers", "version": "1"},
+        "servers": [{"url": upstream.base_url}],
+        "paths": {
+            "/private": {"get": {"security": [{"basicAuth": []}], "responses": ok}},
+            "/traced": {"get": {"parameters": [{"name": "X-Trace", "in": "header",
+                                                "schema": {"type": "string"}}],
+                                "responses": {"200": {"description": "ok", "content": {
+                                    "application/json": {"schema": {"type": "string"}}}}}}},
+        },
+        "components": {"securitySchemes": {"basicAuth": {"type": "http", "scheme": "basic"}}},
+    }
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok
+    status, payload = GraphQLService(wrapper, HttpClient(headers=static)).handle_graphql(
+        {"query": query})
+    assert status == 200 and "errors" not in payload, payload
+    [sent] = upstream.requests
+    assert sent.header_values(name) == expected
 
 
 def test_variables_flow_through_service(service_url):
