@@ -77,16 +77,28 @@ def sanitize(raw: str, casing: str = CAMEL) -> str:
     return "_" + name.lstrip("_") if name.startswith("__") else name
 
 
-def sanitize_enum_value(value: object, casing: str = CAMEL) -> str:
-    """Sanitize one enum value; booleans can never become legal enum values."""
-    if isinstance(value, bool):
-        raise SanitationError(
-            f"enum value {value} is a boolean; true and false are forbidden as GraphQL enum values"
-        )
-    result = sanitize(str(value), casing)
-    if result in ("true", "false", "null"):
-        raise SanitationError(f"enum value {value!r} sanitizes to reserved word {result!r}")
-    return result
+class SanitizedNames(dict):
+    """raw -> ``sanitize(raw, casing)`` for one run, each raw name sanitized
+    on its first lookup only. A name without a legal character raises
+    ``SanitationError`` on every lookup."""
+
+    def __init__(self, casing: str):
+        super().__init__()
+        self.casing = casing
+
+    def __missing__(self, raw: str) -> str:
+        self[raw] = name = sanitize(raw, self.casing)
+        return name
+
+    def enum_value(self, value: object) -> str:
+        """One enum value's name; booleans can never become legal enum values."""
+        if isinstance(value, bool):
+            raise SanitationError(f"enum value {value} is a boolean; true and false are "
+                                  f"forbidden as GraphQL enum values")
+        result = self[str(value)]
+        if result in ("true", "false", "null"):
+            raise SanitationError(f"enum value {value!r} sanitizes to reserved word {result!r}")
+        return result
 
 
 def first_free(base: str, taken, counters: dict[str, int] | None = None) -> str:
@@ -154,48 +166,78 @@ class StructuralClasses:
     """Exact structural classes: two schemas share a class iff ``deep_equal``
     holds between them.
 
-    Moore-style partition refinement (Paige & Tarjan, "Three Partition
-    Refinement Algorithms", 1987) over every node reachable from ``roots``:
-    each round re-interns (label, child classes) until the class count stops
-    growing. Classes are numbered by their first node, so the last round's
-    table is the signature table of the stable partition; nodes built later
-    (merged allOf schemas) are classed through it. A ``$ref`` that cannot be
-    resolved is a leaf with a label of its own; reporting it is left to the
-    walk that needs it.
+    One iterative post-order walk over every node reachable from ``roots``
+    hash-conses the finite ones (Filliâtre & Conchon, "Type-Safe Modular
+    Hash-Consing", 2006): a node whose children all have classes is interned
+    by (label, child classes) in the one signature table when it closes. A
+    node that reaches a reference cycle, which no finite node can equal, is
+    classed afterwards by Moore-style partition refinement (Paige & Tarjan,
+    "Three Partition Refinement Algorithms", 1987) over those nodes alone:
+    each round re-interns (label, child classes), the finite children's held
+    fixed, until the class count stops growing. Refined classes are numbered
+    past the finite ones, in order of their first node, so the last round's
+    signatures join the table; nodes built later (merged allOf schemas) are
+    classed through it. A ``$ref`` that cannot be resolved is a leaf with a
+    label of its own; reporting it is left to the walk that needs it.
     """
 
     def __init__(self, doc: OasDocument, roots: list[SchemaObject]):
         self._labels: dict[tuple, int] = {}
+        self._table: dict[tuple, int] = {}
+        table = self._table
         position: dict[int, int] = {}  # id of a node, or of a $ref to it -> index
         labels: list[int] = []
         children: list[list[SchemaObject]] = []
-        stack = list(roots)
+        classes: list[int] = []  # -1 while open, and for a node that reaches a cycle
+        cyclic: list[int] = []  # indices of nodes that reach a cycle, as they close
+        stack: list = list(roots)
         while stack:
             s = stack.pop()
+            if s.__class__ is int:  # the node at index s closes
+                kids = tuple([classes[position[id(c)]] for c in children[s]])
+                if -1 in kids:
+                    cyclic.append(s)
+                else:
+                    classes[s] = table.setdefault((labels[s], kids), len(table))
+                continue
             if id(s) in position:
                 continue
             try:
-                r = doc.deref(s)
+                r = s if s.ref is None else doc.deref(s)
             except (MissingRefError, InvalidOasError):
                 r, label, kids = s, ("$ref", s.ref), []
             else:
+                if id(r) in position:
+                    position[id(s)] = position[id(r)]
+                    continue
                 label, kids = _label(r), _children(r)
-            if id(r) not in position:
-                position[id(r)] = len(labels)
-                labels.append(self._label_id(label))
-                children.append(kids)
+            position[id(s)] = position[id(r)] = index = len(labels)
+            labels.append(self._label_id(label))
+            children.append(kids)
+            classes.append(-1)
+            if kids:
+                stack.append(index)
                 stack.extend(kids)
-            position[id(s)] = position[id(r)]
-        edges = [[position[id(c)] for c in kids] for kids in children]
+            else:  # a leaf closes at once
+                classes[index] = table.setdefault((labels[index], ()), len(table))
 
-        classes, table = [0] * len(labels), {}
-        while True:
-            count, table = len(table), {}
-            classes = [table.setdefault((label, tuple(map(classes.__getitem__, kids))), len(table))
-                       for label, kids in zip(labels, edges)]
-            if len(table) == count:
-                break
-        self._table = table
+        if cyclic:
+            base = len(table)
+            edges = [[position[id(c)] for c in children[index]] for index in cyclic]
+            for index in cyclic:
+                classes[index] = base
+            count = 1
+            while True:
+                refined: dict[tuple, int] = {}
+                new = [refined.setdefault((labels[index], tuple(map(classes.__getitem__, kids))),
+                                          base + len(refined))
+                       for index, kids in zip(cyclic, edges)]
+                for index, cls in zip(cyclic, new):
+                    classes[index] = cls
+                if len(refined) == count:
+                    break
+                count = len(refined)
+            table.update(refined)
         self._classes = {key: classes[index] for key, index in position.items()}
 
     def _label_id(self, label: tuple) -> int:
@@ -261,7 +303,7 @@ class PreprocessResult:
 
 
 def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,
-                    property_key: str | None, casing: str = CAMEL) -> list[str]:
+                    property_key: str | None, names: SanitizedNames) -> list[str]:
     """Sanitized naming candidates in priority order: ref name, then title,
     then method+path, then the parent property key; empty when none is legal."""
     candidates: list[str] = []
@@ -277,7 +319,7 @@ def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation
     sanitized: list[str] = []
     for raw in candidates:
         try:
-            sanitized.append(sanitize(raw, casing))
+            sanitized.append(names[raw])
         except SanitationError:
             continue
     return sanitized
@@ -289,7 +331,7 @@ class Preprocessor:
     def __init__(self, doc: OasDocument, report: Report, casing: str = CAMEL):
         self.doc = doc
         self.report = report
-        self.casing = casing
+        self.names = SanitizedNames(casing)
         self.dictionary = TypesDictionary()
         self._first: dict[tuple[str, int], str] = {}  # (direction, class) -> entry name
         self._decided: dict[tuple[int, str], TypeIR] = {}  # (id of node, direction) -> type
@@ -357,7 +399,7 @@ class Preprocessor:
             else:
                 param_type = self.add(param.schema, INPUT, property_key=param.name,
                                       top_level=False)
-            name = first_free(sanitize(param.name, self.casing), args)
+            name = first_free(self.names[param.name], args)
             args[name] = ArgIR(name, non_null(param_type) if param.required else param_type,
                                raw=param.name, location=param.location, default=param.default)
         if request is not None:
@@ -415,7 +457,7 @@ class Preprocessor:
                   op: OasOperation | None, property_key: str | None,
                   top_level: bool) -> TypeIR:
         if (op is not None and not top_level
-                and name_candidates(resolved, ref_name, None, property_key, self.casing)):
+                and name_candidates(resolved, ref_name, None, property_key, self.names)):
             op = None  # items are named from their operation only when nothing else names them
         if resolved.composed_with is not None:
             record_warning(
@@ -483,7 +525,7 @@ class Preprocessor:
         open_arrays, self._open_arrays = self._open_arrays, set()
         for key in sorted(resolved.properties):
             child = resolved.properties[key]
-            field_name = first_free(sanitize(key, self.casing), fields)
+            field_name = first_free(self.names[key], fields)
             field_type = self.add(child, direction, property_key=key)
             if key in resolved.required:
                 field_type = non_null(field_type)
@@ -500,7 +542,7 @@ class Preprocessor:
         values: dict[str, str] = {}  # sanitized -> raw
         seen: set[str] = set()  # a repeated raw value maps to one name
         for value in resolved.enum:
-            sanitized = sanitize_enum_value(value, self.casing)
+            sanitized = self.names.enum_value(value)
             if str(value) not in seen:
                 seen.add(str(value))
                 values[first_free(sanitized, values)] = str(value)
@@ -530,7 +572,7 @@ class Preprocessor:
                    op: OasOperation | None, property_key: str | None) -> str:
         # Type names share one global namespace; input variants carry an
         # Input suffix so an input/output pair never collides in the SDL.
-        candidates = name_candidates(resolved, ref_name, op, property_key, self.casing)
+        candidates = name_candidates(resolved, ref_name, op, property_key, self.names)
         if not candidates:
             raise SanitationError(
                 f"no legal GraphQL name can be derived for schema at {resolved.pointer!r}")

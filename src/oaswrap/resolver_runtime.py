@@ -208,7 +208,8 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan,
     ``credentials`` maps scheme names to the members a viewer supplied. API
     keys go to their declared header or query location, basic credentials
     become an Authorization header, and the token, if any, goes to OAuth,
-    OpenID and bearer schemes as a Bearer header.
+    OpenID and bearer schemes as a Bearer header. A credential header
+    replaces a header parameter whose name matches it case-insensitively.
     """
     if not plan.security:
         return spec
@@ -221,18 +222,18 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan,
                 continue
             if kind == "basicAuth":
                 pair = base64.b64encode(":".join(values).encode()).decode("ascii")
-                spec.headers["Authorization"] = f"Basic {pair}"
+                spec.headers = _overridden(spec.headers, {"Authorization": f"Basic {pair}"})
             elif scheme.location == "query":
                 spec.query.append((scheme.param_name, values[0]))
             else:
-                spec.headers[scheme.param_name] = values[0]
+                spec.headers = _overridden(spec.headers, {scheme.param_name: values[0]})
             return spec
         if scheme.type in ("oauth2", "openIdConnect") or (
             scheme.type == "http" and scheme.http_scheme == "bearer"
         ):
             if token is None:
                 continue
-            spec.headers["Authorization"] = f"Bearer {token}"
+            spec.headers = _overridden(spec.headers, {"Authorization": f"Bearer {token}"})
             return spec
     raise MissingCredentials(
         f"operation {plan.operation_key} requires one of "
@@ -456,6 +457,8 @@ def _overridden(headers: Mapping[str, str], own: Mapping[str, str]) -> dict[str,
     merged = {k: v for k, v in headers.items() if k.lower() not in given}
     merged.update(own)
     return merged
+
+
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _IDEMPOTENT = frozenset({"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"})
 # What a request on a kept-alive socket the server has since closed raises.

@@ -14,17 +14,18 @@ from conftest import CannedClient
 from oaswrap import preprocessing
 from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
-from oaswrap.generator import generate
+from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import scalar, to_raw
 from oaswrap.oas_ingest import load_document, normalize, parse_schema
 from oaswrap.preprocessing import (
+    CAMEL,
     INPUT,
     OUTPUT,
+    SanitizedNames,
     StructuralClasses,
     deep_equal,
     preprocess,
     sanitize,
-    sanitize_enum_value,
 )
 from oaswrap.report import Report
 
@@ -97,21 +98,21 @@ def test_sanitize_empty_result_raises():
 
 def test_sanitize_boolean_enum_value_raises():
     with pytest.raises(SanitationError):
-        sanitize_enum_value(True)
+        SanitizedNames(CAMEL).enum_value(True)
     with pytest.raises(SanitationError):
-        sanitize_enum_value(False)
+        SanitizedNames(CAMEL).enum_value(False)
 
 
 def test_sanitize_enum_value_reserved_words_raise():
     with pytest.raises(SanitationError):
-        sanitize_enum_value("true")
+        SanitizedNames(CAMEL).enum_value("true")
     with pytest.raises(SanitationError):
-        sanitize_enum_value("null")
+        SanitizedNames(CAMEL).enum_value("null")
 
 
 def test_sanitize_enum_value_plain():
-    assert sanitize_enum_value("asc") == "asc"
-    assert sanitize_enum_value("en-US") == "enUS"
+    assert SanitizedNames(CAMEL).enum_value("asc") == "asc"
+    assert SanitizedNames(CAMEL).enum_value("en-US") == "enUS"
 
 
 # -- field and enum names: one namespace per type -----------------------------------
@@ -327,12 +328,12 @@ def test_deep_equal_cyclic_schemas():
 
 SELF = "<self>"  # marks where a generated schema refers back to its own component
 
-_leaf_schemas = st.one_of(
+_finite_leaf_schemas = st.one_of(
     st.sampled_from(["string", "integer", "number", "boolean"]).map(lambda t: {"type": t}),
     st.lists(st.sampled_from(["red", "blue", "x-y", "7"]), min_size=1, max_size=4)
     .map(lambda values: {"type": "string", "enum": values}),
-    st.just(SELF),
 )
+_leaf_schemas = st.one_of(_finite_leaf_schemas, st.just(SELF))
 
 
 def _composite_schemas(children):
@@ -424,6 +425,64 @@ def test_structural_classes_equal_iff_deep_equal(tree, other, rnd):
             assert (classes.of(a) == classes.of(b)) == deep_equal(a, b, doc)
 
 
+def _assert_classes_exact(components):
+    """Class every component, then check each pair of reachable nodes, and of
+    merged allOf nodes classed after the pass, against deep_equal."""
+    doc = make_doc({}, components={"schemas": components})
+    roots = [doc.resolve_ref(f"#/components/schemas/{name}") for name in components]
+    classes = StructuralClasses(doc, roots)
+    nodes = _reachable(doc, roots)
+    merged = [doc.merge_all_of(node, Report(source="<test>")) for node in nodes if node.all_of]
+    for a in nodes + merged:
+        for b in nodes + merged:
+            assert (classes.of(a) == classes.of(b)) == deep_equal(a, b, doc)
+    return doc, classes
+
+
+_acyclic_trees = _composite_schemas(st.recursive(_finite_leaf_schemas, _composite_schemas,
+                                                  max_leaves=8))
+
+
+@given(tree=_acyclic_trees, other=_acyclic_trees, rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_structural_classes_equal_iff_deep_equal_without_cycles(tree, other, rnd):
+    # No component reaches a reference cycle: A and B are variants of one
+    # tree, and D and E hold A's tree by $ref and inline beside a shared C.
+    components = {
+        "A": tree,
+        "B": _vary(tree, rnd),
+        "C": other,
+        "D": {"type": "object", "properties": {"x": _ref("A"), "y": _ref("C")}},
+        "E": {"type": "object", "properties": {"x": _vary(tree, rnd), "y": _ref("C")}},
+    }
+    doc, classes = _assert_classes_exact(components)
+    a, b, d, e = (doc.resolve_ref(f"#/components/schemas/{name}") for name in "ABDE")
+    assert classes.of(a) == classes.of(b) and classes.of(d) == classes.of(e)
+
+
+@given(tree=_schema_trees, shared=_acyclic_trees, rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_structural_classes_equal_iff_deep_equal_on_mixed_documents(tree, shared, rnd):
+    # A and B each reach a cycle; F and G never do. All four hold the shared
+    # acyclic subtree S, by $ref or inline, so one finite class sits below
+    # both kinds of node.
+    components = {
+        "S": shared,
+        "A": {"type": "object", "properties": {
+            "s": _ref("S"), "me": _ref("A"), "t": _fill(tree, _ref("A"))}},
+        "B": {"type": "object", "properties": {
+            "s": _vary(shared, rnd), "me": _ref("B"), "t": _vary(_fill(tree, _ref("B")), rnd)}},
+        "F": {"type": "object", "properties": {"s": _ref("S"), "l": {"type": "array",
+                                                                      "items": _ref("S")}}},
+        "G": {"type": "object", "properties": {"s": _vary(shared, rnd), "l": {
+            "type": "array", "items": _vary(shared, rnd)}}},
+    }
+    doc, classes = _assert_classes_exact(components)
+    a, b, f, g = (doc.resolve_ref(f"#/components/schemas/{name}") for name in "ABFG")
+    assert classes.of(a) == classes.of(b) and classes.of(f) == classes.of(g)
+    assert classes.of(a) != classes.of(f)
+
+
 def test_structural_classes_tell_apart_schemas_differing_below_the_top():
     doc = make_doc({}, components={"schemas": {
         name: {"type": "object", "properties": {"detail": {"type": "object", "properties": {
@@ -493,6 +552,53 @@ def test_dedup_of_schemas_differing_deep_down_is_near_linear():
     elapsed = time.perf_counter() - started
     assert len(pre.dictionary.entries) == n * 7
     assert elapsed < 10, f"{elapsed:.1f} s"
+
+
+def test_schemas_sharing_their_top_level_keys_get_one_type_per_structure():
+    # Twelve schemas with the same ten top-level keys differ only in the enum
+    # of their last property; the last three repeat the structures of S0, S4
+    # and S8 under names and titles of their own.
+    structure = [*range(9), 0, 4, 8]
+    keys = ["a_id", "b-name", "c_at", "d.rate", "e_on", "f_note", "g_count", "h_tag"]
+    kinds = ["integer", "string", "string", "number", "boolean", "string", "integer", "string"]
+    components, paths = {}, {}
+    for i, cls in enumerate(structure):
+        props = {key: {"type": kind} for key, kind in zip(keys, kinds)}
+        props["state"] = {"type": "string", "enum": ["on_state", "off_state"]}
+        props["detail"] = {"type": "object", "properties": {
+            "kind": {"type": "string", "enum": [f"k{cls}_a", f"k{cls}_b"]},
+            "level": {"type": "integer"}, "label": {"type": "string"}}}
+        components[f"S{i}"] = {"type": "object", "title": f"S{i} record", "required": ["a_id"],
+                               "properties": props}
+        paths[f"/s{i}"] = get_op(_ref(f"S{i}"))
+    root = {"openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://x.example.com"}], "paths": paths,
+            "components": {"schemas": components}}
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok and wrapper.report.warnings == []
+    # Nine records, nine details, nine kind enums and the one state enum.
+    assert len(wrapper.pre.dictionary.types) == 9 * 3 + 1
+    responses = {op.path: wrapper.pre.bindings[op.key].response.name
+                 for op in wrapper.document.operations}
+    assert responses == {f"/s{i}": f"S{structure.index(cls)}" for i, cls in enumerate(structure)}
+
+
+def test_the_name_memo_lasts_one_run():
+    # One process generates one document in each casing mode in turn; each
+    # run sanitizes with its own mode.
+    schema = {"type": "object", "properties": {
+        "user_name": {"type": "string"},
+        "sort_order": {"type": "string", "enum": ["most_recent", "least_recent"]}}}
+    root = json.dumps({"openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+                       "servers": [{"url": "https://x.example.com"}],
+                       "paths": {"/user_info": get_op(schema)}}).encode()
+    sdl = [generate(root, GenerationOptions(casing=casing)).sdl
+           for casing in ("camel", "preserve", "camel", "preserve")]
+    assert sdl[0] == sdl[2] and sdl[1] == sdl[3] and sdl[0] != sdl[1]
+    assert all(name in sdl[0] for name in ("userName", "mostRecent", "getUserInfo"))
+    assert not any(name in sdl[0] for name in ("user_name", "most_recent"))
+    assert all(name in sdl[1] for name in ("user_name", "most_recent", "getuser_info"))
+    assert not any(name in sdl[1] for name in ("userName", "mostRecent"))
 
 
 def test_dangling_ref_in_unselected_response_still_generates():

@@ -255,6 +255,31 @@ def test_a_request_header_replaces_a_static_header_and_a_static_header_a_default
     assert sent.header_values(name) == expected
 
 
+def test_a_credential_replaces_a_header_parameter_of_the_same_name_in_any_case(upstream):
+    upstream.static("GET", "/p", {"v": "p"})
+    root = {
+        "openapi": "3.0.0",
+        "info": {"title": "Headers", "version": "1"},
+        "servers": [{"url": upstream.base_url}],
+        "paths": {"/p": {"get": {
+            "security": [{"b": []}],
+            "parameters": [{"name": "authorization", "in": "header",
+                            "schema": {"type": "string"}}],
+            "responses": {"200": {"description": "ok", "content": {"application/json": {
+                "schema": {"type": "object", "properties": {"v": {"type": "string"}}}}}}},
+        }}},
+        "components": {"securitySchemes": {"b": {"type": "http", "scheme": "basic"}}},
+    }
+    wrapper = generate(json.dumps(root).encode())
+    assert wrapper.ok
+    status, payload = GraphQLService(wrapper, HttpClient()).handle_graphql(
+        {"query": '{ viewerB(username: "u", password: "p") { getP(authorization: "Arg") { v } } }'})
+    assert status == 200 and "errors" not in payload, payload
+    [sent] = upstream.requests
+    assert [(k, v) for k, v in sent.header_lines if k.lower() == "authorization"] == [
+        ("Authorization", "Basic dTpw")]
+
+
 def test_variables_flow_through_service(service_url):
     url, _, _ = service_url
     response = post_graphql(url, {
