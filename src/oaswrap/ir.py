@@ -23,7 +23,7 @@ REFERENCE = "Reference"
 SCALAR_TYPE_NAMES = ("Int", "Float", "String", "Boolean", "ID")
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeIR:
     kind: str
     name: str | None = None
@@ -51,8 +51,12 @@ def credential_kind(scheme: SecurityScheme) -> str | None:
     return "apiKey" if scheme.type == "apiKey" else None
 
 
+_SCALARS = {name: TypeIR(SCALAR, name=name) for name in SCALAR_TYPE_NAMES}
+
+
 def scalar(name: str) -> TypeIR:
-    return TypeIR(SCALAR, name=name)
+    """The one shared type of a built-in scalar; a type is never changed once built."""
+    return _SCALARS[name]
 
 
 def reference(name: str) -> TypeIR:
@@ -108,7 +112,7 @@ def to_raw(types: dict[str, TypeIR], type_name: str | None, value):
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class ArgIR:
     """A field argument. An operation argument also records where its value
     goes upstream; a required one already has a non-null type."""
@@ -155,7 +159,7 @@ class FieldBinding:
     credential_args: dict[str, str] = field(default_factory=dict)  # anyAuth: arg -> scheme
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldIR:
     name: str
     type: TypeIR

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import repeat
 from typing import Any
 
 from .errors import InvalidOasError, MissingRefError, ParseError, UpconvertError
@@ -106,7 +107,7 @@ def _wrong_type(pointer: str, expected: tuple[type, ...], value: Any) -> None:
     raise InvalidOasError(f"{pointer} must be {_SHAPE_NAMES[expected]}, not {got}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SchemaObject:
     """JSON-Schema-like payload shape. ``ref`` nodes stay unresolved until
     dereferenced through the owning document (cycle-safe, memoized)."""
@@ -699,38 +700,67 @@ def is_json_media(content_type: str | None) -> bool:
 # -- schema object parsing ------------------------------------------------------
 
 
-_SCHEMA_MEMBERS = {"properties", "items", "allOf", "type", "required", "enum", "title",
-                   "description"}
+# The members a schema object reads, each with its own JSON type and that of
+# its elements (None for a single value, or elements of any type), from SHAPES.
+_SCHEMA_MEMBERS = {name: (SHAPES[name][0][0], SHAPES[name][1] and SHAPES[name][1][0])
+                   for name in ("type", "properties", "items", "required", "enum", "title",
+                                "description", "allOf")}
+
+
+def _own_elements(value: dict | list, element: type) -> bool:
+    """Every element of the collection has its own type and, in a mapping,
+    every key is a string."""
+    if isinstance(value, dict):
+        return (all(map(isinstance, value, repeat(str)))
+                and all(map(isinstance, value.values(), repeat(element))))
+    return all(map(isinstance, value, repeat(element)))
 
 
 def parse_schema(node: dict, pointer: str) -> SchemaObject:
-    """Parse one schema mapping; $ref children stay unresolved. Only the
-    members present on the node are read."""
-    if node.get("$ref") is not None:
-        return SchemaObject(ref=member(node, "$ref", pointer), pointer=pointer)
-    schema = SchemaObject(
-        composed_with=next((key for key in ("oneOf", "anyOf", "not") if key in node), None),
-        default=node.get("default"), pointer=pointer,
-    )
+    """Parse one schema mapping; $ref children stay unresolved. Each present
+    member is read once: a value of the member's own JSON type is taken as it
+    is, and only another goes through ``member()``, which reads the other
+    spellings and rejects a wrong type."""
+    ref = node.get("$ref")
+    if ref is not None:
+        return SchemaObject(ref=ref if isinstance(ref, str) else member(node, "$ref", pointer),
+                            pointer=pointer)
+    stype = items = enum = title = description = all_of = None
+    properties: dict[str, SchemaObject] = {}
+    required: list[str] = []
     for name, value in node.items():
-        if value is None or name not in _SCHEMA_MEMBERS:
+        shape = _SCHEMA_MEMBERS.get(name)
+        if shape is None or value is None:
             continue
-        value = member(node, name, pointer)
-        if value is None:
-            continue
-        if name == "properties":
-            schema.properties = {
-                key: parse_schema(child, f"{pointer}/properties/{escape_pointer_token(key)}")
-                for key, child in value.items() if child is not None
-            }
+        own, element = shape
+        if not isinstance(value, own) or element and not _own_elements(value, element):
+            value = member(node, name, pointer)
+            if value is None:
+                continue
+        if name == "type":
+            stype = value
+        elif name == "properties":
+            prefix = f"{pointer}/properties/"
+            properties = {key: parse_schema(child, prefix + escape_pointer_token(key))
+                          for key, child in value.items() if child is not None}
         elif name == "items":
-            schema.items = parse_schema(value, f"{pointer}/items")
-        elif name == "allOf":
-            schema.all_of = [parse_schema(child, f"{pointer}/allOf/{i}")
-                             for i, child in enumerate(value) if child is not None]
+            items = parse_schema(value, f"{pointer}/items")
+        elif name == "required":
+            required = value
+        elif name == "enum":
+            enum = value
+        elif name == "title":
+            title = value
+        elif name == "description":
+            description = value
         else:
-            setattr(schema, name, value)
-    return schema
+            all_of = [parse_schema(child, f"{pointer}/allOf/{i}")
+                      for i, child in enumerate(value) if child is not None]
+    composed_with = ("oneOf" if "oneOf" in node else "anyOf" if "anyOf" in node
+                     else "not" if "not" in node else None)
+    # Positional, in field order: keyword arguments cost twice as much here.
+    return SchemaObject(stype, properties, items, required, enum, title, description, None,
+                        all_of, composed_with, node.get("default"), pointer)
 
 
 # -- allOf merging ----------------------------------------------------------------
@@ -773,7 +803,6 @@ def _merge_all_of(doc: OasDocument, schema: SchemaObject, report: Report) -> Sch
         )
 
     properties: dict[str, SchemaObject] = {}
-    required: list[str] = []
     for member in members:
         for key, child in member.properties.items():
             if key in properties:
@@ -789,12 +818,10 @@ def _merge_all_of(doc: OasDocument, schema: SchemaObject, report: Report) -> Sch
                     properties[key] = SchemaObject(type="string", pointer=child.pointer)
                     continue
             properties[key] = child
-        for name in member.required:
-            if name not in required:
-                required.append(name)
 
     return SchemaObject(
-        type="object", properties=properties, required=sorted(required),
+        type="object", properties=properties,
+        required=sorted({name for member in members for name in member.required}),
         title=schema.title or next((m.title for m in members if m.title), None),
         description=_join_descriptions(schema, members),
         pointer=schema.pointer,

@@ -38,7 +38,8 @@ from .report import (
 INPUT = "input"
 OUTPUT = "output"
 
-SCALAR_NAMES = {"string": "String", "number": "Float", "integer": "Int", "boolean": "Boolean"}
+SCALAR_TYPES = {"string": scalar("String"), "number": scalar("Float"), "integer": scalar("Int"),
+                "boolean": scalar("Boolean")}
 
 CAMEL = "camel"
 PRESERVE = "preserve"
@@ -187,7 +188,8 @@ class StructuralClasses:
         table = self._table
         position: dict[int, int] = {}  # id of a node, or of a $ref to it -> index
         labels: list[int] = []
-        children: list[list[SchemaObject]] = []
+        children: list = []  # each node's children, a list or an empty tuple
+        leaf_labels: dict[str | None, int] = {}  # a leaf's type -> its label id
         classes: list[int] = []  # -1 while open, and for a node that reaches a cycle
         cyclic: list[int] = []  # indices of nodes that reach a cycle, as they close
         stack: list = list(roots)
@@ -205,14 +207,20 @@ class StructuralClasses:
             try:
                 r = s if s.ref is None else doc.deref(s)
             except (MissingRefError, InvalidOasError):
-                r, label, kids = s, ("$ref", s.ref), []
+                r, label, kids = s, self._label_id(("$ref", s.ref)), ()
             else:
                 if id(r) in position:
                     position[id(s)] = position[id(r)]
                     continue
-                label, kids = _label(r), _children(r)
+                if (r.properties or r.required or r.enum is not None or r.items is not None
+                        or r.all_of is not None):
+                    label, kids = self._label_id(_label(r)), _children(r)
+                else:  # a leaf, labelled by its type alone
+                    label, kids = leaf_labels.get(r.type), ()
+                    if label is None:
+                        label = leaf_labels[r.type] = self._label_id(_label(r))
             position[id(s)] = position[id(r)] = index = len(labels)
-            labels.append(self._label_id(label))
+            labels.append(label)
             children.append(kids)
             classes.append(-1)
             if kids:
@@ -250,6 +258,15 @@ class StructuralClasses:
             signature = (self._label_id(_label(schema)), tuple(map(self.of, _children(schema))))
             cls = self._classes[id(schema)] = self._table.setdefault(signature, len(self._table))
         return cls
+
+
+def plain_scalar(s: SchemaObject) -> TypeIR | None:
+    """The type of a node with no $ref, enum, allOf or composition and a
+    scalar type, which ``Preprocessor.add`` would give it with no warning and
+    no entry; None for any other node."""
+    if s.ref is None and s.enum is None and s.all_of is None and s.composed_with is None:
+        return SCALAR_TYPES.get(s.type)
+    return None
 
 
 # -- types dictionary --------------------------------------------------------------
@@ -498,10 +515,10 @@ class Preprocessor:
         if stype == "string" and resolved.enum:
             return self._enum_entry(resolved, direction, ref_name, op, property_key)
 
-        if stype in SCALAR_NAMES:
+        if stype in SCALAR_TYPES:
             if top_level:
                 self._ensure_entry(resolved, direction, ref_name, op, property_key)
-            return scalar(SCALAR_NAMES[stype])
+            return SCALAR_TYPES[stype]
 
         if stype is None:
             record_warning(self.report, INVALID_SCHEMA_TYPE, resolved.pointer,
@@ -523,14 +540,18 @@ class Preprocessor:
             OBJECT if direction == OUTPUT else INPUT_OBJECT, name=name, fields=fields,
             description=resolved.description)
         open_arrays, self._open_arrays = self._open_arrays, set()
+        required = set(resolved.required)
         for key in sorted(resolved.properties):
             child = resolved.properties[key]
             field_name = first_free(self.names[key], fields)
-            field_type = self.add(child, direction, property_key=key)
-            if key in resolved.required:
+            field_type = plain_scalar(child)
+            if field_type is None:
+                field_type = self.add(child, direction, property_key=key)
+                child = self.doc.deref(child)
+            if key in required:
                 field_type = non_null(field_type)
             fields[field_name] = FieldIR(field_name, field_type, raw=key,
-                                         description=self.doc.deref(child).description)
+                                         description=child.description)
         self._open_arrays = open_arrays
         return type_ir
 

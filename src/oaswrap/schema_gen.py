@@ -76,7 +76,6 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
                            f"{unsupported[0]!r}; link skipped")
             continue
 
-        field_name = first_free(lower_first(sanitize(name, casing)), object_type.fields)
         target_args = bindings[target.key].args
         link_params = {arg_name: expr for key, expr in exprs.items()
                        if (arg_name := _link_argument(target_args, key)) is not None}
@@ -87,13 +86,18 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
         parent_params = {p.name for p in op.parameters if p.required or p.default is not None}
         args = {arg_name: _relaxed(arg) if arg.raw in parent_params else arg
                 for arg_name, arg in target_args.items() if arg_name not in link_params}
+        binding = FieldBinding("operation", plan_key=target.key, link_params=link_params)
 
+        # The same link declared for another operation of this type is the
+        # field already there; an argument stays required if either needs it.
+        same = next((f for f in object_type.fields.values() if f.binding == binding), None)
+        if same is not None:
+            same.args.update((n, arg) for n, arg in args.items() if arg.type.kind == NON_NULL)
+            continue
+        field_name = first_free(lower_first(sanitize(name, casing)), object_type.fields)
         object_type.fields[field_name] = FieldIR(
-            name=field_name,
-            type=bindings[target.key].response,
-            args=args,
-            description=link.description,
-            binding=FieldBinding("operation", plan_key=target.key, link_params=link_params),
+            name=field_name, type=bindings[target.key].response, args=args,
+            description=link.description, binding=binding,
         )
         attached += 1
     return attached

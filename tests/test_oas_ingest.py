@@ -4,6 +4,7 @@ resolution, and allOf merging."""
 import copy
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -11,13 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
+from oaswrap import oas_ingest
 from oaswrap.errors import InvalidOasError, MissingRefError, ParseError, UpconvertError
 from oaswrap.oas_ingest import (
     OasDocument,
+    SchemaObject,
     convert_v2_dict,
     detect_version,
+    escape_pointer_token,
     ingest,
     load_document,
+    member,
     normalize,
     parse_schema,
     template_params,
@@ -560,12 +565,39 @@ _replace(_NAMED_V3, _OP + ("responses", "200", "links"), {"Self": {"operationId"
      "#/paths/~1pets~1{id}/get/parameters/id/description"),
     (_MINIMAL_V3, _OP + ("responses", "200", "description"), [],
      "#/paths/~1pets~1{id}/get/responses/200/description"),
+    # every schema member parse_schema reads, with a value of no type it takes
+    (_MINIMAL_V3, _SCHEMA + ("type",), 5, "/schema/type must be a string or a list, not a number"),
+    (_MINIMAL_V3, _SCHEMA + ("items",), 3, "/schema/items must be a schema, not a number"),
+    (_MINIMAL_V3, _SCHEMA + ("allOf",), {}, "/schema/allOf must be a list, not a mapping"),
+    (_MINIMAL_V3, _SCHEMA + ("enum",), "x", "/schema/enum must be a list, not a string"),
+    (_MINIMAL_V3, _SCHEMA + ("description",), {},
+     "/schema/description must be a scalar, not a mapping"),
+    (_MINIMAL_V3, _SCHEMA + ("properties",), [],
+     "/schema/properties must be a mapping, not a list"),
+    (_MINIMAL_V3, _SCHEMA + ("required",), "x", "/schema/required must be a list, not a string"),
 ])
 @pytest.mark.parametrize("strict", [False, True])
 def test_wrong_member_type_is_invalid_oas_with_pointer(doc, path, value, pointer, strict):
     report = generate(_with(doc, path, value), GenerationOptions(strict=strict)).report
     assert report.error_kind == "InvalidOas"
     assert pointer in report.error_message
+
+
+@pytest.mark.parametrize("node, attribute, read", [
+    ({"type": ["string", "null"]}, "type", None),  # OAS 3.1's list reads as no type
+    ({"title": 7}, "title", None),  # a title that is not a string names no type
+    ({"description": 5}, "description", "5"),  # other scalars read as their text
+    ({"properties": {"a": True, "b": {"type": "string"}}}, "properties", ["b"]),
+    ({"items": True}, "items", None),  # a boolean schema reads as absent
+    ({"allOf": [False, {"type": "string"}]}, "all_of", ["#/s/allOf/1"]),
+])
+def test_schema_member_spelled_another_way(node, attribute, read):
+    value = getattr(parse_schema(node, "#/s"), attribute)
+    if attribute == "properties":
+        value = list(value)
+    elif attribute == "all_of":
+        value = [part.pointer for part in value]
+    assert value == read
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -696,9 +728,56 @@ def mutant(fixture: dict, mutations: list) -> bytes:
 @given(fixture=st.sampled_from(_parseable_json_fixtures()), mutations=MUTATIONS)
 def test_mutated_fixtures_end_in_the_error_taxonomy(fixture, mutations):
     # Generates each mutant in both modes: every outcome must be in the
-    # closed error taxonomy.
+    # closed error taxonomy. The non-strict outcome must also be the one the
+    # member()-only reference parser gives.
     data = mutant(fixture, mutations)
-    for strict in (False, True):
-        report = generate(data, GenerationOptions(strict=strict)).report
+    wrappers = {strict: generate(data, GenerationOptions(strict=strict)) for strict in (False, True)}
+    for wrapper in wrappers.values():
+        report = wrapper.report
         assert report.error_kind is None or report.error_kind in ERROR_KINDS
         assert report.error_kind != "InternalError", report.error_message
+    with mock.patch.object(oas_ingest, "parse_schema", reference_parse_schema):
+        reference = generate(data)
+    assert _outcome(wrappers[False]) == _outcome(reference)
+
+
+_REFERENCE_MEMBERS = {"properties", "items", "allOf", "type", "required", "enum", "title",
+                      "description"}
+
+
+def reference_parse_schema(node: dict, pointer: str) -> SchemaObject:
+    """``parse_schema`` as it reads a schema by definition: each present
+    member through ``member()``, in the node's order."""
+    if node.get("$ref") is not None:
+        return SchemaObject(ref=member(node, "$ref", pointer), pointer=pointer)
+    schema = SchemaObject(
+        composed_with=next((key for key in ("oneOf", "anyOf", "not") if key in node), None),
+        default=node.get("default"), pointer=pointer,
+    )
+    for name, value in node.items():
+        if value is None or name not in _REFERENCE_MEMBERS:
+            continue
+        value = member(node, name, pointer)
+        if value is None:
+            continue
+        if name == "properties":
+            schema.properties = {
+                key: reference_parse_schema(
+                    child, f"{pointer}/properties/{escape_pointer_token(key)}")
+                for key, child in value.items() if child is not None
+            }
+        elif name == "items":
+            schema.items = reference_parse_schema(value, f"{pointer}/items")
+        elif name == "allOf":
+            schema.all_of = [reference_parse_schema(child, f"{pointer}/allOf/{i}")
+                             for i, child in enumerate(value) if child is not None]
+        else:
+            setattr(schema, name, value)
+    return schema
+
+
+def _outcome(wrapper) -> tuple:
+    """A generation's error, SDL and warnings, and every schema tree it parsed."""
+    report, doc = wrapper.report, wrapper.document
+    trees = None if doc is None else (doc.operations, doc._ref_cache)
+    return report.error_kind, report.error_message, wrapper.sdl, report.warnings, trees

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CannedClient
+from conftest import CORPUS_DIR, CannedClient
 from oaswrap import preprocessing
 from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
@@ -554,15 +554,38 @@ def test_dedup_of_schemas_differing_deep_down_is_near_linear():
     assert elapsed < 10, f"{elapsed:.1f} s"
 
 
-def test_schemas_sharing_their_top_level_keys_get_one_type_per_structure():
-    # Twelve schemas with the same ten top-level keys differ only in the enum
-    # of their last property; the last three repeat the structures of S0, S4
-    # and S8 under names and titles of their own.
-    structure = [*range(9), 0, 4, 8]
+def test_requiring_every_property_costs_about_what_requiring_none_does():
+    # An object merged from two allOf members of 4,000 properties each: each
+    # required name is found by a set lookup, in the merge and in the walk.
+    n = 8000
+
+    def seconds(required: bool) -> float:
+        halves = [[f"p{i}" for i in range(start, n, 2)] for start in (0, 1)]
+        members = [{"type": "object", "properties": {key: {"type": "string"} for key in keys},
+                    **({"required": keys} if required else {})} for keys in halves]
+        data = json.dumps({"openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+                           "paths": {"/x": get_op({"allOf": members})}}).encode()
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            assert generate(data).ok
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    assert seconds(True) < 3 * seconds(False)
+
+
+# Twelve schemas with the same ten top-level keys differ only in the enum of
+# their last property; the last three repeat the structures of S0, S4 and S8
+# under names and titles of their own. The gen-dedup benchmark's shape.
+_SHARED_KEYS_STRUCTURE = [*range(9), 0, 4, 8]
+
+
+def _shared_keys_document() -> bytes:
     keys = ["a_id", "b-name", "c_at", "d.rate", "e_on", "f_note", "g_count", "h_tag"]
     kinds = ["integer", "string", "string", "number", "boolean", "string", "integer", "string"]
     components, paths = {}, {}
-    for i, cls in enumerate(structure):
+    for i, cls in enumerate(_SHARED_KEYS_STRUCTURE):
         props = {key: {"type": kind} for key, kind in zip(keys, kinds)}
         props["state"] = {"type": "string", "enum": ["on_state", "off_state"]}
         props["detail"] = {"type": "object", "properties": {
@@ -574,13 +597,39 @@ def test_schemas_sharing_their_top_level_keys_get_one_type_per_structure():
     root = {"openapi": "3.0.3", "info": {"title": "T", "version": "1"},
             "servers": [{"url": "https://x.example.com"}], "paths": paths,
             "components": {"schemas": components}}
-    wrapper = generate(json.dumps(root).encode())
+    return json.dumps(root).encode()
+
+
+def test_schemas_sharing_their_top_level_keys_get_one_type_per_structure():
+    wrapper = generate(_shared_keys_document())
     assert wrapper.ok and wrapper.report.warnings == []
     # Nine records, nine details, nine kind enums and the one state enum.
     assert len(wrapper.pre.dictionary.types) == 9 * 3 + 1
     responses = {op.path: wrapper.pre.bindings[op.key].response.name
                  for op in wrapper.document.operations}
+    structure = _SHARED_KEYS_STRUCTURE
     assert responses == {f"/s{i}": f"S{structure.index(cls)}" for i, cls in enumerate(structure)}
+
+
+@pytest.mark.parametrize("source", [*sorted(CORPUS_DIR.iterdir()), "shared-keys"],
+                         ids=lambda source: getattr(source, "name", source))
+def test_plain_scalar_properties_type_as_add_types_them(source, monkeypatch):
+    # Typing a plain scalar property directly gives the SDL and the warnings
+    # that sending it through Preprocessor.add gives.
+    data = _shared_keys_document() if source == "shared-keys" else source.read_bytes()
+    direct = generate(data)
+    monkeypatch.setattr(preprocessing, "plain_scalar", lambda schema: None)
+    through_add = generate(data)
+    assert direct.sdl == through_add.sdl
+    assert direct.report.warnings == through_add.report.warnings
+    assert direct.report.error_message == through_add.report.error_message
+
+
+def test_plain_scalar_is_the_shared_scalar_type():
+    assert preprocessing.plain_scalar(parse_schema({"type": "integer"}, "#/s")) is scalar("Int")
+    for node in ({"type": "string", "enum": ["a"]}, {"$ref": "#/s"}, {"type": "object"},
+                 {"type": "string", "allOf": []}, {"type": "string", "oneOf": []}, {}):
+        assert preprocessing.plain_scalar(parse_schema(node, "#/s")) is None
 
 
 def test_the_name_memo_lasts_one_run():

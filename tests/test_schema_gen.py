@@ -465,6 +465,57 @@ def test_link_name_collision_with_data_field_is_suffixed():
     assert type_str(user.fields["employerCompany2"].type) == "Company"
 
 
+def _clean_links_with_user_list(link: dict) -> dict:
+    """clean_links.json plus ``GET /users -> [User]`` declaring ``link`` as
+    EmployerCompany, and a second company operation a link may target."""
+    doc = json.loads((CORPUS_DIR / "clean_links.json").read_text(encoding="utf-8"))
+    company = doc["paths"]["/company/{companyName}"]["get"]
+    doc["paths"]["/users"] = get_path(
+        {"type": "array", "items": {"$ref": "#/components/schemas/User"}},
+        links={"EmployerCompany": link}, operation_id="listUsers")
+    doc["paths"]["/firm/{companyName}"] = {"get": {**company, "operationId": "getFirm"}}
+    return doc
+
+
+@pytest.mark.parametrize("link, fields", [
+    # the link clean_links.json declares on GET /user/{id}: one field
+    ({"operationId": "getCompanyById",
+      "parameters": {"companyName": "$response.body#/employerId"}}, ["employerCompany"]),
+    # the same target by reference is the same link
+    ({"operationRef": "#/paths/~1company~1{companyName}/get",
+      "parameters": {"companyName": "$response.body#/employerId"}}, ["employerCompany"]),
+    # another parameter expression or another target is another field
+    ({"operationId": "getCompanyById", "parameters": {"companyName": "$response.body#/name"}},
+     ["employerCompany", "employerCompany2"]),
+    ({"operationId": "getFirm", "parameters": {"companyName": "$response.body#/employerId"}},
+     ["employerCompany", "employerCompany2"]),
+])
+def test_one_link_on_one_type_is_one_field(link, fields):
+    wrapper = generate(json.dumps(_clean_links_with_user_list(link)).encode())
+    assert wrapper.ok and wrapper.report.warnings == []
+    user = wrapper.schema.types["User"]
+    assert [name for name, f in user.fields.items() if f.binding is not None] == fields
+    assert wrapper.report.stats.links_attached == len(fields)
+    assert wrapper.sdl.count("employerCompany") == len(fields)
+
+
+@pytest.mark.parametrize("first", ["/user/{id}", "/users"])
+def test_a_link_declared_twice_keeps_an_argument_either_operation_needs(first):
+    # GET /user/{id} always sends `region`, so its link relaxes the target's
+    # required `region`; GET /users sends none, so the one field requires it.
+    doc = _clean_links_with_user_list(json.loads(
+        (CORPUS_DIR / "clean_links.json").read_text(encoding="utf-8"))
+        ["paths"]["/user/{id}"]["get"]["responses"]["200"]["links"]["EmployerCompany"])
+    region = {"name": "region", "in": "query", "required": True, "schema": {"type": "string"}}
+    doc["paths"]["/user/{id}"]["get"]["parameters"].append(region)
+    doc["paths"]["/company/{companyName}"]["get"]["parameters"].append(region)
+    doc["paths"] = dict(sorted(doc["paths"].items(), key=lambda item: item[0] != first))
+    wrapper = generate(json.dumps(doc).encode())
+    link_field = wrapper.schema.types["User"].fields["employerCompany"]
+    assert "employerCompany2" not in wrapper.schema.types["User"].fields
+    assert type_str(link_field.args["region"].type) == "String!"
+
+
 # -- viewers ---------------------------------------------------------------------
 
 
