@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidOasError, OaswrapError
-from .ir import ResolvePlan, SchemaIR
+from .ir import ArgIR, ResolvePlan, SchemaIR
 from .oas_ingest import OasDocument, OasOperation, ingest, load_document, validate
-from .preprocessing import CAMEL, OperationBinding, PreprocessResult, preprocess
+from .preprocessing import CAMEL, PreprocessResult, preprocess
 from .report import NON_STRICT, Report
 from .schema_gen import assemble_schema, print_sdl
 
@@ -77,20 +77,16 @@ def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
     pre = preprocess(doc, report, options.casing)
     wrapper.pre = pre
 
-    plans: dict[str, ResolvePlan] = {}
-    for op in doc.operations:
-        binding = pre.bindings.get(op.key)
-        if binding is not None:
-            plans[op.key] = make_resolve_plan(op, doc, binding)
-    wrapper.plans = plans
+    wrapper.plans = {op.key: make_resolve_plan(op, doc, pre.fields[op.key].args)
+                     for op in doc.operations if op.key in pre.fields}
 
-    schema = assemble_schema(doc, pre, report, options.casing)
+    schema = assemble_schema(doc, pre, report)
     wrapper.schema = schema
     wrapper.sdl = print_sdl(schema)
 
 
 def make_resolve_plan(op: OasOperation, doc: OasDocument,
-                      binding: OperationBinding) -> ResolvePlan:
+                      args: dict[str, ArgIR]) -> ResolvePlan:
     """Bind base URL, path, method, arguments, security, and the payload's
     content type for one operation."""
     return ResolvePlan(
@@ -98,9 +94,8 @@ def make_resolve_plan(op: OasOperation, doc: OasDocument,
         method=op.method.upper(),
         path=op.path,
         base_url=doc.servers[0] if doc.servers else "",
-        args=binding.args,
+        args=args,
         content_type=(op.request_body.content_type or "application/json"
                       if op.request_body is not None else None),
-        security=[doc.security_schemes[name] for name in op.security
-                  if name in doc.security_schemes],
+        security=[doc.security_schemes[name] for name in op.security],
     )

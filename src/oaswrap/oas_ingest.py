@@ -324,7 +324,8 @@ def upconvert(root: dict, report: Report | None = None) -> OasDocument:
 
 
 def convert_v2_dict(root: dict) -> dict:
-    """Structural 2.0 -> 3.0 mapping for the supported v2 feature subset."""
+    """Structural 2.0 -> 3.0 mapping for the supported v2 feature subset, in
+    new containers: root is left as it was."""
     out: dict = {"openapi": "3.0.0", "info": root.get("info", {})}
 
     schemes = member(root, "schemes", "#")
@@ -370,8 +371,7 @@ def convert_v2_dict(root: dict) -> dict:
     if "security" in root:
         out["security"] = root["security"]
 
-    _rewrite_refs(out)
-    return out
+    return _rewrite_refs(out, {})
 
 
 def _resolve_v2_params(root: dict, node: dict, pointer: str) -> list[dict]:
@@ -476,17 +476,24 @@ def _convert_v2_security(name: str, node: dict) -> dict:
     raise UpconvertError(f"security definition {name!r} has unsupported type {kind!r}")
 
 
-def _rewrite_refs(node: Any) -> None:
-    """Rewrite '#/definitions/...' pointers to their components location."""
-    if isinstance(node, dict):
-        ref = node.get("$ref")
+def _rewrite_refs(node: dict | list, copies: dict[int, Any]) -> dict | list:
+    """node in new containers, with '#/definitions/...' pointers rewritten to
+    their components location; a container that node holds twice is copied
+    once, so the copy holds one container twice too."""
+    copy = copies.get(id(node))
+    if copy is not None:
+        return copy
+    if isinstance(node, list):
+        copy = [_rewrite_refs(value, copies) if isinstance(value, (dict, list)) else value
+                for value in node]
+    else:
+        copy = {key: _rewrite_refs(value, copies) if isinstance(value, (dict, list)) else value
+                for key, value in node.items()}
+        ref = copy.get("$ref")
         if isinstance(ref, str) and ref.startswith("#/definitions/"):
-            node["$ref"] = "#/components/schemas/" + ref[len("#/definitions/"):]
-        for value in node.values():
-            _rewrite_refs(value)
-    elif isinstance(node, list):
-        for value in node:
-            _rewrite_refs(value)
+            copy["$ref"] = "#/components/schemas/" + ref[len("#/definitions/"):]
+    copies[id(node)] = copy
+    return copy
 
 
 # -- normalization of 3.x documents --------------------------------------------

@@ -10,11 +10,11 @@ when no structurally equal entry of the same direction exists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidOasError, MissingRefError, SanitationError
-from .ir import (ENUM, INPUT_OBJECT, OBJECT, REFERENCE, SCALAR_TYPE_NAMES, ArgIR, FieldIR,
-                 TypeIR, list_of, non_null, reference, scalar)
+from .ir import (ENUM, INPUT_OBJECT, OBJECT, REFERENCE, SCALAR_TYPE_NAMES, ArgIR, FieldBinding,
+                 FieldIR, TypeIR, list_of, non_null, reference, scalar)
 from .oas_ingest import (
     FORM_MEDIA,
     OasDocument,
@@ -100,6 +100,14 @@ class SanitizedNames(dict):
         if result in ("true", "false", "null"):
             raise SanitationError(f"enum value {value!r} sanitizes to reserved word {result!r}")
         return result
+
+
+def lower_first(name: str) -> str:
+    return name[:1].lower() + name[1:]
+
+
+def upper_first(name: str) -> str:
+    return name[:1].upper() + name[1:]
 
 
 def first_free(base: str, taken, counters: dict[str, int] | None = None) -> str:
@@ -291,12 +299,6 @@ class TypesDictionary:
         self.taken_names: set[str] = {*SCALAR_TYPE_NAMES, "Query", "Mutation", "Subscription"}
         self._next_suffix: dict[str, int] = {}  # base -> first counter not yet tried
 
-    def take_name(self, candidate: str) -> str | None:
-        if candidate in self.taken_names:
-            return None
-        self.taken_names.add(candidate)
-        return candidate
-
     def take(self, base: str) -> str:
         """The first free of base, base2, base3, ... in the type namespace."""
         name = first_free(base, self.taken_names, self._next_suffix)
@@ -305,18 +307,10 @@ class TypesDictionary:
 
 
 @dataclass
-class OperationBinding:
-    """Per-operation outcome of preprocessing, for an operation not skipped."""
-
-    response: TypeIR | None = None
-    # The operation's arguments: its parameters in declaration order, then the body.
-    args: dict[str, ArgIR] = field(default_factory=dict)
-
-
-@dataclass
 class PreprocessResult:
     dictionary: TypesDictionary
-    bindings: dict[str, OperationBinding]  # operation key -> binding; none if skipped
+    fields: dict[str, FieldIR]  # operation key -> root field; none if skipped
+    names: SanitizedNames  # the run's one name policy
 
 
 def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,
@@ -331,7 +325,7 @@ def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation
     if op is not None:
         candidates.append(f"{op.method.lower()}{op.path}")
     if property_key is not None:
-        candidates.append(property_key[:1].upper() + property_key[1:])
+        candidates.append(upper_first(property_key))
 
     sanitized: list[str] = []
     for raw in candidates:
@@ -343,7 +337,7 @@ def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation
 
 
 class Preprocessor:
-    """Builds the types dictionary and the operation bindings."""
+    """Builds the types dictionary and each bound operation's root field."""
 
     def __init__(self, doc: OasDocument, report: Report, casing: str = CAMEL):
         self.doc = doc
@@ -359,19 +353,20 @@ class Preprocessor:
                  for part in (*op.responses.values(), op.request_body, *op.parameters)
                  if part is not None and part.schema is not None]
         self.classes = StructuralClasses(self.doc, roots)
-        bindings: dict[str, OperationBinding] = {}
+        fields: dict[str, FieldIR] = {}
         for op in self.doc.operations:
-            binding = self._bind_operation(op)
-            if binding is not None:
-                bindings[op.key] = binding
+            root = self._bind_operation(op)
+            if root is not None:
+                fields[op.key] = root
         self.report.stats.operations_total = len(self.doc.operations)
-        self.report.stats.operations_skipped = self.report.stats.operations_total - len(bindings)
-        return PreprocessResult(self.dictionary, bindings)
+        self.report.stats.operations_skipped = self.report.stats.operations_total - len(fields)
+        return PreprocessResult(self.dictionary, fields, self.names)
 
     # -- per-operation ----------------------------------------------------
 
-    def _bind_operation(self, op: OasOperation) -> OperationBinding | None:
-        """The operation's binding, or None when it is skipped."""
+    def _bind_operation(self, op: OasOperation) -> FieldIR | None:
+        """The operation's root field, or None when it is skipped. Its
+        arguments are the parameters in declaration order, then the body."""
         response = self._select_response(op)
         if response is None:
             record_warning(self.report, MISSING_RESPONSE_SCHEMA, op.pointer,
@@ -383,16 +378,15 @@ class Preprocessor:
                            "request body lacks a schema; operation skipped")
             return None
 
-        binding = OperationBinding()
         if not is_json_media(response.content_type):
             record_warning(
                 self.report, INVALID_SCHEMA_TYPE, response.pointer,
                 f"response content type {response.content_type!r} is not JSON; "
                 f"exposing the body as String",
             )
-            binding.response = scalar("String")
+            output = scalar("String")
         else:
-            binding.response = self.add(response.schema, OUTPUT, op=op, top_level=True)
+            output = self.add(response.schema, OUTPUT, op=op, top_level=True)
 
         request = None
         if op.request_body is not None:
@@ -407,7 +401,7 @@ class Preprocessor:
                 )
                 request = scalar("String")
 
-        args = binding.args
+        args: dict[str, ArgIR] = {}
         for param in op.parameters:
             if param.schema is None:
                 record_warning(self.report, INVALID_SCHEMA_TYPE, param.pointer,
@@ -420,15 +414,18 @@ class Preprocessor:
             args[name] = ArgIR(name, non_null(param_type) if param.required else param_type,
                                raw=param.name, location=param.location, default=param.default)
         if request is not None:
-            # The payload is named after its input type, lower-cased.
-            base = "payload"
-            if request.kind == REFERENCE:
-                base = self.dictionary.entries[request.name].base_name
-                base = base[:1].lower() + base[1:]
-            name = first_free(base, args)
+            name = first_free(self._field_name(request, "payload"), args)
             args[name] = ArgIR(name, non_null(request) if op.request_body.required else request,
                                location="body")
-        return binding
+        return FieldIR(self._field_name(output, f"{op.method.lower()}{op.path}"), output, args,
+                       op.description, FieldBinding("operation", plan_key=op.key))
+
+    def _field_name(self, type_ir: TypeIR, raw: str) -> str:
+        """A root field or payload argument name: the base name of the entry
+        type_ir references, else raw sanitized; lower-cased."""
+        if type_ir.kind == REFERENCE:
+            return lower_first(self.dictionary.entries[type_ir.name].base_name)
+        return lower_first(self.names[raw])
 
     def _select_response(self, op: OasOperation) -> OasResponse | None:
         """Lowest concrete success code first, then 2XX wildcards; responses
@@ -597,13 +594,11 @@ class Preprocessor:
         if not candidates:
             raise SanitationError(
                 f"no legal GraphQL name can be derived for schema at {resolved.pointer!r}")
-        decorate = (lambda b: f"{b}Input") if direction == INPUT else (lambda b: b)
-        for base in candidates:
-            name = self.dictionary.take_name(decorate(base))
-            if name:
-                break
-        else:  # every candidate is taken: the last one gets a suffix
-            name = self.dictionary.take(decorate(base))
+        suffix = "Input" if direction == INPUT else ""
+        taken = self.dictionary.taken_names
+        # The first free candidate, or else the last one with a number.
+        base = next((b for b in candidates if b + suffix not in taken), candidates[-1])
+        name = self.dictionary.take(base + suffix)
         self.dictionary.entries[name] = DictionaryEntry(
             name=name, base_name=base, schema=resolved, direction=direction)
         self._first[direction, self.classes.of(resolved)] = name

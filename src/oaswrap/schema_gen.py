@@ -34,7 +34,7 @@ from .oas_ingest import (
     OasOperation,
     unescape_pointer_token,
 )
-from .preprocessing import OperationBinding, PreprocessResult, first_free, sanitize
+from .preprocessing import PreprocessResult, first_free, lower_first, upper_first
 from .report import UNSUPPORTED_FEATURE, Report, record_warning
 
 
@@ -42,12 +42,14 @@ from .report import UNSUPPORTED_FEATURE, Report, record_warning
 
 
 def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDefinition],
-                 doc: OasDocument, bindings: dict[str, OperationBinding], report: Report,
-                 casing: str = "camel") -> int:
+                 doc: OasDocument, pre: PreprocessResult, report: Report,
+                 always_sent: frozenset[str]) -> int:
     """Add one extra field per usable link to the operation's response type.
 
-    Returns the number of fields attached; unusable links are skipped with a
-    warning rather than failing generation.
+    A required target argument relaxes to optional when its raw name is in
+    ``always_sent``, what every operation reaching the type always sends: the
+    propagated value then covers it. Returns the number of fields attached;
+    unusable links are skipped with a warning rather than failing generation.
     """
     attached = 0
     for name, link in links.items():
@@ -55,13 +57,13 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
         # A list response's links go on the item type, where an index never resolves.
         indexed = [e.text for e in exprs.values()
                    if e is not None and e.source == "body" and e.tokens[0].isdigit()]
-        if indexed and bindings[op.key].response.kind == LIST:
+        if indexed and pre.fields[op.key].type.kind == LIST:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} on a list response indexes the list "
                            f"with {indexed[0]!r}; link skipped")
             continue
         target = _find_link_target(doc, link)
-        if target is None or target.key not in bindings:
+        if target is None or target.key not in pre.fields:
             record_warning(report, UNSUPPORTED_FEATURE, link.pointer,
                            f"link {name!r} targets a missing or skipped operation; link skipped")
             continue
@@ -76,27 +78,19 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
                            f"{unsupported[0]!r}; link skipped")
             continue
 
-        target_args = bindings[target.key].args
+        target_field = pre.fields[target.key]
         link_params = {arg_name: expr for key, expr in exprs.items()
-                       if (arg_name := _link_argument(target_args, key)) is not None}
-        # A required argument stays required on the link field unless the
-        # parent operation always sends the same raw name (a required
-        # parameter, or one with a default), whose propagated value then
-        # covers it and the argument relaxes to optional.
-        parent_params = {p.name for p in op.parameters if p.required or p.default is not None}
-        args = {arg_name: _relaxed(arg) if arg.raw in parent_params else arg
-                for arg_name, arg in target_args.items() if arg_name not in link_params}
+                       if (arg_name := _link_argument(target_field.args, key)) is not None}
         binding = FieldBinding("operation", plan_key=target.key, link_params=link_params)
-
         # The same link declared for another operation of this type is the
-        # field already there; an argument stays required if either needs it.
-        same = next((f for f in object_type.fields.values() if f.binding == binding), None)
-        if same is not None:
-            same.args.update((n, arg) for n, arg in args.items() if arg.type.kind == NON_NULL)
+        # field already there, with the same arguments.
+        if any(f.binding == binding for f in object_type.fields.values()):
             continue
-        field_name = first_free(lower_first(sanitize(name, casing)), object_type.fields)
+        args = {arg_name: _relaxed(arg) if arg.raw in always_sent else arg
+                for arg_name, arg in target_field.args.items() if arg_name not in link_params}
+        field_name = first_free(lower_first(pre.names[name]), object_type.fields)
         object_type.fields[field_name] = FieldIR(
-            name=field_name, type=bindings[target.key].response, args=args,
+            name=field_name, type=target_field.type, args=args,
             description=link.description, binding=binding,
         )
         attached += 1
@@ -146,14 +140,6 @@ def parse_link_expression(text: str) -> LinkExpression | None:
     return None
 
 
-def lower_first(name: str) -> str:
-    return name[:1].lower() + name[1:]
-
-
-def upper_first(name: str) -> str:
-    return name[:1].upper() + name[1:]
-
-
 # -- schema assembly ---------------------------------------------------------------
 
 
@@ -164,12 +150,10 @@ PLACEHOLDER_DESCRIPTION = ("Inert placeholder: this API exposes no GET operation
 class SchemaAssembler:
     """Builds the SchemaIR: named types, root fields, viewers, link fields."""
 
-    def __init__(self, doc: OasDocument, pre: PreprocessResult, report: Report,
-                 casing: str = "camel"):
+    def __init__(self, doc: OasDocument, pre: PreprocessResult, report: Report):
         self.doc = doc
         self.pre = pre
         self.report = report
-        self.casing = casing
         self._credential_types: dict[str, str] = {}  # scheme name -> input type name
 
     def assemble(self) -> SchemaIR:
@@ -177,21 +161,21 @@ class SchemaAssembler:
         self.report.stats.types_created = len(schema.types)
 
         attached = 0
+        always_sent = None
         for op in self.doc.operations:
-            binding = self.pre.bindings.get(op.key)
-            if binding is None:
+            root = self.pre.fields.get(op.key)
+            if root is None or not (links := op.links()):
                 continue
-            links = op.links()
-            if not links:
-                continue
-            target_type = self._response_object_type(binding, schema)
+            target_type = self._response_object_type(root, schema)
             if target_type is None:
                 for link in links.values():
                     record_warning(self.report, UNSUPPORTED_FEATURE, link.pointer,
                                    "link declared on a non-object response; link skipped")
                 continue
-            attached += attach_links(target_type, op, links, self.doc, self.pre.bindings,
-                                     self.report, self.casing)
+            if always_sent is None:  # before any link field joins the types
+                always_sent = self._always_sent()
+            attached += attach_links(target_type, op, links, self.doc, self.pre, self.report,
+                                     always_sent[target_type.name])
         self.report.stats.links_attached = attached
 
         self._place_operations(schema)
@@ -206,9 +190,8 @@ class SchemaAssembler:
             for field_ir in root.values() if field_ir.binding.kind == "viewer")
         return schema
 
-    def _response_object_type(self, binding: OperationBinding,
-                              schema: SchemaIR) -> TypeIR | None:
-        response = binding.response
+    def _response_object_type(self, root: FieldIR, schema: SchemaIR) -> TypeIR | None:
+        response = root.type
         if response.kind == LIST:
             response = response.of_type
         if response.kind != REFERENCE:
@@ -216,38 +199,51 @@ class SchemaAssembler:
         type_ir = schema.types[response.name]
         return type_ir if type_ir.kind == OBJECT else None
 
+    def _always_sent(self) -> dict[str, frozenset[str]]:
+        """Per named type, the raw names that every bound operation whose
+        response reaches it, through object fields and list items, always
+        sends: its required parameters and those with a default."""
+        types = self.pre.dictionary.types
+        always_sent: dict[str, frozenset[str]] = {}
+        stack: list[tuple[str, frozenset[str]]] = []
+        for op in self.doc.operations:
+            root = self.pre.fields.get(op.key)
+            if root is not None:
+                sends = frozenset(p.name for p in op.parameters
+                                  if p.required or p.default is not None)
+                stack.append((root.type.unwrap().name, sends))
+        while stack:  # a type's set only shrinks, so the walk ends
+            name, sends = stack.pop()
+            type_ir, known = types.get(name), always_sent.get(name)
+            if type_ir is None or type_ir.fields is None or (known is not None and known <= sends):
+                continue  # not an object type, or nothing to take away
+            always_sent[name] = sends = sends if known is None else known & sends
+            stack.extend((f.type.unwrap().name, sends) for f in type_ir.fields.values())
+        return always_sent
+
     # -- root field placement -------------------------------------------------
 
     def _place_operations(self, schema: SchemaIR) -> None:
-        root_names: dict[str, set[str]] = {"query": set(), "mutation": set()}
-        # (side, scheme) -> list of (field_name, FieldIR)
-        viewer_groups: dict[tuple[str, str], list[tuple[str, FieldIR]]] = {}
-        any_auth_fields: dict[str, list[tuple[str, FieldIR]]] = {"query": [], "mutation": []}
-
+        viewer_groups: dict[tuple[str, str], list[FieldIR]] = {}  # (side, scheme) -> fields
+        any_auth_fields: dict[str, list[FieldIR]] = {"query": [], "mutation": []}
         for op in self.doc.operations:
-            binding = self.pre.bindings.get(op.key)
-            if binding is None:
+            field_ir = self.pre.fields.get(op.key)
+            if field_ir is None:
                 continue
             side = "query" if op.method == "get" else "mutation"
-            field_ir = self._operation_field(op, binding)
             eligible = [name for name in op.security
-                        if name in self.doc.security_schemes
-                        and credential_kind(self.doc.security_schemes[name])]
+                        if credential_kind(self.doc.security_schemes[name])]
+            for scheme_name in eligible:
+                viewer_groups.setdefault((side, scheme_name), []).append(field_ir)
             if eligible:
-                for scheme_name in eligible:
-                    viewer_groups.setdefault((side, scheme_name), []).append(
-                        (field_ir.name, field_ir))
-                any_auth_fields[side].append((field_ir.name, field_ir))
+                any_auth_fields[side].append(field_ir)
             else:
-                name = _take(root_names[side], field_ir.name)
-                target = schema.query_fields if side == "query" else schema.mutation_fields
-                target[name] = _renamed(field_ir, name)
+                _place(_root_fields(schema, side), field_ir)
 
         for (side, scheme_name), members in viewer_groups.items():
             kind = credential_kind(self.doc.security_schemes[scheme_name])
             self._add_viewer(
-                schema, side, upper_first(sanitize(scheme_name, self.casing)), members,
-                root_names[side],
+                schema, side, upper_first(self.pre.names[scheme_name]), members,
                 f"Gates operations secured by {scheme_name!r}; credentials propagate to "
                 f"every nested resolution.",
                 f"Supplies {kind} credentials for {scheme_name!r}.",
@@ -256,35 +252,22 @@ class SchemaAssembler:
             )
         for side, members in any_auth_fields.items():
             if members:
-                self._add_any_auth_viewer(schema, side, members, root_names[side])
-
-    def _operation_field(self, op: OasOperation, binding: OperationBinding) -> FieldIR:
-        return FieldIR(
-            name=self._field_base(op, binding), type=binding.response, args=binding.args,
-            description=op.description,
-            binding=FieldBinding("operation", plan_key=op.key),
-        )
-
-    def _field_base(self, op: OasOperation, binding: OperationBinding) -> str:
-        if binding.response.kind == REFERENCE:
-            return lower_first(self.pre.dictionary.entries[binding.response.name].base_name)
-        return lower_first(sanitize(f"{op.method.lower()}{op.path}", self.casing))
+                self._add_any_auth_viewer(schema, side, members)
 
     # -- viewers -----------------------------------------------------------------
 
     def _add_any_auth_viewer(self, schema: SchemaIR, side: str,
-                             members: list[tuple[str, FieldIR]],
-                             root_names: set[str]) -> None:
+                             members: list[FieldIR]) -> None:
         args: dict[str, ArgIR] = {}
         credential_args: dict[str, str] = {}
         for scheme_name, scheme in self.doc.security_schemes.items():
             if credential_kind(scheme):
                 cred_type = self._credential_type(schema, scheme_name, scheme)
-                arg_name = _take(set(args), lower_first(sanitize(scheme_name, self.casing)))
+                arg_name = first_free(lower_first(self.pre.names[scheme_name]), args)
                 args[arg_name] = ArgIR(arg_name, reference(cred_type))
                 credential_args[arg_name] = scheme_name
         self._add_viewer(
-            schema, side, "AnyAuth", members, root_names,
+            schema, side, "AnyAuth", members,
             "Accepts credentials for several schemes at once, so nested queries can span "
             "differently secured operations.",
             "Combined-credential viewer.", args,
@@ -292,24 +275,21 @@ class SchemaAssembler:
                          credential_args=credential_args),
         )
 
-    def _add_viewer(self, schema: SchemaIR, side: str, base: str,
-                    members: list[tuple[str, FieldIR]], root_names: set[str],
+    def _add_viewer(self, schema: SchemaIR, side: str, base: str, members: list[FieldIR],
                     type_description: str, description: str, args: dict[str, ArgIR],
                     binding: FieldBinding) -> None:
         """A viewer root field on side, named for base, of a new object type
         holding members."""
+        root_fields = _root_fields(schema, side)
         prefix = "viewer" if side == "query" else "mutationViewer"
-        field_name = _take(root_names, f"{prefix}{base}")
+        field_name = first_free(f"{prefix}{base}", root_fields)
         type_name = self.pre.dictionary.take(upper_first(field_name))
-        names: set[str] = set()
-        fields = {}
-        for base_name, field_ir in members:
-            name = _take(names, base_name)
-            fields[name] = _renamed(field_ir, name)
+        fields: dict[str, FieldIR] = {}
+        for field_ir in members:
+            _place(fields, field_ir)
         schema.types[type_name] = TypeIR(OBJECT, name=type_name, fields=fields,
                                          description=type_description)
-        container = schema.query_fields if side == "query" else schema.mutation_fields
-        container[field_name] = FieldIR(
+        root_fields[field_name] = FieldIR(
             name=field_name, type=non_null(reference(type_name)), args=args,
             description=description, binding=binding,
         )
@@ -318,7 +298,7 @@ class SchemaAssembler:
         """One credential input type per scheme, shared by both viewer sides."""
         if scheme_name in self._credential_types:
             return self._credential_types[scheme_name]
-        pretty = upper_first(sanitize(scheme_name, self.casing))
+        pretty = upper_first(self.pre.names[scheme_name])
         name = self._credential_types[scheme_name] = self.pre.dictionary.take(f"{pretty}Credentials")
         fields = {member: FieldIR(member, non_null(scalar("String")))
                   for member in CREDENTIAL_MEMBERS[credential_kind(scheme)]}
@@ -327,22 +307,18 @@ class SchemaAssembler:
         return name
 
 
-def _take(names: set[str], base: str) -> str:
-    name = first_free(base, names)
-    names.add(name)
-    return name
+def _root_fields(schema: SchemaIR, side: str) -> dict[str, FieldIR]:
+    return schema.query_fields if side == "query" else schema.mutation_fields
 
 
-def _renamed(field_ir: FieldIR, name: str) -> FieldIR:
-    if field_ir.name == name:
-        return field_ir
-    return FieldIR(name=name, type=field_ir.type, args=field_ir.args,
-                   description=field_ir.description, binding=field_ir.binding)
+def _place(fields: dict[str, FieldIR], field_ir: FieldIR) -> None:
+    """Add field_ir to fields under the first free of its name, name2, ..."""
+    name = first_free(field_ir.name, fields)
+    fields[name] = field_ir if name == field_ir.name else replace(field_ir, name=name)
 
 
-def assemble_schema(doc: OasDocument, pre: PreprocessResult, report: Report,
-                    casing: str = "camel") -> SchemaIR:
-    return SchemaAssembler(doc, pre, report, casing).assemble()
+def assemble_schema(doc: OasDocument, pre: PreprocessResult, report: Report) -> SchemaIR:
+    return SchemaAssembler(doc, pre, report).assemble()
 
 
 # -- SDL printing -------------------------------------------------------------------

@@ -219,6 +219,26 @@ def test_upconvert_rejects_two_body_params():
         convert_v2_dict(v2)
 
 
+def test_upconvert_leaves_its_input_as_it_was():
+    # The converted document shares no container with the caller's, so
+    # rewriting its references leaves the 2.0 document pointing at
+    # #/definitions.
+    v2 = copy.deepcopy(V2_MIN)
+    v2["paths"]["/pets"]["get"] = {
+        "produces": ["application/json", "application/xml"],
+        "responses": {"200": {"description": "ok", "schema": {
+            "type": "array", "items": {"$ref": "#/definitions/Pet"}}}}}
+    v2["definitions"]["Owner"] = {"type": "object", "properties": {
+        "pet": {"$ref": "#/definitions/Pet"}}}
+    before = copy.deepcopy(v2)
+    converted = convert_v2_dict(v2)
+    assert v2 == before
+    assert converted["components"]["schemas"]["Owner"]["properties"]["pet"] == {
+        "$ref": "#/components/schemas/Pet"}
+    upconvert(v2)
+    assert v2 == before
+
+
 def test_upconverted_doc_passes_validate():
     doc = upconvert(load_document(json.dumps(V2_MIN).encode()))
     assert validate(doc) == []

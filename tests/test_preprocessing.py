@@ -3,6 +3,7 @@ dictionary (naming and de-duplication)."""
 
 import json
 import logging
+from collections import Counter
 import re
 import time
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, CannedClient
-from oaswrap import preprocessing
+from oaswrap import preprocessing, schema_gen
 from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
 from oaswrap.generator import GenerationOptions, generate
@@ -605,7 +606,7 @@ def test_schemas_sharing_their_top_level_keys_get_one_type_per_structure():
     assert wrapper.ok and wrapper.report.warnings == []
     # Nine records, nine details, nine kind enums and the one state enum.
     assert len(wrapper.pre.dictionary.types) == 9 * 3 + 1
-    responses = {op.path: wrapper.pre.bindings[op.key].response.name
+    responses = {op.path: wrapper.pre.fields[op.key].type.name
                  for op in wrapper.document.operations}
     structure = _SHARED_KEYS_STRUCTURE
     assert responses == {f"/s{i}": f"S{structure.index(cls)}" for i, cls in enumerate(structure)}
@@ -648,6 +649,24 @@ def test_the_name_memo_lasts_one_run():
     assert not any(name in sdl[0] for name in ("user_name", "most_recent"))
     assert all(name in sdl[1] for name in ("user_name", "most_recent", "getuser_info"))
     assert not any(name in sdl[1] for name in ("userName", "mostRecent"))
+
+
+@pytest.mark.parametrize("casing", ["camel", "preserve"])
+def test_each_raw_name_is_sanitized_once_per_run(casing, monkeypatch):
+    # The run's SanitizedNames is the one name policy: assembly reads the
+    # names preprocessing sanitized, scheme names for viewers included.
+    calls = []
+
+    def counted(raw, casing=CAMEL):
+        calls.append(raw)
+        return sanitize(raw, casing)
+
+    monkeypatch.setattr(preprocessing, "sanitize", counted)
+    monkeypatch.setattr(schema_gen, "sanitize", counted, raising=False)
+    for path in sorted(CORPUS_DIR.glob("clean_*")):
+        calls.clear()
+        assert generate(path, GenerationOptions(casing=casing)).ok, path.name
+        assert calls and [raw for raw, n in Counter(calls).items() if n > 1] == [], path.name
 
 
 def test_dangling_ref_in_unselected_response_still_generates():

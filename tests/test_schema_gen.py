@@ -501,8 +501,8 @@ def test_one_link_on_one_type_is_one_field(link, fields):
 
 @pytest.mark.parametrize("first", ["/user/{id}", "/users"])
 def test_a_link_declared_twice_keeps_an_argument_either_operation_needs(first):
-    # GET /user/{id} always sends `region`, so its link relaxes the target's
-    # required `region`; GET /users sends none, so the one field requires it.
+    # GET /user/{id} always sends `region` but GET /users, which reaches User
+    # too, sends none, so the one field requires it whichever declares first.
     doc = _clean_links_with_user_list(json.loads(
         (CORPUS_DIR / "clean_links.json").read_text(encoding="utf-8"))
         ["paths"]["/user/{id}"]["get"]["responses"]["200"]["links"]["EmployerCompany"])
@@ -514,6 +514,33 @@ def test_a_link_declared_twice_keeps_an_argument_either_operation_needs(first):
     link_field = wrapper.schema.types["User"].fields["employerCompany"]
     assert "employerCompany2" not in wrapper.schema.types["User"].fields
     assert type_str(link_field.args["region"].type) == "String!"
+
+
+@pytest.mark.parametrize("path, response, region", [
+    (None, None, "String"),
+    # a list item, or an object field, whose operation sends no `region`
+    ("/users", {"type": "array", "items": {"$ref": "#/components/schemas/User"}}, "String!"),
+    ("/team", {"type": "object", "properties": {"lead": {"$ref": "#/components/schemas/User"}}},
+     "String!"),
+])
+def test_a_link_relaxes_an_argument_only_if_every_operation_reaching_its_type_sends_it(
+        path, response, region):
+    # GET /user/{id} always sends `region` and declares the link; another
+    # operation reaching User, which declares none, propagates no `region`.
+    doc = json.loads((CORPUS_DIR / "clean_links.json").read_text(encoding="utf-8"))
+    required = {"name": "region", "in": "query", "required": True, "schema": {"type": "string"}}
+    doc["paths"]["/user/{id}"]["get"]["parameters"].append(required)
+    doc["paths"]["/company/{companyName}"]["get"]["parameters"].append(required)
+    if path is not None:
+        doc["paths"][path] = get_path(response)
+    wrapper = generate(json.dumps(doc).encode())
+    assert wrapper.ok and wrapper.report.warnings == []
+    assert f"employerCompany(region: {region})" in wrapper.sdl
+    query = '{ user(id: "1", region: "eu") { employerCompany { city } } }'
+    errors = validate_query(parse_query(query), wrapper.schema)
+    assert errors == ([] if region == "String" else
+                      ["required argument 'region' of field 'employerCompany' is missing "
+                       "(line 1)"])
 
 
 # -- viewers ---------------------------------------------------------------------
