@@ -112,8 +112,9 @@ class _Query:
 def coerce_variables(definitions, provided: Mapping[str, Any] | None,
                      schema: SchemaIR) -> dict[str, Any]:
     provided = provided or {}
+    declared = {d.name for d in definitions}
     for name in provided:
-        if name not in {d.name for d in definitions}:
+        if name not in declared:
             raise CoercionError(f"variable ${name} is provided but never declared")
     coerced: dict[str, Any] = {}
     for definition in definitions:

@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import InvalidOasError, OaswrapError
 from .ir import ArgIR, ResolvePlan, SchemaIR
 from .oas_ingest import OasDocument, OasOperation, ingest, load_document, validate
-from .preprocessing import CAMEL, PreprocessResult, preprocess
+from .preprocessing import CAMEL, preprocess
 from .report import NON_STRICT, Report
 from .schema_gen import assemble_schema, print_sdl
 
@@ -30,9 +30,8 @@ class GenerationOptions:
 
 @dataclass
 class GeneratedWrapper:
+    """What serving reads; the parsed document and preprocessing stay in generate()."""
     report: Report
-    document: OasDocument | None = None
-    pre: PreprocessResult | None = None
     schema: SchemaIR | None = None
     plans: dict[str, ResolvePlan] = field(default_factory=dict)
     sdl: str | None = None
@@ -51,7 +50,7 @@ def generate(source: str | Path | bytes, options: GenerationOptions | None = Non
     report = Report(source=source_name or "<bytes>", mode=options.mode)
     wrapper = GeneratedWrapper(report=report)
     try:
-        _run_pipeline(source, source_name, options, report, wrapper)
+        _run_pipeline(source, options, wrapper)
     except OaswrapError as exc:
         report.fail(exc.kind, str(exc))
     except RecursionError:
@@ -59,30 +58,18 @@ def generate(source: str | Path | bytes, options: GenerationOptions | None = Non
     return wrapper
 
 
-def _run_pipeline(source, source_name, options: GenerationOptions, report: Report,
-                  wrapper: GeneratedWrapper) -> None:
+def _run_pipeline(source, options: GenerationOptions, wrapper: GeneratedWrapper) -> None:
+    report = wrapper.report
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
-    raw = load_document(data, None, report.source)
-    doc = ingest(raw, report)
-    _finish(doc, options, report, wrapper)
-
-
-def _finish(doc: OasDocument, options: GenerationOptions, report: Report,
-            wrapper: GeneratedWrapper) -> None:
-    wrapper.document = doc
+    doc = ingest(load_document(data, None, report.source), report)
     errors = validate(doc)
     if errors:
         raise InvalidOasError(errors[0])
-
     pre = preprocess(doc, report, options.casing)
-    wrapper.pre = pre
-
     wrapper.plans = {op.key: make_resolve_plan(op, doc, pre.fields[op.key].args)
                      for op in doc.operations if op.key in pre.fields}
-
-    schema = assemble_schema(doc, pre, report)
-    wrapper.schema = schema
-    wrapper.sdl = print_sdl(schema)
+    wrapper.schema = assemble_schema(doc, pre, report)
+    wrapper.sdl = print_sdl(wrapper.schema)
 
 
 def make_resolve_plan(op: OasOperation, doc: OasDocument,

@@ -67,6 +67,7 @@ class HttpRequestSpec:
     # location (path | query | header) -> raw name -> de-sanitized value
     sent: dict[str, dict[str, Any]] = field(default_factory=dict)
     operation: str = ""  # the plan's operation key, for error messages
+    credential_header: str = "Authorization"  # or the header an API key went in
 
 
 # -- runtime binding ------------------------------------------------------------
@@ -115,15 +116,14 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
             continue
         value = to_raw(types, arg.type.unwrap().name, value)
         sent[arg.location][arg.raw] = value
+        # OAS 3.0's default styles: simple for path and header, exploded form for query.
         if arg.location == "path":
-            path = path.replace("{%s}" % arg.raw, quote(_plain(value), safe=""))
+            path = path.replace("{%s}" % arg.raw,
+                                ",".join(quote(_plain(v), safe="") for v in _items(value)))
         elif arg.location == "query":
-            if isinstance(value, list):
-                query_pairs.extend((arg.raw, _plain(v)) for v in value)
-            else:
-                query_pairs.append((arg.raw, _plain(value)))
+            query_pairs.extend((arg.raw, _plain(v)) for v in _items(value))
         else:  # header
-            headers[arg.raw] = _plain(value)
+            headers[arg.raw] = ",".join(_plain(v) for v in _items(value))
 
     if "{" in path:
         missing = path[path.index("{") + 1: path.index("}")] if "}" in path else path
@@ -153,6 +153,11 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
         sent=sent,
         operation=plan.operation_key,
     )
+
+
+def _items(value: Any) -> list:
+    """A list's items, or the one value that is not a list."""
+    return value if isinstance(value, list) else [value]
 
 
 def _plain(value: Any) -> str:
@@ -209,7 +214,8 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan,
     keys go to their declared header or query location, basic credentials
     become an Authorization header, and the token, if any, goes to OAuth,
     OpenID and bearer schemes as a Bearer header. A credential header
-    replaces a header parameter whose name matches it case-insensitively.
+    replaces a header parameter whose name matches it case-insensitively, and
+    a query credential each query parameter of exactly its name.
     """
     if not plan.security:
         return spec
@@ -224,9 +230,11 @@ def inject_auth(spec: HttpRequestSpec, plan: ResolvePlan,
                 pair = base64.b64encode(":".join(values).encode()).decode("ascii")
                 spec.headers = _overridden(spec.headers, {"Authorization": f"Basic {pair}"})
             elif scheme.location == "query":
+                spec.query = [pair for pair in spec.query if pair[0] != scheme.param_name]
                 spec.query.append((scheme.param_name, values[0]))
             else:
                 spec.headers = _overridden(spec.headers, {scheme.param_name: values[0]})
+                spec.credential_header = scheme.param_name
             return spec
         if scheme.type in ("oauth2", "openIdConnect") or (
             scheme.type == "http" and scheme.http_scheme == "bearer"
@@ -298,7 +306,8 @@ class HttpClient:
         if spec.body is not None:
             content_type = spec.content_type or "application/json"
             if content_type == FORM_MEDIA and isinstance(spec.body, dict):
-                body = urlencode({k: _plain(v) for k, v in spec.body.items()}).encode("ascii")
+                body = urlencode([(k, _plain(v)) for k, value in spec.body.items()
+                                  for v in _items(value)]).encode("ascii")
             elif isinstance(spec.body, str):
                 body = spec.body.encode("utf-8")
             else:
@@ -326,7 +335,8 @@ class HttpClient:
                 before, after = urlsplit(url), urlsplit(target)
                 if after.hostname != before.hostname or (before.scheme, after.scheme) == (
                         "https", "http"):
-                    dropped.add("authorization")  # credentials stay with their host and on TLS
+                    # credentials stay with their host and on TLS
+                    dropped.update({"authorization", spec.credential_header.lower()})
                 headers = {k: v for k, v in headers.items() if k.lower() not in dropped}
                 url = target
         except TimeoutError as exc:

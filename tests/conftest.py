@@ -1,7 +1,7 @@
 """Shared test infrastructure: a programmable, recording mock upstream, a
 canned client, a switch to the executor's general completion path, an SDL
-reader for round trips, a strategy of GraphQL query texts, and corpus
-paths."""
+reader for round trips, a strategy of GraphQL query texts, generation's
+intermediate results, and corpus paths."""
 
 from __future__ import annotations
 
@@ -16,8 +16,13 @@ from urllib.parse import parse_qsl, urlparse
 import pytest
 from hypothesis import strategies as st
 
+from oaswrap.errors import OaswrapError
+from oaswrap.generator import GenerationOptions
 from oaswrap.ir import (ENUM, INPUT_OBJECT, OBJECT, SCALAR_TYPE_NAMES, ArgIR, FieldIR, SchemaIR,
                         TypeIR, list_of, non_null, reference, scalar)
+from oaswrap.oas_ingest import OasDocument, ingest, load_document, validate
+from oaswrap.preprocessing import PreprocessResult, preprocess
+from oaswrap.report import Report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
@@ -258,6 +263,24 @@ def upstream():
     server = MockUpstream().start()
     yield server
     server.stop()
+
+
+def intermediates(source: Path | bytes, options: GenerationOptions | None = None
+                  ) -> tuple[OasDocument | None, PreprocessResult | None]:
+    """The OasDocument and PreprocessResult that generate() builds from
+    source, through the pipeline's own functions. Each is None if an error
+    the pipeline reports stopped the run before it."""
+    options = options or GenerationOptions()
+    data = source if isinstance(source, bytes) else source.read_bytes()
+    report = Report(source="<bytes>", mode=options.mode)
+    doc = pre = None
+    try:
+        doc = ingest(load_document(data), report)
+        if not validate(doc):
+            pre = preprocess(doc, report, options.casing)
+    except (OaswrapError, RecursionError):
+        pass
+    return doc, pre
 
 
 def corpus_path(name: str) -> Path:

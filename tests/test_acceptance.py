@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, MockUpstream, load_manifest, schema_from_sdl
+from conftest import CORPUS_DIR, MockUpstream, intermediates, load_manifest, schema_from_sdl
 from oaswrap.engine import Executor, parse_query, validate_query
 from oaswrap.evaluate import evaluate_corpus
 from oaswrap.generator import GenerationOptions, generate
@@ -338,16 +338,17 @@ def test_criterion_6_dedup_oracle():
     for name, spec, wrapper in all_fixture_wrappers():
         if not wrapper.ok:
             continue
-        doc = wrapper.document
+        doc, pre = intermediates(CORPUS_DIR / name)
         for direction in ("input", "output"):
-            entries = [e for e in wrapper.pre.dictionary.entries.values()
+            entries = [e for e in pre.dictionary.entries.values()
                        if e.direction == direction]
             for i, a in enumerate(entries):
                 for b in entries[i + 1:]:
                     assert not deep_equal(a.schema, b.schema, doc), \
                         f"{name}: duplicate entries {a.name} / {b.name}"
     collapsed = generate(CORPUS_DIR / "clean_dedup_inline.json")
-    outputs = [e for e in collapsed.pre.dictionary.entries.values() if e.direction == OUTPUT]
+    _, pre = intermediates(CORPUS_DIR / "clean_dedup_inline.json")
+    outputs = [e for e in pre.dictionary.entries.values() if e.direction == OUTPUT]
     assert len(outputs) == 1
     assert len(collapsed.plans) == 3  # three operations share the single type
     passed(6, "pairwise deep-equality found no duplicates; 3-way inline "
@@ -376,6 +377,7 @@ def test_criterion_7_partition_and_nonnull():
         if not wrapper.ok:
             continue
         schema = wrapper.schema
+        doc, pre = intermediates(CORPUS_DIR / name)
         # GET <=> query (counting each operation once even when viewer-wrapped)
         query_ops = {f.binding.plan_key for f in _operation_fields(schema, "query")}
         mutation_ops = {f.binding.plan_key for f in _operation_fields(schema, "mutation")}
@@ -386,7 +388,7 @@ def test_criterion_7_partition_and_nonnull():
         assert mutation_ops == non_get_ops, name
 
         # NonNull <=> required over every entry-derived type
-        for entry in wrapper.pre.dictionary.entries.values():
+        for entry in pre.dictionary.entries.values():
             type_ir = schema.types.get(entry.name)
             if type_ir is None or type_ir.fields is None:
                 continue
@@ -398,7 +400,7 @@ def test_criterion_7_partition_and_nonnull():
                 assert is_non_null == should, (name, entry.name, raw_key)
 
         # NonNull <=> required over operation arguments, as the document declares it
-        operations = {op.key: op for op in wrapper.document.operations}
+        operations = {op.key: op for op in doc.operations}
         fields = {f.binding.plan_key: f for side in ("query", "mutation")
                   for f in _operation_fields(schema, side)}
         for key in wrapper.plans:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, CannedClient
+from conftest import CORPUS_DIR, CannedClient, intermediates
 from oaswrap import preprocessing, schema_gen
 from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
@@ -604,10 +604,10 @@ def _shared_keys_document() -> bytes:
 def test_schemas_sharing_their_top_level_keys_get_one_type_per_structure():
     wrapper = generate(_shared_keys_document())
     assert wrapper.ok and wrapper.report.warnings == []
+    doc, pre = intermediates(_shared_keys_document())
     # Nine records, nine details, nine kind enums and the one state enum.
-    assert len(wrapper.pre.dictionary.types) == 9 * 3 + 1
-    responses = {op.path: wrapper.pre.fields[op.key].type.name
-                 for op in wrapper.document.operations}
+    assert len(pre.dictionary.types) == 9 * 3 + 1
+    responses = {op.path: pre.fields[op.key].type.name for op in doc.operations}
     structure = _SHARED_KEYS_STRUCTURE
     assert responses == {f"/s{i}": f"S{structure.index(cls)}" for i, cls in enumerate(structure)}
 
@@ -686,7 +686,7 @@ def test_dangling_ref_in_unselected_response_still_generates():
     for schema in (dangling, {"type": "object", "properties": {"error": dangling}}):
         wrapper = generate(document(schema))
         assert wrapper.ok, wrapper.report.error_message
-        assert list(wrapper.pre.dictionary.entries) == ["getA"]
+        assert list(intermediates(document(schema))[1].dictionary.entries) == ["getA"]
     # Where add() reaches the reference, it still reports it.
     broken = json.loads(document(dangling))
     responses = broken["paths"]["/a"]["get"]["responses"]
@@ -704,9 +704,10 @@ def test_repeated_enum_values_dedup_as_a_set():
         "paths": {"/a": get_op({"type": "string", "enum": ["red", "red", "blue"]}),
                   "/b": get_op({"type": "string", "enum": ["blue", "red"]})},
     }
-    wrapper = generate(json.dumps(root).encode())
+    data = json.dumps(root).encode()
+    wrapper = generate(data)
     assert wrapper.ok, wrapper.report.error_message
-    enums = [e.name for e in wrapper.pre.dictionary.entries.values()
+    enums = [e.name for e in intermediates(data)[1].dictionary.entries.values()
              if e.direction == OUTPUT and e.schema.enum]
     assert enums == ["getA"]
     assert list(wrapper.schema.types["getA"].enum_values) == ["red", "blue"]

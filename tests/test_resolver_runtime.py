@@ -367,6 +367,22 @@ def test_bind_header_parameters():
     assert spec.headers["X-Trace"] == "t1"
 
 
+def test_list_path_and_header_arguments_are_sent_in_simple_style():
+    # OAS 3.0's default style for path and header parameters joins the items
+    # with commas; in a path each item is escaped on its own.
+    strings = {"type": "array", "items": {"type": "string"}}
+    wrapper = build({"/p/{ids}": get_path({"type": "string"}, parameters=[
+        {"name": "ids", "in": "path", "required": True, "schema": strings},
+        {"name": "X-Tags", "in": "header", "schema": strings}])})
+    plan = wrapper.plans["GET /p/{ids}"]
+    spec = bind_runtime(plan, {"ids": ["a", "b"], "XTags": ["t1", "t2"]}, None, None, {},
+                        wrapper.schema.types)
+    assert spec.url == "https://api.example.com/p/a,b"
+    assert spec.headers == {"X-Tags": "t1,t2"}
+    spec = bind_runtime(plan, {"ids": ["x/y", "c,d"]}, None, None, {}, wrapper.schema.types)
+    assert spec.url == "https://api.example.com/p/x%2Fy,c%2Cd"
+
+
 def test_bind_records_sent_params_for_propagation():
     wrapper, plan = make_plan_fixture(default="d")
     spec = bind_runtime(plan, {"p": "x"}, None, None, {}, wrapper.schema.types)
@@ -469,6 +485,21 @@ def test_inject_api_key_query_location():
     plan = secured_plan("keyQuery")
     spec = inject_auth(spec_stub(), plan, {"keyQuery": {"apiKey": "q1"}})
     assert ("token", "q1") in spec.query
+
+
+def test_a_query_credential_replaces_a_query_parameter_of_exactly_its_name():
+    wrapper = build({"/s": get_path({"type": "string"}, parameters=[
+        {"name": "api_key", "in": "query", "schema": {"type": "string"}},
+        {"name": "API_KEY", "in": "query", "schema": {"type": "string"}}],
+        security=[{"keyQuery": []}])},
+        components={"securitySchemes": {
+            "keyQuery": {"type": "apiKey", "name": "api_key", "in": "query"}}})
+    plan = wrapper.plans["GET /s"]
+    names = {arg.raw: arg.name for arg in plan.args.values()}
+    spec = bind_runtime(plan, {names["api_key"]: "Arg", names["API_KEY"]: "Other"}, None,
+                        None, {}, wrapper.schema.types)
+    spec = inject_auth(spec, plan, {"keyQuery": {"apiKey": "Cred"}})
+    assert spec.query == [("API_KEY", "Other"), ("api_key", "Cred")]
 
 
 def test_inject_basic_credentials():
@@ -606,12 +637,13 @@ def test_execute_request_form_encoding(upstream):
     upstream.route("POST", "/form", handler)
     spec = HttpRequestSpec(
         method="POST", url=f"{upstream.base_url}/form",
-        body={"field-one": "x", "count": 2},
+        body={"field-one": "x", "count": 2, "tags": ["a", "b c"]},
         content_type="application/x-www-form-urlencoded",
     )
     HttpClient(timeout=5).send(spec)
     assert seen["ct"].startswith("application/x-www-form-urlencoded")
-    assert seen["body"] == "field-one=x&count=2"
+    # A list field is exploded form style: one pair per item.
+    assert seen["body"] == "field-one=x&count=2&tags=a&tags=b+c"
 
 
 def test_execute_request_unreachable_host_is_network_error():
@@ -805,6 +837,17 @@ def test_redirect_to_another_host_drops_authorization(keepalive, client):
     first, second = (seen[2] for seen in server.seen)
     assert first["Authorization"] == "Bearer t"
     assert "Authorization" not in second and second["X-Keep"] == "k"
+
+
+def test_redirect_to_another_host_drops_an_api_key_header(keepalive, client):
+    there = keepalive()
+    here = keepalive(lambda handler: (
+        302, {"Location": f"http://localhost:{there.server_address[1]}/there"}, b""))
+    spec = HttpRequestSpec(method="GET", url=f"{here.base_url}/here", headers={"X-Keep": "k"})
+    client.send(inject_auth(spec, secured_plan("keyHeader"), {"keyHeader": {"apiKey": "secret"}}))
+    assert here.seen[0][2]["X-Api-Key"] == "secret"
+    [(_, target, headers, _)] = there.seen
+    assert target == "/there" and "X-Api-Key" not in headers and headers["X-Keep"] == "k"
 
 
 def test_redirect_loop_stops_after_the_cap(keepalive, client):

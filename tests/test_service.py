@@ -1,11 +1,13 @@
 """GraphQL-over-HTTP service endpoints."""
 
+import gc
 import http.client
 import json
 import logging
 import socket
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CannedClient, query_texts
+from conftest import CannedClient, intermediates, query_texts
 from oaswrap import service as service_module
 from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
 from oaswrap.generator import generate
@@ -601,3 +603,68 @@ def test_any_request_gets_a_spec_shaped_answer(canned_service, query, variables,
         assert list(body) == ["errors"] and errors
     else:
         assert status == 200 and "data" in body
+
+
+# -- what the server keeps ----------------------------------------------------------------
+
+
+def linked_resources_document(count: int) -> bytes:
+    """count resources, each with a get (linked to the next resource), a list
+    and a create operation over one record schema."""
+    paths, schemas = {}, {}
+    for i in range(count):
+        name, following = f"R{i}", f"R{(i + 1) % count}"
+        schemas[name] = {"type": "object", "required": ["id"], "properties": {
+            "id": {"type": "string"}, "title_text": {"type": "string"},
+            "count": {"type": "integer"}, "rate": {"type": "number"},
+            "state": {"type": "string", "enum": ["open", "closed"]},
+            "tags": {"type": "array", "items": {"type": "string"}},
+            "next_id": {"type": "string"},
+            "meta": {"type": "object", "properties": {
+                "created_at": {"type": "string"}, "owner": {"type": "string"}}}}}
+        record = {"$ref": f"#/components/schemas/{name}"}
+        paths[f"/r{i}/{{id}}"] = {"get": {
+            "operationId": f"get{name}",
+            "parameters": [{"name": "id", "in": "path", "required": True,
+                            "schema": {"type": "string"}}],
+            "responses": {"200": {"description": "ok",
+                                  "content": {"application/json": {"schema": record}},
+                                  "links": {f"Next{following}": {
+                                      "operationId": f"get{following}",
+                                      "parameters": {"id": "$response.body#/next_id"}}}}}}}
+        paths[f"/r{i}"] = {
+            "get": {"operationId": f"list{name}", "responses": {"200": {
+                "description": "ok", "content": {"application/json": {
+                    "schema": {"type": "array", "items": record}}}}}},
+            "post": {"operationId": f"create{name}",
+                     "requestBody": {"required": True, "content": {
+                         "application/json": {"schema": record}}},
+                     "responses": {"201": {"description": "created", "content": {
+                         "application/json": {"schema": record}}}}}}
+    return json.dumps({"openapi": "3.0.3", "info": {"title": "Linked", "version": "1"},
+                       "servers": [{"url": "https://x.example.com"}], "paths": paths,
+                       "components": {"schemas": schemas}}).encode()
+
+
+def retained_bytes(build) -> tuple[object, int]:
+    """What build() returns, and the bytes still allocated after it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_wrapper_retains_less_than_the_document_and_preprocessing_behind_it():
+    # A served wrapper holds the schema, the plans, the SDL and the report;
+    # the parsed document and the preprocessing result are not among them.
+    data = linked_resources_document(200)
+    assert generate(data).ok  # module-level memos are warm for both measurements
+    wrapper, wrapper_bytes = retained_bytes(lambda: generate(data))
+    assert wrapper.ok and len(wrapper.plans) == 600
+    (doc, pre), pipeline_bytes = retained_bytes(lambda: intermediates(data))
+    assert doc is not None and pre is not None
+    assert wrapper_bytes < pipeline_bytes, (wrapper_bytes, pipeline_bytes)
