@@ -119,11 +119,14 @@ def bind_runtime(plan: ResolvePlan, args: Mapping[str, Any], parent_response: An
         # OAS 3.0's default styles: simple for path and header, exploded form for query.
         if arg.location == "path":
             path = path.replace("{%s}" % arg.raw,
-                                ",".join(quote(_plain(v), safe="") for v in _items(value)))
+                                ",".join(quote(_plain(v), safe="") for v in _simple(value)))
         elif arg.location == "query":
-            query_pairs.extend((arg.raw, _plain(v)) for v in _items(value))
+            if isinstance(value, dict):  # one pair per property
+                query_pairs.extend((k, _plain(v)) for k, v in value.items())
+            else:
+                query_pairs.extend((arg.raw, _plain(v)) for v in _items(value))
         else:  # header
-            headers[arg.raw] = ",".join(_plain(v) for v in _items(value))
+            headers[arg.raw] = ",".join(_plain(v) for v in _simple(value))
 
     if "{" in path:
         missing = path[path.index("{") + 1: path.index("}")] if "}" in path else path
@@ -160,11 +163,23 @@ def _items(value: Any) -> list:
     return value if isinstance(value, list) else [value]
 
 
+def _simple(value: Any) -> list:
+    """The parts that simple style joins with commas: a list's items, an
+    object's property names and values in turn, or the one value."""
+    if isinstance(value, dict):
+        return [part for pair in value.items() for part in pair]
+    return _items(value)
+
+
 def _plain(value: Any) -> str:
+    """A scalar as text; an object or list, where no style spreads it, as
+    JSON, the Encoding Object's default for a form field holding an object."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, separators=(",", ":"))
     return str(value)
 
 

@@ -3,9 +3,11 @@
 POST /graphql executes queries (HTTP 200 even for execution errors, 400 for
 request errors, 413 for a body over MAX_REQUEST_BYTES, 500 with an error ID
 for an internal error); GET /sdl returns the schema text; GET /report the
-generation report. A query text that comes a second time is kept, its
-document and compiled plan, in a bounded second-sighting cache
-(engine/cache.py), so that later requests with it skip parsing and validation.
+generation report; any other method is a 405. A query text that comes a
+second time is kept, its document and compiled plan, in a bounded
+second-sighting cache (engine/cache.py), so that later requests with it skip
+parsing and validation. The server speaks HTTP/1.1 with persistent
+connections on a bounded set of worker threads (WrapperServer).
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 import json
 import logging
 import os
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import queue
+import select
+import socket
+import threading
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Any
 
 import orjson
@@ -31,6 +39,19 @@ logger = logging.getLogger("oaswrap.service")
 
 # The largest request body read; a longer one is refused unread.
 MAX_REQUEST_BYTES = 1 << 20
+# At most this many worker threads serve connections, one each; a further
+# connection waits, unaccepted, in a listen backlog of this many. (A backlog
+# of 5 drops connections under modest concurrency, and each dropped SYN costs
+# the client a 1 s retransmit.)
+WORKERS = 16
+LISTEN_BACKLOG = 128
+# A connection may idle this long before a request's first byte, and the
+# request's head and body must then arrive within the read deadline.
+IDLE_TIMEOUT_S = 5.0
+READ_DEADLINE_S = 10.0
+# The request line and header lines: at most this many bytes, and this many lines.
+MAX_HEAD_BYTES = 1 << 16
+MAX_HEADERS = 100
 # The document cache keeps at most this many query texts, of at most this many
 # UTF-8 bytes in all; the least recently used go first. A cached document with
 # its compiled plan takes about 70 times its text's size.
@@ -105,77 +126,314 @@ class GraphQLService:
         return finalize_report(self.wrapper.report)
 
 
-class WrapperServer(ThreadingHTTPServer):
-    # socketserver's default backlog of 5 drops connections under modest
-    # concurrency, and each dropped SYN costs the client a 1 s retransmit.
-    request_queue_size = 128
+class WrapperServer:
+    """An HTTP/1.1 server of one GraphQLService on a bounded set of worker
+    threads.
 
+    The serving thread (the caller of serve_forever) waits for a pending
+    connection, takes the most recently idle worker, starting one while fewer
+    than `workers` run, and only then accepts. So a connection beyond the
+    workers waits in the listen backlog and never adds a thread. Taking the
+    most recently idle worker keeps the load on few threads, and so on few of
+    the allocator's per-thread arenas.
 
-def make_server(service: GraphQLService, host: str = "127.0.0.1",
-                port: int = 0) -> WrapperServer:
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, fmt, *args):  # route through logging, not stderr
-            logger.debug("%s " + fmt, self.address_string(), *args)
+    A worker serves its connection until the client closes it or asks for a
+    close, the connection idles IDLE_TIMEOUT_S, a request's head and body
+    miss READ_DEADLINE_S, or a request cannot be framed. Each response goes
+    out in one send."""
 
-        def _send(self, status: int, body: bytes, content_type: str) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    request_queue_size = LISTEN_BACKLOG
 
-        def do_GET(self):
-            if self.path == "/sdl":
-                self._send(200, service.sdl_text().encode("utf-8"),
-                           "text/plain; charset=utf-8")
-            elif self.path == "/report":
-                self._send(200, service.report_json().encode("utf-8"), "application/json")
+    def __init__(self, service: GraphQLService, address: tuple[str, int], workers: int):
+        self.service = service
+        self.workers = workers
+        self.socket = socket.create_server(address, backlog=self.request_queue_size)
+        self.socket.setblocking(False)  # a pending connection can vanish before accept
+        self.server_address = self.socket.getsockname()[:2]
+        self._wake, self._waker = socket.socketpair()
+        self._lock = threading.Condition(threading.Lock())
+        self._idle: list[queue.SimpleQueue] = []  # workers' inboxes, most recently idle last
+        self._threads: list[threading.Thread] = []
+        self._open: set[socket.socket] = set()  # connections being served
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Serve until shutdown() is called or the loop is interrupted; then
+        return once every worker has finished its current response."""
+        self._stopped.clear()
+        try:
+            while not self._stopping:
+                if self._wake in select.select([self.socket, self._wake], [], [])[0]:
+                    self._wake.recv(64)
+                    continue
+                inbox = self._free_worker()
+                if inbox is None:
+                    break
+                try:
+                    conn = self.socket.accept()[0]
+                except OSError:  # BlockingIOError or ConnectionAbortedError: none to take
+                    with self._lock:
+                        self._idle.append(inbox)
+                    continue
+                with self._lock:
+                    self._open.add(conn)
+                inbox.put(conn)
+        finally:
+            with self._lock:
+                self._stopping = True
+                idle, self._idle = self._idle, []
+                threads, self._threads = self._threads, []
+                for conn in self._open:  # a worker waiting for a request sees it end
+                    try:
+                        conn.shutdown(socket.SHUT_RD)
+                    except OSError:
+                        pass
+            for inbox in idle:
+                inbox.put(None)
+            for thread in threads:
+                thread.join()
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Make serve_forever return, and wait until it has; call it from
+        another thread."""
+        with self._lock:
+            self._stopping = True
+            self._lock.notify_all()
+        self._waker.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
+        self._wake.close()
+        self._waker.close()
+
+    def _free_worker(self) -> queue.SimpleQueue | None:
+        """The inbox of the most recently idle worker, or of a new one while
+        fewer than `workers` run; None once stopping."""
+        with self._lock:
+            while not self._stopping:
+                if self._idle:
+                    return self._idle.pop()
+                if len(self._threads) < self.workers:
+                    inbox: queue.SimpleQueue = queue.SimpleQueue()
+                    thread = threading.Thread(target=self._work, args=(inbox,),
+                                              name=f"oaswrap-worker-{len(self._threads)}",
+                                              daemon=True)
+                    self._threads.append(thread)
+                    thread.start()
+                    return inbox
+                self._lock.wait()
+        return None
+
+    def _work(self, inbox: queue.SimpleQueue) -> None:
+        while (conn := inbox.get()) is not None:
+            try:
+                self._serve(conn)
+            except TimeoutError:
+                logger.debug("connection dropped: idle or read deadline passed")
+            except OSError as exc:  # the client hung up, maybe mid-response
+                logger.debug("connection lost: %r", exc)
+            except Exception:  # the worker keeps serving
+                logger.exception("internal error serving a connection")
+            finally:
+                conn.close()
+                with self._lock:
+                    self._open.discard(conn)
+                    if self._stopping:
+                        return
+                    self._idle.append(inbox)
+                    self._lock.notify()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """Answer the requests on conn until it is to close."""
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        pending = b""
+        while not self._stopping:
+            try:
+                request = _read_head(conn, pending)
+                if request is None:
+                    return
+                head, pending, deadline = request
+                method, target, http10, keep_alive, length, expect_continue = _parse_head(head)
+                if length > MAX_REQUEST_BYTES:
+                    raise _Refused(413, f"request body of {length} bytes exceeds the limit "
+                                        f"of {MAX_REQUEST_BYTES} bytes")
+            except _Refused as refused:  # what follows cannot be read as a request
+                status, message = refused.args
+                _respond(conn, status, _error(message), _JSON, _CLOSE)
+                return
+            if expect_continue and len(pending) < length:
+                conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = _read_body(conn, pending, length, deadline)
+            if body is None:
+                return
+            body, pending = body
+            content_type, headers = _JSON, ""
+            if method == "POST" and target == "/graphql":
+                status, content = self._graphql(body)
+            elif method not in ("GET", "POST"):
+                status, content = 405, _error(f"method {method} is not allowed")
+                headers = "Allow: GET, POST\r\n"
+            elif method == "GET" and target == "/sdl":
+                status, content = 200, self.service.sdl_text().encode("utf-8")
+                content_type = "text/plain; charset=utf-8"
+            elif method == "GET" and target == "/report":
+                status, content = 200, self.service.report_json().encode("utf-8")
             else:
-                self._send(404, b'{"errors": [{"message": "not found"}]}', "application/json")
+                status, content = 404, _error("not found")
+            if not keep_alive:
+                headers += _CLOSE
+            elif http10:
+                headers += "Connection: keep-alive\r\n"
+            _respond(conn, status, content, content_type, headers)
+            logger.debug("%s %s -> %d", method, target, status)
+            if not keep_alive:
+                return
 
-        def do_POST(self):
-            if self.path != "/graphql":
-                self._send(404, b'{"errors": [{"message": "not found"}]}', "application/json")
-                return
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = -1
-            if length < 0:
-                self._send(400, b'{"errors": [{"message": "Content-Length must be a '
-                                b'non-negative integer"}]}', "application/json")
-                return
-            if length > MAX_REQUEST_BYTES:
-                self.close_connection = True  # the unread body must not be parsed as a request
-                self._send(413, json.dumps({"errors": [{"message": (
-                    f"request body of {length} bytes exceeds the limit of "
-                    f"{MAX_REQUEST_BYTES} bytes")}]}).encode("utf-8"), "application/json")
-                return
-            raw = self.rfile.read(length) if length else b""
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else None
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                self._send(400, b'{"errors": [{"message": "request body is not valid JSON"}]}',
-                           "application/json")
-                return
-            except RecursionError:
-                self._send(400, b'{"errors": [{"message": "request body is nested too deeply"}]}',
-                           "application/json")
-                return
-            except ValueError:  # an integer literal past sys.get_int_max_str_digits()
-                self._send(400, b'{"errors": [{"message": "request body holds an integer too '
-                                b'long to decode"}]}', "application/json")
-                return
-            try:
-                status, body = service.handle_graphql(payload)
-            except Exception:  # the server keeps serving; the client gets no stack trace
-                error_id = os.urandom(8).hex()
-                logger.exception("internal error %s handling POST /graphql", error_id)
-                status, body = 500, {"errors": [{"message": f"internal error {error_id}",
-                                                 "extensions": {"errorId": error_id}}]}
-            self._send(status, encode_response(body), "application/json")
+    def _graphql(self, raw: bytes) -> tuple[int, bytes]:
+        """The status and JSON body answering a POST /graphql body."""
+        try:
+            payload = json.loads(raw.decode("utf-8")) if raw else None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return 400, _error("request body is not valid JSON")
+        except RecursionError:
+            return 400, _error("request body is nested too deeply")
+        except ValueError:  # an integer literal past sys.get_int_max_str_digits()
+            return 400, _error("request body holds an integer too long to decode")
+        try:
+            status, body = self.service.handle_graphql(payload)
+        except Exception:  # the server keeps serving; the client gets no stack trace
+            error_id = os.urandom(8).hex()
+            logger.exception("internal error %s handling POST /graphql", error_id)
+            status, body = 500, {"errors": [{"message": f"internal error {error_id}",
+                                             "extensions": {"errorId": error_id}}]}
+        return status, encode_response(body)
 
-    return WrapperServer((host, port), Handler)
+
+class _Refused(Exception):
+    """(status, message) answering a request whose connection then closes,
+    since what follows the request cannot be framed."""
+
+
+def _read_head(conn: socket.socket, pending: bytes) -> tuple[bytes, bytes, float] | None:
+    """The next request's head (request line and header lines), the bytes
+    after it, and the deadline for its body; None when the client closed
+    the connection first. Raises TimeoutError when the connection idles
+    IDLE_TIMEOUT_S before a request or the head misses READ_DEADLINE_S, and
+    _Refused when the head grows past MAX_HEAD_BYTES."""
+    deadline = time.monotonic() + READ_DEADLINE_S if pending else None
+    while True:
+        pending = pending.lstrip(b"\r\n")  # empty lines may precede a request line
+        if pending:
+            end, skip = pending.find(b"\n\r\n"), 3
+            bare = pending.find(b"\n\n")  # lines may end in a bare LF
+            if bare != -1 and (end == -1 or bare < end):
+                end, skip = bare, 2
+            if end > MAX_HEAD_BYTES or (end == -1 and len(pending) > MAX_HEAD_BYTES):
+                raise _Refused(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
+            if end != -1:
+                return pending[:end], pending[end + skip:], deadline
+        conn.settimeout(IDLE_TIMEOUT_S if deadline is None else _remaining(deadline))
+        chunk = conn.recv(_RECV_BYTES)
+        if not chunk:
+            return None
+        if deadline is None:
+            deadline = time.monotonic() + READ_DEADLINE_S
+        pending += chunk
+
+
+def _read_body(conn: socket.socket, pending: bytes, length: int,
+               deadline: float) -> tuple[bytes, bytes] | None:
+    """A body of length bytes and the bytes after it, or None when the client
+    closed the connection first; TimeoutError past the deadline."""
+    if len(pending) < length:
+        buffer = bytearray(pending)
+        while len(buffer) < length:
+            conn.settimeout(_remaining(deadline))
+            chunk = conn.recv(_RECV_BYTES)
+            if not chunk:
+                return None
+            buffer += chunk
+        pending = bytes(buffer)
+    return pending[:length], pending[length:]
+
+
+def _remaining(deadline: float) -> float:
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("read deadline passed")
+    return remaining
+
+
+def _parse_head(head: bytes) -> tuple[str, str, bool, bool, int, bool]:
+    """(method, target, HTTP/1.0, keep-alive, Content-Length, 100-continue)
+    of a request head; no Content-Length is a length of 0. Raises _Refused
+    for a head that cannot be framed safely: a malformed request line or
+    header line, too many header lines, another HTTP version, any
+    Transfer-Encoding, or a malformed or conflicting Content-Length."""
+    lines = head.split(b"\n")
+    parts = lines[0].rstrip(b"\r").split(b" ")
+    if len(parts) != 3:
+        raise _Refused(400, "malformed request line")
+    method, target, version = parts
+    if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are supported")
+    if len(lines) > MAX_HEADERS + 1:
+        raise _Refused(431, f"more than {MAX_HEADERS} header lines")
+    fields: dict[bytes, bytes] = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name.strip() != name:  # also a folded line
+            raise _Refused(400, "malformed header line")
+        name, value = name.lower(), value.strip()
+        fields[name] = fields[name] + b"," + value if name in fields else value
+    if b"transfer-encoding" in fields:
+        raise _Refused(501, "Transfer-Encoding is not supported; send a Content-Length")
+    length = 0
+    if b"content-length" in fields:
+        values = {value.strip() for value in fields[b"content-length"].split(b",")}
+        if len(values) > 1:
+            raise _Refused(400, "conflicting Content-Length values")
+        value = values.pop()
+        try:
+            length = int(value) if value.isdigit() else -1
+        except ValueError:  # more digits than int() reads
+            length = -1
+        if length < 0:
+            raise _Refused(400, "Content-Length must be a non-negative integer")
+    http10 = version == b"HTTP/1.0"
+    tokens = {token.strip() for token in fields.get(b"connection", b"").lower().split(b",")}
+    keep_alive = b"keep-alive" in tokens if http10 else b"close" not in tokens
+    expect_continue = not http10 and fields.get(b"expect", b"").lower() == b"100-continue"
+    return (method.decode("latin-1"), target.decode("latin-1"), http10, keep_alive, length,
+            expect_continue)
+
+
+def _respond(conn: socket.socket, status: int, body: bytes, content_type: str,
+             headers: str) -> None:
+    """Send one response, with headers (whole header lines) added, in one send."""
+    head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {formatdate(usegmt=True)}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n{headers}\r\n")
+    conn.settimeout(READ_DEADLINE_S)  # the client must take the response as fast
+    conn.sendall(head.encode("latin-1") + body)
+
+
+def _error(message: str) -> bytes:
+    return encode_response({"errors": [{"message": message}]})
+
+
+_JSON = "application/json"
+_CLOSE = "Connection: close\r\n"
+_RECV_BYTES = 1 << 16
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+
+def make_server(service: GraphQLService, host: str = "127.0.0.1", port: int = 0,
+                workers: int = WORKERS) -> WrapperServer:
+    return WrapperServer(service, (host, port), workers)
 
 
 def encode_response(body: Any) -> bytes:

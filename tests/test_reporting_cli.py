@@ -423,6 +423,10 @@ def test_importing_the_cli_loads_no_serving_yaml_or_corpus_module():
     assert not (SERVING_MODULES | {"yaml", "concurrent.futures", "oaswrap.evaluate"}) & loaded
 
 
+def test_the_service_loads_no_standard_library_server():
+    assert not {"http.server", "socketserver"} & modules_after("import oaswrap.service")
+
+
 def test_generate_reads_a_yaml_document_without_loading_serving_modules(tmp_path):
     sdl = tmp_path / "schema.graphql"
     loaded = modules_after(

@@ -383,6 +383,31 @@ def test_list_path_and_header_arguments_are_sent_in_simple_style():
     assert spec.url == "https://api.example.com/p/x%2Fy,c%2Cd"
 
 
+def test_object_arguments_are_sent_in_each_location_s_default_style(monkeypatch):
+    # OAS 3.0's defaults: simple style joins names and values with commas in a
+    # path or header, and exploded form style sends one query pair per property.
+    record = {"type": "object", "properties": {"user-role": {"type": "string"},
+                                               "age": {"type": "integer"}}}
+    wrapper = build({"/p/{who}": get_path({"type": "string"}, parameters=[
+        {"name": "who", "in": "path", "required": True, "schema": record},
+        {"name": "filter", "in": "query", "schema": record},
+        {"name": "X-Who", "in": "header", "schema": record}])})
+    plan = wrapper.plans["GET /p/{who}"]
+    value = {"userRole": "a/b", "age": 3}
+    spec = bind_runtime(plan, {"who": value, "filter": value, "XWho": value}, None, None, {},
+                        wrapper.schema.types)
+    assert spec.url == "https://api.example.com/p/user-role,a%2Fb,age,3"
+    assert spec.query == [("user-role", "a/b"), ("age", "3")]
+    assert spec.headers == {"X-Who": "user-role,a/b,age,3"}
+    sent = []
+    monkeypatch.setattr(HttpClient, "_exchange",
+                        lambda self, method, url, headers, body, spec: (
+                            sent.append((url, headers)) or (200, {}, b"{}")))
+    HttpClient().send(spec)
+    assert sent[0][0] == "https://api.example.com/p/user-role,a%2Fb,age,3?user-role=a%2Fb&age=3"
+    assert sent[0][1]["X-Who"] == "user-role,a/b,age,3"
+
+
 def test_bind_records_sent_params_for_propagation():
     wrapper, plan = make_plan_fixture(default="d")
     spec = bind_runtime(plan, {"p": "x"}, None, None, {}, wrapper.schema.types)
@@ -637,13 +662,15 @@ def test_execute_request_form_encoding(upstream):
     upstream.route("POST", "/form", handler)
     spec = HttpRequestSpec(
         method="POST", url=f"{upstream.base_url}/form",
-        body={"field-one": "x", "count": 2, "tags": ["a", "b c"]},
+        body={"field-one": "x", "count": 2, "tags": ["a", "b c"], "meta": {"a": 1, "b": [2]}},
         content_type="application/x-www-form-urlencoded",
     )
     HttpClient(timeout=5).send(spec)
     assert seen["ct"].startswith("application/x-www-form-urlencoded")
-    # A list field is exploded form style: one pair per item.
-    assert seen["body"] == "field-one=x&count=2&tags=a&tags=b+c"
+    # A list field is exploded form style: one pair per item; an object field
+    # is JSON text, the Encoding Object's default for an object.
+    assert seen["body"] == ("field-one=x&count=2&tags=a&tags=b+c"
+                            "&meta=%7B%22a%22%3A1%2C%22b%22%3A%5B2%5D%7D")
 
 
 def test_execute_request_unreachable_host_is_network_error():

@@ -4,11 +4,15 @@ import gc
 import http.client
 import json
 import logging
+import re
+import select
 import socket
+import struct
 import sys
 import threading
+import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from types import SimpleNamespace
 from urllib.parse import urlsplit
@@ -154,7 +158,7 @@ def test_bad_content_length_is_400(service_url, length):
         while chunk := sock.recv(4096):
             reply += chunk
     head, _, body = reply.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.0 400")
+    assert head.startswith(b"HTTP/1.1 400")
     assert "Content-Length" in json.loads(body)["errors"][0]["message"]
 
 
@@ -170,7 +174,7 @@ def test_request_over_the_size_cap_is_413_unread(service_url):
         while chunk := sock.recv(4096):
             reply += chunk
     head, _, body = reply.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.0 413")
+    assert head.startswith(b"HTTP/1.1 413")
     assert str(MAX_REQUEST_BYTES) in json.loads(body)["errors"][0]["message"]
     assert upstream.requests == []
 
@@ -430,6 +434,313 @@ def test_a_lone_surrogate_inside_an_input_object_is_a_400_before_any_upstream_ca
     assert response.json() == {"errors": [{"message": "$u.name holds a lone surrogate, which "
                                                       "is no Unicode scalar value"}]}
     assert upstream.requests == []
+
+
+# -- the HTTP/1.1 edge -----------------------------------------------------------------
+
+
+def connect(url):
+    host, port = url.removeprefix("http://").split(":")
+    return socket.create_connection((host, int(port)), timeout=5)
+
+
+def read_response(sock):
+    """The status line with headers, and the body, of the next response on
+    sock; what follows it stays unread."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        byte = sock.recv(1)
+        assert byte, f"connection closed after {head!r}"
+        head += byte
+    length = int(re.search(rb"\r\ncontent-length: *(\d+)", head, re.IGNORECASE)[1])
+    body = b""
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
+        assert chunk, f"connection closed after {len(body)} of {length} bytes"
+        body += chunk
+    return head[:-4], body
+
+
+def closed(sock):
+    """Whether the server has closed sock, within its timeout."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+GET_SDL = b"GET /sdl HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def graphql_request(query, extra=b""):
+    body = json.dumps({"query": query}).encode()
+    return (b"POST /graphql HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n%s\r\n" % (len(body), extra)), body
+
+
+def test_two_requests_share_one_connection_and_pipelined_ones_are_answered_in_order(
+        service_url):
+    url, wrapper, _ = service_url
+    head, body = graphql_request('{ user(id: "u1") { name } }')
+    with connect(url) as sock:
+        sock.sendall(GET_SDL)
+        status, sdl = read_response(sock)
+        assert status.startswith(b"HTTP/1.1 200 OK\r\n") and b"Connection" not in status
+        assert sdl.decode() == wrapper.sdl
+        sock.sendall(head + body)
+        assert read_response(sock)[1] == b'{"data":{"user":{"name":"Uma"}}}'
+        sock.sendall(head + body + GET_SDL + b"GET /nope HTTP/1.1\r\n\r\n")
+        assert read_response(sock)[1] == b'{"data":{"user":{"name":"Uma"}}}'
+        assert read_response(sock)[1].decode() == wrapper.sdl
+        assert read_response(sock)[0].startswith(b"HTTP/1.1 404 ")
+
+
+@pytest.mark.parametrize("request_head,stays_open", [
+    (b"GET /sdl HTTP/1.0\r\n\r\n", False),
+    (b"GET /sdl HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", False),
+    (b"GET /sdl HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", True),
+])
+def test_http10_and_connection_close_end_in_a_close(service_url, request_head, stays_open):
+    url, wrapper, _ = service_url
+    with connect(url) as sock:
+        sock.sendall(request_head)
+        head, body = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 200 ") and body.decode() == wrapper.sdl
+        if stays_open:
+            assert b"\r\nConnection: keep-alive" in head
+            sock.sendall(request_head)
+            assert read_response(sock)[1].decode() == wrapper.sdl
+        else:
+            assert b"\r\nConnection: close" in head
+            assert closed(sock)
+
+
+def test_expect_100_continue_gets_an_interim_response_before_the_body_is_read(service_url):
+    url, _, _ = service_url
+    head, body = graphql_request('{ user(id: "u1") { name } }', b"Expect: 100-continue\r\n")
+    with connect(url) as sock:
+        sock.sendall(head)
+        assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        head, body = read_response(sock)
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert body == b'{"data":{"user":{"name":"Uma"}}}'
+
+
+def test_a_refused_body_gets_no_100_continue(service_url):
+    url, _, _ = service_url
+    with connect(url) as sock:
+        sock.sendall(b"POST /graphql HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: %d\r\n\r\n" % (MAX_REQUEST_BYTES + 1))
+        head, _ = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 413 ") and closed(sock)
+
+
+SMUGGLED = b"GET /report HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.mark.parametrize("request_head,status,message", [
+    (b"POST /graphql HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"%x\r\n%s\r\n0\r\n\r\n" % (len(SMUGGLED), SMUGGLED), 501, "Transfer-Encoding"),
+    (b"POST /graphql HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+     b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 501, "Transfer-Encoding"),
+    (b"POST /graphql HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nContent-Length: 30\r\n\r\n"
+     b"{}", 400, "conflicting Content-Length"),
+    (b"POST /graphql HTTP/1.1\r\nHost: x\r\nContent-Length: 2, 30\r\n\r\n{}", 400,
+     "conflicting Content-Length"),
+    (b"GET /sdl HTTP/1.1\r\nHost: x\r\nContent-Length : 30\r\n\r\n", 400, "malformed header"),
+    (b"GET /sdl HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n", 400, "malformed header"),
+    (b"GET /sdl\r\n\r\n", 400, "malformed request line"),
+    (b"GET /sdl HTTP/2.0\r\n\r\n", 505, "HTTP/1.1"),
+    (b"GET /sdl HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 16) + b"\r\n\r\n", 431, "exceeds"),
+    (b"GET /" + b"a" * (1 << 16), 431, "exceeds"),
+    (b"GET /sdl HTTP/1.1\r\n" + b"X-A: b\r\n" * 101 + b"\r\n", 431, "header lines"),
+])
+def test_a_request_that_cannot_be_framed_is_refused_and_nothing_after_it_is_read(
+        service_url, request_head, status, message):
+    url, _, upstream = service_url
+    with connect(url) as sock:
+        sock.sendall(request_head + SMUGGLED)
+        head, body = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close" in head
+        assert message in json.loads(body)["errors"][0]["message"]
+        assert closed(sock)
+    assert upstream.requests == []
+
+
+def test_a_head_at_the_bounds_is_served(service_url):
+    url, wrapper, _ = service_url
+    with connect(url) as sock:
+        sock.sendall(b"GET /sdl HTTP/1.1\r\n" + b"X-A: b\r\n" * 99 + b"X-Pad: "
+                     + b"a" * ((1 << 16) - 20 - 8 * 99 - 7) + b"\r\n\r\n")
+        assert read_response(sock)[1].decode() == wrapper.sdl
+        sock.sendall(b"\r\n" + GET_SDL)  # an empty line before a request line is skipped
+        assert read_response(sock)[1].decode() == wrapper.sdl
+
+
+@pytest.mark.parametrize("method", [b"PUT", b"DELETE", b"HEAD", b"OPTIONS", b"get"])
+def test_another_method_is_a_json_405(service_url, method):
+    url, wrapper, _ = service_url
+    with connect(url) as sock:
+        sock.sendall(method + b" /graphql HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, body = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 405 ") and b"\r\nAllow: GET, POST" in head
+        assert json.loads(body) == {"errors": [{"message": f"method {method.decode()} is "
+                                                           "not allowed"}]}
+        sock.sendall(GET_SDL)  # the connection stays open
+        assert read_response(sock)[1].decode() == wrapper.sdl
+
+
+def test_a_body_sent_to_another_route_is_read_and_the_connection_kept(service_url):
+    url, wrapper, upstream = service_url
+    with connect(url) as sock:
+        sock.sendall(b"POST /sdl HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                     % (len(SMUGGLED), SMUGGLED) + GET_SDL)
+        head, _ = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 404 ") and b"Connection" not in head
+        assert read_response(sock)[1].decode() == wrapper.sdl  # not the report
+    assert upstream.requests == []
+
+
+@pytest.mark.parametrize("sent", [
+    b"",  # idle
+    b"GET /sdl HTTP/1.1\r\nHost",  # a head that stops
+    b"POST /graphql HTTP/1.1\r\nContent-Length: 10\r\n\r\n{",  # a body that stops
+])
+def test_a_silent_client_is_dropped_at_its_deadline(service_url, monkeypatch, sent):
+    monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.3)
+    monkeypatch.setattr(service_module, "READ_DEADLINE_S", 0.3)
+    url, _, upstream = service_url
+    with connect(url) as sock:
+        sock.sendall(sent)
+        start = time.monotonic()
+        assert closed(sock)
+        assert 0.2 < time.monotonic() - start < 3
+    assert upstream.requests == []
+
+
+def test_a_slow_head_is_dropped_at_the_read_deadline_though_each_byte_comes_in_time(
+        service_url, monkeypatch):
+    monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(service_module, "READ_DEADLINE_S", 0.5)
+    url, _, _ = service_url
+    with connect(url) as sock:
+        start = time.monotonic()
+        for byte in b"GET /sdl HTTP/1.1\r\nHost: x\r\nX-Slow: " + b"a" * 100:
+            if select.select([sock], [], [], 0.1)[0]:
+                break
+            sock.sendall(bytes([byte]))
+        assert closed(sock)
+        assert 0.4 < time.monotonic() - start < 2
+
+
+def test_workers_bound_the_threads_whatever_the_connections(upstream):
+    def workers():
+        return sum(t.name.startswith("oaswrap-worker") for t in threading.enumerate())
+
+    upstream.static("GET", "/user/{id}", {"id": "u1", "name": "Uma"})
+    wrapper = build_wrapper(upstream)
+    start = threading.active_count()  # threads of earlier tests may still end, none start
+    server = make_server(GraphQLService(wrapper), workers=2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = "http://%s:%d" % server.server_address
+    socks = [connect(url) for _ in range(4)]
+    try:
+        for sock in socks:
+            sock.sendall(GET_SDL)
+        for sock in socks[:2]:
+            assert read_response(sock)[1].decode() == wrapper.sdl
+        # Two idle connections hold both workers; the other two wait unaccepted.
+        assert workers() == 2 and threading.active_count() <= start + 3
+        assert select.select(socks[2:], [], [], 0.3)[0] == []
+        for sock in socks[:2]:
+            sock.close()
+        for sock in socks[2:]:
+            assert read_response(sock)[1].decode() == wrapper.sdl
+        assert workers() == 2 and threading.active_count() <= start + 3
+        # Shutting down ends the connections that the workers still hold.
+        began = time.monotonic()
+        server.shutdown()
+        thread.join(5)
+        assert not thread.is_alive() and time.monotonic() - began < 2
+        assert workers() == 0 and threading.active_count() <= start
+        assert all(closed(sock) for sock in socks[2:])
+    finally:
+        for sock in socks:
+            sock.close()
+        server.server_close()
+
+
+def test_clients_outnumbering_the_workers_are_all_answered(canned_service):
+    # Eight clients share three workers, each client opening a connection per
+    # request or keeping one, with thread switches as often as possible: a
+    # worker lost from the idle stack would leave a client unanswered.
+    server = make_server(canned_service, workers=3)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = "http://%s:%d" % server.server_address
+    head, body = graphql_request('{ user(id: "u1") { name } }')
+    answers = []
+
+    def client(keep):
+        sock = connect(url) if keep else None
+        for _ in range(10):
+            with (nullcontext(sock) if keep else connect(url)) as conn:
+                conn.sendall(head + body)
+                answers.append(read_response(conn)[1])
+        if keep:
+            sock.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client, args=(n % 2 == 0,)) for n in range(8)]
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+    assert not any(c.is_alive() for c in clients) and not thread.is_alive()
+    assert answers == [b'{"data":{"user":{"name":"Uma"}}}'] * 80
+    assert not server._open and not server._idle and not server._threads
+
+
+def test_a_client_that_hangs_up_mid_response_leaves_one_debug_record(
+        canned_service, monkeypatch, caplog, capsys):
+    answer = threading.Event()
+    big = {"data": {"user": {"name": "x" * (4 << 20)}}}
+
+    def blocked(payload):
+        answer.wait(5)
+        return 200, big
+
+    monkeypatch.setattr(canned_service, "handle_graphql", blocked)
+    head, body = graphql_request("{ a }")
+    with caplog.at_level(logging.DEBUG, logger="oaswrap.service"):
+        with serving(canned_service) as url:
+            sock = connect(url)
+            sock.sendall(head + body)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a reset, not a close after the response
+            answer.set()
+            for _ in range(100):
+                if any(r.name == "oaswrap.service" for r in caplog.records):
+                    break
+                time.sleep(0.05)
+            with connect(url) as again:  # and the worker serves on
+                again.sendall(GET_SDL)
+                assert read_response(again)[0].startswith(b"HTTP/1.1 200 ")
+    [record] = [r for r in caplog.records if r.name == "oaswrap.service"
+                and r.getMessage() != "GET /sdl -> 200"]
+    assert record.levelno == logging.DEBUG and "connection lost" in record.getMessage()
+    assert record.exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- the document cache -----------------------------------------------------------------
