@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import queue
 import select
@@ -49,6 +50,9 @@ LISTEN_BACKLOG = 128
 # request's head and body must then arrive within the read deadline.
 IDLE_TIMEOUT_S = 5.0
 READ_DEADLINE_S = 10.0
+# On shutdown, workers get this long to finish the responses in flight; a
+# worker still busy after it is a daemon thread, left to the process's exit.
+SHUTDOWN_GRACE_S = 2.0
 # The request line and header lines: at most this many bytes, and this many lines.
 MAX_HEAD_BYTES = 1 << 16
 MAX_HEADERS = 100
@@ -132,7 +136,7 @@ class WrapperServer:
 
     The serving thread (the caller of serve_forever) waits for a pending
     connection, takes the most recently idle worker, starting one while fewer
-    than `workers` run, and only then accepts. So a connection beyond the
+    than WORKERS run, and only then accepts. So a connection beyond the
     workers waits in the listen backlog and never adds a thread. Taking the
     most recently idle worker keeps the load on few threads, and so on few of
     the allocator's per-thread arenas.
@@ -140,60 +144,61 @@ class WrapperServer:
     A worker serves its connection until the client closes it or asks for a
     close, the connection idles IDLE_TIMEOUT_S, a request's head and body
     miss READ_DEADLINE_S, or a request cannot be framed. Each response goes
-    out in one send."""
+    out in one send. While a connection waits for a worker, every worker
+    closes its connection after its current response, and the serving thread
+    ends the kept connection that has waited longest for its next request,
+    so that busy keep-alive clients cannot hold every worker."""
 
-    request_queue_size = LISTEN_BACKLOG
-
-    def __init__(self, service: GraphQLService, address: tuple[str, int], workers: int):
+    def __init__(self, service: GraphQLService, address: tuple[str, int]):
         self.service = service
-        self.workers = workers
-        self.socket = socket.create_server(address, backlog=self.request_queue_size)
+        self.socket = socket.create_server(address, backlog=LISTEN_BACKLOG)
         self.socket.setblocking(False)  # a pending connection can vanish before accept
         self.server_address = self.socket.getsockname()[:2]
         self._wake, self._waker = socket.socketpair()
         self._lock = threading.Condition(threading.Lock())
         self._idle: list[queue.SimpleQueue] = []  # workers' inboxes, most recently idle last
         self._threads: list[threading.Thread] = []
-        self._open: set[socket.socket] = set()  # connections being served
+        # connections waiting for a request -> since when; math.inf for a new
+        # connection, which is never ended to free its worker
+        self._waiting: dict[socket.socket, float] = {}
+        self._contended = False  # a connection waits for a worker
         self._stopping = False
         self._stopped = threading.Event()
 
     def serve_forever(self) -> None:
         """Serve until shutdown() is called or the loop is interrupted; then
-        return once every worker has finished its current response."""
-        self._stopped.clear()
+        return once every worker has finished its current response, or
+        SHUTDOWN_GRACE_S has passed. A server serves once."""
+        inbox = None  # a worker taken and not yet handed a connection
         try:
             while not self._stopping:
                 if self._wake in select.select([self.socket, self._wake], [], [])[0]:
                     self._wake.recv(64)
                     continue
-                inbox = self._free_worker()
                 if inbox is None:
-                    break
+                    inbox = self._free_worker()
+                    if inbox is None:
+                        break
                 try:
                     conn = self.socket.accept()[0]
                 except OSError:  # BlockingIOError or ConnectionAbortedError: none to take
-                    with self._lock:
-                        self._idle.append(inbox)
                     continue
-                with self._lock:
-                    self._open.add(conn)
                 inbox.put(conn)
+                inbox = None
         finally:
             with self._lock:
                 self._stopping = True
                 idle, self._idle = self._idle, []
+                if inbox is not None:
+                    idle.append(inbox)
                 threads, self._threads = self._threads, []
-                for conn in self._open:  # a worker waiting for a request sees it end
-                    try:
-                        conn.shutdown(socket.SHUT_RD)
-                    except OSError:
-                        pass
+                for conn in self._waiting:  # a worker waiting for a request sees it end
+                    _end_reading(conn)
             for inbox in idle:
                 inbox.put(None)
-            for thread in threads:
-                thread.join()
-            self._stopping = False
+            deadline = time.monotonic() + SHUTDOWN_GRACE_S
+            for thread in threads:  # a worker still busy is a daemon, left to finish
+                thread.join(max(0.0, deadline - time.monotonic()))
             self._stopped.set()
 
     def shutdown(self) -> None:
@@ -212,19 +217,27 @@ class WrapperServer:
 
     def _free_worker(self) -> queue.SimpleQueue | None:
         """The inbox of the most recently idle worker, or of a new one while
-        fewer than `workers` run; None once stopping."""
+        fewer than WORKERS run; None once stopping. While every worker holds
+        a connection, the kept connection that has waited longest for its
+        next request is ended to free its worker."""
         with self._lock:
             while not self._stopping:
                 if self._idle:
+                    self._contended = False
                     return self._idle.pop()
-                if len(self._threads) < self.workers:
+                if len(self._threads) < WORKERS:
                     inbox: queue.SimpleQueue = queue.SimpleQueue()
                     thread = threading.Thread(target=self._work, args=(inbox,),
                                               name=f"oaswrap-worker-{len(self._threads)}",
                                               daemon=True)
                     self._threads.append(thread)
                     thread.start()
+                    self._contended = False
                     return inbox
+                self._contended = True
+                longest = min(self._waiting, key=self._waiting.__getitem__, default=None)
+                if longest is not None and self._waiting[longest] < math.inf:
+                    _end_reading(longest)
                 self._lock.wait()
         return None
 
@@ -241,7 +254,6 @@ class WrapperServer:
             finally:
                 conn.close()
                 with self._lock:
-                    self._open.discard(conn)
                     if self._stopping:
                         return
                     self._idle.append(inbox)
@@ -250,8 +262,8 @@ class WrapperServer:
     def _serve(self, conn: socket.socket) -> None:
         """Answer the requests on conn until it is to close."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        pending = b""
-        while not self._stopping:
+        pending = self._next_request(conn, kept=False)
+        while pending and not self._stopping:
             try:
                 request = _read_head(conn, pending)
                 if request is None:
@@ -284,6 +296,7 @@ class WrapperServer:
                 status, content = 200, self.service.report_json().encode("utf-8")
             else:
                 status, content = 404, _error("not found")
+            keep_alive = keep_alive and not (self._contended or self._stopping)
             if not keep_alive:
                 headers += _CLOSE
             elif http10:
@@ -292,6 +305,23 @@ class WrapperServer:
             logger.debug("%s %s -> %d", method, target, status)
             if not keep_alive:
                 return
+            if not pending:
+                pending = self._next_request(conn, kept=True)
+
+    def _next_request(self, conn: socket.socket, kept: bool) -> bytes:
+        """The first bytes of the next request on conn, or b"" when it is to
+        end first: the client closed it, the server is stopping, or, on a
+        kept connection, a connection waits for a worker."""
+        with self._lock:
+            if self._stopping or (kept and self._contended):
+                return b""
+            self._waiting[conn] = time.monotonic() if kept else math.inf
+        try:
+            conn.settimeout(IDLE_TIMEOUT_S)
+            return conn.recv(_RECV_BYTES)
+        finally:
+            with self._lock:
+                self._waiting.pop(conn, None)
 
     def _graphql(self, raw: bytes) -> tuple[int, bytes]:
         """The status and JSON body answering a POST /graphql body."""
@@ -318,13 +348,20 @@ class _Refused(Exception):
     since what follows the request cannot be framed."""
 
 
+def _end_reading(conn: socket.socket) -> None:
+    """Make the worker blocked reading conn see the end of its input."""
+    try:
+        conn.shutdown(socket.SHUT_RD)
+    except OSError:  # the client is gone already
+        pass
+
+
 def _read_head(conn: socket.socket, pending: bytes) -> tuple[bytes, bytes, float] | None:
-    """The next request's head (request line and header lines), the bytes
-    after it, and the deadline for its body; None when the client closed
-    the connection first. Raises TimeoutError when the connection idles
-    IDLE_TIMEOUT_S before a request or the head misses READ_DEADLINE_S, and
-    _Refused when the head grows past MAX_HEAD_BYTES."""
-    deadline = time.monotonic() + READ_DEADLINE_S if pending else None
+    """The head (request line and header lines) of the request that pending
+    begins, the bytes after it, and the deadline for its body; None when the
+    client closed the connection first. Raises TimeoutError when the head
+    misses READ_DEADLINE_S, and _Refused when it grows past MAX_HEAD_BYTES."""
+    deadline = time.monotonic() + READ_DEADLINE_S
     while True:
         pending = pending.lstrip(b"\r\n")  # empty lines may precede a request line
         if pending:
@@ -336,12 +373,10 @@ def _read_head(conn: socket.socket, pending: bytes) -> tuple[bytes, bytes, float
                 raise _Refused(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
             if end != -1:
                 return pending[:end], pending[end + skip:], deadline
-        conn.settimeout(IDLE_TIMEOUT_S if deadline is None else _remaining(deadline))
+        conn.settimeout(_remaining(deadline))
         chunk = conn.recv(_RECV_BYTES)
         if not chunk:
             return None
-        if deadline is None:
-            deadline = time.monotonic() + READ_DEADLINE_S
         pending += chunk
 
 
@@ -431,9 +466,9 @@ _RECV_BYTES = 1 << 16
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
-def make_server(service: GraphQLService, host: str = "127.0.0.1", port: int = 0,
-                workers: int = WORKERS) -> WrapperServer:
-    return WrapperServer(service, (host, port), workers)
+def make_server(service: GraphQLService, host: str = "127.0.0.1",
+                port: int = 0) -> WrapperServer:
+    return WrapperServer(service, (host, port))
 
 
 def encode_response(body: Any) -> bytes:

@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 from urllib.parse import urlsplit
@@ -179,10 +179,18 @@ def test_request_over_the_size_cap_is_413_unread(service_url):
     assert upstream.requests == []
 
 
-def test_server_listen_backlog(upstream):
+def test_server_listen_backlog(upstream, monkeypatch):
+    backlogs = []
+    create_server = socket.create_server
+
+    def recording(address, **options):
+        backlogs.append(options.get("backlog"))
+        return create_server(address, **options)
+
+    monkeypatch.setattr(socket, "create_server", recording)
     server = make_server(GraphQLService(build_wrapper(upstream)))
     try:
-        assert server.request_queue_size == 128
+        assert backlogs == [128]  # the backlog the listening socket gets
     finally:
         server.server_close()
 
@@ -635,14 +643,16 @@ def test_a_slow_head_is_dropped_at_the_read_deadline_though_each_byte_comes_in_t
         assert 0.4 < time.monotonic() - start < 2
 
 
-def test_workers_bound_the_threads_whatever_the_connections(upstream):
-    def workers():
-        return sum(t.name.startswith("oaswrap-worker") for t in threading.enumerate())
+def worker_threads():
+    return sum(t.name.startswith("oaswrap-worker") for t in threading.enumerate())
 
+
+def test_workers_bound_the_threads_whatever_the_connections(upstream, monkeypatch):
+    monkeypatch.setattr(service_module, "WORKERS", 2)
     upstream.static("GET", "/user/{id}", {"id": "u1", "name": "Uma"})
     wrapper = build_wrapper(upstream)
     start = threading.active_count()  # threads of earlier tests may still end, none start
-    server = make_server(GraphQLService(wrapper), workers=2)
+    server = make_server(GraphQLService(wrapper))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     url = "http://%s:%d" % server.server_address
@@ -650,22 +660,18 @@ def test_workers_bound_the_threads_whatever_the_connections(upstream):
     try:
         for sock in socks:
             sock.sendall(GET_SDL)
-        for sock in socks[:2]:
+        # Four connections are answered on two workers: a kept connection
+        # ends when another waits for a worker.
+        for sock in socks:
             assert read_response(sock)[1].decode() == wrapper.sdl
-        # Two idle connections hold both workers; the other two wait unaccepted.
-        assert workers() == 2 and threading.active_count() <= start + 3
-        assert select.select(socks[2:], [], [], 0.3)[0] == []
-        for sock in socks[:2]:
-            sock.close()
-        for sock in socks[2:]:
-            assert read_response(sock)[1].decode() == wrapper.sdl
-        assert workers() == 2 and threading.active_count() <= start + 3
+            assert worker_threads() <= 2 and threading.active_count() <= start + 3
+        assert all(closed(sock) for sock in socks[:2])
         # Shutting down ends the connections that the workers still hold.
         began = time.monotonic()
         server.shutdown()
         thread.join(5)
         assert not thread.is_alive() and time.monotonic() - began < 2
-        assert workers() == 0 and threading.active_count() <= start
+        assert worker_threads() == 0 and threading.active_count() <= start
         assert all(closed(sock) for sock in socks[2:])
     finally:
         for sock in socks:
@@ -673,11 +679,95 @@ def test_workers_bound_the_threads_whatever_the_connections(upstream):
         server.server_close()
 
 
-def test_clients_outnumbering_the_workers_are_all_answered(canned_service):
+def test_a_connection_waiting_for_a_worker_is_answered_while_kept_ones_stay_busy(
+        canned_service, monkeypatch):
+    # Two clients each keep a connection and send a request every 50 ms, well
+    # inside the idle timeout, on the only two workers.
+    monkeypatch.setattr(service_module, "WORKERS", 2)
+    answered = threading.Semaphore(0)
+    stop = threading.Event()
+    ended = []
+
+    def busy(url):
+        with connect(url) as sock:
+            while not stop.is_set():
+                try:
+                    sock.sendall(GET_SDL)
+                    head, _ = read_response(sock)
+                except (AssertionError, OSError):  # ended while the request was sent
+                    head = b"\r\nConnection: close"
+                answered.release()
+                if b"\r\nConnection: close" in head:
+                    ended.append(sock)
+                    return
+                time.sleep(0.05)
+
+    with serving(canned_service) as url:
+        clients = [threading.Thread(target=busy, args=(url,)) for _ in range(2)]
+        for client in clients:
+            client.start()
+        try:
+            assert answered.acquire(timeout=5) and answered.acquire(timeout=5)
+            began = time.monotonic()
+            with connect(url) as sock:
+                sock.sendall(GET_SDL)
+                assert read_response(sock)[0].startswith(b"HTTP/1.1 200 ")
+            assert time.monotonic() - began < 2  # not after IDLE_TIMEOUT_S (5 s)
+            time.sleep(0.2)  # a busy client's next request finds its connection ended
+        finally:
+            stop.set()
+            for client in clients:
+                client.join(5)
+    assert len(ended) >= 1
+
+
+def test_shutdown_returns_within_its_grace_while_a_query_is_in_flight(
+        canned_service, monkeypatch):
+    monkeypatch.setattr(service_module, "SHUTDOWN_GRACE_S", 0.3)
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked(payload):
+        entered.set()
+        release.wait(10)
+        return 200, {"data": None}
+
+    monkeypatch.setattr(canned_service, "handle_graphql", blocked)
+    server = make_server(canned_service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    head, body = graphql_request("{ a }")
+    try:
+        with connect("http://%s:%d" % server.server_address) as sock:
+            sock.sendall(head + body)
+            assert entered.wait(5)
+            began = time.monotonic()
+            server.shutdown()
+            thread.join(5)
+            assert not thread.is_alive() and time.monotonic() - began < 2
+            # The query in flight is still answered, and its worker then ends.
+            release.set()
+            head, body = read_response(sock)
+            assert head.startswith(b"HTTP/1.1 200 ") and b"\r\nConnection: close" in head
+            assert body == b'{"data":null}' and closed(sock)
+    finally:
+        release.set()
+        server.server_close()
+    for _ in range(100):
+        if worker_threads() == 0:
+            break
+        time.sleep(0.02)
+    assert worker_threads() == 0
+
+
+def test_clients_outnumbering_the_workers_are_all_answered(canned_service, monkeypatch):
     # Eight clients share three workers, each client opening a connection per
     # request or keeping one, with thread switches as often as possible: a
-    # worker lost from the idle stack would leave a client unanswered.
-    server = make_server(canned_service, workers=3)
+    # worker lost from the idle stack would leave a client unanswered. A
+    # keeping client opens a new connection when the server ends its own, and
+    # sends again a request that the server ended before any answer, as
+    # HTTP clients do on a kept connection.
+    monkeypatch.setattr(service_module, "WORKERS", 3)
+    server = make_server(canned_service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     url = "http://%s:%d" % server.server_address
@@ -685,12 +775,25 @@ def test_clients_outnumbering_the_workers_are_all_answered(canned_service):
     answers = []
 
     def client(keep):
-        sock = connect(url) if keep else None
+        sock = None
         for _ in range(10):
-            with (nullcontext(sock) if keep else connect(url)) as conn:
-                conn.sendall(head + body)
-                answers.append(read_response(conn)[1])
-        if keep:
+            while True:
+                sock = sock or connect(url)
+                try:
+                    sock.sendall(head + body)
+                    status, answer = read_response(sock)
+                    break
+                except AssertionError as exc:  # closed before any answer
+                    assert keep and str(exc).startswith("connection closed after b''")
+                except ConnectionResetError:
+                    assert keep
+                sock.close()
+                sock = None
+            answers.append(answer)
+            if not keep or b"\r\nConnection: close" in status:
+                sock.close()
+                sock = None
+        if sock:
             sock.close()
 
     interval = sys.getswitchinterval()
@@ -708,7 +811,7 @@ def test_clients_outnumbering_the_workers_are_all_answered(canned_service):
         thread.join(5)
     assert not any(c.is_alive() for c in clients) and not thread.is_alive()
     assert answers == [b'{"data":{"user":{"name":"Uma"}}}'] * 80
-    assert not server._open and not server._idle and not server._threads
+    assert not server._waiting and not server._idle and not server._threads
 
 
 def test_a_client_that_hangs_up_mid_response_leaves_one_debug_record(
