@@ -4,13 +4,14 @@ Exit codes: 0 success, 1 generation error or an output file that cannot be
 written, 2 usage error.
 
 Generation imports no serving code: ``serve`` imports the server and the
-upstream client, and ``eval`` the corpus runner, when they run.
+upstream client, and ``eval`` the corpus runner, when they run. Only the
+server logs, so only ``serve`` loads and configures ``logging``; ``-v`` turns
+its DEBUG records on.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 import threading
@@ -23,13 +24,11 @@ from .report import finalize_report
 
 
 @click.group()
-@click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
-def main(verbose: bool) -> None:
+@click.option("-v", "--verbose", is_flag=True, help="Enable debug logging (serve).")
+@click.pass_context
+def main(ctx: click.Context, verbose: bool) -> None:
     """Wrap REST(-like) APIs described by OpenAPI with a GraphQL interface."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    ctx.obj = verbose
 
 
 def write_output(path: Path, text: str) -> None:
@@ -102,10 +101,13 @@ main.add_command(generate_cmd, name="generate")
 @click.option("--parallelism", type=click.IntRange(min=1), default=8, show_default=True,
               help="Bound on concurrent sibling field resolutions.")
 @casing_option
-def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str, ...],
-          token_path: str | None, context_file: Path | None, timeout: float,
-          parallelism: int, casing: str) -> None:
+@click.pass_obj
+def serve(verbose: bool, oas_path: Path, port: int, host: str, strict: bool,
+          headers: tuple[str, ...], token_path: str | None, context_file: Path | None,
+          timeout: float, parallelism: int, casing: str) -> None:
     """Generate a wrapper and serve POST /graphql, GET /sdl, GET /report."""
+    import logging
+
     from .resolver_runtime import HttpClient, read_token
     from .service import GraphQLService, serve_forever
 
@@ -127,6 +129,8 @@ def serve(oas_path: Path, port: int, host: str, strict: bool, headers: tuple[str
             raise click.UsageError(f"--token-path {token_path!r} names a {type(token).__name__} "
                                    f"in {context_file}, not a string or number")
 
+    logging.basicConfig(level=logging.DEBUG if verbose else logging.WARNING,
+                        format="%(asctime)s %(name)s %(levelname)s %(message)s")
     wrapper = generate(oas_path, GenerationOptions(strict=strict, casing=casing))
     if not wrapper.ok:
         click.echo(f"generation failed: [{wrapper.report.error_kind}] "

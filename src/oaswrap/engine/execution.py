@@ -14,7 +14,6 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from itertools import count
 from math import isfinite
 from typing import Any, Mapping
@@ -55,10 +54,9 @@ _ABSENT = object()
 KERNEL_TABLE_ENTRIES = 256
 
 
-@dataclass
 class ExecutionResult:
-    data: Any = None
-    errors: list[dict] = field(default_factory=list)
+    def __init__(self, data: Any = None, errors: list[dict] | None = None):
+        self.data, self.errors = data, [] if errors is None else errors
 
     def to_payload(self) -> dict:
         payload: dict[str, Any] = {"data": self.data}
@@ -76,14 +74,15 @@ class _NonNullViolation(Exception):
         self.path = path
 
 
-@dataclass(frozen=True)
 class Scope:
     """What resolutions below one resolved field share. Nested objects and
-    list items inherit it unchanged; a resolution forks it."""
+    list items inherit it unchanged; a resolution forks it, and none changes it."""
 
-    sent: Mapping[str, Mapping[str, Any]]  # location -> raw name -> value the parent sent
-    used: Mapping[str, Any]  # raw name -> value an ancestor request sent
-    credentials: Mapping[str, Mapping[str, str]]  # scheme -> members a viewer supplied
+    def __init__(self, sent: Mapping[str, Mapping[str, Any]], used: Mapping[str, Any],
+                 credentials: Mapping[str, Mapping[str, str]]):
+        self.sent = sent  # location -> raw name -> value the parent sent
+        self.used = used  # raw name -> value an ancestor request sent
+        self.credentials = credentials  # scheme -> members a viewer supplied
 
     def after(self, sent: Mapping[str, Mapping[str, Any]]) -> "Scope":
         """The scope below a field resolved by a request that sent sent. Of
@@ -95,15 +94,15 @@ class Scope:
         return Scope(sent, used, self.credentials)
 
 
-@dataclass
 class _Query:
     """Per-query state: the coerced variables and, with DEBUG on, the raw
     upstream keys seen per type. One per execute(), since one Executor serves
     concurrent requests."""
 
-    variables: dict
-    serial: int  # this query's number among its executor's
-    seen: dict[str, set[str]] | None = None  # type -> upstream keys, DEBUG only
+    def __init__(self, variables: dict,
+                 serial: int,  # this query's number among its executor's
+                 seen: dict[str, set[str]] | None = None):  # type -> upstream keys, DEBUG only
+        self.variables, self.serial, self.seen = variables, serial, seen
 
 
 # -- variable coercion ------------------------------------------------------------

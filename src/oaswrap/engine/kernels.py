@@ -9,7 +9,7 @@ completes. It then returns the response dict in response-key order, holding
 None for each field in ``rest``; otherwise it returns None and the executor
 completes the object on its general path.
 
-The source is built the way ``dataclasses`` builds ``__init__``. It embeds
+A kernel is Python source, compiled with ``exec`` once per signature. It embeds
 only ``repr()`` of strings and integer constants; enum tables, compiled
 fields and child kernels reach it through the function's globals.
 """

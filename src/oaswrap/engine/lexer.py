@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from ..errors import GraphQLSyntaxError
 
@@ -36,12 +35,13 @@ _BRACED_ESCAPE = re.compile(r"\\\\|\\u\{([0-9A-Fa-f]{1,8})\}")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-@dataclass
 class Token:
-    kind: str  # NAME | INT | FLOAT | STRING | PUNCT | SPREAD | EOF
-    value: str
-    line: int
-    column: int
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str,  # NAME | INT | FLOAT | STRING | PUNCT | SPREAD | EOF
+                 value: str, line: int, column: int):
+        self.kind, self.value = kind, value
+        self.line, self.column = line, column
 
 
 def tokenize(text: str) -> list[Token]:

@@ -18,7 +18,6 @@ never get here, as the parser refuses them with a syntax error, which is a 400.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from hashlib import blake2b
 from math import isfinite
 
@@ -66,7 +65,6 @@ def finite_float(value: int | float) -> float | None:
 _PASS_THROUGH = {"String": str, "ID": str, "Int": int, "Float": float, "Boolean": bool}
 
 
-@dataclass
 class CompiledField:
     """One response key of a compiled selection set.
 
@@ -77,29 +75,35 @@ class CompiledField:
     item by item in the child set. Any other value, and every error, takes
     the general path."""
 
-    key: str
-    node: FieldNode  # the first of the merged nodes: arguments and error locations
-    field_ir: FieldIR
-    inner: TypeIR  # the named type under the field's list and non-null wrappers
-    child: CompiledSet | None  # an object field's merged sub-selections
-    raw_key: str | None  # an unbound field's upstream key: its value is read, not resolved
-    shape: str | None = None  # leaf | object | leaves | objects; None: the general path
-    plain: type | None = None  # a scalar's values of this exact type pass unchanged
-    enum: dict[str, str] | None = None  # an enum's raw -> sanitized table
+    __slots__ = ("key", "node", "field_ir", "inner", "child", "raw_key", "shape", "plain",
+                 "enum")
+
+    def __init__(self, key: str,
+                 node: FieldNode,  # the first of the merged nodes: arguments and error locations
+                 field_ir: FieldIR,
+                 inner: TypeIR,  # the named type under the field's list and non-null wrappers
+                 child: CompiledSet | None,  # an object field's merged sub-selections
+                 raw_key: str | None):  # an unbound field's upstream key: read, not resolved
+        self.key, self.node, self.field_ir = key, node, field_ir
+        self.inner, self.child, self.raw_key = inner, child, raw_key
+        self.shape: str | None = None  # leaf | object | leaves | objects; None: the general path
+        self.plain: type | None = None  # a scalar's values of this exact type pass unchanged
+        self.enum: dict[str, str] | None = None  # an enum's raw -> sanitized table
 
 
-@dataclass
 class CompiledSet:
     """A selection set compiled on one parent type, fields in response-key order."""
 
-    type: TypeIR
-    fields: list[CompiledField] = field(default_factory=list)
-    parallel: bool = False  # two or more operation fields, outside a mutation
-    height: int = 1  # nested selection sets, this one included, fragments expanded
-    # What a completion kernel of the set depends on, digested; None when a
-    # kernel would complete no field. Sets of one signature share a kernel.
-    signature: str | None = None
-    rest: list[CompiledField] = field(default_factory=list)  # fields a kernel leaves out
+    __slots__ = ("type", "fields", "parallel", "height", "signature", "rest")
+
+    def __init__(self, type: TypeIR):
+        self.type, self.fields = type, []
+        self.parallel = False  # two or more operation fields, outside a mutation
+        self.height = 1  # nested selection sets, this one included, fragments expanded
+        # What a completion kernel of the set depends on, digested; None when a
+        # kernel would complete no field. Sets of one signature share a kernel.
+        self.signature: str | None = None
+        self.rest: list[CompiledField] = []  # fields a kernel leaves out
 
 
 def validate_query(doc: QueryDocument, schema: SchemaIR) -> list[str]:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .generator import generate
@@ -17,30 +16,25 @@ OAS_SUFFIXES = (".json", ".yaml", ".yml")
 HISTOGRAM_BUCKETS = ("0%", "(0,25%)", "[25,50%)", "[50,100%)", "100%")
 
 
-@dataclass
 class FileResult:
-    name: str
-    outcome: str
-    error_kind: str | None
-    warnings: dict[str, int]
-    operations_total: int
-    operations_skipped: int
-    strict_outcome: str | None = None
+    def __init__(self, name: str, outcome: str, error_kind: str | None,
+                 warnings: dict[str, int], operations_total: int, operations_skipped: int,
+                 strict_outcome: str | None = None):
+        self.name, self.outcome, self.error_kind = name, outcome, error_kind
+        self.warnings, self.operations_total = warnings, operations_total
+        self.operations_skipped, self.strict_outcome = operations_skipped, strict_outcome
 
 
-@dataclass
 class CorpusStats:
-    total: int = 0
-    successes: int = 0
-    errors_by_kind: dict[str, int] = field(default_factory=dict)
-    warnings_by_kind: dict[str, int] = field(default_factory=dict)
-    per_api_warnings: dict[str, int] = field(default_factory=dict)
-    skipped_histogram: dict[str, int] = field(
-        default_factory=lambda: {bucket: 0 for bucket in HISTOGRAM_BUCKETS}
-    )
-    strict_total: int | None = None
-    strict_successes: int | None = None
-    files: list[FileResult] = field(default_factory=list)
+    def __init__(self, total: int = 0):
+        self.total, self.successes = total, 0
+        self.errors_by_kind: dict[str, int] = {}
+        self.warnings_by_kind: dict[str, int] = {}
+        self.per_api_warnings: dict[str, int] = {}
+        self.skipped_histogram = {bucket: 0 for bucket in HISTOGRAM_BUCKETS}
+        self.strict_total: int | None = None
+        self.strict_successes: int | None = None
+        self.files: list[FileResult] = []
 
     def as_dict(self) -> dict:
         payload = {

@@ -7,7 +7,6 @@ aborts) are captured into the report rather than raised, so callers inspect
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidOasError, OaswrapError
@@ -18,23 +17,22 @@ from .report import NON_STRICT, Report
 from .schema_gen import assemble_schema, print_sdl
 
 
-@dataclass
 class GenerationOptions:
-    strict: bool = False
-    casing: str = CAMEL
+    def __init__(self, strict: bool = False, casing: str = CAMEL):
+        self.strict, self.casing = strict, casing
 
     @property
     def mode(self) -> str:
         return "strict" if self.strict else NON_STRICT
 
 
-@dataclass
 class GeneratedWrapper:
     """What serving reads; the parsed document and preprocessing stay in generate()."""
-    report: Report
-    schema: SchemaIR | None = None
-    plans: dict[str, ResolvePlan] = field(default_factory=dict)
-    sdl: str | None = None
+
+    def __init__(self, report: Report, schema: SchemaIR | None = None,
+                 plans: dict[str, ResolvePlan] | None = None, sdl: str | None = None):
+        self.report, self.schema = report, schema
+        self.plans, self.sdl = plans or {}, sdl
 
     @property
     def ok(self) -> bool:

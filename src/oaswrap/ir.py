@@ -6,7 +6,6 @@ validates and executes against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -23,14 +22,15 @@ REFERENCE = "Reference"
 SCALAR_TYPE_NAMES = ("Int", "Float", "String", "Boolean", "ID")
 
 
-@dataclass(slots=True)
 class TypeIR:
-    kind: str
-    name: str | None = None
-    of_type: "TypeIR | None" = None
-    fields: "dict[str, FieldIR] | None" = None
-    enum_values: dict[str, str] | None = None  # sanitized value -> raw value
-    description: str | None = None
+    __slots__ = ("kind", "name", "of_type", "fields", "enum_values", "description")
+
+    def __init__(self, kind: str, name: str | None = None, of_type: TypeIR | None = None,
+                 fields: dict[str, FieldIR] | None = None,
+                 enum_values: dict[str, str] | None = None,  # sanitized value -> raw value
+                 description: str | None = None):
+        self.kind, self.name, self.of_type = kind, name, of_type
+        self.fields, self.enum_values, self.description = fields, enum_values, description
 
     def unwrap(self) -> "TypeIR":
         t = self
@@ -112,65 +112,73 @@ def to_raw(types: dict[str, TypeIR], type_name: str | None, value):
     return value
 
 
-@dataclass(slots=True)
 class ArgIR:
     """A field argument. An operation argument also records where its value
     goes upstream; a required one already has a non-null type."""
 
-    name: str
-    type: TypeIR
-    raw: str | None = None  # the upstream parameter name; None for the body
-    location: str | None = None  # path | query | header | body
-    default: Any = None
+    __slots__ = ("name", "type", "raw", "location", "default")
+
+    def __init__(self, name: str, type: TypeIR,
+                 raw: str | None = None,  # the upstream parameter name; None for the body
+                 location: str | None = None,  # path | query | header | body
+                 default: Any = None):
+        self.name, self.type, self.raw = name, type, raw
+        self.location, self.default = location, default
 
 
-@dataclass
 class ResolvePlan:
     """Design-time binding of one operation: everything a resolver needs that
     can be known before any query arrives."""
 
-    operation_key: str
-    method: str
-    path: str
-    base_url: str
-    args: dict[str, ArgIR] = field(default_factory=dict)  # the operation's arguments
-    content_type: str | None = None  # of the body argument's payload
-    security: list[SecurityScheme] = field(default_factory=list)
+    def __init__(self, operation_key: str, method: str, path: str, base_url: str,
+                 args: dict[str, ArgIR],  # the operation's arguments
+                 content_type: str | None,  # of the body argument's payload
+                 security: list[SecurityScheme]):
+        self.operation_key, self.method, self.path = operation_key, method, path
+        self.base_url, self.args = base_url, args
+        self.content_type, self.security = content_type, security
 
 
-@dataclass(frozen=True)
 class LinkExpression:
     """A supported OAS runtime expression, parsed at generation: a
     ``$response.body#/…`` pointer into the object that holds the link field,
     or a ``$request.path.<name>`` / ``$request.query.<name>`` parameter the
-    parent's request sent."""
+    parent's request sent. Two are equal when they are written alike, as
+    their source and tokens follow from their text."""
 
-    text: str  # as written, for error messages
-    source: str  # body | path | query
-    tokens: tuple[str, ...]  # body: the unescaped pointer tokens; else the parameter name
+    def __init__(self, text: str,  # as written, for error messages
+                 source: str,  # body | path | query
+                 tokens: tuple[str, ...]):  # body: the unescaped pointer tokens; else the name
+        self.text, self.source, self.tokens = text, source, tokens
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinkExpression) and self.text == other.text
 
 
-@dataclass
 class FieldBinding:
-    kind: str  # "operation" | "viewer" | "placeholder"
-    plan_key: str | None = None
-    link_params: dict[str, LinkExpression] = field(default_factory=dict)  # by argument name
-    schemes: list[str] = field(default_factory=list)  # viewer credential schemes
-    credential_args: dict[str, str] = field(default_factory=dict)  # anyAuth: arg -> scheme
+    def __init__(self, kind: str,  # "operation" | "viewer" | "placeholder"
+                 plan_key: str | None = None,
+                 link_params: dict[str, LinkExpression] | None = None,  # by argument name
+                 schemes: list[str] | None = None,  # viewer credential schemes
+                 credential_args: dict[str, str] | None = None):  # anyAuth: arg -> scheme
+        self.kind, self.plan_key, self.link_params = kind, plan_key, link_params or {}
+        self.schemes, self.credential_args = schemes or [], credential_args or {}
 
 
-@dataclass(slots=True)
 class FieldIR:
-    name: str
-    type: TypeIR
-    args: dict[str, ArgIR] = field(default_factory=dict)
-    description: str | None = None
-    binding: FieldBinding | None = None
-    raw: str | None = None  # the upstream key of an object or input field
+    __slots__ = ("name", "type", "args", "description", "binding", "raw")
+
+    def __init__(self, name: str, type: TypeIR, args: dict[str, ArgIR] | None = None,
+                 description: str | None = None, binding: FieldBinding | None = None,
+                 raw: str | None = None):  # the upstream key of an object or input field
+        self.name, self.type, self.args = name, type, {} if args is None else args
+        self.description, self.binding, self.raw = description, binding, raw
 
 
-@dataclass
 class SchemaIR:
-    types: dict[str, TypeIR] = field(default_factory=dict)
-    query_fields: dict[str, FieldIR] = field(default_factory=dict)
-    mutation_fields: dict[str, FieldIR] = field(default_factory=dict)
+    def __init__(self, types: dict[str, TypeIR] | None = None,
+                 query_fields: dict[str, FieldIR] | None = None,
+                 mutation_fields: dict[str, FieldIR] | None = None):
+        self.types = {} if types is None else types
+        self.query_fields = {} if query_fields is None else query_fields
+        self.mutation_fields = {} if mutation_fields is None else mutation_fields

@@ -8,7 +8,6 @@ OAS 2.0 input is structurally translated to 3.0 before normalization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import date
 from itertools import repeat
 from typing import Any
@@ -107,81 +106,78 @@ def _wrong_type(pointer: str, expected: tuple[type, ...], value: Any) -> None:
     raise InvalidOasError(f"{pointer} must be {_SHAPE_NAMES[expected]}, not {got}")
 
 
-@dataclass(slots=True)
 class SchemaObject:
     """JSON-Schema-like payload shape. ``ref`` nodes stay unresolved until
     dereferenced through the owning document (cycle-safe, memoized)."""
 
-    type: str | None = None
-    properties: dict[str, "SchemaObject"] = field(default_factory=dict)
-    items: "SchemaObject | None" = None
-    required: list[str] = field(default_factory=list)
-    enum: list | None = None
-    title: str | None = None
-    description: str | None = None
-    ref: str | None = None
-    all_of: list["SchemaObject"] | None = None
-    composed_with: str | None = None  # "oneOf" | "anyOf" | "not" when present
-    default: Any = None
-    pointer: str = ""
+    __slots__ = ("type", "properties", "items", "required", "enum", "title", "description",
+                 "ref", "all_of", "composed_with", "default", "pointer")
+
+    def __init__(self, type: str | None = None,
+                 properties: dict[str, SchemaObject] | None = None,
+                 items: SchemaObject | None = None, required: list[str] | None = None,
+                 enum: list | None = None, title: str | None = None,
+                 description: str | None = None, ref: str | None = None,
+                 all_of: list[SchemaObject] | None = None,
+                 composed_with: str | None = None,  # "oneOf" | "anyOf" | "not" when present
+                 default: Any = None, pointer: str = ""):
+        self.type, self.properties = type, {} if properties is None else properties
+        self.items, self.required = items, [] if required is None else required
+        self.enum, self.title, self.description = enum, title, description
+        self.ref, self.all_of, self.composed_with = ref, all_of, composed_with
+        self.default, self.pointer = default, pointer
 
 
-@dataclass
 class OasParameter:
-    name: str
-    location: str  # path | query | header
-    schema: SchemaObject | None
-    required: bool = False
-    default: Any = None
-    pointer: str = ""
+    def __init__(self, name: str, location: str,  # path | query | header
+                 schema: SchemaObject | None, required: bool = False, default: Any = None,
+                 pointer: str = ""):
+        self.name, self.location, self.schema = name, location, schema
+        self.required, self.default, self.pointer = required, default, pointer
 
 
-@dataclass
 class RequestBody:
-    content_type: str | None
-    schema: SchemaObject | None
-    required: bool = False
-    pointer: str = ""
+    def __init__(self, content_type: str | None, schema: SchemaObject | None,
+                 required: bool = False, pointer: str = ""):
+        self.content_type, self.schema = content_type, schema
+        self.required, self.pointer = required, pointer
 
 
-@dataclass
 class LinkDefinition:
-    operation_id: str | None = None
-    operation_ref: str | None = None
-    parameters: dict[str, str] = field(default_factory=dict)
-    request_body: Any = None
-    description: str | None = None
-    pointer: str = ""
+    def __init__(self, operation_id: str | None = None, operation_ref: str | None = None,
+                 parameters: dict[str, str] | None = None, request_body: Any = None,
+                 description: str | None = None, pointer: str = ""):
+        self.operation_id, self.operation_ref, self.parameters = (
+            operation_id, operation_ref, parameters or {})
+        self.request_body, self.description, self.pointer = request_body, description, pointer
 
 
-@dataclass
 class OasResponse:
-    content_type: str | None
-    schema: SchemaObject | None
-    links: dict[str, LinkDefinition] = field(default_factory=dict)
-    pointer: str = ""
+    def __init__(self, content_type: str | None, schema: SchemaObject | None,
+                 links: dict[str, LinkDefinition] | None = None, pointer: str = ""):
+        self.content_type, self.schema = content_type, schema
+        self.links, self.pointer = links or {}, pointer
 
 
-@dataclass
 class SecurityScheme:
-    name: str
-    type: str  # apiKey | http | oauth2 | openIdConnect
-    location: str | None = None  # apiKey: header | query
-    param_name: str | None = None  # apiKey: raw upstream name
-    http_scheme: str | None = None  # http: basic | bearer | ...
+    def __init__(self, name: str, type: str,  # apiKey | http | oauth2 | openIdConnect
+                 location: str | None = None,  # apiKey: header | query
+                 param_name: str | None = None,  # apiKey: raw upstream name
+                 http_scheme: str | None = None):  # http: basic | bearer | ...
+        self.name, self.type, self.location = name, type, location
+        self.param_name, self.http_scheme = param_name, http_scheme
 
 
-@dataclass
 class OasOperation:
-    method: str
-    path: str
-    operation_id: str | None = None
-    description: str | None = None
-    parameters: list[OasParameter] = field(default_factory=list)
-    request_body: RequestBody | None = None
-    responses: dict[str, OasResponse] = field(default_factory=dict)
-    security: list[str] = field(default_factory=list)
-    pointer: str = ""
+    def __init__(self, method: str, path: str, operation_id: str | None = None,
+                 description: str | None = None, parameters: list[OasParameter] | None = None,
+                 request_body: RequestBody | None = None,
+                 responses: dict[str, OasResponse] | None = None,
+                 security: list[str] | None = None, pointer: str = ""):
+        self.method, self.path, self.operation_id = method, path, operation_id
+        self.description, self.parameters = description, parameters or []
+        self.request_body, self.responses = request_body, responses or {}
+        self.security, self.pointer = security or [], pointer
 
     @property
     def key(self) -> str:
@@ -198,16 +194,13 @@ class OasOperation:
         return merged
 
 
-@dataclass
 class OasDocument:
-    title: str | None
-    api_version: str | None
-    servers: list[str]
-    operations: list[OasOperation]
-    security_schemes: dict[str, SecurityScheme]
-    raw_root: dict
-
-    def __post_init__(self):
+    def __init__(self, title: str | None, api_version: str | None, servers: list[str],
+                 operations: list[OasOperation], security_schemes: dict[str, SecurityScheme],
+                 raw_root: dict):
+        self.title, self.api_version, self.servers = title, api_version, servers
+        self.operations, self.security_schemes, self.raw_root = (
+            operations, security_schemes, raw_root)
         self._ref_cache: dict[str, SchemaObject] = {}
         self._allof_cache: dict[int, SchemaObject] = {}
         # Link targets by operationId, the first declaration winning, and by (method, path).

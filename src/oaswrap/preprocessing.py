@@ -10,7 +10,6 @@ when no structurally equal entry of the same direction exists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import InvalidOasError, MissingRefError, SanitationError
 from .ir import (ENUM, INPUT_OBJECT, OBJECT, REFERENCE, SCALAR_TYPE_NAMES, ArgIR, FieldBinding,
@@ -280,12 +279,12 @@ def plain_scalar(s: SchemaObject) -> TypeIR | None:
 # -- types dictionary --------------------------------------------------------------
 
 
-@dataclass
 class DictionaryEntry:
-    name: str
-    base_name: str  # name before the Input suffix / uniqueness suffix
-    schema: SchemaObject
-    direction: str  # input | output
+    def __init__(self, name: str,
+                 base_name: str,  # name before the Input suffix / uniqueness suffix
+                 schema: SchemaObject, direction: str):  # input | output
+        self.name, self.base_name = name, base_name
+        self.schema, self.direction = schema, direction
 
 
 class TypesDictionary:
@@ -306,11 +305,11 @@ class TypesDictionary:
         return name
 
 
-@dataclass
 class PreprocessResult:
-    dictionary: TypesDictionary
-    fields: dict[str, FieldIR]  # operation key -> root field; none if skipped
-    names: SanitizedNames  # the run's one name policy
+    def __init__(self, dictionary: TypesDictionary,
+                 fields: dict[str, FieldIR],  # operation key -> root field; none if skipped
+                 names: SanitizedNames):  # the run's one name policy
+        self.dictionary, self.fields, self.names = dictionary, fields, names
 
 
 def name_candidates(schema: SchemaObject, ref_name: str | None, op: OasOperation | None,

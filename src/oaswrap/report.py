@@ -15,7 +15,6 @@ back the second, strict generation in ``evaluate_corpus``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 
 from .errors import StrictModeAbort
 
@@ -49,33 +48,30 @@ INTERNAL_ERROR = "InternalError"
 ERROR_KINDS = frozenset({INVALID_OAS, SANITATION_ERROR, MISSING_REF, INTERNAL_ERROR}) | WARNING_KINDS
 
 
-@dataclass
 class WarningRecord:
-    kind: str
-    location: str  # JSON pointer into the source OAS
-    mitigation: str
+    def __init__(self, kind: str, location: str,  # JSON pointer into the source OAS
+                 mitigation: str):
+        self.kind, self.location, self.mitigation = kind, location, mitigation
 
 
-@dataclass
 class Stats:
-    operations_total: int = 0
-    operations_skipped: int = 0
-    types_created: int = 0
-    links_attached: int = 0
-    viewers_created: int = 0
+    def __init__(self, operations_total: int = 0, operations_skipped: int = 0,
+                 types_created: int = 0, links_attached: int = 0, viewers_created: int = 0):
+        self.operations_total, self.operations_skipped = operations_total, operations_skipped
+        self.types_created, self.links_attached, self.viewers_created = (
+            types_created, links_attached, viewers_created)
 
 
-@dataclass
 class Report:
     """Structured outcome of one generation run."""
 
-    source: str
-    mode: str = NON_STRICT
-    outcome: str = "success"
-    error_kind: str | None = None
-    error_message: str | None = None
-    warnings: list[WarningRecord] = field(default_factory=list)
-    stats: Stats = field(default_factory=Stats)
+    def __init__(self, source: str, mode: str = NON_STRICT, outcome: str = "success",
+                 error_kind: str | None = None, error_message: str | None = None,
+                 warnings: list[WarningRecord] | None = None, stats: Stats | None = None):
+        self.source, self.mode, self.outcome = source, mode, outcome
+        self.error_kind, self.error_message = error_kind, error_message
+        self.warnings = [] if warnings is None else warnings
+        self.stats = stats or Stats()
 
     def fail(self, kind: str, message: str) -> None:
         self.outcome = "error"
@@ -104,6 +100,7 @@ def record_warning(report: Report, kind: str, location: str, mitigation: str) ->
 
 def finalize_report(report: Report) -> str:
     """Serialize the report to deterministic JSON (stable key order)."""
+    stats = report.stats
     return json.dumps({
         "source": report.source,
         "mode": report.mode,
@@ -113,7 +110,12 @@ def finalize_report(report: Report) -> str:
             if report.outcome == "success"
             else {"kind": report.error_kind, "message": report.error_message}
         ),
-        "warnings": [asdict(w) for w in report.warnings],
+        "warnings": [{"kind": w.kind, "location": w.location, "mitigation": w.mitigation}
+                     for w in report.warnings],
         "warning_counts": dict(sorted(report.warning_counts().items())),
-        "stats": asdict(report.stats),
+        "stats": {"operations_total": stats.operations_total,
+                  "operations_skipped": stats.operations_skipped,
+                  "types_created": stats.types_created,
+                  "links_attached": stats.links_attached,
+                  "viewers_created": stats.viewers_created},
     }, indent=2) + "\n"

@@ -12,7 +12,6 @@ import select
 import ssl
 import threading
 import zlib
-from dataclasses import dataclass, field
 from http.client import (
     HTTPConnection,
     HTTPException,
@@ -56,18 +55,19 @@ MAX_FAST_BRACKETS = 4096
 _UNSET = object()
 
 
-@dataclass
 class HttpRequestSpec:
-    method: str
-    url: str
-    headers: dict[str, str] = field(default_factory=dict)
-    query: list[tuple[str, str]] = field(default_factory=list)
-    body: Any = None  # de-sanitized JSON value (or raw text)
-    content_type: str | None = None
-    # location (path | query | header) -> raw name -> de-sanitized value
-    sent: dict[str, dict[str, Any]] = field(default_factory=dict)
-    operation: str = ""  # the plan's operation key, for error messages
-    credential_header: str = "Authorization"  # or the header an API key went in
+    def __init__(self, method: str, url: str, headers: dict[str, str] | None = None,
+                 query: list[tuple[str, str]] | None = None,
+                 body: Any = None,  # de-sanitized JSON value (or raw text)
+                 content_type: str | None = None,
+                 # location (path | query | header) -> raw name -> de-sanitized value
+                 sent: dict[str, dict[str, Any]] | None = None,
+                 operation: str = "",  # the plan's operation key, for error messages
+                 credential_header: str = "Authorization"):  # or the header an API key went in
+        self.method, self.url, self.headers = method, url, headers or {}
+        self.query, self.body, self.content_type = query or [], body, content_type
+        self.sent = sent or {}
+        self.operation, self.credential_header = operation, credential_header
 
 
 # -- runtime binding ------------------------------------------------------------
@@ -453,11 +453,11 @@ class HttpClient:
         return HTTPSConnection(host, port, timeout=self.timeout, context=self._tls)
 
 
-@dataclass
 class _Connection:
-    http: HTTPConnection
-    prefix: str = ""  # an HTTP proxy is sent the absolute URL
-    headers: dict[str, str] = field(default_factory=dict)  # added to each request
+    def __init__(self, http: HTTPConnection,
+                 prefix: str = "",  # an HTTP proxy is sent the absolute URL
+                 headers: dict[str, str] | None = None):  # added to each request
+        self.http, self.prefix, self.headers = http, prefix, headers or {}
 
 
 def _request(conn: _Connection, method: str, path: str, headers: dict[str, str],

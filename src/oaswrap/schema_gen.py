@@ -6,7 +6,6 @@ mutation fields with resolve-plan bindings; then SDL printing.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from .ir import (
     CREDENTIAL_MEMBERS,
@@ -81,17 +80,18 @@ def attach_links(object_type: TypeIR, op: OasOperation, links: dict[str, LinkDef
         target_field = pre.fields[target.key]
         link_params = {arg_name: expr for key, expr in exprs.items()
                        if (arg_name := _link_argument(target_field.args, key)) is not None}
-        binding = FieldBinding("operation", plan_key=target.key, link_params=link_params)
         # The same link declared for another operation of this type is the
         # field already there, with the same arguments.
-        if any(f.binding == binding for f in object_type.fields.values()):
+        if any(f.binding is not None and f.binding.plan_key == target.key
+               and f.binding.link_params == link_params for f in object_type.fields.values()):
             continue
         args = {arg_name: _relaxed(arg) if arg.raw in always_sent else arg
                 for arg_name, arg in target_field.args.items() if arg_name not in link_params}
         field_name = first_free(lower_first(pre.names[name]), object_type.fields)
         object_type.fields[field_name] = FieldIR(
             name=field_name, type=target_field.type, args=args,
-            description=link.description, binding=binding,
+            description=link.description,
+            binding=FieldBinding("operation", plan_key=target.key, link_params=link_params),
         )
         attached += 1
     return attached
@@ -109,7 +109,9 @@ def _link_argument(args: dict[str, ArgIR], key: str) -> str | None:
 
 
 def _relaxed(arg: ArgIR) -> ArgIR:
-    return replace(arg, type=arg.type.of_type) if arg.type.kind == NON_NULL else arg
+    if arg.type.kind != NON_NULL:
+        return arg
+    return ArgIR(arg.name, arg.type.of_type, arg.raw, arg.location, arg.default)
 
 
 def _find_link_target(doc: OasDocument, link: LinkDefinition) -> OasOperation | None:
@@ -314,7 +316,10 @@ def _root_fields(schema: SchemaIR, side: str) -> dict[str, FieldIR]:
 def _place(fields: dict[str, FieldIR], field_ir: FieldIR) -> None:
     """Add field_ir to fields under the first free of its name, name2, ..."""
     name = first_free(field_ir.name, fields)
-    fields[name] = field_ir if name == field_ir.name else replace(field_ir, name=name)
+    if name != field_ir.name:
+        field_ir = FieldIR(name, field_ir.type, field_ir.args, field_ir.description,
+                           field_ir.binding, field_ir.raw)
+    fields[name] = field_ir
 
 
 def assemble_schema(doc: OasDocument, pre: PreprocessResult, report: Report) -> SchemaIR:

@@ -798,7 +798,21 @@ def reference_parse_schema(node: dict, pointer: str) -> SchemaObject:
 
 def _outcome(wrapper, doc) -> tuple:
     """A generation's error, SDL and warnings, and every schema tree that
-    parsing its document built."""
+    parsing its document built, each record as plain values."""
     report = wrapper.report
     trees = None if doc is None else (doc.operations, doc._ref_cache)
-    return report.error_kind, report.error_message, wrapper.sdl, report.warnings, trees
+    return _plain((report.error_kind, report.error_message, wrapper.sdl, report.warnings, trees))
+
+
+def _plain(value):
+    """value with each record replaced by its class name and attributes, so
+    that two parses compare by value; the records define no equality."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if type(value).__module__.startswith("oaswrap."):
+        names = getattr(type(value), "__slots__", None)
+        attrs = vars(value) if names is None else {name: getattr(value, name) for name in names}
+        return type(value).__name__, _plain(attrs)
+    return value

@@ -406,15 +406,24 @@ SERVING_MODULES = {"ssl", "http.client", "http.server", "urllib.request", "orjso
                    "oaswrap.service", "oaswrap.engine", "oaswrap.resolver_runtime"}
 
 
-def modules_after(code: str) -> set[str]:
-    """The modules a fresh interpreter holds after running code."""
+# Start-up loads neither: the records are plain classes, not generated ones,
+# and only the server logs.
+START_UP_MODULES = {"dataclasses", "logging"}
+
+
+def last_line_after(code: str) -> str:
+    """The last line a fresh interpreter prints after running code."""
     src = str(Path(oaswrap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sys.modules))"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.splitlines()[-1].split())
+    return done.stdout.splitlines()[-1]
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
+    return set(last_line_after(code + "\nimport sys\nprint(' '.join(sys.modules))").split())
 
 
 def test_importing_the_cli_loads_no_serving_yaml_or_corpus_module():
@@ -425,6 +434,43 @@ def test_importing_the_cli_loads_no_serving_yaml_or_corpus_module():
 
 def test_the_service_loads_no_standard_library_server():
     assert not {"http.server", "socketserver"} & modules_after("import oaswrap.service")
+
+
+def test_the_service_loads_no_dataclasses():
+    assert "dataclasses" not in modules_after("import oaswrap.service")
+
+
+def test_the_cli_and_a_generate_run_load_neither_dataclasses_nor_logging(tmp_path):
+    assert not START_UP_MODULES & modules_after("import oaswrap.cli")
+    sdl = tmp_path / "schema.graphql"
+    loaded = modules_after(
+        "from oaswrap.cli import main\n"
+        f"main(['generate', {str(corpus_path('clean_links.json'))!r}, "
+        f"'--sdl', {str(sdl)!r}, '--report', {str(tmp_path / 'report.json')!r}], "
+        "standalone_mode=False)")
+    assert "type Query" in sdl.read_text(encoding="utf-8")
+    assert not START_UP_MODULES & loaded
+
+
+@pytest.mark.parametrize("flags, level", [(["-v"], "DEBUG"), ([], "WARNING")])
+def test_serve_configures_logging_and_v_turns_debug_on(flags, level):
+    # serve_forever is replaced, so the command returns once the service is built.
+    args = [*flags, "serve", str(corpus_path("clean_minimal.json"))]
+    assert last_line_after(
+        "import logging, oaswrap.service\n"
+        "oaswrap.service.serve_forever = lambda service, host, port: None\n"
+        "from oaswrap.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        "print(logging.getLevelName(logging.getLogger().level))") == level
+
+
+@pytest.mark.parametrize("name, options", [("clean_links.json", []),
+                                           ("warn_multiple_responses.json", ["--strict"])])
+def test_verbose_generate_prints_what_generate_prints(name, options):
+    args = ["generate", str(corpus_path(name)), *options]
+    plain, verbose = (CliRunner().invoke(main, flags + args) for flags in ([], ["-v"]))
+    assert (verbose.exit_code, verbose.output) == (plain.exit_code, plain.output)
+    assert plain.output
 
 
 def test_generate_reads_a_yaml_document_without_loading_serving_modules(tmp_path):

@@ -1019,6 +1019,119 @@ def test_any_request_gets_a_spec_shaped_answer(canned_service, query, variables,
         assert status == 200 and "data" in body
 
 
+# -- the edge under fuzzing ------------------------------------------------------------
+
+# Every status the edge answers with; 100 Continue is an interim response.
+EDGE_STATUSES = {200, 400, 404, 405, 413, 431, 500, 501, 505}
+REQUEST_LINES = st.sampled_from([
+    "POST /graphql HTTP/1.1", "POST /graphql HTTP/1.0", "GET /sdl HTTP/1.1",
+    "GET /report HTTP/1.0", "GET /nope HTTP/1.1", "PUT /graphql HTTP/1.1"])
+ODD_REQUEST_LINES = st.tuples(
+    st.sampled_from(["GET", "POST", "OPTIONS", "post", ""]),
+    st.sampled_from(["/graphql", "/sdl", "/graphql?x=1", "*", ""]),
+    st.sampled_from(["HTTP/1.1", "HTTP/2.0", "HTTP/1.1 x", "http/1.1", ""]),
+).map(" ".join) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
+HEADER_LINES = st.sampled_from([
+    "Host: x", "Content-Type: application/json", "Connection: close",
+    "Connection: keep-alive", "Expect: 100-continue"])
+ODD_HEADER_LINES = st.sampled_from([
+    "Transfer-Encoding: chunked", "Content-Length: 2", "Content-Length: 3, 4",
+    "Content-Length: -1", "Content-Length: +1", "Content-Length: " + "9" * 5000, "no colon", " folded: yes", ": no name",
+]) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
+JSON_BODIES = (
+    st.just({"query": '{ a: user(id: "u1") { name } b: user(id: "u2") { id } }'})
+    | st.just({"query": 'query Q($id: ID!) { user(id: $id) { name } }',
+               "variables": {"id": "u1"}})
+    | st.fixed_dictionaries({"query": query_texts()}, optional={
+        "variables": JSON_VALUES, "operationName": st.sampled_from(["Q", ""])})
+    | JSON_VALUES)
+
+
+@st.composite
+def edge_requests(draw) -> bytes:
+    """A request line, header lines and a body: a JSON text or raw bytes,
+    mostly framed by its own Content-Length, with CRLF or bare LF line ends.
+    Most lines are well formed, so that most requests reach the service."""
+    often = st.sampled_from([True, True, True, False])
+    body = (json.dumps(draw(JSON_BODIES)).encode("utf-8", "surrogatepass") if draw(often)
+            else draw(st.binary(max_size=64)))
+    lines = [draw(REQUEST_LINES if draw(often) else ODD_REQUEST_LINES),
+             *draw(st.lists(HEADER_LINES, max_size=3))]
+    framing = draw(st.sampled_from(["own", "own", "own", "odd", "none", "too long",
+                                    "too many lines"]))
+    if framing == "own":
+        lines.append(f"Content-Length: {len(body)}")
+    elif framing == "too long":
+        lines.append(f"Content-Length: {MAX_REQUEST_BYTES + 1}")
+    elif framing == "odd":
+        lines.append(draw(ODD_HEADER_LINES))
+    elif framing == "too many lines":
+        lines += ["X: y"] * service_module.MAX_HEADERS
+    end = "\r\n" if draw(often) else "\n"
+    return (end.join(lines) + end + end).encode("latin-1") + body
+
+
+def edge_exchange(server, data: bytes) -> bytes:
+    """All that the server's connection handler answers data with on one
+    loopback connection, which the client half-closes once data is sent."""
+    with socket.create_connection(server.server_address, timeout=5) as client:
+        assert select.select([server.socket], [], [], 5)[0]
+        conn = server.socket.accept()[0]
+        try:
+            client.sendall(data)
+            client.shutdown(socket.SHUT_WR)
+            server._serve(conn)
+        finally:
+            conn.close()
+        chunks = []
+        while chunk := client.recv(1 << 16):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def edge_responses(raw: bytes) -> list[tuple[int, dict[bytes, bytes], bytes]]:
+    """The final responses in raw, each as status, lower-cased header fields and body."""
+    responses = []
+    while raw:
+        head, end, raw = raw.partition(b"\r\n\r\n")
+        assert end, f"a response head is cut short: {head!r}"
+        status_line, *lines = head.split(b"\r\n")
+        status = int(status_line.split(b" ")[1])
+        if status == 100:
+            continue
+        fields = {name.lower(): value for name, value in (line.split(b": ", 1) for line in lines)}
+        length = int(fields[b"content-length"])
+        assert len(raw) >= length
+        responses.append((status, fields, raw[:length]))
+        raw = raw[length:]
+    return responses
+
+
+@pytest.fixture(scope="module")
+def edge_server(canned_service):
+    """A server of canned_service that is never started: tests hand it
+    connections one at a time."""
+    server = make_server(canned_service)
+    yield server
+    server.server_close()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(edge_requests(), min_size=1, max_size=3).map(b"".join) | st.binary(max_size=256))
+def test_the_edge_answers_any_bytes_with_a_listed_status_and_json_errors(edge_server, data):
+    # A few requests per example, on one connection; the handler runs on this thread.
+    threads = threading.active_count()
+    for status, fields, body in edge_responses(edge_exchange(edge_server, data)):
+        assert status in EDGE_STATUSES
+        if status != 200:
+            assert fields[b"content-type"] == b"application/json"
+            errors = json.loads(body)["errors"]
+            assert errors and all(isinstance(error["message"], str) for error in errors)
+        elif fields[b"content-type"] == b"application/json":
+            json.loads(body)
+    assert threading.active_count() == threads
+
+
 # -- what the server keeps ----------------------------------------------------------------
 
 
