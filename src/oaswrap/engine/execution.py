@@ -41,7 +41,7 @@ from ..ir import (
 )
 from .ast import FieldNode, OperationNode, QueryDocument, ValueNode
 from .cache import SecondSightingCache
-from .kernels import Kernel, build_kernel, leaves
+from .kernels import Kernel, build_kernel, leaves, objects
 from .validation import (INT_MAX, INT_MIN, CompiledField, CompiledSet, compile_operation,
                          declared_type, finite_float)
 
@@ -486,8 +486,17 @@ class Executor:
                     path, f.node))
                 return None
             item_type = type_ir.of_type
-            # A list of objects completes each dict item straight in the child set.
+            # A list of objects completes each dict item straight in the child set,
+            # or, if a kept kernel covers the set and every item fits it, in one call.
             child = f.child if f.shape == "objects" else None
+            if child is not None and not child.rest and query.seen is None:
+                kernel = self._kernels.get(child.signature)
+                if kernel is not None and (done := objects(kernel, value)) is not None:
+                    try:
+                        self._kernels.refresh(child.signature)
+                    except KeyError:  # another thread evicted it since
+                        pass
+                    return done
             items = []
             for index, item in enumerate(value):
                 try:

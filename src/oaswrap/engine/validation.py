@@ -71,9 +71,10 @@ class CompiledField:
     A value that fits the field's shape completes without the general path:
     an unbound ``leaf`` (a scalar or enum) or ``leaves`` (a list of them) in
     its set's kernel, read straight from the parent's raw object; an
-    ``object`` straight in its child set; ``objects`` (a list of objects)
-    item by item in the child set. Any other value, and every error, takes
-    the general path."""
+    ``object`` straight in its child set; ``objects`` (a list of objects) in
+    one call of the child set's kept kernel if every item fits it, else item
+    by item in the child set. Any other value, and every error, takes the
+    general path."""
 
     __slots__ = ("key", "node", "field_ir", "inner", "child", "raw_key", "shape", "plain",
                  "enum")

@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CannedClient, general_path
-from oaswrap.engine import Executor, parse_query, validate_query
+from oaswrap.engine import Executor, execution, parse_query, validate_query
 from oaswrap.engine.execution import KERNEL_TABLE_ENTRIES
 from oaswrap.engine.validation import INT_MAX, INT_MIN, KERNEL_TEXT_CHARS, CompiledSet
 from oaswrap.generator import GenerationOptions, generate
@@ -298,13 +298,46 @@ def test_the_kernel_table_keeps_the_most_recently_used_signatures_at_its_bound(k
     assert all(callable(executor._kernels.get(s)) for s in [hot, newest] + others[1:])
 
 
+FITS = {"id": "r", "label-text": "t", "n": 1, "box": {"name": "b"}}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("last", [
+    FITS, dict(FITS, id=None), dict(FITS, n="x"), dict(FITS, box={"name": None}),
+    {key: value for key, value in FITS.items() if key != "label-text"}, None, "x",
+])
+def test_a_list_completes_in_one_kernel_call_or_as_the_general_path_does(kernels, monkeypatch,
+                                                                         strict, last):
+    text = "{ getRecords { id labelText n box { name } } }"
+    body = [FITS, FITS, last]
+    schema = SCHEMAS[strict][0]
+    calls, objects = [], execution.objects
+
+    def counted(kernel, items):
+        calls.append(len(items))
+        return objects(kernel, items)
+
+    monkeypatch.setattr(execution, "objects", counted)
+    doc = parse_query(text)
+    assert validate_query(doc, schema) == []
+    executor = Executor(schema, WRAPPER.plans, CannedClient(body))
+    # The second query keeps the kernel; the third finds it kept when its list starts.
+    payloads = [executor.execute(doc, None, None).to_payload() for _ in range(3)]
+    assert calls == [3]
+    assert payloads[0] == payloads[1] == payloads[2] == execute(schema, text, body, "general")
+    errors = payloads[2].get("errors", [])
+    assert all(error["path"][:2] == ["getRecords", 2] for error in errors)
+    assert errors or last is FITS or last is None and not strict
+
+
 def test_a_set_past_the_kernel_text_bound_takes_the_general_path(kernels):
     def run(text: str, data: list) -> tuple[CompiledSet, Executor]:
         doc = parse_query(text)
         assert validate_query(doc, WRAPPER.schema) == []
         body = [{"id": "r", "box": {"name": "b"}}] * 2
         executor = Executor(WRAPPER.schema, WRAPPER.plans, CannedClient(body))
-        for _ in range(2):
+        # The third run finds the kernels kept when the list starts.
+        for _ in range(3):
             assert executor.execute(doc, None, None).to_payload() == {
                 "data": {"getRecords": data}}
         return doc.operations[0].compiled[1].fields[0].child, executor

@@ -1,14 +1,16 @@
 """Report behavior, strict-mode semantics, CLI exit codes, and corpus eval."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,15 +137,31 @@ def test_skip_accounting_invariant_across_corpus():
 # -- CLI ---------------------------------------------------------------------------
 
 
+class Run:
+    """What one in-process command line run printed, and its exit code."""
+
+    def __init__(self, exit_code: int, out: str, err: str):
+        self.exit_code, self.out, self.err = exit_code, out, err
+
+
+def invoke(*args) -> Run:
+    """Run main on args, each as text, capturing stdout, stderr and the exit
+    code. Any exception but SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main([str(arg) for arg in args])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return Run(code, out.getvalue(), err.getvalue())
+
+
 def test_cmd_generate_success_writes_sdl_and_report(tmp_path):
     sdl = tmp_path / "schema.graphql"
     report = tmp_path / "report.json"
-    runner = CliRunner()
-    result = runner.invoke(main, [
-        "generate", str(corpus_path("clean_links.json")),
-        "--sdl", str(sdl), "--report", str(report),
-    ])
-    assert result.exit_code == 0, result.output
+    result = invoke("generate", corpus_path("clean_links.json"), "--sdl", sdl, "--report", report)
+    assert result.exit_code == 0, result.err
     assert "type Query" in sdl.read_text()
     payload = json.loads(report.read_text())
     assert payload["outcome"] == "success"
@@ -151,46 +169,47 @@ def test_cmd_generate_success_writes_sdl_and_report(tmp_path):
 
 def test_cmd_generate_strict_failure_exit_1(tmp_path):
     report = tmp_path / "report.json"
-    runner = CliRunner()
-    result = runner.invoke(main, [
-        "generate", str(corpus_path("warn_multiple_responses.json")),
-        "--strict", "--report", str(report),
-    ])
+    result = invoke("generate", corpus_path("warn_multiple_responses.json"),
+                    "--strict", "--report", report)
     assert result.exit_code == 1
     assert json.loads(report.read_text())["outcome"] == "error"
 
 
-def test_cmd_generate_nonexistent_path_exit_2():
-    runner = CliRunner()
-    result = runner.invoke(main, ["generate", "/no/such/file.json"])
+@pytest.mark.parametrize("args, at_fault", [
+    (["generate", "/no/such/file.json"], "OAS_PATH"),
+    (["generate", CORPUS_DIR], "OAS_PATH"),
+    (["generate", corpus_path("clean_minimal.json"), "--sdl", CORPUS_DIR], "--sdl"),
+    (["serve", corpus_path("clean_minimal.json"), "--context-file", "/no/such.json"],
+     "--context-file"),
+    (["eval", corpus_path("clean_minimal.json")], "CORPUS_DIR"),
+    (["eval", CORPUS_DIR, "--out", CORPUS_DIR], "--out"),
+])
+def test_cmd_refuses_a_path_of_the_wrong_kind_with_exit_2(monkeypatch, args, at_fault):
+    monkeypatch.setattr("oaswrap.cli.generate",
+                        lambda *args, **kwargs: pytest.fail("generated a wrapper"))
+    result = invoke(*args)
     assert result.exit_code == 2
+    assert f"argument {at_fault}: " in result.err
 
 
 def test_cmd_generate_error_document_exit_1():
-    runner = CliRunner()
-    result = runner.invoke(main, ["generate", str(corpus_path("error_malformed.json"))])
+    result = invoke("generate", corpus_path("error_malformed.json"))
     assert result.exit_code == 1
-    assert "InvalidOas" in result.output
+    assert "InvalidOas" in result.err
 
 
 def test_cmd_generate_preserve_casing(tmp_path):
     sdl = tmp_path / "schema.graphql"
-    runner = CliRunner()
-    result = runner.invoke(main, [
-        "generate", str(corpus_path("clean_minimal.json")),
-        "--casing", "preserve", "--sdl", str(sdl),
-    ])
+    result = invoke("generate", corpus_path("clean_minimal.json"), "--casing", "preserve",
+                    "--sdl", sdl)
     assert result.exit_code == 0
     assert "type Query" in sdl.read_text()
 
 
 def test_cmd_serve_rejects_malformed_header():
-    runner = CliRunner()
-    result = runner.invoke(main, [
-        "serve", str(corpus_path("clean_minimal.json")), "--header", "novalue",
-    ])
+    result = invoke("serve", corpus_path("clean_minimal.json"), "--header", "novalue")
     assert result.exit_code == 2
-    assert "Name: value" in result.output
+    assert "Name: value" in result.err
 
 
 @pytest.fixture
@@ -217,9 +236,9 @@ def test_cmd_serve_reads_the_bearer_token_from_the_context_file(tmp_path, upstre
     }))
     context = tmp_path / "context.json"
     context.write_text(json.dumps({"security": {"oauthToken": "tok-42"}}))
-    result = CliRunner().invoke(main, ["serve", str(spec), "--token-path", "security.oauthToken",
-                                       "--context-file", str(context)])
-    assert result.exit_code == 0, result.output
+    result = invoke("serve", spec, "--token-path", "security.oauthToken",
+                    "--context-file", context)
+    assert result.exit_code == 0, result.err
     [service] = served
     status, payload = service.handle_graphql({"query": "{ getPrivate { v } }"})
     assert (status, payload) == (200, {"data": {"getPrivate": {"v": "s3cret-data"}}})
@@ -243,9 +262,9 @@ def test_cmd_serve_refuses_a_token_path_that_names_no_token(tmp_path, served, co
         context_file = tmp_path / "context.json"
         context_file.write_text(json.dumps(context))
         args += ["--context-file", str(context_file)]
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 2, result.output
-    assert expected in result.output
+    result = invoke(*args)
+    assert result.exit_code == 2, result.err
+    assert expected in result.err
     assert served == []
 
 
@@ -253,28 +272,28 @@ def serve_with(monkeypatch, *options: str):
     """Run `serve` with options it must refuse before it generates a wrapper."""
     monkeypatch.setattr("oaswrap.cli.generate",
                         lambda *args, **kwargs: pytest.fail("serve generated a wrapper"))
-    return CliRunner().invoke(main, ["serve", str(corpus_path("clean_minimal.json")), *options])
+    return invoke("serve", corpus_path("clean_minimal.json"), *options)
 
 
 def test_cmd_serve_refuses_a_port_out_of_range(monkeypatch, served):
     result = serve_with(monkeypatch, "--port", "70000")
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--port'" in result.output
+    assert result.exit_code == 2, result.err
+    assert "--port" in result.err
     assert served == []
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e300"])
 def test_cmd_serve_refuses_a_timeout_out_of_range(monkeypatch, served, timeout):
     result = serve_with(monkeypatch, "--timeout", timeout)
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--timeout'" in result.output
+    assert result.exit_code == 2, result.err
+    assert "--timeout" in result.err
     assert served == []
 
 
 def test_cmd_serve_refuses_a_parallelism_below_one(monkeypatch, served):
     result = serve_with(monkeypatch, "--parallelism", "0")
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--parallelism'" in result.output
+    assert result.exit_code == 2, result.err
+    assert "--parallelism" in result.err
     assert served == []
 
 
@@ -284,24 +303,45 @@ def test_cmd_serve_refuses_a_parallelism_below_one(monkeypatch, served):
 def test_cmd_unwritable_output_is_a_one_line_error(tmp_path, command, option):
     target = tmp_path / "missing" / "out.txt"
     source = corpus_path("clean_links.json") if command == "generate" else CORPUS_DIR
-    result = CliRunner().invoke(main, [command, str(source), option, str(target)])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    # invoke lets any exception but SystemExit through, so exit 1 is a SystemExit.
+    result = invoke(command, source, option, target)
+    assert result.exit_code == 1, result.err
+    [line] = [line for line in result.err.splitlines() if line.startswith("Error:")]
     assert str(target) in line
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.out + result.err
 
 
 def test_cmd_eval_writes_stats(tmp_path):
     out = tmp_path / "stats.json"
-    runner = CliRunner()
-    result = runner.invoke(main, ["eval", str(CORPUS_DIR), "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = invoke("eval", CORPUS_DIR, "--out", out)
+    assert result.exit_code == 0, result.err
     stats = json.loads(out.read_text())
     manifest = load_manifest()["files"]
     assert stats["total"] == len(manifest)
-    assert "Overall results" in result.output
-    assert "Errors by kind" in result.output
+    assert "Overall results" in result.out
+    assert "Errors by kind" in result.out
+
+
+def test_help_exits_0_and_names_every_option_the_readme_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    usage = section.split("```")[1].replace("\\\n", " ")
+    option = r"(?<![\w-])--?[a-z][a-z-]*"
+    helps = []
+    for command in ("generate", "serve", "eval"):
+        result = invoke(command, "--help")
+        assert result.exit_code == 0, result.err
+        [line] = [line for line in usage.splitlines() if line.startswith(f"oaswrap {command} ")]
+        named = set(re.findall(option, line))
+        assert named and named <= set(re.findall(option, result.out)), command
+        helps.append(result.out)
+    result = invoke("--help")
+    assert result.exit_code == 0, result.err
+    assert {"-v", "--verbose"} <= set(re.findall(option, result.out))
+    helps.append(result.out)
+    # Every option the section's text names is in some command's help.
+    assert set(re.findall(r"`(--?[a-z][a-z-]*)", section)) <= set(
+        re.findall(option, "".join(helps)))
 
 
 # Written by `oaswrap eval tests/fixtures/corpus --strict-also`, with and
@@ -312,18 +352,17 @@ EVAL_GOLDEN_JSON = FIXTURES / "eval_strict_also.json"
 
 def test_cmd_eval_strict_also_table(tmp_path):
     out = tmp_path / "s.json"
-    runner = CliRunner()
-    result = runner.invoke(main, ["eval", str(CORPUS_DIR), "--strict-also", "--out", str(out)])
+    result = invoke("eval", CORPUS_DIR, "--strict-also", "--out", out)
     assert result.exit_code == 0
     assert out.read_bytes() == EVAL_GOLDEN_JSON.read_bytes()
     golden = EVAL_GOLDEN_STDOUT.read_text(encoding="utf-8")
-    assert result.output == golden[golden.index("Overall results"):]
+    assert result.out == golden[golden.index("Overall results"):]
 
 
 def test_cmd_eval_strict_also_stdout_matches_golden():
-    result = CliRunner().invoke(main, ["eval", str(CORPUS_DIR), "--strict-also"])
+    result = invoke("eval", CORPUS_DIR, "--strict-also")
     assert result.exit_code == 0
-    assert result.output.encode("utf-8") == EVAL_GOLDEN_STDOUT.read_bytes()
+    assert result.out.encode("utf-8") == EVAL_GOLDEN_STDOUT.read_bytes()
 
 
 # -- evaluate_corpus --------------------------------------------------------------
@@ -406,9 +445,9 @@ SERVING_MODULES = {"ssl", "http.client", "http.server", "urllib.request", "orjso
                    "oaswrap.service", "oaswrap.engine", "oaswrap.resolver_runtime"}
 
 
-# Start-up loads neither: the records are plain classes, not generated ones,
-# and only the server logs.
-START_UP_MODULES = {"dataclasses", "logging"}
+# Start-up loads none of these: the records are plain classes, not generated
+# ones, only the server logs, and the command line is argparse's.
+START_UP_MODULES = {"dataclasses", "logging", "click", "inspect"}
 
 
 def last_line_after(code: str) -> str:
@@ -440,14 +479,13 @@ def test_the_service_loads_no_dataclasses():
     assert "dataclasses" not in modules_after("import oaswrap.service")
 
 
-def test_the_cli_and_a_generate_run_load_neither_dataclasses_nor_logging(tmp_path):
+def test_the_cli_and_a_generate_run_load_no_start_up_module(tmp_path):
     assert not START_UP_MODULES & modules_after("import oaswrap.cli")
     sdl = tmp_path / "schema.graphql"
     loaded = modules_after(
         "from oaswrap.cli import main\n"
         f"main(['generate', {str(corpus_path('clean_links.json'))!r}, "
-        f"'--sdl', {str(sdl)!r}, '--report', {str(tmp_path / 'report.json')!r}], "
-        "standalone_mode=False)")
+        f"'--sdl', {str(sdl)!r}, '--report', {str(tmp_path / 'report.json')!r}])")
     assert "type Query" in sdl.read_text(encoding="utf-8")
     assert not START_UP_MODULES & loaded
 
@@ -460,7 +498,7 @@ def test_serve_configures_logging_and_v_turns_debug_on(flags, level):
         "import logging, oaswrap.service\n"
         "oaswrap.service.serve_forever = lambda service, host, port: None\n"
         "from oaswrap.cli import main\n"
-        f"main({args!r}, standalone_mode=False)\n"
+        f"main({args!r})\n"
         "print(logging.getLevelName(logging.getLogger().level))") == level
 
 
@@ -468,9 +506,9 @@ def test_serve_configures_logging_and_v_turns_debug_on(flags, level):
                                            ("warn_multiple_responses.json", ["--strict"])])
 def test_verbose_generate_prints_what_generate_prints(name, options):
     args = ["generate", str(corpus_path(name)), *options]
-    plain, verbose = (CliRunner().invoke(main, flags + args) for flags in ([], ["-v"]))
-    assert (verbose.exit_code, verbose.output) == (plain.exit_code, plain.output)
-    assert plain.output
+    plain, verbose = (invoke(*flags, *args) for flags in ([], ["-v"]))
+    assert vars(verbose) == vars(plain)
+    assert plain.out or plain.err
 
 
 def test_generate_reads_a_yaml_document_without_loading_serving_modules(tmp_path):
@@ -478,8 +516,7 @@ def test_generate_reads_a_yaml_document_without_loading_serving_modules(tmp_path
     loaded = modules_after(
         "from oaswrap.cli import main\n"
         f"main(['generate', {str(corpus_path('clean_components.yaml'))!r}, "
-        f"'--sdl', {str(sdl)!r}, '--report', {str(tmp_path / 'report.json')!r}], "
-        "standalone_mode=False)")
+        f"'--sdl', {str(sdl)!r}, '--report', {str(tmp_path / 'report.json')!r}])")
     assert "type Query" in sdl.read_text(encoding="utf-8")
     assert "yaml" in loaded
     assert not SERVING_MODULES & loaded
@@ -488,7 +525,6 @@ def test_generate_reads_a_yaml_document_without_loading_serving_modules(tmp_path
 def test_eval_loads_no_serving_module(tmp_path):
     loaded = modules_after(
         "from oaswrap.cli import main\n"
-        f"main(['eval', {str(CORPUS_DIR)!r}, '--out', {str(tmp_path / 'stats.json')!r}], "
-        "standalone_mode=False)")
+        f"main(['eval', {str(CORPUS_DIR)!r}, '--out', {str(tmp_path / 'stats.json')!r}])")
     assert json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))["total"] > 0
     assert not SERVING_MODULES & loaded
