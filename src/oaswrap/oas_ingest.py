@@ -108,10 +108,13 @@ def _wrong_type(pointer: str, expected: tuple[type, ...], value: Any) -> None:
 
 class SchemaObject:
     """JSON-Schema-like payload shape. ``ref`` nodes stay unresolved until
-    dereferenced through the owning document (cycle-safe, memoized)."""
+    dereferenced through the owning document (cycle-safe, memoized).
+    ``structural_class`` is the class its document's ``SchemaTable`` gave
+    it when it was parsed, or None for a ``$ref`` node, a node whose subtree
+    holds one, and a node built after parsing."""
 
     __slots__ = ("type", "properties", "items", "required", "enum", "title", "description",
-                 "ref", "all_of", "composed_with", "default", "pointer")
+                 "ref", "all_of", "composed_with", "default", "pointer", "structural_class")
 
     def __init__(self, type: str | None = None,
                  properties: dict[str, SchemaObject] | None = None,
@@ -126,6 +129,81 @@ class SchemaObject:
         self.enum, self.title, self.description = enum, title, description
         self.ref, self.all_of, self.composed_with = ref, all_of, composed_with
         self.default, self.pointer = default, pointer
+        self.structural_class: int | None = None
+
+
+# -- structural classes ------------------------------------------------------------
+
+
+# One encoder for every enum value: json.dumps with arguments builds a new one per call.
+_encode_enum_value = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _label(s: SchemaObject) -> tuple:
+    """What equality compares on one node: type, property keys, required and
+    enum as sets, items presence and allOf arity; titles never count. An enum
+    value is compared as its sorted-key JSON text or, if that encoder refuses
+    it (a mapping whose keys are of mixed types, as YAML reads ``{1: a, b:
+    2}``), as a tagged repr that no text equals."""
+    enum = None if s.enum is None else frozenset(map(_enum_label, s.enum))
+    return (s.type, frozenset(s.properties), frozenset(s.required), enum,
+            s.items is not None, None if s.all_of is None else len(s.all_of))
+
+
+def _enum_label(value: Any) -> str | tuple[str, str]:
+    try:
+        return _encode_enum_value(value)
+    except (TypeError, ValueError):
+        return ("unsorted", repr(value))
+
+
+def _children(s: SchemaObject) -> list[SchemaObject]:
+    """Properties by key, then items, then allOf members (compared member-wise)."""
+    out = [s.properties[key] for key in sorted(s.properties)]
+    if s.items is not None:
+        out.append(s.items)
+    if s.all_of:
+        out += s.all_of
+    return out
+
+
+class SchemaTable:
+    """One document's hash-consing table (Filliâtre & Conchon, "Type-Safe
+    Modular Hash-Consing", 2006). Each node label and each (label, child
+    classes) signature is numbered in order of first sight; a signature's
+    number is a structural class. ``intern`` classes a node as parsing
+    closes it, so a subtree free of ``$ref`` is classed once, while it is
+    built; the nodes that reach a ``$ref`` are classed later, through the
+    same table, by ``preprocessing.StructuralClasses``."""
+
+    __slots__ = ("labels", "signatures", "leaves")
+
+    def __init__(self):
+        self.labels: dict[tuple, int] = {}
+        self.signatures: dict[tuple, int] = {}
+        self.leaves: dict[str | None, int] = {}  # a leaf's type -> its class
+
+    def label_id(self, label: tuple) -> int:
+        return self.labels.setdefault(label, len(self.labels))
+
+    def class_of(self, label_id: int, kids: tuple) -> int:
+        return self.signatures.setdefault((label_id, kids), len(self.signatures))
+
+    def intern(self, schema: SchemaObject) -> SchemaObject:
+        """schema, classed if it is no ``$ref`` and all its children are classed."""
+        if schema.ref is not None:
+            return schema
+        if (schema.properties or schema.items is not None or schema.all_of is not None
+                or schema.required or schema.enum is not None):
+            kids = tuple([child.structural_class for child in _children(schema)])
+            if None not in kids:
+                schema.structural_class = self.class_of(self.label_id(_label(schema)), kids)
+        else:  # a leaf, labelled by its type alone
+            cls = self.leaves.get(schema.type)
+            if cls is None:
+                cls = self.leaves[schema.type] = self.class_of(self.label_id(_label(schema)), ())
+            schema.structural_class = cls
+        return schema
 
 
 class OasParameter:
@@ -197,10 +275,11 @@ class OasOperation:
 class OasDocument:
     def __init__(self, title: str | None, api_version: str | None, servers: list[str],
                  operations: list[OasOperation], security_schemes: dict[str, SecurityScheme],
-                 raw_root: dict):
+                 raw_root: dict, table: SchemaTable):
         self.title, self.api_version, self.servers = title, api_version, servers
         self.operations, self.security_schemes, self.raw_root = (
             operations, security_schemes, raw_root)
+        self.table = table  # classes every schema parsed for this document
         self._ref_cache: dict[str, SchemaObject] = {}
         self._allof_cache: dict[int, SchemaObject] = {}
         # Link targets by operationId, the first declaration winning, and by (method, path).
@@ -217,7 +296,7 @@ class OasDocument:
         """
         if pointer in self._ref_cache:
             return self._ref_cache[pointer]
-        schema = parse_schema(_ref_target(self.raw_root, pointer), pointer)
+        schema = parse_schema(_ref_target(self.raw_root, pointer), pointer, self.table)
         self._ref_cache[pointer] = schema
         return schema
 
@@ -511,6 +590,7 @@ def normalize(root: dict, report: Report) -> OasDocument:
         member(components, "securitySchemes", "#/components"), report)
 
     global_security = _security_names(member(root, "security", "#"))
+    table = SchemaTable()
     operations: list[OasOperation] = []
     for path, path_item in member(root, "paths", "#").items():
         path_ptr = f"#/paths/{escape_pointer_token(path)}"
@@ -520,14 +600,14 @@ def normalize(root: dict, report: Report) -> OasDocument:
                 continue
             operations.append(_parse_operation(
                 root, method, path, member(path_item, method, path_ptr), shared_params,
-                f"{path_ptr}/{method}", global_security, security_schemes, report,
+                f"{path_ptr}/{method}", global_security, security_schemes, table, report,
             ))
 
     doc = OasDocument(
         title=member(info, "info.title", "#/info"),
         api_version=member(info, "version", "#/info"),
         servers=servers, operations=operations,
-        security_schemes=security_schemes, raw_root=root,
+        security_schemes=security_schemes, raw_root=root, table=table,
     )
     member(info, "description", "#/info")  # shape check only
     return doc
@@ -566,13 +646,15 @@ def _security_names(requirements: list[dict]) -> list[str]:
 
 def _parse_operation(root: dict, method: str, path: str, node: dict, shared_params: list,
                      pointer: str, global_security: list[str],
-                     known_schemes: dict[str, SecurityScheme], report: Report) -> OasOperation:
+                     known_schemes: dict[str, SecurityScheme], table: SchemaTable,
+                     report: Report) -> OasOperation:
     params: list[OasParameter] = []
     seen: set[tuple[str, str]] = set()
     for origin, nodes in ((pointer, member(node, "parameters", pointer)),
                           (pointer.rsplit("/", 1)[0], shared_params)):
         for index, param_node in enumerate(nodes):
-            param = _parse_parameter(root, param_node, f"{origin}/parameters", index, report)
+            param = _parse_parameter(root, param_node, f"{origin}/parameters", index, table,
+                                     report)
             if param is None or (param.name, param.location) in seen:
                 continue
             seen.add((param.name, param.location))
@@ -583,7 +665,7 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
     if body_node is not None:
         body_ptr = f"{pointer}/requestBody"
         body_node = _deref_raw(root, body_node, body_ptr)
-        content_type, schema = _select_content(body_node, body_ptr)
+        content_type, schema = _select_content(body_node, body_ptr, table)
         request_body = RequestBody(
             content_type=content_type, schema=schema,
             required=bool(member(body_node, "param.required", body_ptr)), pointer=body_ptr,
@@ -595,7 +677,7 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
         status = str(status)
         resp_ptr = f"{pointer}/responses/{status}"
         resp_node = _deref_raw(root, resp_node, resp_ptr)
-        content_type, schema = _select_content(resp_node, resp_ptr)
+        content_type, schema = _select_content(resp_node, resp_ptr, table)
         links = {}
         for link_name, link_node in member(resp_node, "links", resp_ptr).items():
             link_ptr = f"{resp_ptr}/links/{escape_pointer_token(link_name)}"
@@ -631,7 +713,7 @@ def _parse_operation(root: dict, method: str, path: str, node: dict, shared_para
     )
 
 
-def _parse_parameter(root: dict, node: dict, pointer: str, index: int,
+def _parse_parameter(root: dict, node: dict, pointer: str, index: int, table: SchemaTable,
                      report: Report) -> OasParameter | None:
     where = f"{pointer}/{index}"
     node = _deref_raw(root, node, where)
@@ -645,9 +727,9 @@ def _parse_parameter(root: dict, node: dict, pointer: str, index: int,
         return None
     schema = member(node, "schema", param_ptr)
     if schema is not None:
-        schema = parse_schema(schema, f"{param_ptr}/schema")
+        schema = parse_schema(schema, f"{param_ptr}/schema", table)
     else:
-        _, schema = _select_content(node, param_ptr)
+        _, schema = _select_content(node, param_ptr, table)
     required = bool(member(node, "param.required", param_ptr)) or location == "path"
     member(node, "description", param_ptr)  # shape check only
     return OasParameter(name=name, location=location, schema=schema, required=required,
@@ -667,7 +749,8 @@ def _deref_raw(root: dict, node: dict, pointer: str) -> dict:
     return node
 
 
-def _select_content(node: dict, pointer: str) -> tuple[str | None, SchemaObject | None]:
+def _select_content(node: dict, pointer: str,
+                    table: SchemaTable) -> tuple[str | None, SchemaObject | None]:
     """Pick one media type of the content of the object at ``pointer``:
     application/json, then any application/*json*, then the first declared."""
     content = member(node, "content", pointer)
@@ -680,7 +763,7 @@ def _select_content(node: dict, pointer: str) -> tuple[str | None, SchemaObject 
     media_ptr = f"{pointer}/content/{escape_pointer_token(chosen)}"
     schema = member(content[chosen], "schema", media_ptr)
     if schema is not None:
-        schema = parse_schema(schema, f"{media_ptr}/schema")
+        schema = parse_schema(schema, f"{media_ptr}/schema", table)
     return _media_base(chosen), schema
 
 
@@ -716,11 +799,12 @@ def _own_elements(value: dict | list, element: type) -> bool:
     return all(map(isinstance, value, repeat(element)))
 
 
-def parse_schema(node: dict, pointer: str) -> SchemaObject:
+def parse_schema(node: dict, pointer: str, table: SchemaTable) -> SchemaObject:
     """Parse one schema mapping; $ref children stay unresolved. Each present
     member is read once: a value of the member's own JSON type is taken as it
     is, and only another goes through ``member()``, which reads the other
-    spellings and rejects a wrong type."""
+    spellings and rejects a wrong type. Each node is interned in ``table`` as
+    it closes, after its children."""
     ref = node.get("$ref")
     if ref is not None:
         return SchemaObject(ref=ref if isinstance(ref, str) else member(node, "$ref", pointer),
@@ -741,10 +825,10 @@ def parse_schema(node: dict, pointer: str) -> SchemaObject:
             stype = value
         elif name == "properties":
             prefix = f"{pointer}/properties/"
-            properties = {key: parse_schema(child, prefix + escape_pointer_token(key))
+            properties = {key: parse_schema(child, prefix + escape_pointer_token(key), table)
                           for key, child in value.items() if child is not None}
         elif name == "items":
-            items = parse_schema(value, f"{pointer}/items")
+            items = parse_schema(value, f"{pointer}/items", table)
         elif name == "required":
             required = value
         elif name == "enum":
@@ -754,13 +838,14 @@ def parse_schema(node: dict, pointer: str) -> SchemaObject:
         elif name == "description":
             description = value
         else:
-            all_of = [parse_schema(child, f"{pointer}/allOf/{i}")
+            all_of = [parse_schema(child, f"{pointer}/allOf/{i}", table)
                       for i, child in enumerate(value) if child is not None]
     composed_with = ("oneOf" if "oneOf" in node else "anyOf" if "anyOf" in node
                      else "not" if "not" in node else None)
     # Positional, in field order: keyword arguments cost twice as much here.
-    return SchemaObject(stype, properties, items, required, enum, title, description, None,
-                        all_of, composed_with, node.get("default"), pointer)
+    return table.intern(SchemaObject(stype, properties, items, required, enum, title,
+                                     description, None, all_of, composed_with,
+                                     node.get("default"), pointer))
 
 
 # -- allOf merging ----------------------------------------------------------------

@@ -4,12 +4,14 @@ serving maps back to.
 
 The types dictionary flattens every request/response schema (and, recursively,
 every nested object or enum) into uniquely named entries, adding an entry only
-when no structurally equal entry of the same direction exists.
+when no structurally equal entry of the same direction exists. Equality is
+decided by structural class: ingest interns each schema node whose subtree
+holds no ``$ref`` in its document's table as it parses the node, and
+``StructuralClasses`` classes the nodes that reach a ``$ref`` through the same
+table.
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import InvalidOasError, MissingRefError, SanitationError
 from .ir import (ENUM, INPUT_OBJECT, OBJECT, REFERENCE, SCALAR_TYPE_NAMES, ArgIR, FieldBinding,
@@ -20,6 +22,8 @@ from .oas_ingest import (
     OasOperation,
     OasResponse,
     SchemaObject,
+    _children,
+    _label,
     is_json_media,
     is_success_status,
     unescape_pointer_token,
@@ -127,28 +131,6 @@ def first_free(base: str, taken, counters: dict[str, int] | None = None) -> str:
 # -- structural equality ---------------------------------------------------------
 
 
-# One encoder for every enum value: json.dumps with arguments builds a new one per call.
-_encode_enum_value = json.JSONEncoder(sort_keys=True, default=str).encode
-
-
-def _label(s: SchemaObject) -> tuple:
-    """What equality compares on one node: type, property keys, required and
-    enum as sets, items presence and allOf arity; titles never count."""
-    enum = None
-    if s.enum is not None:
-        enum = frozenset(map(_encode_enum_value, s.enum))
-    return (s.type, frozenset(s.properties), frozenset(s.required), enum,
-            s.items is not None, None if s.all_of is None else len(s.all_of))
-
-
-def _children(s: SchemaObject) -> list[SchemaObject]:
-    """Properties by key, then items, then allOf members (compared member-wise)."""
-    out = [s.properties[key] for key in sorted(s.properties)]
-    if s.items is not None:
-        out.append(s.items)
-    return out + list(s.all_of or ())
-
-
 def deep_equal(a: SchemaObject, b: SchemaObject, doc: OasDocument | None = None) -> bool:
     """Structural schema equality over ``_label`` and ``_children``.
 
@@ -174,29 +156,29 @@ class StructuralClasses:
     """Exact structural classes: two schemas share a class iff ``deep_equal``
     holds between them.
 
-    One iterative post-order walk over every node reachable from ``roots``
-    hash-conses the finite ones (Filliâtre & Conchon, "Type-Safe Modular
-    Hash-Consing", 2006): a node whose children all have classes is interned
-    by (label, child classes) in the one signature table when it closes. A
-    node that reaches a reference cycle, which no finite node can equal, is
-    classed afterwards by Moore-style partition refinement (Paige & Tarjan,
-    "Three Partition Refinement Algorithms", 1987) over those nodes alone:
-    each round re-interns (label, child classes), the finite children's held
+    Parsing already interned every node whose subtree holds no ``$ref`` in
+    the document's ``SchemaTable`` (hash-consing at construction, Filliâtre &
+    Conchon, "Type-Safe Modular Hash-Consing", 2006). What is left is the
+    nodes that reach a ``$ref``: one iterative post-order walk from ``roots``
+    visits them, treats a node that already has a class as closed without
+    entering it, and interns a node whose children all have classes by
+    (label, child classes) in the same table when it closes. A node that
+    reaches a reference cycle, which no finite node can equal, is classed
+    afterwards by Moore-style partition refinement (Paige & Tarjan, "Three
+    Partition Refinement Algorithms", 1987) over those nodes alone: each
+    round re-interns (label, child classes), the finite children's held
     fixed, until the class count stops growing. Refined classes are numbered
-    past the finite ones, in order of their first node, so the last round's
+    past the table's, in order of their first node, so the last round's
     signatures join the table; nodes built later (merged allOf schemas) are
     classed through it. A ``$ref`` that cannot be resolved is a leaf with a
     label of its own; reporting it is left to the walk that needs it.
     """
 
     def __init__(self, doc: OasDocument, roots: list[SchemaObject]):
-        self._labels: dict[tuple, int] = {}
-        self._table: dict[tuple, int] = {}
-        table = self._table
-        position: dict[int, int] = {}  # id of a node, or of a $ref to it -> index
+        self._table = table = doc.table
+        position: dict[int, int] = {}  # id of a walked node, or of a $ref to it -> index
         labels: list[int] = []
         children: list = []  # each node's children, a list or an empty tuple
-        leaf_labels: dict[str | None, int] = {}  # a leaf's type -> its label id
         classes: list[int] = []  # -1 while open, and for a node that reaches a cycle
         cyclic: list[int] = []  # indices of nodes that reach a cycle, as they close
         stack: list = list(roots)
@@ -207,37 +189,36 @@ class StructuralClasses:
                 if -1 in kids:
                     cyclic.append(s)
                 else:
-                    classes[s] = table.setdefault((labels[s], kids), len(table))
+                    classes[s] = table.class_of(labels[s], kids)
                 continue
             if id(s) in position:
                 continue
+            cls = None
             try:
                 r = s if s.ref is None else doc.deref(s)
             except (MissingRefError, InvalidOasError):
-                r, label, kids = s, self._label_id(("$ref", s.ref)), ()
+                r, label, kids = s, table.label_id(("$ref", s.ref)), ()
             else:
                 if id(r) in position:
                     position[id(s)] = position[id(r)]
                     continue
-                if (r.properties or r.required or r.enum is not None or r.items is not None
-                        or r.all_of is not None):
-                    label, kids = self._label_id(_label(r)), _children(r)
-                else:  # a leaf, labelled by its type alone
-                    label, kids = leaf_labels.get(r.type), ()
-                    if label is None:
-                        label = leaf_labels[r.type] = self._label_id(_label(r))
+                cls = r.structural_class
+                if cls is None:
+                    label, kids = table.label_id(_label(r)), _children(r)
+                else:  # closed when parsed: its subtree is never entered
+                    label, kids = -1, ()
             position[id(s)] = position[id(r)] = index = len(labels)
             labels.append(label)
             children.append(kids)
-            classes.append(-1)
             if kids:
+                classes.append(-1)
                 stack.append(index)
                 stack.extend(kids)
             else:  # a leaf closes at once
-                classes[index] = table.setdefault((labels[index], ()), len(table))
+                classes.append(table.class_of(label, ()) if cls is None else cls)
 
         if cyclic:
-            base = len(table)
+            base = len(table.signatures)
             edges = [[position[id(c)] for c in children[index]] for index in cyclic]
             for index in cyclic:
                 classes[index] = base
@@ -252,18 +233,17 @@ class StructuralClasses:
                 if len(refined) == count:
                     break
                 count = len(refined)
-            table.update(refined)
+            table.signatures.update(refined)
         self._classes = {key: classes[index] for key, index in position.items()}
 
-    def _label_id(self, label: tuple) -> int:
-        return self._labels.setdefault(label, len(self._labels))
-
     def of(self, schema: SchemaObject) -> int:
-        """The class of a walked node, or of a node built from walked ones."""
-        cls = self._classes.get(id(schema))
+        """The class of a parsed or walked node, or of a node built from them."""
+        cls = schema.structural_class
         if cls is None:
-            signature = (self._label_id(_label(schema)), tuple(map(self.of, _children(schema))))
-            cls = self._classes[id(schema)] = self._table.setdefault(signature, len(self._table))
+            cls = self._classes.get(id(schema))
+            if cls is None:
+                cls = self._classes[id(schema)] = self._table.class_of(
+                    self._table.label_id(_label(schema)), tuple(map(self.of, _children(schema))))
         return cls
 
 

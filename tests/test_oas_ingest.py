@@ -17,6 +17,7 @@ from oaswrap.errors import InvalidOasError, MissingRefError, ParseError, Upconve
 from oaswrap.oas_ingest import (
     OasDocument,
     SchemaObject,
+    SchemaTable,
     convert_v2_dict,
     detect_version,
     escape_pointer_token,
@@ -337,8 +338,8 @@ def test_merge_all_of_union():
         {"type": "object", "properties": {"b": {"type": "integer"}}},
     ]
     expected_props, expected_required = brute_force_merge(members)
-    schema = parse_schema({"allOf": members}, "#/x")
     doc = make_doc()
+    schema = parse_schema({"allOf": members}, "#/x", doc.table)
     merged = doc.merge_all_of(schema, Report(source="<test>"))
     assert merged.type == "object"
     assert set(merged.properties) == set(expected_props)
@@ -349,8 +350,8 @@ def test_merge_all_of_union():
 
 def test_merge_all_of_single_member_identity():
     inner = {"type": "object", "properties": {"only": {"type": "string"}}}
-    schema = parse_schema({"allOf": [inner]}, "#/x")
     doc = make_doc()
+    schema = parse_schema({"allOf": [inner]}, "#/x", doc.table)
     merged = doc.merge_all_of(schema, Report(source="<test>"))
     assert merged.type == "object"
     assert set(merged.properties) == {"only"}
@@ -361,8 +362,8 @@ def test_merge_all_of_conflict_non_strict_falls_back_to_string():
         {"type": "object", "properties": {"a": {"type": "string"}}},
         {"type": "object", "properties": {"a": {"type": "integer"}}},
     ]
-    schema = parse_schema({"allOf": members}, "#/x")
     doc = make_doc()
+    schema = parse_schema({"allOf": members}, "#/x", doc.table)
     report = Report(source="<test>")
     merged = doc.merge_all_of(schema, report)
     assert merged.properties["a"].type == "string"
@@ -374,8 +375,8 @@ def test_merge_all_of_conflict_strict_aborts():
         {"type": "object", "properties": {"a": {"type": "string"}}},
         {"type": "object", "properties": {"a": {"type": "integer"}}},
     ]
-    schema = parse_schema({"allOf": members}, "#/x")
     doc = make_doc()
+    schema = parse_schema({"allOf": members}, "#/x", doc.table)
     with pytest.raises(StrictModeAbort):
         doc.merge_all_of(schema, Report(source="<test>", mode=STRICT))
 
@@ -612,7 +613,7 @@ def test_wrong_member_type_is_invalid_oas_with_pointer(doc, path, value, pointer
     ({"allOf": [False, {"type": "string"}]}, "all_of", ["#/s/allOf/1"]),
 ])
 def test_schema_member_spelled_another_way(node, attribute, read):
-    value = getattr(parse_schema(node, "#/s"), attribute)
+    value = getattr(parse_schema(node, "#/s", SchemaTable()), attribute)
     if attribute == "properties":
         value = list(value)
     elif attribute == "all_of":
@@ -765,9 +766,10 @@ _REFERENCE_MEMBERS = {"properties", "items", "allOf", "type", "required", "enum"
                       "description"}
 
 
-def reference_parse_schema(node: dict, pointer: str) -> SchemaObject:
+def reference_parse_schema(node: dict, pointer: str, table: SchemaTable) -> SchemaObject:
     """``parse_schema`` as it reads a schema by definition: each present
-    member through ``member()``, in the node's order."""
+    member through ``member()``, in the node's order, each node interned in
+    ``table`` once its children are."""
     if node.get("$ref") is not None:
         return SchemaObject(ref=member(node, "$ref", pointer), pointer=pointer)
     schema = SchemaObject(
@@ -783,17 +785,17 @@ def reference_parse_schema(node: dict, pointer: str) -> SchemaObject:
         if name == "properties":
             schema.properties = {
                 key: reference_parse_schema(
-                    child, f"{pointer}/properties/{escape_pointer_token(key)}")
+                    child, f"{pointer}/properties/{escape_pointer_token(key)}", table)
                 for key, child in value.items() if child is not None
             }
         elif name == "items":
-            schema.items = reference_parse_schema(value, f"{pointer}/items")
+            schema.items = reference_parse_schema(value, f"{pointer}/items", table)
         elif name == "allOf":
-            schema.all_of = [reference_parse_schema(child, f"{pointer}/allOf/{i}")
+            schema.all_of = [reference_parse_schema(child, f"{pointer}/allOf/{i}", table)
                              for i, child in enumerate(value) if child is not None]
         else:
             setattr(schema, name, value)
-    return schema
+    return table.intern(schema)
 
 
 def _outcome(wrapper, doc) -> tuple:

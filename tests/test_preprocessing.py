@@ -5,6 +5,8 @@ import json
 import logging
 from collections import Counter
 import re
+import sys
+import threading
 import time
 
 import pytest
@@ -17,7 +19,7 @@ from oaswrap.errors import SanitationError, StrictModeAbort
 from oaswrap.engine import Executor, parse_query
 from oaswrap.generator import GenerationOptions, generate
 from oaswrap.ir import scalar, to_raw
-from oaswrap.oas_ingest import load_document, normalize, parse_schema
+from oaswrap.oas_ingest import SchemaTable, load_document, normalize, parse_schema
 from oaswrap.preprocessing import (
     CAMEL,
     INPUT,
@@ -33,7 +35,7 @@ from oaswrap.report import Report
 NAME_RE = re.compile(r"^[_A-Za-z][_0-9A-Za-z]*$")
 
 
-def make_doc(paths, components=None, report=None):
+def make_root(paths, components=None):
     root = {
         "openapi": "3.0.0",
         "info": {"title": "T", "version": "1"},
@@ -42,7 +44,11 @@ def make_doc(paths, components=None, report=None):
     }
     if components:
         root["components"] = components
-    return normalize(root, report or Report(source="<test>"))
+    return root
+
+
+def make_doc(paths, components=None, report=None):
+    return normalize(make_root(paths, components), report or Report(source="<test>"))
 
 
 def get_op(schema, parameters=None):
@@ -244,7 +250,7 @@ def test_round_trip_property(keys):
 
 
 def schema_of(node):
-    return parse_schema(node, "#/t")
+    return parse_schema(node, "#/t", SchemaTable())
 
 
 def canonical_form(node):
@@ -311,6 +317,40 @@ def test_deep_equal_distinguishes_nested_allof_members():
     same = schema_of({"type": "object", "properties": {"p": {"allOf": [
         {"type": "object", "properties": {"x": {"type": "string"}}}]}}})
     assert deep_equal(a, same)
+
+
+# YAML reads `{1: a, b: 2}` as a mapping with an int key and a str key,
+# which the sorted-key JSON encoder of the structural label refuses.
+MIXED_KEY_ENUM = b"""\
+openapi: 3.0.0
+info: {title: T, version: "1"}
+paths:
+  /k:
+    get:
+      responses:
+        "200":
+          description: ok
+          content:
+            application/json:
+              schema:
+                type: object
+                properties:
+                  k: {type: string, enum: [{1: a, b: 2}, plain]}
+"""
+
+
+def test_an_enum_of_a_mapping_with_mixed_key_types_generates():
+    wrapper = generate(MIXED_KEY_ENUM)
+    assert wrapper.ok, wrapper.report.error_message
+    assert "enum K {\n  _1AB2\n  plain\n}" in wrapper.sdl
+
+
+def test_an_enum_value_the_sorted_key_encoder_refuses_has_a_label_of_its_own():
+    mixed = {1: "a", "b": 2}
+    a = schema_of({"type": "string", "enum": [mixed, "plain"]})
+    assert deep_equal(a, schema_of({"type": "string", "enum": ["plain", dict(mixed)]}))
+    assert not deep_equal(a, schema_of({"type": "string", "enum": [repr(mixed), "plain"]}))
+    assert not deep_equal(a, schema_of({"type": "string", "enum": [{"1": "a", "b": 2}, "plain"]}))
 
 
 def test_deep_equal_cyclic_schemas():
@@ -495,7 +535,106 @@ def test_structural_classes_tell_apart_schemas_differing_below_the_top():
     assert classes.of(a) == classes.of(c)
 
 
-def _same_top_level_keys_doc(n):
+@given(tree=_schema_trees, shared=_acyclic_trees, rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_structural_classes_equal_iff_deep_equal_with_inline_schemas(tree, shared, rnd):
+    # Ingest parses each operation's parameter, request body and response
+    # schemas inline, before any component. Here they are variants of the
+    # components A (which reaches a cycle) and S (which does not), or hold
+    # them by $ref, so classes must join nodes parsed on both paths.
+    components = {"S": shared, "A": _fill(tree, _ref("A"))}
+    paths = {
+        "/a": {"post": {
+            "parameters": [{"name": "q", "in": "query", "schema": _vary(shared, rnd)}],
+            "requestBody": {"content": {"application/json": {
+                "schema": _vary(_fill(tree, _ref("A")), rnd)}}},
+            "responses": {"200": {"description": "ok", "content": {"application/json": {
+                "schema": {"type": "object", "properties": {
+                    "s": _ref("S"), "t": _vary(shared, rnd), "a": _ref("A")}}}}}},
+        }},
+        "/b": get_op({"type": "array", "items": {"allOf": [_vary(shared, rnd)]}}),
+    }
+    doc = make_doc(paths, {"schemas": components})
+    op = doc.operations[0]
+    parameter, body, response = (op.parameters[0].schema, op.request_body.schema,
+                                 op.responses["200"].schema)
+    roots = [parameter, body, response, doc.operations[1].responses["200"].schema]
+    classes = StructuralClasses(doc, roots)
+    s, a = doc.resolve_ref("#/components/schemas/S"), doc.resolve_ref("#/components/schemas/A")
+    assert classes.of(parameter) == classes.of(s) == classes.of(response.properties["t"])
+    assert classes.of(body) == classes.of(a)
+    nodes = _reachable(doc, roots)
+    merged = [doc.merge_all_of(node, Report(source="<test>")) for node in nodes if node.all_of]
+    for x in nodes + merged:
+        for y in nodes + merged:
+            assert (classes.of(x) == classes.of(y)) == deep_equal(x, y, doc)
+
+
+def test_structural_classes_visit_only_each_root_and_its_target_without_refs_below(
+        monkeypatch):
+    # The gen-dedup shape: each operation returns a $ref to a component
+    # whose subtree holds no $ref, so parsing has classed every component
+    # node and the walk enters none of them.
+    n = 20
+    doc = _same_top_level_keys_doc(n)
+    roots = [op.responses["200"].schema for op in doc.operations]
+    targets = [doc.resolve_ref(root.ref) for root in roots]
+    assert all(target.structural_class is not None for target in targets)
+    dereferenced = []
+    deref = doc.deref
+    monkeypatch.setattr(doc, "deref", lambda node: dereferenced.append(node) or deref(node))
+
+    def entered(node):
+        raise AssertionError(f"the walk entered {node.pointer}")
+
+    monkeypatch.setattr(preprocessing, "_label", entered)
+    monkeypatch.setattr(preprocessing, "_children", entered)
+    classes = StructuralClasses(doc, roots)
+    assert sorted(map(id, dereferenced)) == sorted(map(id, roots))
+    assert [classes.of(root) for root in roots] == [t.structural_class for t in targets]
+    assert len({classes.of(root) for root in roots}) == n
+
+
+def test_each_document_interns_in_a_table_of_its_own():
+    root = _same_top_level_keys_root(3)
+    first = normalize(root, Report(source="<test>"))
+    generate(CORPUS_DIR / "clean_cyclic.json")
+    second = normalize(root, Report(source="<test>"))
+    assert first.table is not second.table
+    assert first.table.signatures == second.table.signatures
+
+
+def test_two_documents_generated_at_once_on_two_threads_give_their_sequential_sdl():
+    # Each document carries its own table: interning shared between threads
+    # would hand out one class number to two structures, and merge types.
+    sources = [(CORPUS_DIR / name).read_bytes()
+               for name in ("clean_cyclic.json", "clean_dedup_inline.json")]
+    sources.append(json.dumps(_same_top_level_keys_root(30)).encode())
+    sequential = [generate(source).sdl for source in sources]
+    rounds = 20
+    start = threading.Barrier(len(sources))
+    results: list[list[str | None]] = [[] for _ in sources]
+
+    def run(index):
+        start.wait()
+        for _ in range(rounds):
+            results[index].append(generate(sources[index]).sdl)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sources))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that generations interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for sdl, got in zip(sequential, results):
+        assert sdl is not None and got == [sdl] * rounds
+
+
+def _same_top_level_keys_root(n):
     """n component schemas with equal top-level keys and one shared enum,
     differing only in an enum two levels down."""
     components, paths = {}, {}
@@ -509,7 +648,11 @@ def _same_top_level_keys_doc(n):
                 "level": {"type": "integer"}}},
         }}
         paths[f"/s{i}"] = get_op(_ref(f"S{i}"))
-    return make_doc(paths, {"schemas": components})
+    return make_root(paths, {"schemas": components})
+
+
+def _same_top_level_keys_doc(n):
+    return normalize(_same_top_level_keys_root(n), Report(source="<test>"))
 
 
 def test_dedup_calls_deep_equal_less_than_once_per_schema(monkeypatch):
@@ -628,10 +771,11 @@ def test_plain_scalar_properties_type_as_add_types_them(source, monkeypatch):
 
 
 def test_plain_scalar_is_the_shared_scalar_type():
-    assert preprocessing.plain_scalar(parse_schema({"type": "integer"}, "#/s")) is scalar("Int")
+    integer = parse_schema({"type": "integer"}, "#/s", SchemaTable())
+    assert preprocessing.plain_scalar(integer) is scalar("Int")
     for node in ({"type": "string", "enum": ["a"]}, {"$ref": "#/s"}, {"type": "object"},
                  {"type": "string", "allOf": []}, {"type": "string", "oneOf": []}, {}):
-        assert preprocessing.plain_scalar(parse_schema(node, "#/s")) is None
+        assert preprocessing.plain_scalar(parse_schema(node, "#/s", SchemaTable())) is None
 
 
 def test_the_name_memo_lasts_one_run():
