@@ -8,22 +8,14 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import os
 import select
-import ssl
+import socket
 import threading
+import time
 import zlib
-from http.client import (
-    HTTPConnection,
-    HTTPException,
-    HTTPResponse,
-    HTTPSConnection,
-    IncompleteRead,
-    InvalidURL,
-    RemoteDisconnected,
-)
 from typing import Any, Mapping
 from urllib.parse import quote, unquote, urlencode, urljoin, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 import orjson
 
@@ -39,6 +31,7 @@ from .errors import (
 )
 from .ir import (CREDENTIAL_MEMBERS, NON_NULL, LinkExpression, ResolvePlan, TypeIR,
                  credential_kind, to_raw)
+from .http11 import Fields, ProtocolError, Reader, remaining, request_head, run
 from .oas_ingest import FORM_MEDIA
 
 logger = logging.getLogger("oaswrap.runtime")
@@ -68,6 +61,7 @@ class HttpRequestSpec:
         self.query, self.body, self.content_type = query or [], body, content_type
         self.sent = sent or {}
         self.operation, self.credential_header = operation, credential_header
+        self.deadline = 0.0  # the time.monotonic() time by which HttpClient.send must end
 
 
 # -- runtime binding ------------------------------------------------------------
@@ -292,13 +286,15 @@ def read_token(store: Any, token_path: str | None) -> Any:
 
 
 class HttpClient:
-    """Keep-alive HTTP/1.1 transport shared by every query thread.
+    """Keep-alive HTTP/1.1 transport shared by every query thread, on the
+    http11 codec.
 
     Idle connections wait in one pool keyed by (scheme, host, port), which the
     per-connection threads of a threading server share, so the pool holds at
     most as many connections as there were concurrent sends. A connection goes
     back only when its response was read to the end and the server keeps it
-    open.
+    open. ``timeout`` bounds each request, from its first connect to the last
+    byte of its last redirect's response.
 
     ``headers`` are sent on every request, each replacing a default header of
     the same name (User-Agent, Accept, Accept-Encoding); a request's own
@@ -311,11 +307,12 @@ class HttpClient:
         self.headers = _overridden(_DEFAULT_HEADERS, headers or {})
         self._idle: dict[tuple[str, str, int], list[_Connection]] = {}
         self._lock = threading.Lock()
-        self._tls: ssl.SSLContext | None = None  # built on the first HTTPS connection
+        self._tls: Any = None  # an ssl.SSLContext, built on the first HTTPS connection
 
     def send(self, spec: HttpRequestSpec) -> tuple[int, Mapping[str, str], bytes]:
         """One HTTP round trip, following redirects; network failures map to
         execution errors."""
+        spec.deadline = time.monotonic() + self.timeout
         headers = _overridden(self.headers, spec.headers)
         body = None
         if spec.body is not None:
@@ -356,7 +353,11 @@ class HttpClient:
                 url = target
         except TimeoutError as exc:
             raise RequestTimeout(f"request to {spec.url} timed out") from exc
-        except (OSError, HTTPException, ValueError, zlib.error) as exc:
+        except ProtocolError as exc:
+            if exc.status == 413:
+                raise UpstreamTooLarge(_too_large(spec)) from exc
+            raise NetworkError(f"request to {spec.url} failed: {exc}") from exc
+        except (OSError, EOFError, ValueError, zlib.error) as exc:
             raise NetworkError(f"request to {spec.url} failed: {exc}") from exc
         raise NetworkError(f"request to {spec.url} exceeded {MAX_REDIRECTS} redirects")
 
@@ -366,48 +367,43 @@ class HttpClient:
             idle, self._idle = self._idle, {}
         for conns in idle.values():
             for conn in conns:
-                conn.http.close()
+                conn.sock.close()
 
     def _exchange(self, method: str, url: str, headers: dict[str, str], body: bytes | None,
                   spec: HttpRequestSpec) -> tuple[int, Mapping[str, str], bytes]:
-        """One request and its whole response on a pooled or new connection.
-        An idempotent request that finds a reused socket closed by the server
-        is sent once more on a new connection."""
+        """One request and its whole response on a pooled or new connection,
+        by spec's deadline. An idempotent request that finds a reused socket
+        closed by the server is sent once more on a new connection."""
+        deadline = spec.deadline
         parts = urlsplit(url)
         scheme = parts.scheme.lower()
         if scheme not in _DEFAULT_PORTS or not parts.hostname:
-            raise InvalidURL(f"no http or https host in {url.split('?')[0]!r}")
+            raise ValueError(f"no http or https host in {url.split('?')[0]!r}")
         key = (scheme, parts.hostname, parts.port or _DEFAULT_PORTS[scheme])
-        path = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        framing = {"Host": _authority(key[1], key[2], _DEFAULT_PORTS[scheme])}
+        if body is not None or method in ("POST", "PUT", "PATCH"):
+            framing["Content-Length"] = str(len(body or b""))
+        fields = _overridden(headers, framing)
         conn = self._idle_connection(key)
+        response = None
         if conn is not None:
             try:
-                response = _request(conn, method, path, headers, body)
+                response = _request(conn, method, target, fields, body, deadline)
             except _STALE:
                 if method not in _IDEMPOTENT:
                     raise
-                conn = None
-        if conn is None:
-            conn = self._connect(key)
-            response = _request(conn, method, path, headers, body)
-        try:
-            data = response.read(MAX_UPSTREAM_BYTES + 1)
-            if len(data) > MAX_UPSTREAM_BYTES:
-                raise UpstreamTooLarge(_too_large(spec))
-            if response.length:
-                raise IncompleteRead(data, response.length)
-        except BaseException:
-            conn.http.close()
-            raise
-        finally:
-            response.close()
-        if response.will_close:
-            conn.http.close()
-        else:
+        if response is None:
+            conn = self._connect(key, deadline)
+            response = _request(conn, method, target, fields, body, deadline)
+        status, response_fields, data, reusable = response
+        if reusable and not conn.reader.buffer:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return response.status, response.headers, _decoded(
-            data, response.headers.get("Content-Encoding"), spec)
+        else:
+            conn.sock.close()
+        return status, response_fields, _decoded(
+            data, response_fields.get("Content-Encoding"), spec)
 
     def _idle_connection(self, key: tuple[str, str, int]) -> _Connection | None:
         """A pooled connection to key that the server has not closed, if any.
@@ -418,57 +414,131 @@ class HttpClient:
                 if not idle:
                     return None
                 conn = idle.pop()
-            sock = conn.http.sock
-            if sock is not None and not select.select([sock], [], [], 0)[0]:
+            if not select.select([conn.sock], [], [], 0)[0]:
                 return conn
-            conn.http.close()
+            conn.sock.close()
 
-    def _connect(self, key: tuple[str, str, int]) -> _Connection:
+    def _connect(self, key: tuple[str, str, int], deadline: float) -> _Connection:
         """A new connection to key, through the proxy the environment names for
-        its scheme unless the host is exempt: an HTTP proxy is sent absolute
-        URLs, and HTTPS goes through a CONNECT tunnel."""
+        its scheme unless no_proxy exempts the host: an HTTP proxy is sent
+        absolute URLs, and HTTPS goes through a CONNECT tunnel."""
         scheme, host, port = key
-        proxy = getproxies().get(scheme)
-        if not proxy or proxy_bypass(f"{host}:{port}"):
-            return _Connection(self._open(scheme, host, port))
+        proxies = _environment_proxies()
+        proxy = proxies.get(scheme)
+        if not proxy or _bypassed(host, port, proxies.get("no", "")):
+            sock = _open(host, port, deadline)
+            return _Connection(self._tls_wrapped(sock, host, deadline) if scheme == "https"
+                               else sock)
         parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if not parts.hostname:
+            raise ValueError(f"the {scheme} proxy URL names no host")
         auth = {}
         if parts.username is not None:
             token = base64.b64encode(
                 f"{unquote(parts.username)}:{unquote(parts.password or '')}".encode()
             ).decode("ascii")
             auth["Proxy-Authorization"] = f"Basic {token}"
-        conn = self._open(scheme, parts.hostname, parts.port or 80)
-        if scheme == "https":
-            conn.set_tunnel(host, port, headers=auth)
-            return _Connection(conn)
-        return _Connection(conn, f"http://{host}:{port}", auth)
-
-    def _open(self, scheme: str, host: str, port: int) -> HTTPConnection:
+        sock = _open(parts.hostname, parts.port or 80, deadline)
         if scheme == "http":
-            return HTTPConnection(host, port, timeout=self.timeout)
+            return _Connection(sock, f"http://{_authority(host, port, 80)}", auth)
+        tunnel = _authority(host, port)
+        status = _request(_Connection(sock), "CONNECT", tunnel, {"Host": tunnel, **auth}, None,
+                          deadline)[0]
+        if not 200 <= status < 300:
+            sock.close()
+            raise OSError(f"the proxy refused a tunnel to {tunnel}: {status}")
+        return _Connection(self._tls_wrapped(sock, host, deadline))
+
+    def _tls_wrapped(self, sock: socket.socket, host: str, deadline: float) -> socket.socket:
         with self._lock:
             if self._tls is None:
+                import ssl  # on the first HTTPS connection only
+
                 self._tls = ssl.create_default_context()
-        return HTTPSConnection(host, port, timeout=self.timeout, context=self._tls)
+        try:
+            sock.settimeout(remaining(deadline))
+            return self._tls.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
 
 
 class _Connection:
-    def __init__(self, http: HTTPConnection,
+    """A socket to an upstream or its proxy, and what it has received."""
+
+    def __init__(self, sock: socket.socket,
                  prefix: str = "",  # an HTTP proxy is sent the absolute URL
                  headers: dict[str, str] | None = None):  # added to each request
-        self.http, self.prefix, self.headers = http, prefix, headers or {}
+        self.sock, self.reader = sock, Reader()
+        self.prefix, self.headers = prefix, headers or {}
 
 
-def _request(conn: _Connection, method: str, path: str, headers: dict[str, str],
-             body: bytes | None) -> HTTPResponse:
-    """Send one request on conn and read the response head; a failure closes conn."""
+def _request(conn: _Connection, method: str, target: str, fields: dict[str, str],
+             body: bytes | None, deadline: float) -> tuple[int, Fields, bytes, bool]:
+    """Send one request on conn and read its response: (status, fields,
+    body, whether conn may be reused). A failure closes conn."""
+    sock = conn.sock
+
+    def receive() -> bytes:
+        sock.settimeout(remaining(deadline))
+        return sock.recv(_RECV_BYTES)
+
     try:
-        conn.http.request(method, conn.prefix + path, body, {**headers, **conn.headers})
-        return conn.http.getresponse()
+        head = request_head(method, conn.prefix + target, {**fields, **conn.headers})
+        sock.settimeout(remaining(deadline))
+        sock.sendall(head + body if body else head)
+        return run(conn.reader.response(method, MAX_UPSTREAM_BYTES), receive)
     except BaseException:
-        conn.http.close()
+        sock.close()
         raise
+
+
+def _open(host: str, port: int, deadline: float) -> socket.socket:
+    sock = socket.create_connection((host, port), remaining(deadline))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _authority(host: str, port: int, default_port: int = 0) -> str:
+    """host:port as a Host header or a CONNECT target gives it, without a
+    default port."""
+    host = host if host.isascii() else host.encode("idna").decode("ascii")
+    host = f"[{host}]" if ":" in host else host
+    return host if port == default_port else f"{host}:{port}"
+
+
+def _environment_proxies() -> dict[str, str]:
+    """The proxy URL of each scheme, and under "no" the no_proxy list, as
+    urllib reads the environment: *_proxy in any case, a lower-case name
+    winning and its empty value unsetting; HTTP_PROXY is dropped in a CGI
+    script (REQUEST_METHOD set), where a request's Proxy header may set it."""
+    proxies = {}
+    for name, value in os.environ.items():
+        if value and name[-6:].lower() == "_proxy":
+            proxies[name[:-6].lower()] = value
+    if "REQUEST_METHOD" in os.environ:
+        proxies.pop("http", None)
+    for name, value in os.environ.items():
+        if name[-6:] == "_proxy":
+            if value:
+                proxies[name[:-6].lower()] = value
+            else:
+                proxies.pop(name[:-6].lower(), None)
+    return proxies
+
+
+def _bypassed(host: str, port: int, no_proxy: str) -> bool:
+    """Whether no_proxy exempts host as urllib reads it: "*", or an entry
+    that is host or host:port or, leading dots aside, a domain of either."""
+    if no_proxy == "*":
+        return True
+    host = host.lower()
+    both = (host, f"{host}:{port}")
+    for name in no_proxy.lower().split(","):
+        name = name.strip().lstrip(".")
+        if name and (name in both or any(h.endswith("." + name) for h in both)):
+            return True
+    return False
 
 
 _DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
@@ -487,7 +557,10 @@ def _overridden(headers: Mapping[str, str], own: Mapping[str, str]) -> dict[str,
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _IDEMPOTENT = frozenset({"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"})
 # What a request on a kept-alive socket the server has since closed raises.
-_STALE = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+_STALE = (EOFError, ConnectionResetError, BrokenPipeError)
+# One receive of this size takes a page of a few hundred KB in one or two
+# calls; 64 KiB receives made a 128 KB loopback GET 45% slower.
+_RECV_BYTES = 1 << 18
 
 
 def _decoded(data: bytes, encoding: str | None, spec: HttpRequestSpec) -> bytes:

@@ -7,7 +7,8 @@ generation report; any other method is a 405. A query text that comes a
 second time is kept, its document and compiled plan, in a bounded
 second-sighting cache (engine/cache.py), so that later requests with it skip
 parsing and validation. The server speaks HTTP/1.1 with persistent
-connections on a bounded set of worker threads (WrapperServer).
+connections on a bounded set of worker threads (WrapperServer), framing each
+request with the http11 codec that the upstream client shares.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import select
 import socket
 import threading
 import time
-from email.utils import formatdate
-from http import HTTPStatus
 from typing import Any
 
 import orjson
@@ -33,6 +32,9 @@ from .engine.cache import SecondSightingCache
 from .engine.execution import RequestFailed
 from .errors import CoercionError, GraphQLSyntaxError
 from .generator import GeneratedWrapper
+# The head limits the edge enforces live with the codec that enforces them.
+from .http11 import MAX_HEAD_BYTES, MAX_HEADERS  # noqa: F401
+from .http11 import ProtocolError, Reader, imf_date, remaining, response_head, run
 from .report import finalize_report
 from .resolver_runtime import HttpClient
 
@@ -53,9 +55,6 @@ READ_DEADLINE_S = 10.0
 # On shutdown, workers get this long to finish the responses in flight; a
 # worker still busy after it is a daemon thread, left to the process's exit.
 SHUTDOWN_GRACE_S = 2.0
-# The request line and header lines: at most this many bytes, and this many lines.
-MAX_HEAD_BYTES = 1 << 16
-MAX_HEADERS = 100
 # The document cache keeps at most this many query texts, of at most this many
 # UTF-8 bytes in all; the least recently used go first. A cached document with
 # its compiled plan takes about 70 times its text's size.
@@ -143,7 +142,8 @@ class WrapperServer:
 
     A worker serves its connection until the client closes it or asks for a
     close, the connection idles IDLE_TIMEOUT_S, a request's head and body
-    miss READ_DEADLINE_S, or a request cannot be framed. Each response goes
+    miss READ_DEADLINE_S, or a request cannot be framed (http11 frames each
+    request, its head within MAX_HEAD_BYTES and MAX_HEADERS). Each response goes
     out in one send. While a connection waits for a worker, every worker
     closes its connection after its current response, and the serving thread
     ends the kept connection that has waited longest for its next request,
@@ -262,33 +262,33 @@ class WrapperServer:
     def _serve(self, conn: socket.socket) -> None:
         """Answer the requests on conn until it is to close."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        pending = self._next_request(conn, kept=False)
-        while pending and not self._stopping:
+        reader = Reader(self._next_request(conn, kept=False))
+        deadline = 0.0
+
+        def receive() -> bytes:
+            conn.settimeout(remaining(deadline))
+            return conn.recv(_RECV_BYTES)
+
+        while reader.buffer and not self._stopping:
+            deadline = time.monotonic() + READ_DEADLINE_S  # for the head and the body
             try:
-                request = _read_head(conn, pending)
-                if request is None:
-                    return
-                head, pending, deadline = request
-                method, target, http10, keep_alive, length, expect_continue = _parse_head(head)
-                if length > MAX_REQUEST_BYTES:
-                    raise _Refused(413, f"request body of {length} bytes exceeds the limit "
-                                        f"of {MAX_REQUEST_BYTES} bytes")
-            except _Refused as refused:  # what follows cannot be read as a request
-                status, message = refused.args
-                _respond(conn, status, _error(message), _JSON, _CLOSE)
+                method, target, http10, keep_alive, length, expect_continue = run(
+                    reader.request(MAX_REQUEST_BYTES), receive)
+                if expect_continue and len(reader.buffer) < length:
+                    conn.sendall(response_head(100, {}))
+                body = run(reader.body(length), receive)
+            except EOFError:  # the client closed the connection between requests
                 return
-            if expect_continue and len(pending) < length:
-                conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-            body = _read_body(conn, pending, length, deadline)
-            if body is None:
+            except ProtocolError as refused:  # what follows cannot be read as a request
+                _respond(conn, refused.status, _error(str(refused)), _JSON,
+                         {"Connection": "close"})
                 return
-            body, pending = body
-            content_type, headers = _JSON, ""
+            content_type, headers = _JSON, {}
             if method == "POST" and target == "/graphql":
                 status, content = self._graphql(body)
             elif method not in ("GET", "POST"):
                 status, content = 405, _error(f"method {method} is not allowed")
-                headers = "Allow: GET, POST\r\n"
+                headers = {"Allow": "GET, POST"}
             elif method == "GET" and target == "/sdl":
                 status, content = 200, self.service.sdl_text().encode("utf-8")
                 content_type = "text/plain; charset=utf-8"
@@ -298,15 +298,15 @@ class WrapperServer:
                 status, content = 404, _error("not found")
             keep_alive = keep_alive and not (self._contended or self._stopping)
             if not keep_alive:
-                headers += _CLOSE
+                headers["Connection"] = "close"
             elif http10:
-                headers += "Connection: keep-alive\r\n"
+                headers["Connection"] = "keep-alive"
             _respond(conn, status, content, content_type, headers)
             logger.debug("%s %s -> %d", method, target, status)
             if not keep_alive:
                 return
-            if not pending:
-                pending = self._next_request(conn, kept=True)
+            if not reader.buffer:
+                reader.buffer += self._next_request(conn, kept=True)
 
     def _next_request(self, conn: socket.socket, kept: bool) -> bytes:
         """The first bytes of the next request on conn, or b"" when it is to
@@ -343,11 +343,6 @@ class WrapperServer:
         return status, encode_response(body)
 
 
-class _Refused(Exception):
-    """(status, message) answering a request whose connection then closes,
-    since what follows the request cannot be framed."""
-
-
 def _end_reading(conn: socket.socket) -> None:
     """Make the worker blocked reading conn see the end of its input."""
     try:
@@ -356,104 +351,13 @@ def _end_reading(conn: socket.socket) -> None:
         pass
 
 
-def _read_head(conn: socket.socket, pending: bytes) -> tuple[bytes, bytes, float] | None:
-    """The head (request line and header lines) of the request that pending
-    begins, the bytes after it, and the deadline for its body; None when the
-    client closed the connection first. Raises TimeoutError when the head
-    misses READ_DEADLINE_S, and _Refused when it grows past MAX_HEAD_BYTES."""
-    deadline = time.monotonic() + READ_DEADLINE_S
-    while True:
-        pending = pending.lstrip(b"\r\n")  # empty lines may precede a request line
-        if pending:
-            end, skip = pending.find(b"\n\r\n"), 3
-            bare = pending.find(b"\n\n")  # lines may end in a bare LF
-            if bare != -1 and (end == -1 or bare < end):
-                end, skip = bare, 2
-            if end > MAX_HEAD_BYTES or (end == -1 and len(pending) > MAX_HEAD_BYTES):
-                raise _Refused(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
-            if end != -1:
-                return pending[:end], pending[end + skip:], deadline
-        conn.settimeout(_remaining(deadline))
-        chunk = conn.recv(_RECV_BYTES)
-        if not chunk:
-            return None
-        pending += chunk
-
-
-def _read_body(conn: socket.socket, pending: bytes, length: int,
-               deadline: float) -> tuple[bytes, bytes] | None:
-    """A body of length bytes and the bytes after it, or None when the client
-    closed the connection first; TimeoutError past the deadline."""
-    if len(pending) < length:
-        buffer = bytearray(pending)
-        while len(buffer) < length:
-            conn.settimeout(_remaining(deadline))
-            chunk = conn.recv(_RECV_BYTES)
-            if not chunk:
-                return None
-            buffer += chunk
-        pending = bytes(buffer)
-    return pending[:length], pending[length:]
-
-
-def _remaining(deadline: float) -> float:
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise TimeoutError("read deadline passed")
-    return remaining
-
-
-def _parse_head(head: bytes) -> tuple[str, str, bool, bool, int, bool]:
-    """(method, target, HTTP/1.0, keep-alive, Content-Length, 100-continue)
-    of a request head; no Content-Length is a length of 0. Raises _Refused
-    for a head that cannot be framed safely: a malformed request line or
-    header line, too many header lines, another HTTP version, any
-    Transfer-Encoding, or a malformed or conflicting Content-Length."""
-    lines = head.split(b"\n")
-    parts = lines[0].rstrip(b"\r").split(b" ")
-    if len(parts) != 3:
-        raise _Refused(400, "malformed request line")
-    method, target, version = parts
-    if version not in (b"HTTP/1.1", b"HTTP/1.0"):
-        raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are supported")
-    if len(lines) > MAX_HEADERS + 1:
-        raise _Refused(431, f"more than {MAX_HEADERS} header lines")
-    fields: dict[bytes, bytes] = {}
-    for line in lines[1:]:
-        name, colon, value = line.partition(b":")
-        if not colon or not name or name.strip() != name:  # also a folded line
-            raise _Refused(400, "malformed header line")
-        name, value = name.lower(), value.strip()
-        fields[name] = fields[name] + b"," + value if name in fields else value
-    if b"transfer-encoding" in fields:
-        raise _Refused(501, "Transfer-Encoding is not supported; send a Content-Length")
-    length = 0
-    if b"content-length" in fields:
-        values = {value.strip() for value in fields[b"content-length"].split(b",")}
-        if len(values) > 1:
-            raise _Refused(400, "conflicting Content-Length values")
-        value = values.pop()
-        try:
-            length = int(value) if value.isdigit() else -1
-        except ValueError:  # more digits than int() reads
-            length = -1
-        if length < 0:
-            raise _Refused(400, "Content-Length must be a non-negative integer")
-    http10 = version == b"HTTP/1.0"
-    tokens = {token.strip() for token in fields.get(b"connection", b"").lower().split(b",")}
-    keep_alive = b"keep-alive" in tokens if http10 else b"close" not in tokens
-    expect_continue = not http10 and fields.get(b"expect", b"").lower() == b"100-continue"
-    return (method.decode("latin-1"), target.decode("latin-1"), http10, keep_alive, length,
-            expect_continue)
-
-
 def _respond(conn: socket.socket, status: int, body: bytes, content_type: str,
-             headers: str) -> None:
-    """Send one response, with headers (whole header lines) added, in one send."""
-    head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {formatdate(usegmt=True)}\r\n"
-            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n{headers}\r\n")
+             headers: dict[str, str]) -> None:
+    """Send one response, with headers added, in one send."""
+    head = response_head(status, {"Date": imf_date(), "Content-Type": content_type,
+                                  "Content-Length": len(body), **headers})
     conn.settimeout(READ_DEADLINE_S)  # the client must take the response as fast
-    conn.sendall(head.encode("latin-1") + body)
+    conn.sendall(head + body)
 
 
 def _error(message: str) -> bytes:
@@ -461,9 +365,7 @@ def _error(message: str) -> bytes:
 
 
 _JSON = "application/json"
-_CLOSE = "Connection: close\r\n"
 _RECV_BYTES = 1 << 16
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def make_server(service: GraphQLService, host: str = "127.0.0.1",

@@ -475,6 +475,29 @@ def test_the_service_loads_no_standard_library_server():
     assert not {"http.server", "socketserver"} & modules_after("import oaswrap.service")
 
 
+# Serving loads none of these: the edge and the upstream client speak HTTP/1.1
+# through oaswrap.http11, and ssl waits for the first HTTPS connection.
+HTTP_LIBRARY_MODULES = {"http", "http.client", "email", "urllib.request", "ssl"}
+
+
+def test_the_service_and_a_plain_http_send_load_no_http_library_module():
+    assert "oaswrap.http11" not in modules_after("import oaswrap.cli")
+    assert not HTTP_LIBRARY_MODULES & modules_after("import oaswrap.service")
+    loaded = modules_after(
+        "import socket, threading, oaswrap.service\n"
+        "from oaswrap.resolver_runtime import HttpClient, HttpRequestSpec\n"
+        "listener = socket.create_server(('127.0.0.1', 0))\n"
+        "def answer():\n"
+        "    conn = listener.accept()[0]\n"
+        "    while not conn.recv(65536).endswith(b'\\r\\n\\r\\n'): pass\n"
+        "    conn.sendall(b'HTTP/1.1 200 OK\\r\\nContent-Length: 2\\r\\n\\r\\n{}')\n"
+        "threading.Thread(target=answer, daemon=True).start()\n"
+        "url = 'http://127.0.0.1:%d/x' % listener.getsockname()[1]\n"
+        "assert HttpClient(timeout=5).send(HttpRequestSpec('GET', url))[2] == b'{}'")
+    assert "oaswrap.http11" in loaded
+    assert not HTTP_LIBRARY_MODULES & loaded
+
+
 def test_the_service_loads_no_dataclasses():
     assert "dataclasses" not in modules_after("import oaswrap.service")
 

@@ -5,6 +5,7 @@ import base64
 import gzip
 import itertools
 import json
+import socket
 import threading
 import time
 import zlib
@@ -995,3 +996,118 @@ def test_oversize_body_is_a_field_error_and_its_connection_is_closed(keepalive, 
     assert server.connections == 1
     assert run("{ getSmall { s } }").data == {"getSmall": {"s": "ok"}}
     assert server.connections == 2  # a body cut short leaves its connection unusable
+
+
+@pytest.fixture
+def raw_upstream():
+    """start(reply) runs a loopback upstream that reads each connection's
+    first request head, calls reply(conn) to write whatever bytes it likes,
+    and closes the connection; it counts the connections it accepts."""
+    stop = threading.Event()
+    listeners = []
+
+    def start(reply):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        listeners.append(listener)
+        server = SimpleNamespace(connections=0,
+                                 url="http://127.0.0.1:%d" % listener.getsockname()[1])
+
+        def answer(conn):
+            with conn:
+                head = b""
+                try:
+                    while b"\r\n\r\n" not in head and (chunk := conn.recv(4096)):
+                        head += chunk
+                    reply(conn)
+                except OSError:  # the client gave up first
+                    pass
+
+        def accept():
+            while not stop.is_set():
+                try:
+                    conn = listener.accept()[0]
+                except TimeoutError:
+                    continue
+                except OSError:  # closed at the test's end
+                    return
+                server.connections += 1
+                threading.Thread(target=answer, args=(conn,), daemon=True).start()
+
+        threading.Thread(target=accept, daemon=True).start()
+        return server
+
+    yield start
+    stop.set()
+    for listener in listeners:
+        listener.close()
+
+
+def test_a_dripping_body_ends_at_the_request_deadline(raw_upstream):
+    def drip(conn):  # each byte comes well inside the timeout
+        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 21\r\n\r\n")
+        for byte in b'{"drip": "drip-drip"}':
+            conn.sendall(bytes([byte]))
+            time.sleep(0.2)
+
+    server = raw_upstream(drip)
+    start = time.monotonic()
+    with pytest.raises(RequestTimeout):
+        get(f"{server.url}/drip", HttpClient(timeout=0.5))
+    assert time.monotonic() - start < 0.55
+    assert server.connections == 1
+
+
+def test_redirects_share_the_request_deadline(keepalive):
+    def answer(handler):
+        time.sleep(0.2)
+        return 302, {"Location": "/again"}, b""
+
+    server = keepalive(answer)
+    start = time.monotonic()
+    with pytest.raises(RequestTimeout):
+        get(f"{server.base_url}/first", HttpClient(timeout=0.5))
+    assert time.monotonic() - start < 0.55
+    assert len(server.seen) <= 3
+
+
+def test_interim_and_chunked_responses_are_read(raw_upstream):
+    server = raw_upstream(lambda conn: conn.sendall(
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5;ext=1\r\n{\"a\":\r\n2\r\n 1\r\n1\r\n}\r\n0\r\nX-Trailer: t\r\n\r\n"))
+    status, headers, body = get(f"{server.url}/c", HttpClient(timeout=5))
+    assert (status, headers.get("TRANSFER-ENCODING"), json.loads(body)) == (
+        200, "chunked", {"a": 1})
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 2000 OK\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+    b"HTTP/1.1 200 OK\r\n" + b"X-A: b\r\n" * 101 + b"\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}",  # closed inside the body
+    b"",  # closed before a response
+])
+def test_a_response_that_cannot_be_framed_is_a_network_error(raw_upstream, reply):
+    server = raw_upstream(lambda conn: conn.sendall(reply))
+    with pytest.raises(NetworkError):
+        get(f"{server.url}/bad", HttpClient(timeout=5))
+
+
+def test_a_header_value_that_would_end_its_line_is_refused_unsent(keepalive, client):
+    server = keepalive()
+    for fields in ({"headers": {"X-Who": "a\r\nX-Injected: 1"}},
+                   {"query": [("key", "s3cret")], "url": f"{server.base_url}/a b"}):
+        fields.setdefault("url", f"{server.base_url}/a")
+        with pytest.raises(NetworkError) as caught:
+            client.send(HttpRequestSpec(method="GET", **fields))
+        assert "s3cret" not in str(caught.value)
+    assert server.seen == []
+
+
+def test_a_proxy_url_without_a_host_is_a_network_error(proxy_env, client):
+    proxy_env.setenv("http_proxy", "http://:8080")
+    with pytest.raises(NetworkError, match="names no host"):
+        get("http://api.example.invalid/things", client)
