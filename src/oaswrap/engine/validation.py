@@ -18,8 +18,15 @@ never get here, as the parser refuses them with a syntax error, which is a 400.
 
 from __future__ import annotations
 
-from hashlib import blake2b
 from math import isfinite
+
+try:
+    # hashlib re-exports this constructor, but importing hashlib loads
+    # _hashlib and with it OpenSSL's libcrypto, which a plain-HTTP server
+    # would otherwise never map.
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without the built-in BLAKE2
+    from hashlib import blake2b
 
 from ..ir import (
     ENUM,

@@ -494,7 +494,9 @@ def _request(conn: _Connection, method: str, target: str, fields: dict[str, str]
 
 
 def _open(host: str, port: int, deadline: float) -> socket.socket:
-    sock = socket.create_connection((host, port), remaining(deadline))
+    # getaddrinfo IDNA-encodes a str host, loading the codec; ASCII needs none.
+    address = (host.encode("ascii") if host.isascii() else host, port)
+    sock = socket.create_connection(address, remaining(deadline))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 

@@ -498,6 +498,93 @@ def test_the_service_and_a_plain_http_send_load_no_http_library_module():
     assert not HTTP_LIBRARY_MODULES & loaded
 
 
+# A query served from a plain-HTTP upstream loads none of these: kernel
+# signatures come from the built-in BLAKE2, so hashlib and OpenSSL stay out,
+# and an ASCII upstream host reaches getaddrinfo as bytes, which needs no
+# IDNA codec.
+OPENSSL_AND_IDNA_MODULES = {"hashlib", "_hashlib", "ssl", "encodings.idna", "stringprep",
+                            "unicodedata"}
+
+SERVE_ONE_QUERY = """
+import json, os, socket, threading
+from oaswrap import generator, service
+listener = socket.create_server(("127.0.0.1", 0))
+def answer():
+    conn = listener.accept()[0]
+    while not conn.recv(65536).endswith(b"\\r\\n\\r\\n"):
+        pass
+    body = b'{"id": "u1", "name": "Uma", "employerId": "c1"}'
+    conn.sendall(b"HTTP/1.1 200 OK\\r\\nContent-Type: application/json\\r\\n"
+                 b"Content-Length: %d\\r\\n\\r\\n" % len(body) + body)
+threading.Thread(target=answer, daemon=True).start()
+with open(PATH, encoding="utf-8") as f:
+    root = json.load(f)
+root["servers"] = [{"url": "http://127.0.0.1:%d" % listener.getsockname()[1]}]
+graphql = service.GraphQLService(generator.generate(json.dumps(root).encode()))
+assert graphql.handle_graphql({"query": '{ user(id: "u1") { id name } }'}) == (
+    200, {"data": {"user": {"id": "u1", "name": "Uma"}}})
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        mapped = [line.split()[-1] for line in f if "libcrypto" in line]
+    assert not mapped, mapped
+"""
+
+
+def test_a_query_served_from_a_plain_http_upstream_maps_no_openssl():
+    loaded = modules_after(
+        SERVE_ONE_QUERY.replace("PATH", repr(str(corpus_path("clean_links.json")))))
+    assert "oaswrap.engine.validation" in loaded
+    assert not OPENSSL_AND_IDNA_MODULES & loaded
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's hashlib")
+def test_kernel_signatures_use_the_blake2b_hashlib_exports():
+    import hashlib
+
+    from oaswrap.engine import validation
+    assert validation.blake2b is hashlib.blake2b
+
+
+# Prints the kernel signatures of a set shaped like serve-wide's records (keys
+# to sanitize, an enum, a list and a nested object) and of its nested set.
+SIGN_A_WIDE_SET = """
+import json
+from oaswrap.engine import parse_query, validate_query
+from oaswrap.generator import generate
+record = {"type": "object", "required": ["record_id"], "properties": {
+    "record_id": {"type": "string"}, "label-text": {"type": "string"},
+    "seat count": {"type": "integer"}, "unit.price": {"type": "number"},
+    "in_stock": {"type": "boolean"},
+    "status_code": {"type": "string", "enum": ["ok-new", "gone-old"]},
+    "tag_list": {"type": "array", "items": {"type": "string"}},
+    "owner": {"type": "object", "properties": {
+        "owner_id": {"type": "string"}, "e-mail": {"type": "string"}}}}}
+root = {"openapi": "3.0.3", "info": {"title": "Wide", "version": "1"},
+        "servers": [{"url": "http://127.0.0.1:1"}],
+        "paths": {"/records": {"get": {"operationId": "listRecords", "responses": {"200": {
+            "description": "ok", "content": {"application/json": {"schema": {
+                "type": "array", "items": {"$ref": "#/components/schemas/Record"}}}}}}}}},
+        "components": {"schemas": {"Record": record}}}
+wrapper = generate(json.dumps(root).encode())
+doc = parse_query("{ getRecords { recordId labelText seatCount unitPrice inStock statusCode "
+                  "tagList owner { ownerId eMail } } }")
+assert validate_query(doc, wrapper.schema) == []
+records = doc.operations[0].compiled[1].fields[0].child
+print(records.signature, records.fields[-1].child.signature)
+"""
+
+
+def test_the_hashlib_fallback_signs_a_set_as_the_built_in_blake2_does():
+    # hashlib takes its blake2b from _blake2 as it loads, so it loads before
+    # _blake2 is blocked and the validation module falls back to it.
+    fallback = last_line_after("import hashlib, sys\n"
+                               "sys.modules['_blake2'] = None\n" + SIGN_A_WIDE_SET)
+    # A change to the signed text or the digest would change these, and with
+    # them which sets share a kernel.
+    assert fallback == last_line_after(SIGN_A_WIDE_SET) == (
+        "f8eebe6cb4de902c87e12c3deba9cd7d f31d89a318be2acabfe1e4a00abb6870")
+
+
 def test_the_service_loads_no_dataclasses():
     assert "dataclasses" not in modules_after("import oaswrap.service")
 

@@ -956,6 +956,22 @@ def test_https_through_a_proxy_opens_a_tunnel(keepalive, proxy_env, client):
     assert proxy.seen[0][:2] == ("CONNECT", "api.example.invalid:443")
 
 
+@pytest.mark.parametrize("host, dialled", [
+    ("127.0.0.1", b"127.0.0.1"), ("::1", b"::1"), ("localhost", b"localhost"),
+    ("api.example.com", b"api.example.com"), ("bücher.example", "bücher.example")])
+def test_an_ascii_host_is_dialled_as_bytes_and_any_other_as_text(monkeypatch, host, dialled):
+    addresses = []
+
+    def create_connection(address, timeout):
+        addresses.append(address)
+        return socket.socket()
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    with resolver_runtime._open(host, 8080, time.monotonic() + 5):
+        pass
+    assert addresses == [(dialled, 8080)]
+
+
 def test_slow_upstream_is_request_timeout(keepalive):
     def answer(handler):
         time.sleep(0.5)
